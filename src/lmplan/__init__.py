@@ -44,6 +44,7 @@ from .metrics import (
 from .parsing import ParseQuality, PlanOutput, extract_decision, parse_plan_output
 from .prompts import (
     MAX_EXEMPLARS,
+    Decision,
     PlannerPrompt,
     build_prompt,
     build_system_prompt,
@@ -53,7 +54,6 @@ from .prompts import (
 )
 from .reasoning import (
     CriticalObject,
-    Decision,
     FineTuneExample,
     ReasoningConfig,
     ReasoningTrace,

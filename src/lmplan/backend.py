@@ -29,17 +29,12 @@ from dataclasses import dataclass
 import requests
 
 from .codec import CodecConfig, serialize_trajectory
-from .prompts import SECTION_TRAJECTORY, PlannerPrompt
+from .prompts import Decision, PlannerPrompt
 from .reasoning import (
-    Decision,
     FineTuneExample,
-    ReasoningConfig,
-    ReasoningTrace,
-    decision_line,
-    find_critical_objects,
-    interaction_summary,
+    build_trace,
     make_finetune_example,
-    render_reasoning,
+    render_plan_text,
     rollout_hypothetical,
 )
 from .scenario import Scenario
@@ -122,17 +117,8 @@ def complete(
 def _stub_hypothetical(s: Scenario, codec: CodecConfig) -> str:
     dt = s.human_trajectory.dt
     hypo = rollout_hypothetical(s.ego, len(s.human_trajectory), dt, codec.decimals)
-    critical = find_critical_objects(s, hypo, ReasoningConfig())
-    trace = ReasoningTrace(
-        critical_objects=critical,
-        interaction_text=interaction_summary(critical, dt, codec),
-        decision=Decision.KEEP_SPEED,
-        decision_text=decision_line(Decision.KEEP_SPEED),
-    )
-    return (
-        render_reasoning(trace, codec)
-        + f"\n{SECTION_TRAJECTORY} {serialize_trajectory(hypo, codec)}"
-    )
+    trace = build_trace(s, hypo, Decision.KEEP_SPEED, codec=codec)
+    return render_plan_text(trace, serialize_trajectory(hypo, codec), codec)
 
 
 def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:

@@ -11,6 +11,8 @@ Subcommands:
   sidecar ``<out>.meta.json`` recording the prompt template hash.
 - ``plan``: run a backend over every scenario and write one result line per
   scenario: ``{"scenario_id", "raw_text", "parse_quality", "trajectory"}``.
+  Each scenario gets one completion; ``--max-retries`` bounds the backend's
+  HTTP retries, and a reply that fails to parse is not asked again.
 - ``evaluate``: join results to scenarios by id, compute open-loop metrics,
   write ``report.md`` and ``report.csv``.
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -41,14 +44,13 @@ from .metrics import (
     render_csv,
     render_markdown,
 )
-from .parsing import ParseQuality, parse_plan_output
-from .prompts import MAX_EXEMPLARS, build_prompt, pack_exemplars, template_hash
+from .parsing import parse_plan_output
+from .prompts import build_prompt, pack_exemplars, template_hash
 from .reasoning import make_finetune_example
 from .scenario import (
     DEFAULT_DT,
     DEFAULT_HORIZON_STEPS,
     SYNTH_KINDS,
-    ScenarioSchemaError,
     Trajectory,
     Waypoint,
     load_scenarios,
@@ -63,9 +65,8 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _load_nonempty(path: str, horizon_steps: int | None = None):
-    kwargs = {} if horizon_steps is None else {"horizon_steps": horizon_steps}
-    scenarios = load_scenarios(path, **kwargs)
+def _load_nonempty(path: str):
+    scenarios = load_scenarios(path)
     if not scenarios:
         raise ValueError(f"no scenarios in {path}")
     return scenarios
@@ -133,8 +134,6 @@ def cmd_plan(args) -> int:
 
     exemplar_pool = []
     if args.exemplars:
-        if args.exemplars > MAX_EXEMPLARS:
-            return _fail(f"--exemplars above the cap of {MAX_EXEMPLARS}")
         if not args.exemplar_scenarios:
             return _fail("--exemplars needs --exemplar-scenarios")
         exemplar_pool = [
@@ -146,21 +145,12 @@ def cmd_plan(args) -> int:
         prompt = build_prompt(s, codec, horizon, dt)
         if exemplar_pool:
             prompt = pack_exemplars(prompt, exemplar_pool, args.exemplars)
-        raw, out = "", None
-        # a fresh completion per attempt; stubs and deterministic endpoints
-        # return the same text, so a repeat failure falls through quickly
-        for _ in range(cfg.max_retries + 1):
-            try:
-                raw = complete(cfg, prompt, s, codec)
-            except BackendError as e:
-                print(f"lmplan: warning: {s.id}: {e}", file=sys.stderr)
-                raw = ""
-                out = None
-                break
-            out = parse_plan_output(raw, horizon, codec, dt)
-            if out.quality is not ParseQuality.FAILED:
-                break
-        return s, raw, out
+        try:
+            raw = complete(cfg, prompt, s, codec)
+        except BackendError as e:
+            print(f"lmplan: warning: {s.id}: {e}", file=sys.stderr)
+            return s, "", None
+        return s, raw, parse_plan_output(raw, horizon, codec, dt)
 
     if cfg.mode is BackendMode.REMOTE and len(scenarios) > 1:
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
@@ -199,7 +189,22 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _read_results(path: str) -> list[PlanRecord]:
+def _result_trajectory(raw, horizon: int | None) -> Trajectory:
+    """A result line's ``[[x, y], ...]``: finite number pairs, one per step."""
+    if not isinstance(raw, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
+        for p in raw
+    ):
+        raise ValueError("trajectory must be a list of [x, y] number pairs")
+    points = tuple(Waypoint(float(x), float(y)) for x, y in raw)
+    if not all(math.isfinite(w.x) and math.isfinite(w.y) for w in points):
+        raise ValueError("trajectory coordinates must be finite")
+    if horizon is not None and len(points) != horizon:
+        raise ValueError(f"trajectory has {len(points)} waypoints, expected {horizon}")
+    return Trajectory(points)
+
+
+def _read_results(path: str, horizons: dict[str, int]) -> list[PlanRecord]:
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -210,18 +215,20 @@ def _read_results(path: str) -> list[PlanRecord]:
                 sid = obj["scenario_id"]
                 quality = obj.get("parse_quality", "failed")
                 raw_traj = obj.get("trajectory")
-            except (ValueError, KeyError, TypeError) as e:
+                if not isinstance(sid, str) or not isinstance(quality, str):
+                    raise TypeError("scenario_id and parse_quality must be strings")
+                traj = None
+                if raw_traj is not None:
+                    traj = _result_trajectory(raw_traj, horizons.get(sid))
+            except (ValueError, KeyError, TypeError, OverflowError) as e:
                 raise ValueError(f"{path}:{lineno}: bad result line: {e}") from None
-            traj = None
-            if raw_traj is not None:
-                traj = Trajectory(tuple(Waypoint(float(x), float(y)) for x, y in raw_traj))
             records.append(PlanRecord(scenario_id=sid, trajectory=traj, parse_quality=quality))
     return records
 
 
 def cmd_evaluate(args) -> int:
     scenarios = _load_nonempty(args.scenarios)
-    records = _read_results(args.results)
+    records = _read_results(args.results, {s.id: len(s.human_trajectory) for s in scenarios})
     cfg = EvalConfig(
         fallback_policy=args.fallback,
         exclude_gt_collisions=args.exclude_gt_collisions,
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default="planner-v1")
     sp.add_argument("--temperature", type=float, default=0.0)
     sp.add_argument("--timeout", type=float, default=30.0)
-    sp.add_argument("--max-retries", type=int, default=3)
+    sp.add_argument("--max-retries", type=int, default=3, help="HTTP retries per request")
     sp.add_argument("--backoff", type=float, default=0.5, help="initial retry delay, seconds")
     sp.add_argument("--max-in-flight", type=int, default=4)
     sp.add_argument("--exemplars", type=int, default=0, help="in-context examples per prompt")
@@ -313,9 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        return _fail(str(e))
-    except (ScenarioSchemaError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ScenarioSchemaError is a ValueError
         return _fail(str(e))
 
 

@@ -9,6 +9,9 @@ value like 23.17 therefore splits on the decimal point into an integer-meter
 part and a fractional centimeter part, which is exactly the decomposition a
 standard subword tokenizer produces. Serialization and parsing round-trip
 bitwise on quantized values.
+
+``Waypoint``, ``Trajectory`` and the horizon defaults are defined here,
+the module every other one imports; ``scenario`` re-exports them.
 """
 
 from __future__ import annotations
@@ -19,9 +22,29 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 DEFAULT_DECIMALS = 2
+DEFAULT_HORIZON_STEPS = 6
+DEFAULT_DT = 0.5
 
-# Trajectory type lives in scenario.py; imported late to avoid a cycle
-# (scenario quantizes on ingest via this module).
+
+@dataclass(frozen=True)
+class Waypoint:
+    x: float
+    y: float
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Fixed-rate sequence of future 2D waypoints in the ego frame."""
+
+    waypoints: tuple[Waypoint, ...]
+    dt: float = DEFAULT_DT
+
+    def __len__(self) -> int:
+        return len(self.waypoints)
+
+    def point(self, step: int) -> Waypoint:
+        """Waypoint at 1-based horizon step (step i sits at time i * dt)."""
+        return self.waypoints[step - 1]
 
 
 @dataclass(frozen=True)
@@ -79,10 +102,14 @@ def format_pair(x: float, y: float, cfg: CodecConfig = CodecConfig()) -> str:
     )
 
 
-def serialize_trajectory(t, cfg: CodecConfig = CodecConfig()) -> str:
+def format_waypoints(waypoints, cfg: CodecConfig = CodecConfig()) -> str:
+    """Bracketed pair list for any waypoint sequence."""
+    return "[" + cfg.list_sep.join(format_pair(w.x, w.y, cfg) for w in waypoints) + "]"
+
+
+def serialize_trajectory(t: Trajectory, cfg: CodecConfig = CodecConfig()) -> str:
     """Canonical text for a trajectory: deterministic, no whitespace variance."""
-    pairs = (format_pair(w.x, w.y, cfg) for w in t.waypoints)
-    return "[" + cfg.list_sep.join(pairs) + "]"
+    return format_waypoints(t.waypoints, cfg)
 
 
 _NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)"
@@ -113,8 +140,8 @@ def parse_trajectory(
     text: str,
     expected_len: int,
     cfg: CodecConfig = CodecConfig(),
-    dt: float | None = None,
-):
+    dt: float = DEFAULT_DT,
+) -> Trajectory:
     """Parse exactly expected_len coordinate pairs out of arbitrary text.
 
     Grammar first: bracketed pair lists are located and the last one of the
@@ -123,10 +150,6 @@ def parse_trajectory(
     TrajectoryParseError on empty input, an unparseable payload, or a pair
     count other than expected_len (reporting the found count).
     """
-    from .scenario import DEFAULT_DT, Trajectory, Waypoint
-
-    if dt is None:
-        dt = DEFAULT_DT
     if not text or not text.strip():
         raise TrajectoryParseError("empty input", found=0, expected=expected_len)
 

@@ -23,14 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 from .prompts import template_hash as _default_template_hash
-from .reasoning import rollout_hypothetical
+from .reasoning import rollout_hypothetical, segment_directions
 from .scenario import ObjectBox, Scenario, Trajectory, Waypoint
 
 # nuScenes ego footprint (meters); override via EvalConfig for other platforms.
 EGO_LENGTH = 4.084
 EGO_WIDTH = 1.730
-
-_MIN_SEGMENT = 0.01
 
 
 @dataclass(frozen=True)
@@ -143,13 +141,10 @@ def headings_along(t: Trajectory, initial_heading: float = math.pi / 2) -> list[
     """
     out = []
     prev = initial_heading
-    px, py = 0.0, 0.0
-    for w in t.waypoints:
-        dx, dy = w.x - px, w.y - py
-        if math.hypot(dx, dy) >= _MIN_SEGMENT:
-            prev = math.atan2(dy, dx)
+    for d in segment_directions(t):
+        if d is not None:
+            prev = math.atan2(d[1], d[0])
         out.append(prev)
-        px, py = w.x, w.y
     return out
 
 

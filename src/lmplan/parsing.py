@@ -18,8 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .codec import CodecConfig, TrajectoryParseError, extract_pairs, parse_trajectory
-from .prompts import SECTION_DECISION, SECTION_LABELS, SECTION_TRAJECTORY
-from .reasoning import Decision
+from .prompts import SECTION_DECISION, SECTION_LABELS, SECTION_TRAJECTORY, Decision
 from .scenario import DEFAULT_DT, Trajectory
 
 
@@ -112,11 +111,9 @@ def parse_plan_output(
     text: str,
     horizon_steps: int,
     cfg: CodecConfig = CodecConfig(),
-    dt: float | None = None,
+    dt: float = DEFAULT_DT,
 ) -> PlanOutput:
     """Classify and extract a plan from raw model output. Never raises."""
-    if dt is None:
-        dt = DEFAULT_DT
     decision = extract_decision(text)
 
     trajectory = None

@@ -4,15 +4,17 @@ The templates below are frozen assets; ``template_hash()`` fingerprints them
 so exported datasets and evaluation reports can record which prompt version
 produced them. Scene text renders every number through the trajectory codec,
 so each literal in the prompt re-parses to the exact stored value.
+The ``Decision`` vocabulary the output format announces is defined here.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .codec import CodecConfig, format_number, format_pair
-from .scenario import Scenario
+from .codec import DEFAULT_DECIMALS, CodecConfig, format_number, format_pair, format_waypoints
+from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, Scenario
 
 MAX_EXEMPLARS = 5
 
@@ -24,16 +26,22 @@ SECTION_DECISION = "Decision:"
 SECTION_TRAJECTORY = "Trajectory:"
 SECTION_LABELS = (SECTION_CRITICAL, SECTION_INTERACTION, SECTION_DECISION, SECTION_TRAJECTORY)
 
-DECISION_VOCABULARY = (
-    "keep_speed",
-    "accelerate",
-    "decelerate",
-    "stop",
-    "turn_left",
-    "turn_right",
-    "change_lane_left",
-    "change_lane_right",
-)
+
+class Decision(str, enum.Enum):
+    """Maneuver tokens, in the order the prompt announces them."""
+
+    KEEP_SPEED = "keep_speed"
+    ACCELERATE = "accelerate"
+    DECELERATE = "decelerate"
+    STOP = "stop"
+    TURN_LEFT = "turn_left"
+    TURN_RIGHT = "turn_right"
+    CHANGE_LANE_LEFT = "change_lane_left"
+    CHANGE_LANE_RIGHT = "change_lane_right"
+
+    def __str__(self) -> str:  # render as the bare token, not Decision.X
+        return self.value
+
 
 OUTPUT_FORMAT_INSTRUCTION = """\
 Answer with exactly these four labeled sections, in this order:
@@ -93,15 +101,15 @@ def template_hash() -> str:
             NO_PREDICTIONS_LINE,
             NO_HISTORY,
             "|".join(SECTION_LABELS),
-            "|".join(DECISION_VOCABULARY),
+            "|".join(d.value for d in Decision),
         )
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def output_format_instruction(horizon_steps: int, decimals: int = 2) -> str:
+def output_format_instruction(horizon_steps: int, decimals: int = DEFAULT_DECIMALS) -> str:
     return OUTPUT_FORMAT_INSTRUCTION.format(
-        vocabulary=", ".join(DECISION_VOCABULARY),
+        vocabulary=", ".join(d.value for d in Decision),
         x1="x1", y1="y1", x2="x2", y2="y2",
         n=horizon_steps,
         decimals=decimals,
@@ -109,7 +117,9 @@ def output_format_instruction(horizon_steps: int, decimals: int = 2) -> str:
 
 
 def build_system_prompt(
-    horizon_steps: int = 6, dt: float = 0.5, decimals: int = 2
+    horizon_steps: int = DEFAULT_HORIZON_STEPS,
+    dt: float = DEFAULT_DT,
+    decimals: int = DEFAULT_DECIMALS,
 ) -> str:
     """Universal planning context; deterministic for given horizon settings."""
     if horizon_steps < 1:
@@ -125,9 +135,7 @@ def build_system_prompt(
 
 
 def _path_text(waypoints, cfg: CodecConfig) -> str:
-    if not waypoints:
-        return NO_HISTORY
-    return "[" + cfg.list_sep.join(format_pair(w.x, w.y, cfg) for w in waypoints) + "]"
+    return format_waypoints(waypoints, cfg) if waypoints else NO_HISTORY
 
 
 def build_user_prompt(s: Scenario, cfg: CodecConfig = CodecConfig()) -> str:
@@ -169,8 +177,8 @@ def build_user_prompt(s: Scenario, cfg: CodecConfig = CodecConfig()) -> str:
 def build_prompt(
     s: Scenario,
     cfg: CodecConfig = CodecConfig(),
-    horizon_steps: int = 6,
-    dt: float = 0.5,
+    horizon_steps: int = DEFAULT_HORIZON_STEPS,
+    dt: float = DEFAULT_DT,
 ) -> PlannerPrompt:
     return PlannerPrompt(
         system_text=build_system_prompt(horizon_steps, dt, cfg.decimals),

@@ -14,16 +14,16 @@ heading rate and speed. Objects whose predicted positions pass within
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from .codec import CodecConfig, format_number, quantize, serialize_trajectory
+from .codec import DEFAULT_DECIMALS, CodecConfig, format_number, quantize, serialize_trajectory
 from .prompts import (
     SECTION_CRITICAL,
     SECTION_DECISION,
     SECTION_INTERACTION,
     SECTION_TRAJECTORY,
+    Decision,
     PlannerPrompt,
     build_prompt,
 )
@@ -39,20 +39,6 @@ from .scenario import (
 # Segments shorter than this carry no usable direction.
 _MIN_SEGMENT = 0.01
 _EPS = 1e-9
-
-
-class Decision(str, enum.Enum):
-    KEEP_SPEED = "keep_speed"
-    ACCELERATE = "accelerate"
-    DECELERATE = "decelerate"
-    STOP = "stop"
-    TURN_LEFT = "turn_left"
-    TURN_RIGHT = "turn_right"
-    CHANGE_LANE_LEFT = "change_lane_left"
-    CHANGE_LANE_RIGHT = "change_lane_right"
-
-    def __str__(self) -> str:  # render as the bare token, not Decision.X
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -88,14 +74,17 @@ class ReasoningTrace:
     critical_objects: tuple[CriticalObject, ...]
     interaction_text: str
     decision: Decision
-    decision_text: str
+
+    @property
+    def decision_text(self) -> str:
+        return f"{self.decision.value} - {_DECISION_PHRASES[self.decision]}."
 
 
 def rollout_hypothetical(
     ego: EgoState,
     horizon_steps: int = DEFAULT_HORIZON_STEPS,
     dt: float = DEFAULT_DT,
-    decimals: int = 2,
+    decimals: int = DEFAULT_DECIMALS,
 ) -> Trajectory:
     """Extrapolate the current ego state over the horizon.
 
@@ -138,6 +127,18 @@ def path_length(t: Trajectory) -> float:
     return total
 
 
+def segment_directions(t: Trajectory) -> list[tuple[float, float] | None]:
+    """(dx, dy) of each segment from the origin through every waypoint; None
+    for a segment shorter than a centimeter, which carries no direction."""
+    out = []
+    px, py = 0.0, 0.0
+    for w in t.waypoints:
+        dx, dy = w.x - px, w.y - py
+        out.append((dx, dy) if math.hypot(dx, dy) >= _MIN_SEGMENT else None)
+        px, py = w.x, w.y
+    return out
+
+
 def net_heading_change_deg(t: Trajectory) -> float:
     """Heading of the last usable segment minus the first, in degrees.
 
@@ -145,13 +146,9 @@ def net_heading_change_deg(t: Trajectory) -> float:
     Segments shorter than a centimeter are skipped as directionless. Zero
     when fewer than one usable segment exists.
     """
-    headings = []
-    px, py = 0.0, 0.0
-    for w in t.waypoints:
-        dx, dy = w.x - px, w.y - py
-        if math.hypot(dx, dy) >= _MIN_SEGMENT:
-            headings.append(math.degrees(math.atan2(-dx, dy)))
-        px, py = w.x, w.y
+    headings = [
+        math.degrees(math.atan2(-d[0], d[1])) for d in segment_directions(t) if d is not None
+    ]
     if len(headings) < 1:
         return 0.0
     delta = headings[-1] - headings[0]
@@ -291,8 +288,20 @@ def interaction_summary(
     return "; ".join(clauses) + "."
 
 
-def decision_line(decision: Decision) -> str:
-    return f"{decision.value} - {_DECISION_PHRASES[decision]}."
+def build_trace(
+    s: Scenario,
+    hypo: Trajectory,
+    decision: Decision,
+    cfg: ReasoningConfig = ReasoningConfig(),
+    codec: CodecConfig = CodecConfig(),
+) -> ReasoningTrace:
+    """Critical objects and interactions against the rollout, plus a decision."""
+    critical = find_critical_objects(s, hypo, cfg)
+    return ReasoningTrace(
+        critical_objects=critical,
+        interaction_text=interaction_summary(critical, s.human_trajectory.dt, codec),
+        decision=decision,
+    )
 
 
 def compose_reasoning(
@@ -303,16 +312,7 @@ def compose_reasoning(
     """Derive the full trace: critical objects, interactions, and decision."""
     dt = s.human_trajectory.dt
     hypo = rollout_hypothetical(s.ego, len(s.human_trajectory), dt, codec.decimals)
-    critical = find_critical_objects(s, hypo, cfg)
-    decision = classify_decision(s, hypo, cfg)
-    interaction_text = interaction_summary(critical, dt, codec)
-    decision_text = decision_line(decision)
-    return ReasoningTrace(
-        critical_objects=critical,
-        interaction_text=interaction_text,
-        decision=decision,
-        decision_text=decision_text,
-    )
+    return build_trace(s, hypo, classify_decision(s, hypo, cfg), cfg, codec)
 
 
 def render_reasoning(trace: ReasoningTrace, codec: CodecConfig = CodecConfig()) -> str:
@@ -332,6 +332,13 @@ def render_reasoning(trace: ReasoningTrace, codec: CodecConfig = CodecConfig()) 
     )
 
 
+def render_plan_text(
+    trace: ReasoningTrace, trajectory_text: str, codec: CodecConfig = CodecConfig()
+) -> str:
+    """The full answer: the three reasoning sections, then the trajectory."""
+    return render_reasoning(trace, codec) + f"\n{SECTION_TRAJECTORY} {trajectory_text}"
+
+
 @dataclass(frozen=True)
 class FineTuneExample:
     """One supervised pair: scene prompt in, reasoning plus trajectory out."""
@@ -340,13 +347,11 @@ class FineTuneExample:
     prompt: PlannerPrompt
     reasoning: ReasoningTrace
     trajectory_text: str
+    codec: CodecConfig = CodecConfig()  # renders the reasoning's numbers
 
     @property
     def target_text(self) -> str:
-        return (
-            render_reasoning(self.reasoning)
-            + f"\n{SECTION_TRAJECTORY} {self.trajectory_text}"
-        )
+        return render_plan_text(self.reasoning, self.trajectory_text, self.codec)
 
 
 def make_finetune_example(
@@ -366,4 +371,5 @@ def make_finetune_example(
         prompt=prompt,
         reasoning=trace,
         trajectory_text=serialize_trajectory(s.human_trajectory, codec),
+        codec=codec,
     )

@@ -5,6 +5,9 @@ timestep: ego at the origin, +y forward, +x right, meters. Every scalar is
 quantized to ``DEFAULT_DECIMALS`` fractional digits on ingest so that
 store -> prompt -> parse round-trips are exact.
 
+``Waypoint``, ``Trajectory`` and the horizon defaults are defined in
+``codec`` and re-exported here.
+
 File schema (top level ``{"scenarios": [...]}``, all floats SI units):
 
     {
@@ -32,10 +35,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codec import DEFAULT_DECIMALS, quantize
-
-DEFAULT_HORIZON_STEPS = 6
-DEFAULT_DT = 0.5
+from .codec import DEFAULT_DECIMALS, DEFAULT_DT, DEFAULT_HORIZON_STEPS, Trajectory, Waypoint, quantize
 
 COORD_BOUND = 200.0  # sanity bound for any coordinate over a few seconds
 
@@ -54,27 +54,6 @@ class ScenarioSchemaError(ValueError):
         if field_name is not None:
             prefix += f"field {field_name!r}: "
         super().__init__(prefix + message)
-
-
-@dataclass(frozen=True)
-class Waypoint:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Fixed-rate sequence of future 2D waypoints in the ego frame."""
-
-    waypoints: tuple[Waypoint, ...]
-    dt: float = DEFAULT_DT
-
-    def __len__(self) -> int:
-        return len(self.waypoints)
-
-    def point(self, step: int) -> Waypoint:
-        """Waypoint at 1-based horizon step (step i sits at time i * dt)."""
-        return self.waypoints[step - 1]
 
 
 @dataclass(frozen=True)

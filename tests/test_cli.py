@@ -195,6 +195,8 @@ class TestPlanRemote:
         assert len(failed) == 4  # every 5th of 20 distinct prompts
         assert all(r["trajectory"] is None for r in failed)
         assert all(r["raw_text"] for r in failed)  # raw text kept for debugging
+        # one request per scenario: a garbled reply is not re-asked
+        assert len(srv.requests) == 20
 
     def test_unreachable_endpoint_yields_failed_rows_not_a_crash(
         self, tmp_path, api_key_env, capsys
@@ -307,6 +309,42 @@ class TestErrors:
         assert run("evaluate", "--scenarios", scen, "--results", bad,
                    "--out-dir", tmp_path / "rep") == 2
         assert "bad result line" in capsys.readouterr().err
+
+    def test_plan_out_is_a_directory(self, tmp_path, capsys):
+        scen = synth_file(tmp_path, count=2)
+        assert run("plan", "--scenarios", scen, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lmplan: error:") and "Traceback" not in err
+
+    def test_evaluate_scenarios_is_a_directory(self, tmp_path, capsys):
+        results = tmp_path / "r.jsonl"
+        results.write_text("")
+        assert run("evaluate", "--scenarios", tmp_path, "--results", results,
+                   "--out-dir", tmp_path / "rep") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lmplan: error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"trajectory": [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]', "3 waypoints, expected 6"),
+            ('"trajectory": [1, 2, 3, 4, 5, 6]', "[x, y] number pairs"),
+            ('"trajectory": [["a", 1.0]' + ", [0.0, 1.0]" * 5 + "]", "[x, y] number pairs"),
+            ('"trajectory": [[NaN, 1.0]' + ", [0.0, 1.0]" * 5 + "]", "finite"),
+            ('"parse_quality": ["clean"], "trajectory": null', "must be strings"),
+        ],
+        ids=["short", "flat", "non_numeric", "nan", "non_string_quality"],
+    )
+    def test_bad_result_line(self, tmp_path, capsys, fields, message):
+        scen = synth_file(tmp_path, count=2)
+        sid = load_scenarios(scen)[0].id
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f'{{"scenario_id": "{sid}", {fields}}}\n')
+        assert run("evaluate", "--scenarios", scen, "--results", bad,
+                   "--out-dir", tmp_path / "rep") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lmplan: error: {bad}:1: bad result line:")
+        assert message in err
 
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -357,3 +358,12 @@ class TestComposition:
         ex = make_finetune_example(s)
         assert ex.target_text.endswith(serialize_trajectory(s.human_trajectory))
         assert ex.scenario_id == s.id
+
+    def test_finetune_target_keeps_its_codec(self):
+        from lmplan import CodecConfig, synth_scenario
+
+        ex = make_finetune_example(synth_scenario("lead_vehicle", 3), codec=CodecConfig(decimals=3))
+        # time stamps ("t=1.5 s") are printed at 0.1 s regardless of the codec
+        numbers = re.findall(r"-?\d+\.(\d+)", re.sub(r"t=\d+\.\d s", "", ex.target_text))
+        assert numbers
+        assert all(len(frac) == 3 for frac in numbers), ex.target_text
