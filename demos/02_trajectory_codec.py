@@ -50,6 +50,8 @@ try:
 except TrajectoryParseError as e:
     print("rejected:", e)
 
-# (6) Precision and delimiters are configurable per codec.
-codec = CodecConfig(decimals=1, pair_open="<", pair_close=">", pair_sep=";", list_sep=" | ")
-print("custom wire:", serialize_trajectory(Trajectory((Waypoint(1.23, -0.5), Waypoint(2, 3))), codec))
+# (6) Precision is the one codec setting; the delimiters are fixed because
+#     the system prompt announces the [(x1,y1), (x2,y2), ...] shape.
+short = Trajectory((Waypoint(1.2345, -0.5), Waypoint(2, 3)))
+for decimals in (1, 2, 3):
+    print(f"decimals={decimals}:", serialize_trajectory(short, CodecConfig(decimals=decimals)))

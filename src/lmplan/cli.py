@@ -12,9 +12,13 @@ Subcommands:
 - ``plan``: run a backend over every scenario and write one result line per
   scenario: ``{"scenario_id", "raw_text", "parse_quality", "trajectory"}``.
   Each scenario gets one completion; ``--max-retries`` bounds the backend's
-  HTTP retries, and a reply that fails to parse is not asked again.
+  HTTP retries, and a reply that fails to parse is not asked again. Lines
+  are written in scenario order as they finish.
 - ``evaluate``: join results to scenarios by id, compute open-loop metrics,
-  write ``report.md`` and ``report.csv``.
+  write ``report.md`` and ``report.csv``. A repeated result id is an error;
+  ids not in the scenario file are ignored with one warning.
+
+Every command uses the fixed horizon: 6 waypoints, 0.5 s apart.
 
 Exit codes: 0 success; 1 evaluate's parse-failure rate exceeded the
 threshold; 2 bad input or configuration.
@@ -44,15 +48,14 @@ from .metrics import (
     render_csv,
     render_markdown,
 )
-from .parsing import parse_plan_output
+from .parsing import ParseQuality, PlanOutput, parse_plan_output
 from .prompts import build_prompt, pack_exemplars, template_hash
 from .reasoning import make_finetune_example
 from .scenario import (
-    DEFAULT_DT,
-    DEFAULT_HORIZON_STEPS,
     SYNTH_KINDS,
     Trajectory,
     Waypoint,
+    is_number,
     load_scenarios,
     sample_split,
     save_scenarios,
@@ -79,10 +82,7 @@ def cmd_synth(args) -> int:
             return _fail(f"unknown kind {k!r}; choose from {', '.join(SYNTH_KINDS)}")
     if args.count < 1:
         return _fail("--count must be >= 1")
-    scenarios = [
-        synth_scenario(kinds[i % len(kinds)], args.seed + i, args.horizon_steps, args.dt)
-        for i in range(args.count)
-    ]
+    scenarios = [synth_scenario(kinds[i % len(kinds)], args.seed + i) for i in range(args.count)]
     save_scenarios(scenarios, args.out)
     print(f"wrote {len(scenarios)} scenarios to {args.out}")
     return 0
@@ -149,63 +149,51 @@ def cmd_plan(args) -> int:
             raw = complete(cfg, prompt, s, codec)
         except BackendError as e:
             print(f"lmplan: warning: {s.id}: {e}", file=sys.stderr)
-            return s, "", None
+            return s, "", PlanOutput(ParseQuality.FAILED, None, None, str(e))
         return s, raw, parse_plan_output(raw, horizon, codec, dt)
 
-    if cfg.mode is BackendMode.REMOTE and len(scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            outcomes = list(pool.map(plan_one, scenarios))
-    else:
-        outcomes = [plan_one(s) for s in scenarios]
-
+    # Both maps yield in input order: a line is written once it and all
+    # before it are done. The pool starts threads only on submit, so the
+    # stub modes (builtin map) run on this thread.
     counts = {"clean": 0, "recovered": 0, "failed": 0}
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        for s, raw, out in outcomes:
-            quality = out.quality.value if out is not None else "failed"
-            traj = (
-                [[w.x, w.y] for w in out.trajectory.waypoints]
-                if out is not None and out.trajectory is not None
-                else None
-            )
+    with (
+        open(args.out, "w", encoding="utf-8", newline="", buffering=1) as f,
+        ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool,
+    ):
+        ordered_map = pool.map if cfg.mode is BackendMode.REMOTE else map
+        for s, raw, out in ordered_map(plan_one, scenarios):
+            quality = out.quality.value
+            traj = None if out.trajectory is None else [[w.x, w.y] for w in out.trajectory.waypoints]
+            row = {"scenario_id": s.id, "raw_text": raw, "parse_quality": quality, "trajectory": traj}
+            f.write(json.dumps(row, separators=(",", ":"), ensure_ascii=False) + "\n")
             counts[quality] += 1
-            f.write(
-                json.dumps(
-                    {
-                        "scenario_id": s.id,
-                        "raw_text": raw,
-                        "parse_quality": quality,
-                        "trajectory": traj,
-                    },
-                    separators=(",", ":"),
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
     print(
-        f"planned {len(outcomes)} scenarios -> {args.out} "
+        f"planned {len(scenarios)} scenarios -> {args.out} "
         f"(clean {counts['clean']}, recovered {counts['recovered']}, "
         f"failed {counts['failed']})"
     )
     return 0
 
 
-def _result_trajectory(raw, horizon: int | None) -> Trajectory:
+def _result_trajectory(raw, horizon: int) -> Trajectory:
     """A result line's ``[[x, y], ...]``: finite number pairs, one per step."""
     if not isinstance(raw, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
-        for p in raw
+        isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p) for p in raw
     ):
         raise ValueError("trajectory must be a list of [x, y] number pairs")
     points = tuple(Waypoint(float(x), float(y)) for x, y in raw)
     if not all(math.isfinite(w.x) and math.isfinite(w.y) for w in points):
         raise ValueError("trajectory coordinates must be finite")
-    if horizon is not None and len(points) != horizon:
+    if len(points) != horizon:
         raise ValueError(f"trajectory has {len(points)} waypoints, expected {horizon}")
     return Trajectory(points)
 
 
 def _read_results(path: str, horizons: dict[str, int]) -> list[PlanRecord]:
+    """Result lines for the known scenario ids; a repeated id is an error."""
     records = []
+    first_line: dict[str, int] = {}
+    unknown = 0
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
@@ -217,12 +205,19 @@ def _read_results(path: str, horizons: dict[str, int]) -> list[PlanRecord]:
                 raw_traj = obj.get("trajectory")
                 if not isinstance(sid, str) or not isinstance(quality, str):
                     raise TypeError("scenario_id and parse_quality must be strings")
-                traj = None
-                if raw_traj is not None:
-                    traj = _result_trajectory(raw_traj, horizons.get(sid))
+                if sid in first_line:
+                    raise ValueError(f"duplicate scenario_id {sid!r} (first on line {first_line[sid]})")
+                first_line[sid] = lineno
+                if sid not in horizons:
+                    unknown += 1
+                    continue
+                traj = None if raw_traj is None else _result_trajectory(raw_traj, horizons[sid])
             except (ValueError, KeyError, TypeError, OverflowError) as e:
                 raise ValueError(f"{path}:{lineno}: bad result line: {e}") from None
             records.append(PlanRecord(scenario_id=sid, trajectory=traj, parse_quality=quality))
+    if unknown:
+        msg = f"ignored {unknown} result line(s) whose scenario_id is not in the scenario file"
+        print(f"lmplan: warning: {path}: {msg}", file=sys.stderr)
     return records
 
 
@@ -264,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--kinds", default="", help="comma-separated archetype names")
-    sp.add_argument("--horizon-steps", type=int, default=DEFAULT_HORIZON_STEPS)
-    sp.add_argument("--dt", type=float, default=DEFAULT_DT)
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("split", help="seeded fractional subset")

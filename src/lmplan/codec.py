@@ -8,7 +8,9 @@ with every coordinate printed at a fixed number of fractional digits. A
 value like 23.17 therefore splits on the decimal point into an integer-meter
 part and a fractional centimeter part, which is exactly the decomposition a
 standard subword tokenizer produces. Serialization and parsing round-trip
-bitwise on quantized values.
+bitwise on quantized values. The delimiters are fixed, because the system
+prompt announces this shape; only the precision (``CodecConfig.decimals``)
+can be set.
 
 ``Waypoint``, ``Trajectory`` and the horizon defaults are defined here,
 the module every other one imports; ``scenario`` re-exports them.
@@ -49,22 +51,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Delimiters and precision of the trajectory wire format."""
+    """Precision of the trajectory wire format; the delimiters are fixed."""
 
     decimals: int = DEFAULT_DECIMALS
-    pair_open: str = "("
-    pair_close: str = ")"
-    pair_sep: str = ","
-    list_sep: str = ", "
 
     def __post_init__(self):
         if self.decimals < 0:
             raise ValueError("decimals must be >= 0")
-        delims = (self.pair_open, self.pair_close, self.pair_sep, self.list_sep)
-        if any(not d for d in delims):
-            raise ValueError("delimiters must be non-empty")
-        if len(set(delims)) != len(delims):
-            raise ValueError("delimiters must be mutually distinct")
 
 
 class TrajectoryParseError(ValueError):
@@ -96,15 +89,12 @@ def format_number(v: float, cfg: CodecConfig = CodecConfig()) -> str:
 
 
 def format_pair(x: float, y: float, cfg: CodecConfig = CodecConfig()) -> str:
-    return (
-        f"{cfg.pair_open}{format_number(x, cfg)}"
-        f"{cfg.pair_sep}{format_number(y, cfg)}{cfg.pair_close}"
-    )
+    return f"({format_number(x, cfg)},{format_number(y, cfg)})"
 
 
 def format_waypoints(waypoints, cfg: CodecConfig = CodecConfig()) -> str:
     """Bracketed pair list for any waypoint sequence."""
-    return "[" + cfg.list_sep.join(format_pair(w.x, w.y, cfg) for w in waypoints) + "]"
+    return "[" + ", ".join(format_pair(w.x, w.y, cfg) for w in waypoints) + "]"
 
 
 def serialize_trajectory(t: Trajectory, cfg: CodecConfig = CodecConfig()) -> str:
@@ -113,22 +103,14 @@ def serialize_trajectory(t: Trajectory, cfg: CodecConfig = CodecConfig()) -> str
 
 
 _NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)"
-
-
-def _pair_pattern(cfg: CodecConfig) -> re.Pattern:
-    return re.compile(
-        re.escape(cfg.pair_open)
-        + r"\s*(" + _NUMBER + r")\s*"
-        + re.escape(cfg.pair_sep)
-        + r"\s*(" + _NUMBER + r")\s*"
-        + re.escape(cfg.pair_close)
-    )
+_PAIR_RE = re.compile(r"\(\s*(" + _NUMBER + r")\s*,\s*(" + _NUMBER + r")\s*\)")
+BRACKET_LIST_RE = re.compile(r"\[([^\[\]]*)\]")  # innermost [...] and its body
 
 
 def extract_pairs(text: str, cfg: CodecConfig = CodecConfig()) -> list[tuple[float, float]]:
     """All quantized coordinate pairs found anywhere in the text, in order."""
     out = []
-    for mx, my in _pair_pattern(cfg).findall(text):
+    for mx, my in _PAIR_RE.findall(text):
         try:
             out.append((quantize(float(mx), cfg.decimals), quantize(float(my), cfg.decimals)))
         except (ValueError, OverflowError):
@@ -153,10 +135,7 @@ def parse_trajectory(
     if not text or not text.strip():
         raise TrajectoryParseError("empty input", found=0, expected=expected_len)
 
-    candidates = [
-        extract_pairs(m.group(1), cfg)
-        for m in re.finditer(r"\[([^\[\]]*)\]", text)
-    ]
+    candidates = [extract_pairs(m.group(1), cfg) for m in BRACKET_LIST_RE.finditer(text)]
     candidates = [c for c in candidates if c]
 
     chosen = None

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .prompts import template_hash as _default_template_hash
+from .prompts import template_hash
 from .reasoning import rollout_hypothetical, segment_directions
 from .scenario import ObjectBox, Scenario, Trajectory, Waypoint
 
@@ -240,7 +240,6 @@ def evaluate_dataset(
     scenarios,
     records,
     cfg: EvalConfig = EvalConfig(),
-    template_hash: str | None = None,
 ) -> EvalReport:
     """Join plans to scenarios by id and aggregate the open-loop metrics.
 
@@ -298,7 +297,7 @@ def evaluate_dataset(
         evaluated=n,
         parse_failures=parse_failures,
         fallbacks_substituted=fallbacks,
-        template_hash=template_hash if template_hash is not None else _default_template_hash(),
+        template_hash=template_hash(),
         config_hash=cfg.hash(),
     )
 

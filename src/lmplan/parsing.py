@@ -17,7 +17,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .codec import CodecConfig, TrajectoryParseError, extract_pairs, parse_trajectory
+from .codec import BRACKET_LIST_RE, CodecConfig, TrajectoryParseError, extract_pairs, parse_trajectory
 from .prompts import SECTION_DECISION, SECTION_LABELS, SECTION_TRAJECTORY, Decision
 from .scenario import DEFAULT_DT, Trajectory
 
@@ -103,7 +103,7 @@ def _has_all_labels(text: str) -> bool:
 def _well_formed_list(tail: str, expected_len: int, cfg: CodecConfig) -> bool:
     return any(
         len(extract_pairs(m.group(1), cfg)) == expected_len
-        for m in re.finditer(r"\[([^\[\]]*)\]", tail)
+        for m in BRACKET_LIST_RE.finditer(tail)
     )
 
 

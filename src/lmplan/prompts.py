@@ -186,17 +186,17 @@ def build_prompt(
     )
 
 
-def pack_exemplars(base: PlannerPrompt, pool, k: int, cap: int = MAX_EXEMPLARS) -> PlannerPrompt:
+def pack_exemplars(base: PlannerPrompt, pool, k: int) -> PlannerPrompt:
     """Attach the first min(k, len(pool)) exemplars, in pool order.
 
     Pool items are fine-tune examples or plain (user_text, assistant_text)
-    pairs. k above the configured cap is an error; the context window the
+    pairs. k above ``MAX_EXEMPLARS`` is an error; the context window the
     backend offers cannot fit more.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > cap:
-        raise ValueError(f"k={k} exceeds the exemplar cap of {cap}")
+    if k > MAX_EXEMPLARS:
+        raise ValueError(f"k={k} exceeds the exemplar cap of {MAX_EXEMPLARS}")
     pairs = []
     for item in list(pool)[: min(k, len(pool))]:
         if isinstance(item, tuple):

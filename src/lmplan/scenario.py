@@ -181,13 +181,24 @@ def _q(v, decimals: int = DEFAULT_DECIMALS) -> float:
     return quantize(float(v), decimals)
 
 
+def is_number(v) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return type(v) in (int, float)
+
+
+def _number(raw, sid: str, field_name: str) -> float:
+    if not is_number(raw):
+        raise ScenarioSchemaError(f"expected a number, got {type(raw).__name__}", sid, field_name)
+    try:
+        return _q(raw)
+    except (ValueError, OverflowError) as e:
+        raise ScenarioSchemaError(f"bad number: {e}", sid, field_name) from None
+
+
 def _pair(raw, sid: str, field_name: str) -> Waypoint:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ScenarioSchemaError("expected an [x, y] pair", sid, field_name)
-    try:
-        return Waypoint(_q(raw[0]), _q(raw[1]))
-    except (TypeError, ValueError) as e:
-        raise ScenarioSchemaError(f"bad coordinate: {e}", sid, field_name) from None
+    return Waypoint(_number(raw[0], sid, field_name), _number(raw[1], sid, field_name))
 
 
 def _pairs(raw, sid: str, field_name: str) -> tuple[Waypoint, ...]:
@@ -202,37 +213,36 @@ def _require(d, key: str, sid: str | None):
     return d[key]
 
 
+def _number_at(d, key: str, sid: str, where: str) -> float:
+    return _number(_require(d, key, sid), sid, f"{where}.{key}")
+
+
 def _scenario_from_dict(raw: dict, dt: float) -> Scenario:
     sid = raw.get("id")
     if not isinstance(sid, str) or not sid:
         raise ScenarioSchemaError("scenario id must be a non-empty string", str(sid), "id")
 
     ego_raw = _require(raw, "ego", sid)
-    try:
-        ego = EgoState(
-            velocity=_q(_require(ego_raw, "velocity", sid)),
-            acceleration=_q(_require(ego_raw, "acceleration", sid)),
-            heading_rate=_q(_require(ego_raw, "heading_rate", sid)),
-            history=_pairs(ego_raw.get("history", []), sid, "ego.history"),
-        )
-    except (TypeError, ValueError) as e:
-        raise ScenarioSchemaError(f"bad ego state: {e}", sid, "ego") from None
+    ego = EgoState(
+        velocity=_number_at(ego_raw, "velocity", sid, "ego"),
+        acceleration=_number_at(ego_raw, "acceleration", sid, "ego"),
+        heading_rate=_number_at(ego_raw, "heading_rate", sid, "ego"),
+        history=_pairs(ego_raw.get("history", []), sid, "ego.history"),
+    )
 
     objects = []
     for i, o in enumerate(raw.get("objects", [])):
-        try:
-            objects.append(
-                DetectedObject(
-                    id=str(_require(o, "id", sid)),
-                    class_name=str(_require(o, "class", sid)),
-                    center=_pair(_require(o, "center", sid), sid, f"objects[{i}].center"),
-                    heading=_q(_require(o, "heading", sid)),
-                    length=_q(_require(o, "length", sid)),
-                    width=_q(_require(o, "width", sid)),
-                )
+        where = f"objects[{i}]"
+        objects.append(
+            DetectedObject(
+                id=str(_require(o, "id", sid)),
+                class_name=str(_require(o, "class", sid)),
+                center=_pair(_require(o, "center", sid), sid, f"{where}.center"),
+                heading=_number_at(o, "heading", sid, where),
+                length=_number_at(o, "length", sid, where),
+                width=_number_at(o, "width", sid, where),
             )
-        except (TypeError, ValueError) as e:
-            raise ScenarioSchemaError(f"bad object: {e}", sid, f"objects[{i}]") from None
+        )
 
     predictions = []
     for i, p in enumerate(raw.get("predictions", [])):
@@ -252,17 +262,14 @@ def _scenario_from_dict(raw: dict, dt: float) -> Scenario:
         row = []
         for j, b in enumerate(boxes):
             where = f"gt_object_boxes[{step}][{j}]"
-            try:
-                row.append(
-                    ObjectBox(
-                        center=_pair(_require(b, "center", sid), sid, f"{where}.center"),
-                        heading=_q(_require(b, "heading", sid)),
-                        length=_q(_require(b, "length", sid)),
-                        width=_q(_require(b, "width", sid)),
-                    )
+            row.append(
+                ObjectBox(
+                    center=_pair(_require(b, "center", sid), sid, f"{where}.center"),
+                    heading=_number_at(b, "heading", sid, where),
+                    length=_number_at(b, "length", sid, where),
+                    width=_number_at(b, "width", sid, where),
                 )
-            except (TypeError, ValueError) as e:
-                raise ScenarioSchemaError(f"bad box: {e}", sid, where) from None
+            )
         gt_steps.append(tuple(row))
 
     return Scenario(

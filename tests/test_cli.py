@@ -51,11 +51,12 @@ class TestSynth:
     def test_bad_count_fails(self, tmp_path):
         assert run("synth", "--out", tmp_path / "x.json", "--count", 0) == 2
 
-    def test_custom_horizon(self, tmp_path):
-        path = synth_file(tmp_path, count=4, horizon_steps=8, dt=0.25)
-        s = load_scenarios(path, horizon_steps=8, dt=0.25)[0]
-        assert len(s.human_trajectory) == 8
-        assert s.human_trajectory.dt == 0.25
+    @pytest.mark.parametrize("flag, value", [("--dt", "0.5"), ("--horizon-steps", "6")])
+    def test_horizon_is_not_a_flag(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--out", tmp_path / "x.json", flag, value)
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestSplit:
@@ -315,6 +316,57 @@ class TestErrors:
         assert run("plan", "--scenarios", scen, "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("lmplan: error:") and "Traceback" not in err
+
+    def test_remote_plan_out_is_a_directory_sends_nothing(self, tmp_path, api_key_env, capsys):
+        scen = synth_file(tmp_path, count=3)
+        with MockChatServer(echo_target_responder(load_scenarios(scen))) as srv:
+            code = run(
+                "plan", "--scenarios", scen, "--out", tmp_path, "--mode", "remote",
+                "--endpoint", srv.url, "--backoff", 0,
+            )
+        assert code == 2
+        assert srv.requests == []
+        assert capsys.readouterr().err.startswith("lmplan: error:")
+
+    def test_scenario_value_of_wrong_type(self, tmp_path, capsys):
+        scen = synth_file(tmp_path, count=2)
+        doc = json.loads(scen.read_text())
+        doc["scenarios"][1]["ego"]["heading_rate"] = True
+        scen.write_text(json.dumps(doc))
+        assert run("plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl") == 2
+        assert "'ego.heading_rate': expected a number" in capsys.readouterr().err
+
+    def test_duplicate_result_id(self, tmp_path, capsys):
+        scen = synth_file(tmp_path, count=3)
+        results = tmp_path / "results.jsonl"
+        run("plan", "--scenarios", scen, "--out", results, "--mode", "stub_replay_gt")
+        lines = results.read_text().splitlines()
+        results.write_text("\n".join(lines + [lines[1]]) + "\n")
+        capsys.readouterr()
+        assert run("evaluate", "--scenarios", scen, "--results", results,
+                   "--out-dir", tmp_path / "rep") == 2
+        err = capsys.readouterr().err
+        sid = load_scenarios(scen)[1].id
+        assert err.startswith(f"lmplan: error: {results}:4: bad result line:")
+        assert f"duplicate scenario_id {sid!r} (first on line 2)" in err
+
+    def test_unknown_result_ids_are_dropped_with_one_warning(self, tmp_path, capsys):
+        full = synth_file(tmp_path, count=6)
+        results = tmp_path / "results.jsonl"
+        run("plan", "--scenarios", full, "--out", results, "--mode", "stub_replay_gt")
+        subset = tmp_path / "subset.json"
+        run("split", "--scenarios", full, "--fraction", 0.5, "--out", tmp_path / "m.json",
+            "--scenarios-out", subset)
+        capsys.readouterr()
+        assert run("evaluate", "--scenarios", subset, "--results", results,
+                   "--out-dir", tmp_path / "rep") == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines() if "warning" in line]
+        assert warnings == [
+            f"lmplan: warning: {results}: ignored 3 result line(s) whose "
+            "scenario_id is not in the scenario file"
+        ]
+        assert "evaluated 3" in captured.out and "parse failures 0" in captured.out
 
     def test_evaluate_scenarios_is_a_directory(self, tmp_path, capsys):
         results = tmp_path / "r.jsonl"

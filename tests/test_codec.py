@@ -153,27 +153,25 @@ class TestParse:
         assert parsed.waypoints[0].y == 0.01
 
 
-class TestCustomDelimiters:
-    CFG = CodecConfig(decimals=1, pair_open="<", pair_close=">", pair_sep=";", list_sep=" | ")
+class TestCustomPrecision:
+    CFG = CodecConfig(decimals=1)
 
     def test_round_trip(self):
         t = traj([(1.23, -0.5), (2.0, 3.0)])
         text = serialize_trajectory(t, self.CFG)
-        assert text == "[<1.2;-0.5> | <2.0;3.0>]"
+        assert text == "[(1.2,-0.5), (2.0,3.0)]"
         parsed = parse_trajectory(text, 2, self.CFG)
         assert parsed.waypoints[0].x == 1.2
 
     def test_extract_pairs_respects_config(self):
-        assert extract_pairs("<1.0;2.0>", self.CFG) == [(1.0, 2.0)]
-        assert extract_pairs("(1.0,2.0)", self.CFG) == []
+        assert extract_pairs("(1.26,-2.04)", self.CFG) == [(1.3, -2.0)]
+        assert extract_pairs("<1.0;2.0>", self.CFG) == []  # delimiters are fixed
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CodecConfig(decimals=-1)
-        with pytest.raises(ValueError):
-            CodecConfig(pair_open="")
-        with pytest.raises(ValueError):
-            CodecConfig(pair_open=",", pair_sep=",")
+        with pytest.raises(TypeError):
+            CodecConfig(pair_open="<")  # the wire format is not configurable
 
 
 def test_round_trip_random_spot_check():

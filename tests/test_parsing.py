@@ -185,10 +185,10 @@ class TestTotality:
 
 
 def test_custom_codec_config_honored():
-    cfg = CodecConfig(decimals=1, pair_open="<", pair_close=">", pair_sep=";")
-    text = "Trajectory: [<1.5;2.5> | <3.5;4.5>]"
+    cfg = CodecConfig(decimals=1)
+    text = "Trajectory: [(1.54,2.46), (3.55,-4.45)]"
     out = parse_plan_output(text, 2, cfg)
-    assert out.trajectory.waypoints[1].y == 4.5
+    assert [(w.x, w.y) for w in out.trajectory.waypoints] == [(1.5, 2.5), (3.6, -4.5)]
 
 
 def test_round_trip_serialize_then_parse():

@@ -367,3 +367,19 @@ class TestComposition:
         numbers = re.findall(r"-?\d+\.(\d+)", re.sub(r"t=\d+\.\d s", "", ex.target_text))
         assert numbers
         assert all(len(frac) == 3 for frac in numbers), ex.target_text
+
+    @pytest.mark.parametrize("kind", ["lead_vehicle", "crossing_pedestrian", "stationary_obstacle"])
+    def test_pairs_match_the_shape_the_prompt_announces(self, kind):
+        from lmplan import CodecConfig, synth_scenario
+
+        ex = make_finetune_example(synth_scenario(kind, 3), codec=CodecConfig(decimals=3))
+        assert "Trajectory: [(x1,y1), (x2,y2), ...]" in ex.prompt.system_text
+        assert "3 decimals each" in ex.prompt.system_text
+        pair = r"\(-?\d+\.\d{3},-?\d+\.\d{3}\)"
+        for text in (ex.prompt.user_text, ex.target_text):
+            groups = re.findall(r"\([^()]*\d[^()]*\)", text)  # any parenthesised numbers
+            assert groups
+            assert all(re.fullmatch(pair, g) for g in groups), text
+            lists = re.findall(r"\[(\([^\[\]]*)\]", text)  # not the "[o1]" id tags
+            assert lists
+            assert all(re.fullmatch(f"{pair}(, {pair})*", body) for body in lists), text

@@ -103,6 +103,34 @@ class TestLoading:
         with pytest.raises(ScenarioSchemaError):
             load_scenarios(path)
 
+    @pytest.mark.parametrize(
+        "path, value, field_name",
+        [
+            (("ego", "heading_rate"), True, "ego.heading_rate"),
+            (("ego", "velocity"), "7.44", "ego.velocity"),
+            (("objects", 0, "center"), ["1.0", 10.0], "objects[0].center"),
+            (("human_trajectory", 2), [0.0, False], "human_trajectory[2]"),
+            (("gt_object_boxes", 0, 0, "length"), "4.6", "gt_object_boxes[0][0].length"),
+            (("gt_object_boxes", 0, 0, "width"), None, "gt_object_boxes[0][0].width"),
+            (("ego", "acceleration"), 10**400, "ego.acceleration"),  # overflows a float
+        ],
+        ids=["scalar_bool", "scalar_string", "pair_string", "pair_bool", "box_string", "box_null",
+             "scalar_too_big"],
+    )
+    def test_non_number_values_rejected(self, tmp_path, path, value, field_name):
+        d = base_scenario_dict()
+        d["gt_object_boxes"] = [
+            [{"center": [1.0, 10.0], "heading": 1.57, "length": 4.5, "width": 1.8}]
+        ] * 6
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioSchemaError) as exc:
+            load_scenarios(write_file(tmp_path, {"scenarios": [d]}))
+        assert exc.value.field_name == field_name
+        assert f"field {field_name!r}" in str(exc.value)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         payload = {"scenarios": [base_scenario_dict("x"), base_scenario_dict("x")]}
         path = write_file(tmp_path, payload)
