@@ -27,7 +27,7 @@ scenario = synth_scenario("lead_vehicle", seed=2)
 
 # (1) The hypothetical rollout: where the ego would go if it ignored
 #     everything and kept its current acceleration and heading rate.
-hypo = rollout_hypothetical(scenario.ego, len(scenario.human_trajectory), 0.5)
+hypo = rollout_hypothetical(scenario.ego)
 print("hypothetical:", serialize_trajectory(hypo))
 print("human:       ", serialize_trajectory(scenario.human_trajectory))
 

@@ -115,8 +115,7 @@ def complete(
 
 
 def _stub_hypothetical(s: Scenario, codec: CodecConfig) -> str:
-    dt = s.human_trajectory.dt
-    hypo = rollout_hypothetical(s.ego, len(s.human_trajectory), dt, codec.decimals)
+    hypo = rollout_hypothetical(s.ego, codec.decimals)
     trace = build_trace(s, hypo, Decision.KEEP_SPEED, codec=codec)
     return render_plan_text(trace, serialize_trajectory(hypo, codec), codec)
 
@@ -167,7 +166,7 @@ def _content_of(resp) -> str:
     try:
         data = resp.json()
         content = data["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError):
+    except (ValueError, KeyError, IndexError, TypeError, RecursionError):
         raise BackendError(
             "malformed completion body", status=resp.status_code, body=resp.text[:200]
         ) from None
@@ -209,7 +208,7 @@ def load_finetune_jsonl(path) -> list[dict]:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {e}") from None
             msgs = obj.get("messages") if isinstance(obj, dict) else None
             roles = [m.get("role") for m in msgs] if isinstance(msgs, list) else None

@@ -52,7 +52,9 @@ from .parsing import ParseQuality, PlanOutput, parse_plan_output
 from .prompts import build_prompt, pack_exemplars, template_hash
 from .reasoning import make_finetune_example
 from .scenario import (
+    DEFAULT_HORIZON_STEPS,
     SYNTH_KINDS,
+    ScenarioSchemaError,
     Trajectory,
     Waypoint,
     is_number,
@@ -69,7 +71,10 @@ def _fail(msg: str) -> int:
 
 
 def _load_nonempty(path: str):
-    scenarios = load_scenarios(path)
+    try:
+        scenarios = load_scenarios(path)
+    except ScenarioSchemaError as e:
+        raise ValueError(f"{path}: {e}") from None
     if not scenarios:
         raise ValueError(f"no scenarios in {path}")
     return scenarios
@@ -141,8 +146,7 @@ def cmd_plan(args) -> int:
         ]
 
     def plan_one(s):
-        horizon, dt = len(s.human_trajectory), s.human_trajectory.dt
-        prompt = build_prompt(s, codec, horizon, dt)
+        prompt = build_prompt(s, codec)
         if exemplar_pool:
             prompt = pack_exemplars(prompt, exemplar_pool, args.exemplars)
         try:
@@ -150,7 +154,7 @@ def cmd_plan(args) -> int:
         except BackendError as e:
             print(f"lmplan: warning: {s.id}: {e}", file=sys.stderr)
             return s, "", PlanOutput(ParseQuality.FAILED, None, None, str(e))
-        return s, raw, parse_plan_output(raw, horizon, codec, dt)
+        return s, raw, parse_plan_output(raw, DEFAULT_HORIZON_STEPS, codec)
 
     # Both maps yield in input order: a line is written once it and all
     # before it are done. The pool starts threads only on submit, so the
@@ -175,7 +179,7 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _result_trajectory(raw, horizon: int) -> Trajectory:
+def _result_trajectory(raw) -> Trajectory:
     """A result line's ``[[x, y], ...]``: finite number pairs, one per step."""
     if not isinstance(raw, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p) for p in raw
@@ -184,12 +188,14 @@ def _result_trajectory(raw, horizon: int) -> Trajectory:
     points = tuple(Waypoint(float(x), float(y)) for x, y in raw)
     if not all(math.isfinite(w.x) and math.isfinite(w.y) for w in points):
         raise ValueError("trajectory coordinates must be finite")
-    if len(points) != horizon:
-        raise ValueError(f"trajectory has {len(points)} waypoints, expected {horizon}")
+    if len(points) != DEFAULT_HORIZON_STEPS:
+        raise ValueError(
+            f"trajectory has {len(points)} waypoints, expected {DEFAULT_HORIZON_STEPS}"
+        )
     return Trajectory(points)
 
 
-def _read_results(path: str, horizons: dict[str, int]) -> list[PlanRecord]:
+def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
     """Result lines for the known scenario ids; a repeated id is an error."""
     records = []
     first_line: dict[str, int] = {}
@@ -208,11 +214,11 @@ def _read_results(path: str, horizons: dict[str, int]) -> list[PlanRecord]:
                 if sid in first_line:
                     raise ValueError(f"duplicate scenario_id {sid!r} (first on line {first_line[sid]})")
                 first_line[sid] = lineno
-                if sid not in horizons:
+                if sid not in known_ids:
                     unknown += 1
                     continue
-                traj = None if raw_traj is None else _result_trajectory(raw_traj, horizons[sid])
-            except (ValueError, KeyError, TypeError, OverflowError) as e:
+                traj = None if raw_traj is None else _result_trajectory(raw_traj)
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
                 raise ValueError(f"{path}:{lineno}: bad result line: {e}") from None
             records.append(PlanRecord(scenario_id=sid, trajectory=traj, parse_quality=quality))
     if unknown:
@@ -223,7 +229,7 @@ def _read_results(path: str, horizons: dict[str, int]) -> list[PlanRecord]:
 
 def cmd_evaluate(args) -> int:
     scenarios = _load_nonempty(args.scenarios)
-    records = _read_results(args.results, {s.id: len(s.human_trajectory) for s in scenarios})
+    records = _read_results(args.results, {s.id for s in scenarios})
     cfg = EvalConfig(
         fallback_policy=args.fallback,
         exclude_gt_collisions=args.exclude_gt_collisions,

@@ -12,12 +12,15 @@ bitwise on quantized values. The delimiters are fixed, because the system
 prompt announces this shape; only the precision (``CodecConfig.decimals``)
 can be set.
 
-``Waypoint``, ``Trajectory`` and the horizon defaults are defined here,
-the module every other one imports; ``scenario`` re-exports them.
+``Waypoint``, ``Trajectory`` and the horizon are defined here, the module
+every other one imports; ``scenario`` re-exports them. The horizon is fixed:
+``DEFAULT_HORIZON_STEPS`` waypoints, ``DEFAULT_DT`` seconds apart, the shape
+the system prompt announces.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -36,16 +39,15 @@ class Waypoint:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-rate sequence of future 2D waypoints in the ego frame."""
+    """Sequence of future 2D waypoints in the ego frame, ``DEFAULT_DT`` apart."""
 
     waypoints: tuple[Waypoint, ...]
-    dt: float = DEFAULT_DT
 
     def __len__(self) -> int:
         return len(self.waypoints)
 
     def point(self, step: int) -> Waypoint:
-        """Waypoint at 1-based horizon step (step i sits at time i * dt)."""
+        """Waypoint at 1-based horizon step (step i sits at time i * DEFAULT_DT)."""
         return self.waypoints[step - 1]
 
 
@@ -118,19 +120,15 @@ def extract_pairs(text: str, cfg: CodecConfig = CodecConfig()) -> list[tuple[flo
     return out
 
 
-def parse_trajectory(
-    text: str,
-    expected_len: int,
-    cfg: CodecConfig = CodecConfig(),
-    dt: float = DEFAULT_DT,
-) -> Trajectory:
-    """Parse exactly expected_len coordinate pairs out of arbitrary text.
+@functools.lru_cache(maxsize=64)
+def locate_trajectory(
+    text: str, expected_len: int, cfg: CodecConfig = CodecConfig()
+) -> tuple[Trajectory, bool]:
+    """``parse_trajectory`` plus whether the pairs came from a bracketed list.
 
-    Grammar first: bracketed pair lists are located and the last one of the
-    expected length wins (prose before or after is ignored). If no bracketed
-    list exists the whole text is scanned for pairs as a fallback. Raises
-    TrajectoryParseError on empty input, an unparseable payload, or a pair
-    count other than expected_len (reporting the found count).
+    Memoized on its arguments, so a caller that has just parsed a text can
+    ask where the pairs came from without scanning the text again; the memo
+    has room for what other threads parse in between.
     """
     if not text or not text.strip():
         raise TrajectoryParseError("empty input", found=0, expected=expected_len)
@@ -159,4 +157,18 @@ def parse_trajectory(
             )
         chosen = loose
 
-    return Trajectory(tuple(Waypoint(x, y) for x, y in chosen), dt)
+    return Trajectory(tuple(Waypoint(x, y) for x, y in chosen)), bool(candidates)
+
+
+def parse_trajectory(
+    text: str, expected_len: int, cfg: CodecConfig = CodecConfig()
+) -> Trajectory:
+    """Parse exactly expected_len coordinate pairs out of arbitrary text.
+
+    Grammar first: bracketed pair lists are located and the last one of the
+    expected length wins (prose before or after is ignored). If no bracketed
+    list exists the whole text is scanned for pairs as a fallback. Raises
+    TrajectoryParseError on empty input, an unparseable payload, or a pair
+    count other than expected_len (reporting the found count).
+    """
+    return locate_trajectory(text, expected_len, cfg)[0]

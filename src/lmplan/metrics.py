@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .prompts import template_hash
 from .reasoning import rollout_hypothetical, segment_directions
-from .scenario import ObjectBox, Scenario, Trajectory, Waypoint
+from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, ObjectBox, Scenario, Trajectory, Waypoint
 
 # nuScenes ego footprint (meters); override via EvalConfig for other platforms.
 EGO_LENGTH = 4.084
@@ -114,7 +114,7 @@ def l2_at_horizon(
     """
     if mode not in ("at_step", "cumulative_mean"):
         raise ValueError(f"unknown mode {mode!r}")
-    k = _horizon_step(horizon_s, gt.dt, len(gt))
+    k = _horizon_step(horizon_s)
     errors = [
         math.hypot(pred.point(i).x - gt.point(i).x, pred.point(i).y - gt.point(i).y)
         for i in range(1, k + 1)
@@ -122,13 +122,13 @@ def l2_at_horizon(
     return errors[-1] if mode == "at_step" else sum(errors) / k
 
 
-def _horizon_step(horizon_s: float, dt: float, n_steps: int) -> int:
-    k = horizon_s / dt
+def _horizon_step(horizon_s: float) -> int:
+    k = horizon_s / DEFAULT_DT
     if abs(k - round(k)) > 1e-6:
-        raise ValueError(f"horizon {horizon_s} s is not a multiple of dt={dt}")
+        raise ValueError(f"horizon {horizon_s} s is not a multiple of dt={DEFAULT_DT}")
     k = round(k)
-    if not 1 <= k <= n_steps:
-        raise ValueError(f"horizon {horizon_s} s needs step {k}, have {n_steps}")
+    if not 1 <= k <= DEFAULT_HORIZON_STEPS:
+        raise ValueError(f"horizon {horizon_s} s needs step {k}, have {DEFAULT_HORIZON_STEPS}")
     return k
 
 
@@ -220,7 +220,7 @@ def _metrics_for(
         flags = [f and not h for f, h in zip(flags, human_flags)]
     l2_at, l2_cum, col_at, col_cum = {}, {}, {}, {}
     for h in cfg.horizons:
-        k = _horizon_step(h, gt.dt, len(gt))
+        k = _horizon_step(h)
         l2_at[h] = l2_at_horizon(traj, gt, h, "at_step")
         l2_cum[h] = l2_at_horizon(traj, gt, h, "cumulative_mean")
         col_at[h] = flags[k - 1]
@@ -265,9 +265,7 @@ def evaluate_dataset(
             parse_failures += 1
             if cfg.fallback_policy == "exclude":
                 continue
-            traj = rollout_hypothetical(
-                s.ego, len(s.human_trajectory), s.human_trajectory.dt
-            )
+            traj = rollout_hypothetical(s.ego)
             fallbacks += 1
             rows.append(_metrics_for(s, traj, quality, True, cfg))
         else:

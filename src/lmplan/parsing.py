@@ -17,9 +17,14 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .codec import BRACKET_LIST_RE, CodecConfig, TrajectoryParseError, extract_pairs, parse_trajectory
+from .codec import (
+    CodecConfig,
+    Trajectory,
+    TrajectoryParseError,
+    locate_trajectory,
+    parse_trajectory,
+)
 from .prompts import SECTION_DECISION, SECTION_LABELS, SECTION_TRAJECTORY, Decision
-from .scenario import DEFAULT_DT, Trajectory
 
 
 class ParseQuality(str, enum.Enum):
@@ -100,18 +105,8 @@ def _has_all_labels(text: str) -> bool:
     return all(label.lower() in low for label in SECTION_LABELS)
 
 
-def _well_formed_list(tail: str, expected_len: int, cfg: CodecConfig) -> bool:
-    return any(
-        len(extract_pairs(m.group(1), cfg)) == expected_len
-        for m in BRACKET_LIST_RE.finditer(tail)
-    )
-
-
 def parse_plan_output(
-    text: str,
-    horizon_steps: int,
-    cfg: CodecConfig = CodecConfig(),
-    dt: float = DEFAULT_DT,
+    text: str, horizon_steps: int, cfg: CodecConfig = CodecConfig()
 ) -> PlanOutput:
     """Classify and extract a plan from raw model output. Never raises."""
     decision = extract_decision(text)
@@ -121,20 +116,21 @@ def parse_plan_output(
     tail = _last_label_tail(text, SECTION_TRAJECTORY)
     if tail is not None:
         try:
-            trajectory = parse_trajectory(tail, horizon_steps, cfg, dt)
+            trajectory = parse_trajectory(tail, horizon_steps, cfg)
         except TrajectoryParseError as e:
             error = str(e)
 
+    # locate_trajectory answers from parse_trajectory's memo: no second scan
     if (
         trajectory is not None
         and _has_all_labels(text)
-        and _well_formed_list(tail, horizon_steps, cfg)
+        and locate_trajectory(tail, horizon_steps, cfg)[1]
     ):
         return PlanOutput(ParseQuality.CLEAN, trajectory, decision)
 
     if trajectory is None:
         try:
-            trajectory = parse_trajectory(text, horizon_steps, cfg, dt)
+            trajectory = parse_trajectory(text, horizon_steps, cfg)
         except TrajectoryParseError as e:
             if error is None:
                 error = str(e)

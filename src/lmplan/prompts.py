@@ -107,30 +107,22 @@ def template_hash() -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def output_format_instruction(horizon_steps: int, decimals: int = DEFAULT_DECIMALS) -> str:
+def output_format_instruction(decimals: int = DEFAULT_DECIMALS) -> str:
     return OUTPUT_FORMAT_INSTRUCTION.format(
         vocabulary=", ".join(d.value for d in Decision),
         x1="x1", y1="y1", x2="x2", y2="y2",
-        n=horizon_steps,
+        n=DEFAULT_HORIZON_STEPS,
         decimals=decimals,
     )
 
 
-def build_system_prompt(
-    horizon_steps: int = DEFAULT_HORIZON_STEPS,
-    dt: float = DEFAULT_DT,
-    decimals: int = DEFAULT_DECIMALS,
-) -> str:
-    """Universal planning context; deterministic for given horizon settings."""
-    if horizon_steps < 1:
-        raise ValueError("horizon_steps must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+def build_system_prompt(decimals: int = DEFAULT_DECIMALS) -> str:
+    """Universal planning context for the fixed horizon; deterministic."""
     return SYSTEM_TEMPLATE.format(
-        total_s=f"{horizon_steps * dt:.1f}",
-        n=horizon_steps,
-        dt=f"{dt:g}",
-        output_format=output_format_instruction(horizon_steps, decimals),
+        total_s=f"{DEFAULT_HORIZON_STEPS * DEFAULT_DT:.1f}",
+        n=DEFAULT_HORIZON_STEPS,
+        dt=f"{DEFAULT_DT:g}",
+        output_format=output_format_instruction(decimals),
     )
 
 
@@ -174,14 +166,9 @@ def build_user_prompt(s: Scenario, cfg: CodecConfig = CodecConfig()) -> str:
     )
 
 
-def build_prompt(
-    s: Scenario,
-    cfg: CodecConfig = CodecConfig(),
-    horizon_steps: int = DEFAULT_HORIZON_STEPS,
-    dt: float = DEFAULT_DT,
-) -> PlannerPrompt:
+def build_prompt(s: Scenario, cfg: CodecConfig = CodecConfig()) -> PlannerPrompt:
     return PlannerPrompt(
-        system_text=build_system_prompt(horizon_steps, dt, cfg.decimals),
+        system_text=build_system_prompt(cfg.decimals),
         user_text=build_user_prompt(s, cfg),
     )
 

@@ -27,14 +27,7 @@ from .prompts import (
     PlannerPrompt,
     build_prompt,
 )
-from .scenario import (
-    DEFAULT_DT,
-    DEFAULT_HORIZON_STEPS,
-    EgoState,
-    Scenario,
-    Trajectory,
-    Waypoint,
-)
+from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, EgoState, Scenario, Trajectory, Waypoint
 
 # Segments shorter than this carry no usable direction.
 _MIN_SEGMENT = 0.01
@@ -80,23 +73,14 @@ class ReasoningTrace:
         return f"{self.decision.value} - {_DECISION_PHRASES[self.decision]}."
 
 
-def rollout_hypothetical(
-    ego: EgoState,
-    horizon_steps: int = DEFAULT_HORIZON_STEPS,
-    dt: float = DEFAULT_DT,
-    decimals: int = DEFAULT_DECIMALS,
-) -> Trajectory:
-    """Extrapolate the current ego state over the horizon.
+def rollout_hypothetical(ego: EgoState, decimals: int = DEFAULT_DECIMALS) -> Trajectory:
+    """Extrapolate the current ego state over the fixed horizon.
 
     Arc length grows as v0*t + a*t^2/2 and freezes once a negative
     acceleration brings the speed to zero. Curvature is heading_rate / v0
     at the current moment and held constant; with negligible speed or zero
     heading rate the path is straight ahead.
     """
-    if horizon_steps < 1:
-        raise ValueError("horizon_steps must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     v0 = max(0.0, ego.velocity)
     a = ego.acceleration
     kappa = ego.heading_rate / v0 if v0 > _EPS else 0.0
@@ -107,15 +91,15 @@ def rollout_hypothetical(
         return max(0.0, v0 * t + 0.5 * a * t * t)
 
     points = []
-    for i in range(1, horizon_steps + 1):
-        s = arc_at(i * dt)
+    for i in range(1, DEFAULT_HORIZON_STEPS + 1):
+        s = arc_at(i * DEFAULT_DT)
         if abs(kappa) > _EPS:
             x = (math.cos(kappa * s) - 1.0) / kappa
             y = math.sin(kappa * s) / kappa
         else:
             x, y = 0.0, s
         points.append(Waypoint(quantize(x, decimals), quantize(y, decimals)))
-    return Trajectory(tuple(points), dt=dt)
+    return Trajectory(tuple(points))
 
 
 def path_length(t: Trajectory) -> float:
@@ -193,7 +177,7 @@ def find_critical_objects(
     then smallest minimum distance.
     """
     if hypo is None:
-        hypo = rollout_hypothetical(s.ego, len(s.human_trajectory), s.human_trajectory.dt)
+        hypo = rollout_hypothetical(s.ego)
     by_id = {p.object_id: p for p in s.predictions}
     found = []
     for obj in s.objects:
@@ -233,7 +217,7 @@ def classify_decision(
     both stand still.
     """
     if hypo is None:
-        hypo = rollout_hypothetical(s.ego, len(s.human_trajectory), s.human_trajectory.dt)
+        hypo = rollout_hypothetical(s.ego)
     human = s.human_trajectory
     l_human = path_length(human)
     l_hypo = path_length(hypo)
@@ -270,16 +254,14 @@ _DECISION_PHRASES = {
 
 
 def interaction_summary(
-    critical: tuple[CriticalObject, ...],
-    dt: float,
-    codec: CodecConfig = CodecConfig(),
+    critical: tuple[CriticalObject, ...], codec: CodecConfig = CodecConfig()
 ) -> str:
     """One clause per critical object: who, how, how close, from when."""
     if not critical:
         return "no conflicts; the extrapolated path stays clear."
     clauses = []
     for c in critical:
-        t = c.first_conflict_step * dt
+        t = c.first_conflict_step * DEFAULT_DT
         clauses.append(
             f"{c.class_name} [{c.object_id}] ({c.relation}) passes within "
             f"{format_number(c.min_distance, codec)} m of the extrapolated "
@@ -299,7 +281,7 @@ def build_trace(
     critical = find_critical_objects(s, hypo, cfg)
     return ReasoningTrace(
         critical_objects=critical,
-        interaction_text=interaction_summary(critical, s.human_trajectory.dt, codec),
+        interaction_text=interaction_summary(critical, codec),
         decision=decision,
     )
 
@@ -310,8 +292,7 @@ def compose_reasoning(
     codec: CodecConfig = CodecConfig(),
 ) -> ReasoningTrace:
     """Derive the full trace: critical objects, interactions, and decision."""
-    dt = s.human_trajectory.dt
-    hypo = rollout_hypothetical(s.ego, len(s.human_trajectory), dt, codec.decimals)
+    hypo = rollout_hypothetical(s.ego, codec.decimals)
     return build_trace(s, hypo, classify_decision(s, hypo, cfg), cfg, codec)
 
 
@@ -359,12 +340,8 @@ def make_finetune_example(
     cfg: ReasoningConfig = ReasoningConfig(),
     codec: CodecConfig = CodecConfig(),
 ) -> FineTuneExample:
-    """Build the supervised example for one scenario.
-
-    The horizon and step length come from the scenario's own human
-    trajectory, so datasets with non-default horizons export correctly.
-    """
-    prompt = build_prompt(s, codec, len(s.human_trajectory), s.human_trajectory.dt)
+    """Build the supervised example for one scenario."""
+    prompt = build_prompt(s, codec)
     trace = compose_reasoning(s, cfg, codec)
     return FineTuneExample(
         scenario_id=s.id,

@@ -5,8 +5,9 @@ timestep: ego at the origin, +y forward, +x right, meters. Every scalar is
 quantized to ``DEFAULT_DECIMALS`` fractional digits on ingest so that
 store -> prompt -> parse round-trips are exact.
 
-``Waypoint``, ``Trajectory`` and the horizon defaults are defined in
-``codec`` and re-exported here.
+``Waypoint``, ``Trajectory`` and the fixed horizon (``DEFAULT_HORIZON_STEPS``
+waypoints, ``DEFAULT_DT`` seconds apart) are defined in ``codec`` and
+re-exported here.
 
 File schema (top level ``{"scenarios": [...]}``, all floats SI units):
 
@@ -114,7 +115,7 @@ def _waypoint_violations(w: Waypoint, where: str) -> list[str]:
     return out
 
 
-def validate_scenario(s: Scenario, horizon_steps: int = DEFAULT_HORIZON_STEPS) -> list[str]:
+def validate_scenario(s: Scenario) -> list[str]:
     """Check every invariant; returns a list of violations (empty means ok)."""
     v: list[str] = []
 
@@ -127,11 +128,9 @@ def validate_scenario(s: Scenario, horizon_steps: int = DEFAULT_HORIZON_STEPS) -
     for i, w in enumerate(s.ego.history):
         v.extend(_waypoint_violations(w, f"ego history[{i}]"))
 
-    if s.human_trajectory.dt <= 0:
-        v.append("trajectory dt > 0")
-    if len(s.human_trajectory) != horizon_steps:
+    if len(s.human_trajectory) != DEFAULT_HORIZON_STEPS:
         v.append(
-            f"trajectory length: expected {horizon_steps} waypoints, "
+            f"trajectory length: expected {DEFAULT_HORIZON_STEPS} waypoints, "
             f"got {len(s.human_trajectory)}"
         )
     for i, w in enumerate(s.human_trajectory.waypoints):
@@ -153,17 +152,17 @@ def validate_scenario(s: Scenario, horizon_steps: int = DEFAULT_HORIZON_STEPS) -
     for p in s.predictions:
         if p.object_id not in ids:
             v.append(f"prediction references unknown object id {p.object_id!r}")
-        if len(p.future) != horizon_steps:
+        if len(p.future) != DEFAULT_HORIZON_STEPS:
             v.append(
                 f"prediction {p.object_id!r}: future length "
-                f"{len(p.future)} != horizon {horizon_steps}"
+                f"{len(p.future)} != horizon {DEFAULT_HORIZON_STEPS}"
             )
         for i, w in enumerate(p.future):
             v.extend(_waypoint_violations(w, f"prediction {p.object_id!r} future[{i}]"))
 
-    if s.gt_object_boxes and len(s.gt_object_boxes) != horizon_steps:
+    if s.gt_object_boxes and len(s.gt_object_boxes) != DEFAULT_HORIZON_STEPS:
         v.append(
-            f"gt_object_boxes length: expected {horizon_steps} steps, "
+            f"gt_object_boxes length: expected {DEFAULT_HORIZON_STEPS} steps, "
             f"got {len(s.gt_object_boxes)}"
         )
     for step, boxes in enumerate(s.gt_object_boxes):
@@ -217,7 +216,15 @@ def _number_at(d, key: str, sid: str, where: str) -> float:
     return _number(_require(d, key, sid), sid, f"{where}.{key}")
 
 
-def _scenario_from_dict(raw: dict, dt: float) -> Scenario:
+def _list_at(raw: dict, key: str, sid: str) -> list:
+    """An optional top-level list field; absent means empty."""
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioSchemaError(f"expected a list, got {type(value).__name__}", sid, key)
+    return value
+
+
+def _scenario_from_dict(raw: dict) -> Scenario:
     sid = raw.get("id")
     if not isinstance(sid, str) or not sid:
         raise ScenarioSchemaError("scenario id must be a non-empty string", str(sid), "id")
@@ -231,7 +238,7 @@ def _scenario_from_dict(raw: dict, dt: float) -> Scenario:
     )
 
     objects = []
-    for i, o in enumerate(raw.get("objects", [])):
+    for i, o in enumerate(_list_at(raw, "objects", sid)):
         where = f"objects[{i}]"
         objects.append(
             DetectedObject(
@@ -245,7 +252,7 @@ def _scenario_from_dict(raw: dict, dt: float) -> Scenario:
         )
 
     predictions = []
-    for i, p in enumerate(raw.get("predictions", [])):
+    for i, p in enumerate(_list_at(raw, "predictions", sid)):
         predictions.append(
             PredictedMotion(
                 object_id=str(_require(p, "object_id", sid)),
@@ -253,10 +260,10 @@ def _scenario_from_dict(raw: dict, dt: float) -> Scenario:
             )
         )
 
-    human = Trajectory(_pairs(_require(raw, "human_trajectory", sid), sid, "human_trajectory"), dt)
+    human = Trajectory(_pairs(_require(raw, "human_trajectory", sid), sid, "human_trajectory"))
 
     gt_steps = []
-    for step, boxes in enumerate(raw.get("gt_object_boxes", [])):
+    for step, boxes in enumerate(_list_at(raw, "gt_object_boxes", sid)):
         if not isinstance(boxes, list):
             raise ScenarioSchemaError("expected a list of boxes", sid, f"gt_object_boxes[{step}]")
         row = []
@@ -282,22 +289,19 @@ def _scenario_from_dict(raw: dict, dt: float) -> Scenario:
     )
 
 
-def load_scenarios(
-    path: str | Path,
-    horizon_steps: int = DEFAULT_HORIZON_STEPS,
-    dt: float = DEFAULT_DT,
-) -> list[Scenario]:
+def load_scenarios(path: str | Path) -> list[Scenario]:
     """Load and validate all scenarios from a JSON file, in file order.
 
     Raises FileNotFoundError for a missing file, ScenarioSchemaError for
-    malformed JSON or any schema/invariant violation (the error names the
-    offending scenario id and field).
+    malformed JSON (nesting too deep to decode included) or any
+    schema/invariant violation (the error names the offending scenario id
+    and field).
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ScenarioSchemaError(f"malformed JSON: {e}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise ScenarioSchemaError('top level must be {"scenarios": [...]}')
@@ -307,11 +311,11 @@ def load_scenarios(
     for raw in doc["scenarios"]:
         if not isinstance(raw, dict):
             raise ScenarioSchemaError("each scenario must be an object")
-        s = _scenario_from_dict(raw, dt)
+        s = _scenario_from_dict(raw)
         if s.id in seen:
             raise ScenarioSchemaError("duplicate scenario id", s.id, "id")
         seen.add(s.id)
-        violations = validate_scenario(s, horizon_steps)
+        violations = validate_scenario(s)
         if violations:
             raise ScenarioSchemaError("; ".join(violations), s.id)
         out.append(s)
@@ -388,28 +392,23 @@ def sample_split(scenarios: list[Scenario], fraction: float, seed: int) -> list[
 
 # --- synthetic fixtures ---------------------------------------------------
 
-def _speed_profile_trajectory(speeds, dt: float, lateral=None) -> Trajectory:
+def _speed_profile_trajectory(speeds, lateral=None) -> Trajectory:
     """Integrate per-interval speeds into waypoints; optional lateral offsets."""
     ys = []
     s = 0.0
     for v in speeds:
-        s += v * dt
+        s += v * DEFAULT_DT
         ys.append(s)
     xs = list(lateral) if lateral is not None else [0.0] * len(ys)
-    return Trajectory(tuple(Waypoint(_q(x), _q(y)) for x, y in zip(xs, ys)), dt)
+    return Trajectory(tuple(Waypoint(_q(x), _q(y)) for x, y in zip(xs, ys)))
 
 
-def _history(v0: float, dt: float, steps: int = 4) -> tuple[Waypoint, ...]:
+def _history(v0: float, steps: int = 4) -> tuple[Waypoint, ...]:
     # constant-speed straight history, most recent last
-    return tuple(Waypoint(0.0, _q(-v0 * dt * k)) for k in range(steps, 0, -1))
+    return tuple(Waypoint(0.0, _q(-v0 * DEFAULT_DT * k)) for k in range(steps, 0, -1))
 
 
-def synth_scenario(
-    kind: str,
-    seed: int,
-    horizon_steps: int = DEFAULT_HORIZON_STEPS,
-    dt: float = DEFAULT_DT,
-) -> Scenario:
+def synth_scenario(kind: str, seed: int) -> Scenario:
     """Deterministic scenario of one of four archetypes.
 
     empty_road            no objects, constant-speed ego.
@@ -423,13 +422,13 @@ def synth_scenario(
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {SYNTH_KINDS}")
     rng = random.Random(f"{kind}/{seed}")
-    H, sid = horizon_steps, f"{kind}-{seed:04d}"
-    times = [dt * (i + 1) for i in range(H)]
+    H, sid = DEFAULT_HORIZON_STEPS, f"{kind}-{seed:04d}"
+    times = [DEFAULT_DT * (i + 1) for i in range(H)]
 
     if kind == "empty_road":
         v0 = _q(rng.uniform(4.0, 8.0))
-        ego = EgoState(v0, 0.0, 0.0, _history(v0, dt))
-        human = _speed_profile_trajectory([v0] * H, dt)
+        ego = EgoState(v0, 0.0, 0.0, _history(v0))
+        human = _speed_profile_trajectory([v0] * H)
         return Scenario(sid, ego, (), (), human, tuple(() for _ in range(H)))
 
     if kind == "lead_vehicle":
@@ -437,10 +436,10 @@ def synth_scenario(
         v_lead = _q(0.35 * v0)
         y0 = _q(2.0 + v0)
         x_lead = _q(rng.uniform(-0.3, 0.3))
-        ego = EgoState(v0, 0.0, 0.0, _history(v0, dt))
+        ego = EgoState(v0, 0.0, 0.0, _history(v0))
         # brake to the lead's speed within 1 s, then follow
-        speeds = [max(v_lead, v0 - (v0 - v_lead) * (t - dt / 2)) for t in times]
-        human = _speed_profile_trajectory(speeds, dt)
+        speeds = [max(v_lead, v0 - (v0 - v_lead) * (t - DEFAULT_DT / 2)) for t in times]
+        human = _speed_profile_trajectory(speeds)
         lead_pos = [Waypoint(x_lead, _q(y0 + v_lead * t)) for t in times]
         obj = DetectedObject("o1", "car", Waypoint(x_lead, y0), _q(math.pi / 2), 4.6, 1.9)
         pred = PredictedMotion("o1", tuple(lead_pos))
@@ -452,9 +451,9 @@ def synth_scenario(
         y_ped = _q(1.5 * v0)
         x_ped, vx_ped = 2.1, -1.4  # reaches the lane center at t = 1.5 s
         brake = 3.0
-        ego = EgoState(v0, 0.0, 0.0, _history(v0, dt))
-        speeds = [max(0.0, v0 - brake * (t - dt / 2)) for t in times]
-        human = _speed_profile_trajectory(speeds, dt)
+        ego = EgoState(v0, 0.0, 0.0, _history(v0))
+        speeds = [max(0.0, v0 - brake * (t - DEFAULT_DT / 2)) for t in times]
+        human = _speed_profile_trajectory(speeds)
         ped_pos = [Waypoint(_q(x_ped + vx_ped * t), y_ped) for t in times]
         obj = DetectedObject("p1", "pedestrian", Waypoint(_q(x_ped), y_ped), _q(-math.pi), 0.6, 0.6)
         pred = PredictedMotion("p1", tuple(ped_pos))
@@ -465,14 +464,14 @@ def synth_scenario(
     v0 = _q(rng.uniform(5.0, 7.0))
     y_obs = _q(2.0 * v0)
     x_obs = _q(rng.uniform(-0.5, 0.5))
-    ego = EgoState(v0, 0.0, 0.0, _history(v0, dt))
+    ego = EgoState(v0, 0.0, 0.0, _history(v0))
     # smoothstep lane shift to x = -2.0, complete by 1.4 s
     shift_end, offset = 1.4, -2.0
     lateral = []
     for t in times:
         u = min(1.0, t / shift_end)
         lateral.append(offset * (3 * u * u - 2 * u * u * u))
-    human = _speed_profile_trajectory([v0] * H, dt, lateral)
+    human = _speed_profile_trajectory([v0] * H, lateral)
     obj = DetectedObject("b1", "barrier", Waypoint(x_obs, y_obs), _q(math.pi / 2), 2.0, 0.8)
     boxes = tuple(
         (ObjectBox(Waypoint(x_obs, y_obs), _q(math.pi / 2), 2.0, 0.8),) for _ in range(H)

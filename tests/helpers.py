@@ -24,8 +24,8 @@ def make_scenarios(n: int, seed0: int = 0) -> list[Scenario]:
     ]
 
 
-def traj(points, dt: float = 0.5) -> Trajectory:
-    return Trajectory(tuple(Waypoint(float(x), float(y)) for x, y in points), dt=dt)
+def traj(points) -> Trajectory:
+    return Trajectory(tuple(Waypoint(float(x), float(y)) for x, y in points))
 
 
 def random_box(rng: random.Random) -> ObjectBox:

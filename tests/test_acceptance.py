@@ -130,17 +130,17 @@ def test_reasoning_rollout_closed_form():
     # out of the way; at wire precision the 0.005 m de-quantization bound
     # holds; the speed-clamped case matches a 1 ms-step integrator
     ego = EgoState(6.0, 1.0, 0.3)
-    fine = rollout_hypothetical(ego, HORIZON, DT, decimals=12)
+    fine = rollout_hypothetical(ego, decimals=12)
     for w, (fx, fy) in zip(fine.waypoints, KINEMATIC_FIXTURE):
         assert abs(w.x - fx) < 1e-9 and abs(w.y - fy) < 1e-9
-    wire = rollout_hypothetical(ego, HORIZON, DT, decimals=2)
+    wire = rollout_hypothetical(ego, decimals=2)
     for w, (fx, fy) in zip(wire.waypoints, KINEMATIC_FIXTURE):
         assert abs(w.x - fx) <= 0.005 + 1e-12
         assert abs(w.y - fy) <= 0.005 + 1e-12
 
     # braking to a stop at t = 2 s, turning while still moving
     ref = integrate_rollout(3.0, -1.5, 0.2, HORIZON, DT, step=1e-3)
-    clamped = rollout_hypothetical(EgoState(3.0, -1.5, 0.2), HORIZON, DT, decimals=12)
+    clamped = rollout_hypothetical(EgoState(3.0, -1.5, 0.2), decimals=12)
     for w, (rx, ry) in zip(clamped.waypoints, ref):
         assert abs(w.x - rx) < 1e-7 and abs(w.y - ry) < 1e-7
     # once stopped, the pose must freeze

@@ -2,6 +2,7 @@ import json
 import threading
 
 import pytest
+import requests
 
 from helpers import make_scenarios
 from lmplan import (
@@ -72,7 +73,7 @@ class TestStubs:
         out = parse_plan_output(text, len(s.human_trajectory))
         assert out.quality is ParseQuality.CLEAN
         assert extract_decision(text) is Decision.KEEP_SPEED
-        hypo = rollout_hypothetical(s.ego, len(s.human_trajectory), s.human_trajectory.dt)
+        hypo = rollout_hypothetical(s.ego)
         assert out.trajectory.waypoints == hypo.waypoints
 
     def test_hypothetical_ignores_the_human_answer(self):
@@ -224,6 +225,12 @@ class TestContentExtraction:
         with pytest.raises(BackendError):
             _content_of(FakeResponse(payload))
 
+    def test_too_deeply_nested_body(self):
+        resp = requests.models.Response()
+        resp.status_code, resp.encoding, resp._content = 200, "utf-8", b"[" * 200_000
+        with pytest.raises(BackendError, match="malformed completion body"):
+            _content_of(resp)
+
 
 class TestFineTuneExport:
     def test_line_layout_is_exact(self):
@@ -275,6 +282,12 @@ class TestFineTuneExport:
         good = finetune_line(make_finetune_example(synth_scenario("empty_road", 1)))
         path.write_text(good + "\nnot json\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"bad\.jsonl:2"):
+            load_finetune_jsonl(path)
+
+    def test_load_reports_too_deep_json_with_line_number(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"deep\.jsonl:1: invalid JSON"):
             load_finetune_jsonl(path)
 
     def test_load_rejects_wrong_roles(self, tmp_path):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from lmplan import (
     load_finetune_jsonl,
@@ -9,6 +13,7 @@ from lmplan import (
     template_hash,
 )
 from lmplan.cli import main
+from lmplan.scenario import SYNTH_KINDS
 from mockserver import MockChatServer, echo_target_responder, garble
 
 
@@ -398,6 +403,32 @@ class TestErrors:
         assert err.startswith(f"lmplan: error: {bad}:1: bad result line:")
         assert message in err
 
+    @pytest.mark.parametrize("value", [5, None], ids=["int", "null"])
+    @pytest.mark.parametrize("key", ["objects", "predictions", "gt_object_boxes"])
+    def test_scenario_collection_not_a_list(self, tmp_path, capsys, key, value):
+        scen = synth_file(tmp_path, count=2)
+        doc = json.loads(scen.read_text())
+        doc["scenarios"][1][key] = value
+        scen.write_text(json.dumps(doc))
+        assert run("plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lmplan: error: {scen}: scenario ")
+        assert f"field {key!r}: expected a list" in err
+
+    def test_too_deeply_nested_scenario_file(self, tmp_path, capsys):
+        scen = tmp_path / "deep.json"
+        scen.write_text('{"scenarios": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert run("plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl") == 2
+        assert capsys.readouterr().err.startswith(f"lmplan: error: {scen}: malformed JSON")
+
+    def test_too_deeply_nested_result_line(self, tmp_path, capsys):
+        scen = synth_file(tmp_path, count=2)
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text("[" * 200_000 + "\n")
+        assert run("evaluate", "--scenarios", scen, "--results", bad,
+                   "--out-dir", tmp_path / "rep") == 2
+        assert capsys.readouterr().err.startswith(f"lmplan: error: {bad}:1: bad result line:")
+
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             run("warp")
@@ -406,3 +437,66 @@ class TestErrors:
     def test_garble_leaves_no_parseable_pairs(self):
         assert "1" not in garble("Trajectory: [(1.00,2.00)]")
         assert "[" not in garble("[(1.00,2.00)]")
+
+
+def _json_values():
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+PROPERTY_IDS = [f"{SYNTH_KINDS[i]}-{i:04d}" for i in range(3)]  # synth_file(count=3) ids
+
+
+def _result_lines():
+    """Arbitrary results-file lines: result-shaped dicts, other JSON, and plain text."""
+    number = st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=3)
+    trajectory = st.lists(st.lists(number, max_size=3), max_size=8) | _json_values()
+    record = st.fixed_dictionaries(
+        {},
+        optional={
+            "scenario_id": st.sampled_from(PROPERTY_IDS) | _json_values(),
+            "parse_quality": st.sampled_from(["clean", "recovered", "failed"]) | _json_values(),
+            "trajectory": trajectory,
+        },
+    )
+    coordinate = st.floats(allow_nan=False, allow_infinity=False)
+    well_formed = st.fixed_dictionaries({
+        "scenario_id": st.sampled_from(PROPERTY_IDS),
+        "parse_quality": st.just("clean"),
+        "trajectory": st.lists(st.lists(coordinate, min_size=2, max_size=2), min_size=6,
+                               max_size=6),
+    })
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+    line = (well_formed | record).map(json.dumps) | _json_values().map(json.dumps) | text
+    return st.lists(line, max_size=6)
+
+
+@pytest.fixture(scope="module")
+def evaluate_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("evaluate_property")
+    assert [s.id for s in load_scenarios(synth_file(d, count=3))] == PROPERTY_IDS
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_result_lines(), threshold=st.sampled_from(["0", "0.5", "1"]))
+def test_evaluate_exit_code_is_always_0_1_or_2(evaluate_dir, lines, threshold):
+    # no results file, however malformed, may raise out of main()
+    results = evaluate_dir / "results.jsonl"
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([
+            "evaluate", "--scenarios", str(evaluate_dir / "scenarios.json"),
+            "--results", str(results), "--out-dir", str(evaluate_dir / "rep"),
+            "--fail-threshold", threshold,
+        ])
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("lmplan: error:")

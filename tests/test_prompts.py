@@ -27,15 +27,10 @@ NUMBER = re.compile(r"-?\d+\.\d\d")
 
 class TestSystemPrompt:
     def test_mentions_horizon_and_duration(self):
-        text = build_system_prompt(6, 0.5)
+        text = build_system_prompt()
         assert "6 waypoints" in text
         assert "3.0 seconds" in text
         assert "0.5 seconds" in text
-
-    def test_nondefault_horizon(self):
-        text = build_system_prompt(8, 0.25)
-        assert "8 waypoints" in text
-        assert "2.0 seconds" in text
 
     def test_contains_output_format_and_labels(self):
         text = build_system_prompt()
@@ -45,13 +40,7 @@ class TestSystemPrompt:
         assert "keep_speed" in text and "change_lane_right" in text
 
     def test_deterministic(self):
-        assert build_system_prompt(6, 0.5) == build_system_prompt(6, 0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            build_system_prompt(0, 0.5)
-        with pytest.raises(ValueError):
-            build_system_prompt(6, 0.0)
+        assert build_system_prompt() == build_system_prompt()
 
 
 class TestUserPrompt:

@@ -40,30 +40,30 @@ def bare_scenario(human_pts, v0=6.0, a=0.0, w=0.0, objects=(), predictions=()):
 
 class TestRollout:
     def test_constant_speed_straight(self):
-        r = rollout_hypothetical(EgoState(6.0, 0.0, 0.0), 6, 0.5)
+        r = rollout_hypothetical(EgoState(6.0, 0.0, 0.0))
         assert [(w.x, w.y) for w in r.waypoints] == [
             (0.0, 3.0), (0.0, 6.0), (0.0, 9.0), (0.0, 12.0), (0.0, 15.0), (0.0, 18.0)
         ]
 
     def test_constant_acceleration(self):
-        r = rollout_hypothetical(EgoState(4.0, 2.0, 0.0), 6, 0.5)
+        r = rollout_hypothetical(EgoState(4.0, 2.0, 0.0))
         assert [w.y for w in r.waypoints] == [2.25, 5.0, 8.25, 12.0, 16.25, 21.0]
 
     def test_deceleration_clamps_at_standstill(self):
         # v0=4, a=-2 stops at t=2s having gone 4 m; no reversing afterwards
-        r = rollout_hypothetical(EgoState(4.0, -2.0, 0.0), 6, 0.5)
+        r = rollout_hypothetical(EgoState(4.0, -2.0, 0.0))
         assert [w.y for w in r.waypoints] == [1.75, 3.0, 3.75, 4.0, 4.0, 4.0]
 
     def test_stationary_ego_stays_put(self):
-        r = rollout_hypothetical(EgoState(0.0, 0.0, 0.0), 6, 0.5)
+        r = rollout_hypothetical(EgoState(0.0, 0.0, 0.0))
         assert all((w.x, w.y) == (0.0, 0.0) for w in r.waypoints)
 
     def test_heading_rate_with_zero_speed_is_straight(self):
-        r = rollout_hypothetical(EgoState(0.0, 2.0, 0.5), 6, 0.5)
+        r = rollout_hypothetical(EgoState(0.0, 2.0, 0.5))
         assert all(w.x == 0.0 for w in r.waypoints)
 
     def test_positive_heading_rate_curves_left(self):
-        r = rollout_hypothetical(EgoState(6.0, 0.0, 0.3), 6, 0.5)
+        r = rollout_hypothetical(EgoState(6.0, 0.0, 0.3))
         assert all(w.x < 0 for w in r.waypoints)  # +x is rightward
 
     def test_matches_millisecond_integrator(self):
@@ -72,32 +72,21 @@ class TestRollout:
             v0 = rng.uniform(1.0, 8.0)
             a = rng.uniform(-3.0, 2.0)
             w = rng.uniform(-0.4, 0.4)
-            r = rollout_hypothetical(EgoState(v0, a, w), 6, 0.5, decimals=12)
+            r = rollout_hypothetical(EgoState(v0, a, w), decimals=12)
             oracle = integrate_rollout(v0, a, w, 6, 0.5, step=2.5e-4)
             for wp, (ox, oy) in zip(r.waypoints, oracle):
                 assert abs(wp.x - ox) < 3e-5 and abs(wp.y - oy) < 3e-5, (v0, a, w)
 
     def test_clamped_curved_case_matches_integrator(self):
-        r = rollout_hypothetical(EgoState(5.0, -3.0, 0.2), 6, 0.5, decimals=12)
+        r = rollout_hypothetical(EgoState(5.0, -3.0, 0.2), decimals=12)
         oracle = integrate_rollout(5.0, -3.0, 0.2, 6, 0.5, step=2.5e-4)
         for wp, (ox, oy) in zip(r.waypoints, oracle):
             assert abs(wp.x - ox) < 3e-5 and abs(wp.y - oy) < 3e-5
 
     def test_waypoints_are_quantized(self):
-        r = rollout_hypothetical(EgoState(5.17, 0.83, 0.21), 6, 0.5)
+        r = rollout_hypothetical(EgoState(5.17, 0.83, 0.21))
         for w in r.waypoints:
             assert w.x == quantize(w.x) and w.y == quantize(w.y)
-
-    def test_custom_horizon_and_dt(self):
-        r = rollout_hypothetical(EgoState(2.0, 0.0, 0.0), 4, 0.25)
-        assert len(r) == 4 and r.dt == 0.25
-        assert r.waypoints[-1].y == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rollout_hypothetical(EgoState(1.0, 0.0, 0.0), 0, 0.5)
-        with pytest.raises(ValueError):
-            rollout_hypothetical(EgoState(1.0, 0.0, 0.0), 6, 0.0)
 
 
 class TestPathDescriptors:
@@ -177,7 +166,7 @@ class TestCriticalObjects:
         rng = random.Random(21)
         for _ in range(150):
             s = self.random_scenario(rng)
-            hypo = rollout_hypothetical(s.ego, 6, 0.5)
+            hypo = rollout_hypothetical(s.ego)
             got = [
                 (c.first_conflict_step, c.min_distance, c.object_id)
                 for c in find_critical_objects(s, hypo)
@@ -188,7 +177,7 @@ class TestCriticalObjects:
         rng = random.Random(33)
         for _ in range(60):
             s = self.random_scenario(rng)
-            hypo = rollout_hypothetical(s.ego, 6, 0.5)
+            hypo = rollout_hypothetical(s.ego)
             narrow = {
                 c.object_id
                 for c in find_critical_objects(s, hypo, ReasoningConfig(lateral_threshold=2.0))
