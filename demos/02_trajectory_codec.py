@@ -8,7 +8,6 @@ serialize -> parse is the identity on quantized values.
 """
 
 from lmplan import (
-    CodecConfig,
     Trajectory,
     TrajectoryParseError,
     Waypoint,
@@ -16,6 +15,7 @@ from lmplan import (
     quantize,
     serialize_trajectory,
 )
+from lmplan.codec import DEFAULT_DECIMALS
 
 # (1) Quantization: ties round away from zero, in both signs.
 for v in (1.005, -1.005, 23.174999, 2.675):
@@ -50,8 +50,7 @@ try:
 except TrajectoryParseError as e:
     print("rejected:", e)
 
-# (6) Precision is the one codec setting; the delimiters are fixed because
-#     the system prompt announces the [(x1,y1), (x2,y2), ...] shape.
+# (6) Nothing about the wire format is a setting: the system prompt
+#     announces the [(x1,y1), (x2,y2), ...] shape at DEFAULT_DECIMALS decimals.
 short = Trajectory((Waypoint(1.2345, -0.5), Waypoint(2, 3)))
-for decimals in (1, 2, 3):
-    print(f"decimals={decimals}:", serialize_trajectory(short, CodecConfig(decimals=decimals)))
+print(f"{DEFAULT_DECIMALS} decimals:", serialize_trajectory(short))

@@ -21,7 +21,7 @@ from lmplan import (
     serialize_trajectory,
     synth_scenario,
 )
-from lmplan.reasoning import ReasoningConfig
+from lmplan.reasoning import LATERAL_THRESHOLD
 
 scenario = synth_scenario("lead_vehicle", seed=2)
 
@@ -33,7 +33,8 @@ print("human:       ", serialize_trajectory(scenario.human_trajectory))
 
 # (2) Critical objects: anything whose (predicted) position comes within
 #     the lateral threshold of that rollout, ranked by urgency.
-critical = find_critical_objects(scenario, hypo, ReasoningConfig())
+print(f"lateral threshold: {LATERAL_THRESHOLD} m")
+critical = find_critical_objects(scenario, hypo)
 for c in critical:
     print(
         f"critical: {c.class_name} [{c.object_id}] {c.relation},"

@@ -17,7 +17,6 @@ from .backend import (
     messages_from_prompt,
 )
 from .codec import (
-    CodecConfig,
     TrajectoryParseError,
     extract_pairs,
     format_number,
@@ -55,7 +54,6 @@ from .prompts import (
 from .reasoning import (
     CriticalObject,
     FineTuneExample,
-    ReasoningConfig,
     ReasoningTrace,
     classify_decision,
     compose_reasoning,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import threading
 import time
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import requests
 
-from .codec import CodecConfig, serialize_trajectory
+from .codec import serialize_trajectory
 from .prompts import Decision, PlannerPrompt
 from .reasoning import (
     FineTuneExample,
@@ -78,8 +79,12 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
+        if not 0 <= self.retry_backoff_s < math.inf:
+            raise ValueError("retry_backoff_s must be finite and >= 0")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be finite and > 0")
+        if not math.isfinite(self.temperature):
+            raise ValueError("temperature must be finite")
         # bounds concurrent remote requests made through this config
         self._gate = threading.BoundedSemaphore(self.max_in_flight)
 
@@ -94,12 +99,7 @@ def messages_from_prompt(prompt: PlannerPrompt) -> list[dict]:
     return messages
 
 
-def complete(
-    cfg: BackendConfig,
-    prompt: PlannerPrompt,
-    scenario: Scenario | None = None,
-    codec: CodecConfig = CodecConfig(),
-) -> str:
+def complete(cfg: BackendConfig, prompt: PlannerPrompt, scenario: Scenario | None = None) -> str:
     """Answer the prompt in the configured mode; returns raw plan text.
 
     Stub modes need the scenario (they answer from its data, not from the
@@ -110,14 +110,14 @@ def complete(
     if scenario is None:
         raise ValueError(f"{cfg.mode} requires the scenario")
     if cfg.mode is BackendMode.STUB_REPLAY_GT:
-        return make_finetune_example(scenario, codec=codec).target_text
-    return _stub_hypothetical(scenario, codec)
+        return make_finetune_example(scenario).target_text
+    return _stub_hypothetical(scenario)
 
 
-def _stub_hypothetical(s: Scenario, codec: CodecConfig) -> str:
-    hypo = rollout_hypothetical(s.ego, codec.decimals)
-    trace = build_trace(s, hypo, Decision.KEEP_SPEED, codec=codec)
-    return render_plan_text(trace, serialize_trajectory(hypo, codec), codec)
+def _stub_hypothetical(s: Scenario) -> str:
+    hypo = rollout_hypothetical(s.ego)
+    trace = build_trace(s, hypo, Decision.KEEP_SPEED)
+    return render_plan_text(trace, serialize_trajectory(hypo))
 
 
 def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:

@@ -40,7 +40,6 @@ from .backend import (
     complete,
     export_finetune_jsonl,
 )
-from .codec import CodecConfig
 from .metrics import (
     EvalConfig,
     PlanRecord,
@@ -125,7 +124,6 @@ def cmd_export_finetune(args) -> int:
 
 def cmd_plan(args) -> int:
     scenarios = _load_nonempty(args.scenarios)
-    codec = CodecConfig()
     cfg = BackendConfig(
         mode=args.mode,
         endpoint_url=args.endpoint,
@@ -146,15 +144,15 @@ def cmd_plan(args) -> int:
         ]
 
     def plan_one(s):
-        prompt = build_prompt(s, codec)
+        prompt = build_prompt(s)
         if exemplar_pool:
             prompt = pack_exemplars(prompt, exemplar_pool, args.exemplars)
         try:
-            raw = complete(cfg, prompt, s, codec)
+            raw = complete(cfg, prompt, s)
         except BackendError as e:
             print(f"lmplan: warning: {s.id}: {e}", file=sys.stderr)
             return s, "", PlanOutput(ParseQuality.FAILED, None, None, str(e))
-        return s, raw, parse_plan_output(raw, DEFAULT_HORIZON_STEPS, codec)
+        return s, raw, parse_plan_output(raw, DEFAULT_HORIZON_STEPS)
 
     # Both maps yield in input order: a line is written once it and all
     # before it are done. The pool starts threads only on submit, so the
@@ -228,6 +226,8 @@ def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
 
 
 def cmd_evaluate(args) -> int:
+    if not args.fail_threshold >= 0:  # also rejects nan, which would switch the gate off
+        return _fail("--fail-threshold must be a number >= 0")
     scenarios = _load_nonempty(args.scenarios)
     records = _read_results(args.results, {s.id for s in scenarios})
     cfg = EvalConfig(

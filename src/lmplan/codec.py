@@ -8,9 +8,9 @@ with every coordinate printed at a fixed number of fractional digits. A
 value like 23.17 therefore splits on the decimal point into an integer-meter
 part and a fractional centimeter part, which is exactly the decomposition a
 standard subword tokenizer produces. Serialization and parsing round-trip
-bitwise on quantized values. The delimiters are fixed, because the system
-prompt announces this shape; only the precision (``CodecConfig.decimals``)
-can be set.
+bitwise on quantized values. The delimiters and the precision
+(``DEFAULT_DECIMALS``) are fixed, because the system prompt announces this
+shape.
 
 ``Waypoint``, ``Trajectory`` and the horizon are defined here, the module
 every other one imports; ``scenario`` re-exports them. The horizon is fixed:
@@ -51,17 +51,6 @@ class Trajectory:
         return self.waypoints[step - 1]
 
 
-@dataclass(frozen=True)
-class CodecConfig:
-    """Precision of the trajectory wire format; the delimiters are fixed."""
-
-    decimals: int = DEFAULT_DECIMALS
-
-    def __post_init__(self):
-        if self.decimals < 0:
-            raise ValueError("decimals must be >= 0")
-
-
 class TrajectoryParseError(ValueError):
     """Raised when text does not contain the expected coordinate pairs."""
 
@@ -85,23 +74,23 @@ def quantize(v: float, decimals: int = DEFAULT_DECIMALS) -> float:
     return 0.0 if q == 0.0 else q
 
 
-def format_number(v: float, cfg: CodecConfig = CodecConfig()) -> str:
-    """Quantize and render with exactly cfg.decimals fractional digits."""
-    return f"{quantize(v, cfg.decimals):.{cfg.decimals}f}"
+def format_number(v: float) -> str:
+    """Quantize and render with exactly DEFAULT_DECIMALS fractional digits."""
+    return f"{quantize(v):.{DEFAULT_DECIMALS}f}"
 
 
-def format_pair(x: float, y: float, cfg: CodecConfig = CodecConfig()) -> str:
-    return f"({format_number(x, cfg)},{format_number(y, cfg)})"
+def format_pair(x: float, y: float) -> str:
+    return f"({format_number(x)},{format_number(y)})"
 
 
-def format_waypoints(waypoints, cfg: CodecConfig = CodecConfig()) -> str:
+def format_waypoints(waypoints) -> str:
     """Bracketed pair list for any waypoint sequence."""
-    return "[" + ", ".join(format_pair(w.x, w.y, cfg) for w in waypoints) + "]"
+    return "[" + ", ".join(format_pair(w.x, w.y) for w in waypoints) + "]"
 
 
-def serialize_trajectory(t: Trajectory, cfg: CodecConfig = CodecConfig()) -> str:
+def serialize_trajectory(t: Trajectory) -> str:
     """Canonical text for a trajectory: deterministic, no whitespace variance."""
-    return format_waypoints(t.waypoints, cfg)
+    return format_waypoints(t.waypoints)
 
 
 _NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)"
@@ -109,21 +98,19 @@ _PAIR_RE = re.compile(r"\(\s*(" + _NUMBER + r")\s*,\s*(" + _NUMBER + r")\s*\)")
 BRACKET_LIST_RE = re.compile(r"\[([^\[\]]*)\]")  # innermost [...] and its body
 
 
-def extract_pairs(text: str, cfg: CodecConfig = CodecConfig()) -> list[tuple[float, float]]:
+def extract_pairs(text: str) -> list[tuple[float, float]]:
     """All quantized coordinate pairs found anywhere in the text, in order."""
     out = []
     for mx, my in _PAIR_RE.findall(text):
         try:
-            out.append((quantize(float(mx), cfg.decimals), quantize(float(my), cfg.decimals)))
+            out.append((quantize(float(mx)), quantize(float(my))))
         except (ValueError, OverflowError):
             continue  # e.g. a run of digits parsing to inf
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def locate_trajectory(
-    text: str, expected_len: int, cfg: CodecConfig = CodecConfig()
-) -> tuple[Trajectory, bool]:
+def locate_trajectory(text: str, expected_len: int) -> tuple[Trajectory, bool]:
     """``parse_trajectory`` plus whether the pairs came from a bracketed list.
 
     Memoized on its arguments, so a caller that has just parsed a text can
@@ -133,7 +120,7 @@ def locate_trajectory(
     if not text or not text.strip():
         raise TrajectoryParseError("empty input", found=0, expected=expected_len)
 
-    candidates = [extract_pairs(m.group(1), cfg) for m in BRACKET_LIST_RE.finditer(text)]
+    candidates = [extract_pairs(m.group(1)) for m in BRACKET_LIST_RE.finditer(text)]
     candidates = [c for c in candidates if c]
 
     chosen = None
@@ -148,7 +135,7 @@ def locate_trajectory(
                 found=n,
                 expected=expected_len,
             )
-        loose = extract_pairs(text, cfg)
+        loose = extract_pairs(text)
         if len(loose) != expected_len:
             raise TrajectoryParseError(
                 f"trajectory length mismatch: found {len(loose)}, expected {expected_len}",
@@ -160,9 +147,7 @@ def locate_trajectory(
     return Trajectory(tuple(Waypoint(x, y) for x, y in chosen)), bool(candidates)
 
 
-def parse_trajectory(
-    text: str, expected_len: int, cfg: CodecConfig = CodecConfig()
-) -> Trajectory:
+def parse_trajectory(text: str, expected_len: int) -> Trajectory:
     """Parse exactly expected_len coordinate pairs out of arbitrary text.
 
     Grammar first: bracketed pair lists are located and the last one of the
@@ -171,4 +156,4 @@ def parse_trajectory(
     TrajectoryParseError on empty input, an unparseable payload, or a pair
     count other than expected_len (reporting the found count).
     """
-    return locate_trajectory(text, expected_len, cfg)[0]
+    return locate_trajectory(text, expected_len)[0]

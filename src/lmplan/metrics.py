@@ -20,15 +20,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .prompts import template_hash
 from .reasoning import rollout_hypothetical, segment_directions
 from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, ObjectBox, Scenario, Trajectory, Waypoint
 
-# nuScenes ego footprint (meters); override via EvalConfig for other platforms.
+# The paper's protocol: L2 and collision at 1 s, 2 s and 3 s, for the
+# nuScenes ego footprint (meters), starting out facing +y.
+HORIZONS_S = (1.0, 2.0, 3.0)
 EGO_LENGTH = 4.084
 EGO_WIDTH = 1.730
+INITIAL_HEADING = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -39,31 +42,25 @@ class EgoDims:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    horizons: tuple[float, ...] = (1.0, 2.0, 3.0)
-    ego: EgoDims = field(default_factory=EgoDims)
     # what to do with rows whose plan failed to parse: substitute the
     # constant-state rollout (kept in the aggregates, counted), or drop them
     fallback_policy: str = "substitute_hypothetical"
-    initial_heading: float = math.pi / 2  # facing +y at t=0
     # mask steps where the human trajectory itself overlaps a box, so
     # labeling artifacts in the ground truth do not count against the plan
     exclude_gt_collisions: bool = False
 
     def __post_init__(self):
-        if not self.horizons:
-            raise ValueError("horizons must be non-empty")
-        if any(h <= 0 for h in self.horizons):
-            raise ValueError("horizons must be positive")
         if self.fallback_policy not in ("substitute_hypothetical", "exclude"):
             raise ValueError(f"unknown fallback_policy {self.fallback_policy!r}")
 
     def hash(self) -> str:
+        """Fingerprint of the protocol constants and the two settings."""
         blob = json.dumps(
             {
-                "horizons": list(self.horizons),
-                "ego": [self.ego.length, self.ego.width],
+                "horizons": list(HORIZONS_S),
+                "ego": [EGO_LENGTH, EGO_WIDTH],
                 "fallback_policy": self.fallback_policy,
-                "initial_heading": self.initial_heading,
+                "initial_heading": INITIAL_HEADING,
                 "exclude_gt_collisions": self.exclude_gt_collisions,
             },
             sort_keys=True,
@@ -93,7 +90,6 @@ class ScenarioMetrics:
 
 @dataclass(frozen=True)
 class EvalReport:
-    horizons: tuple[float, ...]
     rows: tuple[ScenarioMetrics, ...]
     summary: dict  # metric name -> {horizon: value, "avg": value}
     total: int
@@ -132,7 +128,7 @@ def _horizon_step(horizon_s: float) -> int:
     return k
 
 
-def headings_along(t: Trajectory, initial_heading: float = math.pi / 2) -> list[float]:
+def headings_along(t: Trajectory, initial_heading: float = INITIAL_HEADING) -> list[float]:
     """Heading at each waypoint: the direction of the incoming segment.
 
     Standard math convention (radians, atan2(dy, dx)); the first segment
@@ -177,7 +173,7 @@ def obb_intersects(a: ObjectBox, b: ObjectBox) -> bool:
 
 
 def ego_boxes_along(
-    t: Trajectory, dims: EgoDims = EgoDims(), initial_heading: float = math.pi / 2
+    t: Trajectory, dims: EgoDims = EgoDims(), initial_heading: float = INITIAL_HEADING
 ) -> list[ObjectBox]:
     hs = headings_along(t, initial_heading)
     return [
@@ -190,7 +186,7 @@ def collision_steps(
     t: Trajectory,
     gt_boxes: tuple,
     dims: EgoDims = EgoDims(),
-    initial_heading: float = math.pi / 2,
+    initial_heading: float = INITIAL_HEADING,
 ) -> list[bool]:
     """Per-step flags: ego box on waypoint i overlaps any box for step i.
 
@@ -214,12 +210,12 @@ def _metrics_for(
     cfg: EvalConfig,
 ) -> ScenarioMetrics:
     gt = s.human_trajectory
-    flags = collision_steps(traj, s.gt_object_boxes, cfg.ego, cfg.initial_heading)
+    flags = collision_steps(traj, s.gt_object_boxes)
     if cfg.exclude_gt_collisions and s.gt_object_boxes:
-        human_flags = collision_steps(gt, s.gt_object_boxes, cfg.ego, cfg.initial_heading)
+        human_flags = collision_steps(gt, s.gt_object_boxes)
         flags = [f and not h for f, h in zip(flags, human_flags)]
     l2_at, l2_cum, col_at, col_cum = {}, {}, {}, {}
-    for h in cfg.horizons:
+    for h in HORIZONS_S:
         k = _horizon_step(h)
         l2_at[h] = l2_at_horizon(traj, gt, h, "at_step")
         l2_cum[h] = l2_at_horizon(traj, gt, h, "cumulative_mean")
@@ -261,6 +257,11 @@ def evaluate_dataset(
         rec = by_id.get(s.id)
         traj = rec.trajectory if rec is not None else None
         quality = rec.parse_quality if rec is not None else "failed"
+        if traj is not None and len(traj) != DEFAULT_HORIZON_STEPS:
+            raise ValueError(
+                f"scenario {s.id!r}: trajectory has {len(traj)} waypoints, "
+                f"expected {DEFAULT_HORIZON_STEPS}"
+            )
         if traj is None:
             parse_failures += 1
             if cfg.fallback_policy == "exclude":
@@ -280,15 +281,14 @@ def evaluate_dataset(
         ("collision_cumulative", lambda r: r.collision_cumulative),
     ):
         per_h = {}
-        for h in cfg.horizons:
+        for h in HORIZONS_S:
             per_h[h] = (
                 sum(float(getter(r)[h]) for r in rows) / n if n else math.nan
             )
-        per_h["avg"] = sum(per_h[h] for h in cfg.horizons) / len(cfg.horizons)
+        per_h["avg"] = sum(per_h[h] for h in HORIZONS_S) / len(HORIZONS_S)
         summary[name] = per_h
 
     return EvalReport(
-        horizons=cfg.horizons,
         rows=tuple(rows),
         summary=summary,
         total=len(scenarios),
@@ -310,8 +310,8 @@ _METRIC_LABELS = (
 
 def render_markdown(report: EvalReport) -> str:
     """Summary table, fixed column order, %.2f cells."""
-    head = "| Metric | " + " | ".join(f"{h:g}s" for h in report.horizons) + " | Avg |"
-    rule = "|---" * (len(report.horizons) + 2) + "|"
+    head = "| Metric | " + " | ".join(f"{h:g}s" for h in HORIZONS_S) + " | Avg |"
+    rule = "|---" * (len(HORIZONS_S) + 2) + "|"
     lines = [
         "# Open-loop planning report",
         "",
@@ -326,7 +326,7 @@ def render_markdown(report: EvalReport) -> str:
     ]
     for key, label, scale in _METRIC_LABELS:
         vals = report.summary[key]
-        cells = [f"{vals[h] * scale:.2f}" for h in report.horizons]
+        cells = [f"{vals[h] * scale:.2f}" for h in HORIZONS_S]
         cells.append(f"{vals['avg'] * scale:.2f}")
         lines.append(f"| {label} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
@@ -336,7 +336,7 @@ def render_csv(report: EvalReport) -> str:
     """Per-scenario rows plus one __mean__ row, %.6f values."""
     cols = []
     for key, _, _ in _METRIC_LABELS:
-        cols.extend((key, h) for h in report.horizons)
+        cols.extend((key, h) for h in HORIZONS_S)
     header = ["scenario_id", "parse_quality", "used_fallback"] + [
         f"{key}_{h:g}s" for key, h in cols
     ]

@@ -17,13 +17,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .codec import (
-    CodecConfig,
-    Trajectory,
-    TrajectoryParseError,
-    locate_trajectory,
-    parse_trajectory,
-)
+from .codec import Trajectory, TrajectoryParseError, locate_trajectory, parse_trajectory
 from .prompts import SECTION_DECISION, SECTION_LABELS, SECTION_TRAJECTORY, Decision
 
 
@@ -105,9 +99,7 @@ def _has_all_labels(text: str) -> bool:
     return all(label.lower() in low for label in SECTION_LABELS)
 
 
-def parse_plan_output(
-    text: str, horizon_steps: int, cfg: CodecConfig = CodecConfig()
-) -> PlanOutput:
+def parse_plan_output(text: str, horizon_steps: int) -> PlanOutput:
     """Classify and extract a plan from raw model output. Never raises."""
     decision = extract_decision(text)
 
@@ -116,7 +108,7 @@ def parse_plan_output(
     tail = _last_label_tail(text, SECTION_TRAJECTORY)
     if tail is not None:
         try:
-            trajectory = parse_trajectory(tail, horizon_steps, cfg)
+            trajectory = parse_trajectory(tail, horizon_steps)
         except TrajectoryParseError as e:
             error = str(e)
 
@@ -124,13 +116,13 @@ def parse_plan_output(
     if (
         trajectory is not None
         and _has_all_labels(text)
-        and locate_trajectory(tail, horizon_steps, cfg)[1]
+        and locate_trajectory(tail, horizon_steps)[1]
     ):
         return PlanOutput(ParseQuality.CLEAN, trajectory, decision)
 
     if trajectory is None:
         try:
-            trajectory = parse_trajectory(text, horizon_steps, cfg)
+            trajectory = parse_trajectory(text, horizon_steps)
         except TrajectoryParseError as e:
             if error is None:
                 error = str(e)

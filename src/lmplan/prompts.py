@@ -13,7 +13,7 @@ import enum
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .codec import DEFAULT_DECIMALS, CodecConfig, format_number, format_pair, format_waypoints
+from .codec import DEFAULT_DECIMALS, format_number, format_pair, format_waypoints
 from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, Scenario
 
 MAX_EXEMPLARS = 5
@@ -107,30 +107,30 @@ def template_hash() -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def output_format_instruction(decimals: int = DEFAULT_DECIMALS) -> str:
+def output_format_instruction() -> str:
     return OUTPUT_FORMAT_INSTRUCTION.format(
         vocabulary=", ".join(d.value for d in Decision),
         x1="x1", y1="y1", x2="x2", y2="y2",
         n=DEFAULT_HORIZON_STEPS,
-        decimals=decimals,
+        decimals=DEFAULT_DECIMALS,
     )
 
 
-def build_system_prompt(decimals: int = DEFAULT_DECIMALS) -> str:
+def build_system_prompt() -> str:
     """Universal planning context for the fixed horizon; deterministic."""
     return SYSTEM_TEMPLATE.format(
         total_s=f"{DEFAULT_HORIZON_STEPS * DEFAULT_DT:.1f}",
         n=DEFAULT_HORIZON_STEPS,
         dt=f"{DEFAULT_DT:g}",
-        output_format=output_format_instruction(decimals),
+        output_format=output_format_instruction(),
     )
 
 
-def _path_text(waypoints, cfg: CodecConfig) -> str:
-    return format_waypoints(waypoints, cfg) if waypoints else NO_HISTORY
+def _path_text(waypoints) -> str:
+    return format_waypoints(waypoints) if waypoints else NO_HISTORY
 
 
-def build_user_prompt(s: Scenario, cfg: CodecConfig = CodecConfig()) -> str:
+def build_user_prompt(s: Scenario) -> str:
     """Scene text: one sentence per object, per predicted motion, and the ego state.
 
     Objects are described in input order so fine-tune data and inference
@@ -138,9 +138,9 @@ def build_user_prompt(s: Scenario, cfg: CodecConfig = CodecConfig()) -> str:
     """
     if s.objects:
         perception = "\n".join(
-            f"- {o.class_name} [{o.id}] at {format_pair(o.center.x, o.center.y, cfg)}, "
-            f"heading {format_number(o.heading, cfg)} rad, "
-            f"size {format_number(o.length, cfg)} m by {format_number(o.width, cfg)} m."
+            f"- {o.class_name} [{o.id}] at {format_pair(o.center.x, o.center.y)}, "
+            f"heading {format_number(o.heading)} rad, "
+            f"size {format_number(o.length)} m by {format_number(o.width)} m."
             for o in s.objects
         )
     else:
@@ -151,7 +151,7 @@ def build_user_prompt(s: Scenario, cfg: CodecConfig = CodecConfig()) -> str:
         lines = []
         for p in s.predictions:
             label = by_id[p.object_id].class_name if p.object_id in by_id else "object"
-            lines.append(f"- {label} [{p.object_id}] expected path: {_path_text(p.future, cfg)}.")
+            lines.append(f"- {label} [{p.object_id}] expected path: {_path_text(p.future)}.")
         prediction = "\n".join(lines)
     else:
         prediction = NO_PREDICTIONS_LINE
@@ -159,18 +159,15 @@ def build_user_prompt(s: Scenario, cfg: CodecConfig = CodecConfig()) -> str:
     return USER_TEMPLATE.format(
         perception=perception,
         prediction=prediction,
-        speed=format_number(s.ego.velocity, cfg),
-        accel=format_number(s.ego.acceleration, cfg),
-        hrate=format_number(s.ego.heading_rate, cfg),
-        history=_path_text(s.ego.history, cfg),
+        speed=format_number(s.ego.velocity),
+        accel=format_number(s.ego.acceleration),
+        hrate=format_number(s.ego.heading_rate),
+        history=_path_text(s.ego.history),
     )
 
 
-def build_prompt(s: Scenario, cfg: CodecConfig = CodecConfig()) -> PlannerPrompt:
-    return PlannerPrompt(
-        system_text=build_system_prompt(cfg.decimals),
-        user_text=build_user_prompt(s, cfg),
-    )
+def build_prompt(s: Scenario) -> PlannerPrompt:
+    return PlannerPrompt(system_text=build_system_prompt(), user_text=build_user_prompt(s))
 
 
 def pack_exemplars(base: PlannerPrompt, pool, k: int) -> PlannerPrompt:

@@ -3,13 +3,13 @@
 Builds the assistant-side text for fine-tuning: which objects matter, how
 they interact with the planned motion, what high-level maneuver the human
 trajectory encodes, and the trajectory itself. Everything here is
-deterministic given the scenario and config.
+deterministic given the scenario.
 
 The hypothetical rollout extrapolates the current ego state: speed follows
 constant acceleration (clamped at zero, the vehicle does not reverse), and
 the path bends along a constant-curvature arc computed from the initial
 heading rate and speed. Objects whose predicted positions pass within
-``lateral_threshold`` meters of that rollout are the critical ones.
+``LATERAL_THRESHOLD`` meters of that rollout are the critical ones.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codec import DEFAULT_DECIMALS, CodecConfig, format_number, quantize, serialize_trajectory
+from .codec import DEFAULT_DECIMALS, format_number, quantize, serialize_trajectory
 from .prompts import (
     SECTION_CRITICAL,
     SECTION_DECISION,
@@ -33,24 +33,18 @@ from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, EgoState, Scenario, Tra
 _MIN_SEGMENT = 0.01
 _EPS = 1e-9
 
-
-@dataclass(frozen=True)
-class ReasoningConfig:
-    """Thresholds for criticality and decision classification.
-
-    Ratios compare the human path length against the hypothetical rollout
-    length over the same horizon: below ``stop_ratio`` the human all but
-    halts; below ``decel_ratio`` they slow down; above ``accel_ratio`` they
-    speed up. Turns are net heading changes beyond ``turn_angle_deg``; lane
-    changes are lateral offsets beyond ``lane_offset_m`` without a turn.
-    """
-
-    lateral_threshold: float = 3.0
-    stop_ratio: float = 0.05
-    decel_ratio: float = 0.85
-    accel_ratio: float = 1.15
-    turn_angle_deg: float = 15.0
-    lane_offset_m: float = 1.5
+# Thresholds for criticality and decision classification. Ratios compare the
+# human path length against the hypothetical rollout length over the same
+# horizon: below STOP_RATIO the human all but halts; below DECEL_RATIO they
+# slow down; above ACCEL_RATIO they speed up. Turns are net heading changes
+# beyond TURN_ANGLE_DEG; lane changes are lateral offsets beyond
+# LANE_OFFSET_M without a turn.
+LATERAL_THRESHOLD = 3.0  # meters
+STOP_RATIO = 0.05
+DECEL_RATIO = 0.85
+ACCEL_RATIO = 1.15
+TURN_ANGLE_DEG = 15.0
+LANE_OFFSET_M = 1.5
 
 
 @dataclass(frozen=True)
@@ -165,9 +159,7 @@ def _relation(obj, prediction) -> str:
 
 
 def find_critical_objects(
-    s: Scenario,
-    hypo: Trajectory | None = None,
-    cfg: ReasoningConfig = ReasoningConfig(),
+    s: Scenario, hypo: Trajectory | None = None
 ) -> tuple[CriticalObject, ...]:
     """Objects whose expected position passes within the lateral threshold.
 
@@ -188,7 +180,7 @@ def find_critical_objects(
             obj_p = _object_position(obj, pred, i)
             d = math.hypot(obj_p.x - ego_p.x, obj_p.y - ego_p.y)
             closest = min(closest, d)
-            if first is None and d < cfg.lateral_threshold:
+            if first is None and d < LATERAL_THRESHOLD:
                 first = i
         if first is not None:
             found.append(
@@ -204,11 +196,7 @@ def find_critical_objects(
     return tuple(found)
 
 
-def classify_decision(
-    s: Scenario,
-    hypo: Trajectory | None = None,
-    cfg: ReasoningConfig = ReasoningConfig(),
-) -> Decision:
+def classify_decision(s: Scenario, hypo: Trajectory | None = None) -> Decision:
     """Name the maneuver the human trajectory encodes.
 
     Precedence: stop, then turns, then lane changes, then speed changes.
@@ -223,20 +211,20 @@ def classify_decision(
     l_hypo = path_length(hypo)
     ratio = l_human / l_hypo if l_hypo > _EPS else None
 
-    if ratio is not None and ratio < cfg.stop_ratio:
+    if ratio is not None and ratio < STOP_RATIO:
         return Decision.STOP
     heading = net_heading_change_deg(human)
-    if abs(heading) > cfg.turn_angle_deg and l_human > _EPS:
+    if abs(heading) > TURN_ANGLE_DEG and l_human > _EPS:
         return Decision.TURN_LEFT if heading > 0 else Decision.TURN_RIGHT
     offset = final_lateral_offset(human)
-    if abs(offset) > cfg.lane_offset_m:
+    if abs(offset) > LANE_OFFSET_M:
         # +x is rightward in the ego frame
         return Decision.CHANGE_LANE_LEFT if offset < 0 else Decision.CHANGE_LANE_RIGHT
     if ratio is None:
         return Decision.ACCELERATE if l_human > 0.5 else Decision.KEEP_SPEED
-    if ratio < cfg.decel_ratio:
+    if ratio < DECEL_RATIO:
         return Decision.DECELERATE
-    if ratio > cfg.accel_ratio:
+    if ratio > ACCEL_RATIO:
         return Decision.ACCELERATE
     return Decision.KEEP_SPEED
 
@@ -253,9 +241,7 @@ _DECISION_PHRASES = {
 }
 
 
-def interaction_summary(
-    critical: tuple[CriticalObject, ...], codec: CodecConfig = CodecConfig()
-) -> str:
+def interaction_summary(critical: tuple[CriticalObject, ...]) -> str:
     """One clause per critical object: who, how, how close, from when."""
     if not critical:
         return "no conflicts; the extrapolated path stays clear."
@@ -264,44 +250,34 @@ def interaction_summary(
         t = c.first_conflict_step * DEFAULT_DT
         clauses.append(
             f"{c.class_name} [{c.object_id}] ({c.relation}) passes within "
-            f"{format_number(c.min_distance, codec)} m of the extrapolated "
+            f"{format_number(c.min_distance)} m of the extrapolated "
             f"path from t={t:.1f} s"
         )
     return "; ".join(clauses) + "."
 
 
-def build_trace(
-    s: Scenario,
-    hypo: Trajectory,
-    decision: Decision,
-    cfg: ReasoningConfig = ReasoningConfig(),
-    codec: CodecConfig = CodecConfig(),
-) -> ReasoningTrace:
+def build_trace(s: Scenario, hypo: Trajectory, decision: Decision) -> ReasoningTrace:
     """Critical objects and interactions against the rollout, plus a decision."""
-    critical = find_critical_objects(s, hypo, cfg)
+    critical = find_critical_objects(s, hypo)
     return ReasoningTrace(
         critical_objects=critical,
-        interaction_text=interaction_summary(critical, codec),
+        interaction_text=interaction_summary(critical),
         decision=decision,
     )
 
 
-def compose_reasoning(
-    s: Scenario,
-    cfg: ReasoningConfig = ReasoningConfig(),
-    codec: CodecConfig = CodecConfig(),
-) -> ReasoningTrace:
+def compose_reasoning(s: Scenario) -> ReasoningTrace:
     """Derive the full trace: critical objects, interactions, and decision."""
-    hypo = rollout_hypothetical(s.ego, codec.decimals)
-    return build_trace(s, hypo, classify_decision(s, hypo, cfg), cfg, codec)
+    hypo = rollout_hypothetical(s.ego)
+    return build_trace(s, hypo, classify_decision(s, hypo))
 
 
-def render_reasoning(trace: ReasoningTrace, codec: CodecConfig = CodecConfig()) -> str:
+def render_reasoning(trace: ReasoningTrace) -> str:
     """Three labeled sections matching the announced output format."""
     if trace.critical_objects:
         listed = ", ".join(
             f"{c.class_name} [{c.object_id}] at min distance "
-            f"{format_number(c.min_distance, codec)} m"
+            f"{format_number(c.min_distance)} m"
             for c in trace.critical_objects
         )
     else:
@@ -313,11 +289,9 @@ def render_reasoning(trace: ReasoningTrace, codec: CodecConfig = CodecConfig()) 
     )
 
 
-def render_plan_text(
-    trace: ReasoningTrace, trajectory_text: str, codec: CodecConfig = CodecConfig()
-) -> str:
+def render_plan_text(trace: ReasoningTrace, trajectory_text: str) -> str:
     """The full answer: the three reasoning sections, then the trajectory."""
-    return render_reasoning(trace, codec) + f"\n{SECTION_TRAJECTORY} {trajectory_text}"
+    return render_reasoning(trace) + f"\n{SECTION_TRAJECTORY} {trajectory_text}"
 
 
 @dataclass(frozen=True)
@@ -328,25 +302,17 @@ class FineTuneExample:
     prompt: PlannerPrompt
     reasoning: ReasoningTrace
     trajectory_text: str
-    codec: CodecConfig = CodecConfig()  # renders the reasoning's numbers
 
     @property
     def target_text(self) -> str:
-        return render_plan_text(self.reasoning, self.trajectory_text, self.codec)
+        return render_plan_text(self.reasoning, self.trajectory_text)
 
 
-def make_finetune_example(
-    s: Scenario,
-    cfg: ReasoningConfig = ReasoningConfig(),
-    codec: CodecConfig = CodecConfig(),
-) -> FineTuneExample:
+def make_finetune_example(s: Scenario) -> FineTuneExample:
     """Build the supervised example for one scenario."""
-    prompt = build_prompt(s, codec)
-    trace = compose_reasoning(s, cfg, codec)
     return FineTuneExample(
         scenario_id=s.id,
-        prompt=prompt,
-        reasoning=trace,
-        trajectory_text=serialize_trajectory(s.human_trajectory, codec),
-        codec=codec,
+        prompt=build_prompt(s),
+        reasoning=compose_reasoning(s),
+        trajectory_text=serialize_trajectory(s.human_trajectory),
     )

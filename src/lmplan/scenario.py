@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codec import DEFAULT_DECIMALS, DEFAULT_DT, DEFAULT_HORIZON_STEPS, Trajectory, Waypoint, quantize
+from .codec import DEFAULT_DT, DEFAULT_HORIZON_STEPS, Trajectory, Waypoint, quantize
 
 COORD_BOUND = 200.0  # sanity bound for any coordinate over a few seconds
 
@@ -176,8 +176,8 @@ def validate_scenario(s: Scenario) -> list[str]:
 
 # --- JSON ingest / export -------------------------------------------------
 
-def _q(v, decimals: int = DEFAULT_DECIMALS) -> float:
-    return quantize(float(v), decimals)
+def _q(v) -> float:
+    return quantize(float(v))
 
 
 def is_number(v) -> bool:

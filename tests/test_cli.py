@@ -333,6 +333,41 @@ class TestErrors:
         assert srv.requests == []
         assert capsys.readouterr().err.startswith("lmplan: error:")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--temperature", "nan"),
+        ("--temperature", "inf"),
+        ("--timeout", "0"),
+        ("--timeout", "-1"),
+        ("--timeout", "nan"),
+        ("--backoff", "nan"),
+    ])
+    def test_remote_config_it_cannot_use_sends_nothing(
+        self, tmp_path, api_key_env, capsys, flag, value
+    ):
+        scen = synth_file(tmp_path, count=3)
+        out = tmp_path / "results.jsonl"
+        out.write_text("earlier results\n")
+        options = {"--backoff": "0", flag: value}
+        with MockChatServer(echo_target_responder(load_scenarios(scen))) as srv:
+            code = run(
+                "plan", "--scenarios", scen, "--out", out, "--mode", "remote",
+                "--endpoint", srv.url, *[a for kv in options.items() for a in kv],
+            )
+        assert code == 2
+        assert srv.requests == []
+        assert out.read_text() == "earlier results\n"
+        assert capsys.readouterr().err.startswith("lmplan: error:")
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1"])
+    def test_fail_threshold_that_cannot_gate(self, tmp_path, capsys, threshold):
+        scen = synth_file(tmp_path, count=4)
+        results = tmp_path / "results.jsonl"
+        results.write_text("")  # every scenario failed to parse
+        code = run("evaluate", "--scenarios", scen, "--results", results,
+                   "--out-dir", tmp_path / "rep", "--fail-threshold", threshold)
+        assert code == 2
+        assert "--fail-threshold must be a number >= 0" in capsys.readouterr().err
+
     def test_scenario_value_of_wrong_type(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=2)
         doc = json.loads(scen.read_text())

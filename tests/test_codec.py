@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import quantize_by_strings, traj
 from lmplan import (
-    CodecConfig,
     TrajectoryParseError,
     extract_pairs,
     format_number,
@@ -69,8 +68,6 @@ class TestFormat:
         assert format_number(0.0) == "0.00"
         assert format_number(-1.2) == "-1.20"
         assert format_number(23.17) == "23.17"
-        assert format_number(5.0, CodecConfig(decimals=0)) == "5"
-        assert format_number(1.5, CodecConfig(decimals=3)) == "1.500"
 
     def test_negative_zero_prints_unsigned(self):
         assert format_number(-0.0001) == "0.00"
@@ -141,6 +138,7 @@ class TestParse:
         with pytest.raises(TrajectoryParseError) as exc:
             parse_trajectory("no coordinates here", 3)
         assert exc.value.found == 0
+        assert extract_pairs("<1.0;2.0>") == []  # the delimiters are fixed
 
     def test_huge_numbers_do_not_crash(self):
         digits = "9" * 400
@@ -151,27 +149,6 @@ class TestParse:
         parsed = parse_trajectory("(1.23456,0.005)", 1)
         assert parsed.waypoints[0].x == 1.23
         assert parsed.waypoints[0].y == 0.01
-
-
-class TestCustomPrecision:
-    CFG = CodecConfig(decimals=1)
-
-    def test_round_trip(self):
-        t = traj([(1.23, -0.5), (2.0, 3.0)])
-        text = serialize_trajectory(t, self.CFG)
-        assert text == "[(1.2,-0.5), (2.0,3.0)]"
-        parsed = parse_trajectory(text, 2, self.CFG)
-        assert parsed.waypoints[0].x == 1.2
-
-    def test_extract_pairs_respects_config(self):
-        assert extract_pairs("(1.26,-2.04)", self.CFG) == [(1.3, -2.0)]
-        assert extract_pairs("<1.0;2.0>", self.CFG) == []  # delimiters are fixed
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CodecConfig(decimals=-1)
-        with pytest.raises(TypeError):
-            CodecConfig(pair_open="<")  # the wire format is not configurable
 
 
 def test_round_trip_random_spot_check():

@@ -190,6 +190,12 @@ class TestEvaluateDataset:
         assert report.evaluated == 1
         assert [r.scenario_id for r in report.rows] == ["a"]
 
+    def test_record_off_the_horizon_is_a_value_error(self):
+        scenarios = [scenario_for_eval("a")]
+        records = [PlanRecord("a", traj([(0, 1), (0, 2), (0, 3)]), "clean")]
+        with pytest.raises(ValueError, match="'a': trajectory has 3 waypoints, expected 6"):
+            evaluate_dataset(scenarios, records)
+
     def test_null_trajectory_record_is_a_parse_failure(self):
         scenarios = [scenario_for_eval("a")]
         records = [PlanRecord("a", None, "failed")]
@@ -236,10 +242,6 @@ class TestEvaluateDataset:
     def test_fallback_policy_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(fallback_policy="made_up")
-        with pytest.raises(ValueError):
-            EvalConfig(horizons=())
-        with pytest.raises(ValueError):
-            EvalConfig(horizons=(0.0,))
 
 
 class TestRenderers:

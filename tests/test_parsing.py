@@ -2,7 +2,6 @@ import random
 
 from helpers import make_scenarios
 from lmplan import (
-    CodecConfig,
     Decision,
     ParseQuality,
     extract_decision,
@@ -182,13 +181,6 @@ class TestTotality:
                         text[pos % len(text)] = chr(rng.randrange(256))
                 text = "".join(text)
             parse_plan_output(text, 6)  # must not raise
-
-
-def test_custom_codec_config_honored():
-    cfg = CodecConfig(decimals=1)
-    text = "Trajectory: [(1.54,2.46), (3.55,-4.45)]"
-    out = parse_plan_output(text, 2, cfg)
-    assert [(w.x, w.y) for w in out.trajectory.waypoints] == [(1.5, 2.5), (3.6, -4.5)]
 
 
 def test_round_trip_serialize_then_parse():

@@ -4,7 +4,6 @@ import pytest
 
 from helpers import make_scenarios
 from lmplan import (
-    CodecConfig,
     build_prompt,
     build_system_prompt,
     build_user_prompt,
@@ -132,12 +131,6 @@ class TestTemplateHash:
         h = template_hash()
         assert h == template_hash()
         assert re.fullmatch(r"[0-9a-f]{12}", h)
-
-
-def test_prompt_respects_codec_config():
-    s = synth_scenario("lead_vehicle", 1)
-    text = build_user_prompt(s, CodecConfig(decimals=3))
-    assert re.search(r"speed \d+\.\d\d\d m/s", text)
 
 
 def test_build_prompt_bundles_both_parts():

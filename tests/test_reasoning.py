@@ -7,7 +7,6 @@ import pytest
 from helpers import integrate_rollout, traj
 from lmplan import (
     Decision,
-    ReasoningConfig,
     Scenario,
     classify_decision,
     compose_reasoning,
@@ -17,6 +16,7 @@ from lmplan import (
     render_reasoning,
     rollout_hypothetical,
 )
+from lmplan import reasoning
 from lmplan.prompts import SECTION_CRITICAL, SECTION_DECISION, SECTION_INTERACTION
 from lmplan.reasoning import (
     final_lateral_offset,
@@ -173,20 +173,17 @@ class TestCriticalObjects:
             ]
             assert got == self.oracle(s, hypo, 3.0)
 
-    def test_threshold_monotonicity(self):
+    def test_threshold_monotonicity(self, monkeypatch):
         rng = random.Random(33)
+
+        def critical_ids(s, hypo, threshold):
+            monkeypatch.setattr(reasoning, "LATERAL_THRESHOLD", threshold)
+            return {c.object_id for c in find_critical_objects(s, hypo)}
+
         for _ in range(60):
             s = self.random_scenario(rng)
             hypo = rollout_hypothetical(s.ego)
-            narrow = {
-                c.object_id
-                for c in find_critical_objects(s, hypo, ReasoningConfig(lateral_threshold=2.0))
-            }
-            wide = {
-                c.object_id
-                for c in find_critical_objects(s, hypo, ReasoningConfig(lateral_threshold=4.0))
-            }
-            assert narrow <= wide
+            assert critical_ids(s, hypo, 2.0) <= critical_ids(s, hypo, 4.0)
 
     def test_object_without_prediction_uses_current_position(self):
         obj = DetectedObject("b1", "barrier", Waypoint(0.0, 9.0), 0.0, 2.0, 0.8)
@@ -306,10 +303,11 @@ class TestDecisions:
         still = bare_scenario([(0, 0)] * 6, v0=0.0)
         assert classify_decision(still) is Decision.KEEP_SPEED
 
-    def test_custom_config_thresholds(self):
+    def test_custom_config_thresholds(self, monkeypatch):
         s = bare_scenario([(0, 1.5 * i) for i in range(1, 7)], v0=6.0)
-        lax = ReasoningConfig(decel_ratio=0.4)
-        assert classify_decision(s, cfg=lax) is Decision.KEEP_SPEED
+        assert classify_decision(s) is Decision.DECELERATE  # ratio ~0.5
+        monkeypatch.setattr(reasoning, "DECEL_RATIO", 0.4)
+        assert classify_decision(s) is Decision.KEEP_SPEED
 
 
 class TestComposition:
@@ -349,22 +347,22 @@ class TestComposition:
         assert ex.scenario_id == s.id
 
     def test_finetune_target_keeps_its_codec(self):
-        from lmplan import CodecConfig, synth_scenario
+        from lmplan import synth_scenario
 
-        ex = make_finetune_example(synth_scenario("lead_vehicle", 3), codec=CodecConfig(decimals=3))
-        # time stamps ("t=1.5 s") are printed at 0.1 s regardless of the codec
+        ex = make_finetune_example(synth_scenario("lead_vehicle", 3))
+        # time stamps ("t=1.5 s") are printed at 0.1 s, apart from the codec
         numbers = re.findall(r"-?\d+\.(\d+)", re.sub(r"t=\d+\.\d s", "", ex.target_text))
         assert numbers
-        assert all(len(frac) == 3 for frac in numbers), ex.target_text
+        assert all(len(frac) == 2 for frac in numbers), ex.target_text
 
     @pytest.mark.parametrize("kind", ["lead_vehicle", "crossing_pedestrian", "stationary_obstacle"])
     def test_pairs_match_the_shape_the_prompt_announces(self, kind):
-        from lmplan import CodecConfig, synth_scenario
+        from lmplan import synth_scenario
 
-        ex = make_finetune_example(synth_scenario(kind, 3), codec=CodecConfig(decimals=3))
+        ex = make_finetune_example(synth_scenario(kind, 3))
         assert "Trajectory: [(x1,y1), (x2,y2), ...]" in ex.prompt.system_text
-        assert "3 decimals each" in ex.prompt.system_text
-        pair = r"\(-?\d+\.\d{3},-?\d+\.\d{3}\)"
+        assert "2 decimals each" in ex.prompt.system_text
+        pair = r"\(-?\d+\.\d{2},-?\d+\.\d{2}\)"
         for text in (ex.prompt.user_text, ex.target_text):
             groups = re.findall(r"\([^()]*\d[^()]*\)", text)  # any parenthesised numbers
             assert groups
