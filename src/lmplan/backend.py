@@ -4,8 +4,10 @@ Three interchangeable ways to turn a prompt into plan text:
 
 - ``remote``: POST to an OpenAI-style ``/chat/completions`` endpoint with
   bearer auth from the ``PLANNER_API_KEY`` environment variable, retrying
-  transient failures with exponential backoff and bounding concurrent
-  requests per config instance.
+  transient failures with exponential backoff (or the ``Retry-After``
+  seconds of a 429 or 503, capped). ``max_in_flight`` bounds the requests
+  on the wire per config instance; a call waiting out a backoff holds no
+  slot.
 - ``stub_replay_gt``: offline oracle that answers with the exact
   supervision target for the scenario (upper bound; exercises the full
   text path with zero error).
@@ -85,7 +87,8 @@ class BackendConfig:
             raise ValueError("timeout_s must be finite and > 0")
         if not math.isfinite(self.temperature):
             raise ValueError("temperature must be finite")
-        # bounds concurrent remote requests made through this config
+        # the one bound on remote requests on the wire through this config;
+        # held for a single POST, never through a backoff
         self._gate = threading.BoundedSemaphore(self.max_in_flight)
 
 
@@ -134,32 +137,44 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
     }
     headers = {"Authorization": f"Bearer {key}"}
 
-    with cfg._gate:
-        delay = cfg.retry_backoff_s
-        last: BackendError | None = None
-        for attempt in range(cfg.max_retries + 1):
-            if attempt:
-                time.sleep(delay)
-                delay = min(delay * 2, _BACKOFF_CAP)
-            try:
+    delay = wait = cfg.retry_backoff_s
+    last: BackendError | None = None
+    for attempt in range(cfg.max_retries + 1):
+        if attempt:
+            time.sleep(wait)  # outside the gate: a scenario backing off holds no slot
+            delay = wait = min(delay * 2, _BACKOFF_CAP)
+        try:
+            with cfg._gate:
                 resp = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
-            except requests.RequestException as e:
-                last = BackendError(f"request failed: {e}")
-                continue
-            if resp.status_code == 200:
-                return _content_of(resp)
-            excerpt = resp.text[:200]
-            err = BackendError(
-                f"endpoint returned {resp.status_code}: {excerpt}",
-                status=resp.status_code,
-                body=excerpt,
-            )
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last = err
-                continue
-            raise err  # other 4xx will not improve on retry
-        assert last is not None
-        raise last
+        except requests.RequestException as e:
+            last = BackendError(f"request failed: {e}")
+            continue
+        if resp.status_code == 200:
+            return _content_of(resp)
+        excerpt = resp.text[:200]
+        err = BackendError(
+            f"endpoint returned {resp.status_code}: {excerpt}",
+            status=resp.status_code,
+            body=excerpt,
+        )
+        if resp.status_code == 429 or resp.status_code >= 500:
+            last = err
+            if resp.status_code in (429, 503):
+                wait = _retry_after(resp.headers.get("Retry-After"), delay)
+            continue
+        raise err  # other 4xx will not improve on retry
+    assert last is not None
+    raise last
+
+
+def _retry_after(value: str | None, default: float) -> float:
+    """The server's ``Retry-After`` in seconds, capped; ``default`` when absent or
+    not a number of seconds >= 0 (an HTTP-date, say)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return default
+    return min(seconds, _BACKOFF_CAP) if 0 <= seconds < math.inf else default
 
 
 def _content_of(resp) -> str:

@@ -12,8 +12,10 @@ Subcommands:
 - ``plan``: run a backend over every scenario and write one result line per
   scenario: ``{"scenario_id", "raw_text", "parse_quality", "trajectory"}``.
   Each scenario gets one completion; ``--max-retries`` bounds the backend's
-  HTTP retries, and a reply that fails to parse is not asked again. Lines
-  are written in scenario order as they finish.
+  HTTP retries, and a reply that fails to parse is not asked again. In
+  remote mode ``--max-in-flight`` bounds the requests on the wire; a
+  scenario waiting out a retry backoff (or a 429/503 ``Retry-After``)
+  holds no slot. Lines are written in scenario order as they finish.
 - ``evaluate``: join results to scenarios by id, compute open-loop metrics,
   write ``report.md`` and ``report.csv``. A repeated result id is an error;
   ids not in the scenario file are ignored with one warning.
@@ -48,7 +50,7 @@ from .metrics import (
     render_markdown,
 )
 from .parsing import ParseQuality, PlanOutput, parse_plan_output
-from .prompts import build_prompt, pack_exemplars, template_hash
+from .prompts import build_prompt, check_exemplar_count, pack_exemplars, template_hash
 from .reasoning import make_finetune_example
 from .scenario import (
     DEFAULT_HORIZON_STEPS,
@@ -137,6 +139,7 @@ def cmd_plan(args) -> int:
 
     exemplar_pool = []
     if args.exemplars:
+        check_exemplar_count(args.exemplars)  # before --out is opened
         if not args.exemplar_scenarios:
             return _fail("--exemplars needs --exemplar-scenarios")
         exemplar_pool = [
@@ -160,7 +163,8 @@ def cmd_plan(args) -> int:
     counts = {"clean": 0, "recovered": 0, "failed": 0}
     with (
         open(args.out, "w", encoding="utf-8", newline="", buffering=1) as f,
-        ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool,
+        # up to max_in_flight scenarios can wait out a backoff while every slot stays busy
+        ThreadPoolExecutor(max_workers=2 * cfg.max_in_flight) as pool,
     ):
         ordered_map = pool.map if cfg.mode is BackendMode.REMOTE else map
         for s, raw, out in ordered_map(plan_one, scenarios):
@@ -290,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timeout", type=float, default=30.0)
     sp.add_argument("--max-retries", type=int, default=3, help="HTTP retries per request")
     sp.add_argument("--backoff", type=float, default=0.5, help="initial retry delay, seconds")
-    sp.add_argument("--max-in-flight", type=int, default=4)
+    sp.add_argument("--max-in-flight", type=int, default=4,
+                    help="remote requests on the wire at once; a backoff holds no slot")
     sp.add_argument("--exemplars", type=int, default=0, help="in-context examples per prompt")
     sp.add_argument("--exemplar-scenarios", default="", help="scenario file the exemplars come from")
     sp.set_defaults(func=cmd_plan)

@@ -170,6 +170,12 @@ def build_prompt(s: Scenario) -> PlannerPrompt:
     return PlannerPrompt(system_text=build_system_prompt(), user_text=build_user_prompt(s))
 
 
+def check_exemplar_count(k: int) -> None:
+    """Raise ``ValueError`` unless 0 <= k <= ``MAX_EXEMPLARS``."""
+    if not 0 <= k <= MAX_EXEMPLARS:
+        raise ValueError(f"exemplar count {k} is outside 0..{MAX_EXEMPLARS}")
+
+
 def pack_exemplars(base: PlannerPrompt, pool, k: int) -> PlannerPrompt:
     """Attach the first min(k, len(pool)) exemplars, in pool order.
 
@@ -177,10 +183,7 @@ def pack_exemplars(base: PlannerPrompt, pool, k: int) -> PlannerPrompt:
     pairs. k above ``MAX_EXEMPLARS`` is an error; the context window the
     backend offers cannot fit more.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > MAX_EXEMPLARS:
-        raise ValueError(f"k={k} exceeds the exemplar cap of {MAX_EXEMPLARS}")
+    check_exemplar_count(k)
     pairs = []
     for item in list(pool)[: min(k, len(pool))]:
         if isinstance(item, tuple):

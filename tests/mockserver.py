@@ -5,6 +5,8 @@ Serves an OpenAI-style POST /chat/completions. Knobs:
 - ``responder``: callable(payload dict) -> completion text.
 - ``fail_first``: answer ``fail_status`` (default 500) to this many
   requests before behaving.
+- ``retry_after``: if set, the ``Retry-After`` header value sent with
+  those injected failures.
 - ``corrupt_every``: of the distinct request bodies seen, garble the
   completion for every k-th one (deterministic per body, so a retry of the
   same request stays garbled and fallback counts are exact).
@@ -30,10 +32,12 @@ def garble(text: str) -> str:
 
 class MockChatServer:
     def __init__(self, responder, fail_first: int = 0, corrupt_every: int = 0,
-                 latency_s: float = 0.0, fail_status: int = 500):
+                 latency_s: float = 0.0, fail_status: int = 500,
+                 retry_after: str | None = None):
         self.responder = responder
         self.latency_s = latency_s
         self.fail_status = fail_status
+        self.retry_after = retry_after
         self.requests: list[dict] = []
         self.auth_headers: list[str | None] = []
         self.paths: list[str] = []
@@ -94,7 +98,9 @@ class MockChatServer:
                     if server.latency_s:
                         time.sleep(server.latency_s)
                     if fail:
-                        self._send(server.fail_status, {"error": "injected failure"})
+                        self._send(
+                            server.fail_status, {"error": "injected failure"}, server.retry_after
+                        )
                         return
                     content = server.responder(payload)
                     if corrupt:
@@ -107,9 +113,11 @@ class MockChatServer:
                     with server._lock:
                         server._in_flight -= 1
 
-            def _send(self, status: int, obj: dict):
+            def _send(self, status: int, obj: dict, retry_after: str | None = None):
                 data = json.dumps(obj).encode("utf-8")
                 self.send_response(status)
+                if retry_after is not None:
+                    self.send_header("Retry-After", retry_after)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()

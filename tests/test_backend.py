@@ -163,6 +163,40 @@ class TestRemote:
         with pytest.raises(BackendError, match="request failed"):
             complete(cfg, build_prompt(s))
 
+    @pytest.mark.parametrize("status, retry_after, fail_first, backoff, delays", [
+        (429, "1", 1, 0.0, [1.0]),
+        (503, "3600", 1, 0.0, [8.0]),  # capped at _BACKOFF_CAP
+        (429, "0", 1, 0.25, [0.0]),
+        (429, "soon", 2, 0.25, [0.25, 0.5]),
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 2, 0.25, [0.25, 0.5]),
+        (429, "-1", 1, 0.25, [0.25]),
+        (429, "nan", 1, 0.25, [0.25]),
+        (500, "1", 1, 0.25, [0.25]),  # only 429 and 503 carry it
+    ])
+    def test_retry_after_seconds_are_honoured(
+        self, api_key_env, monkeypatch, status, retry_after, fail_first, backoff, delays
+    ):
+        scenarios = make_scenarios(1)
+        slept, slot_free = [], []
+        with MockChatServer(
+            echo_target_responder(scenarios), fail_first=fail_first,
+            fail_status=status, retry_after=retry_after,
+        ) as srv:
+            cfg = remote_cfg(srv.url, max_in_flight=1, retry_backoff_s=backoff)
+
+            def record(seconds):
+                slept.append(seconds)
+                free = cfg._gate.acquire(blocking=False)
+                if free:
+                    cfg._gate.release()
+                slot_free.append(free)
+
+            monkeypatch.setattr("lmplan.backend.time.sleep", record)
+            text = complete(cfg, build_prompt(scenarios[0]))
+        assert text == make_finetune_example(scenarios[0]).target_text
+        assert slept == delays
+        assert all(slot_free)  # the backoff holds no slot
+
     def test_in_flight_bound_is_enforced(self, api_key_env):
         scenarios = make_scenarios(1)
         prompt = build_prompt(scenarios[0])

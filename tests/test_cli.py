@@ -7,6 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lmplan import (
+    build_prompt,
     load_finetune_jsonl,
     load_scenarios,
     make_finetune_example,
@@ -32,6 +33,12 @@ def synth_file(tmp_path, count=12, name="scenarios.json", **flags):
 
 def read_results(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def request_order(srv, scenarios):
+    """The scenario index of each request the mock server saw, in arrival order."""
+    index = {build_prompt(s).user_text: i for i, s in enumerate(scenarios)}
+    return [index[req["messages"][-1]["content"]] for req in srv.requests]
 
 
 class TestSynth:
@@ -204,6 +211,48 @@ class TestPlanRemote:
         # one request per scenario: a garbled reply is not re-asked
         assert len(srv.requests) == 20
 
+    def test_backoff_holds_no_slot(self, tmp_path, api_key_env):
+        scen = synth_file(tmp_path, count=4)
+        scenarios = load_scenarios(scen)
+        out = tmp_path / "results.jsonl"
+        with MockChatServer(
+            echo_target_responder(scenarios), fail_first=1, latency_s=0.05
+        ) as srv:
+            code = run(
+                "plan", "--scenarios", scen, "--out", out, "--mode", "remote",
+                "--endpoint", srv.url, "--max-in-flight", 1, "--backoff", 0.5,
+            )
+        assert code == 0
+        order = request_order(srv, scenarios)
+        # The one slot serves the other three scenarios while the first
+        # failure waits out its 0.5 s; holding the slot gave [0, 0, 1, 2, 3].
+        # (Which of the first two scenarios gets the slot first is a race.)
+        assert sorted(order[:4]) == [0, 1, 2, 3] and order[4] == order[0]
+        assert srv.max_in_flight_seen == 1
+        rows = read_results(out)
+        assert [r["scenario_id"] for r in rows] == [s.id for s in scenarios]
+        assert all(r["parse_quality"] == "clean" for r in rows)
+
+    def test_retries_keep_the_bound_and_the_output(self, tmp_path, api_key_env):
+        scen = synth_file(tmp_path, count=8)
+        scenarios = load_scenarios(scen)
+        outputs = {}
+        for fail_first in (0, 3):
+            out = outputs[fail_first] = tmp_path / f"results-{fail_first}.jsonl"
+            with MockChatServer(
+                echo_target_responder(scenarios), fail_first=fail_first, latency_s=0.1
+            ) as srv:
+                code = run(
+                    "plan", "--scenarios", scen, "--out", out, "--mode", "remote",
+                    "--endpoint", srv.url, "--max-in-flight", 2, "--backoff", 0.5,
+                )
+            assert code == 0
+            assert srv.max_in_flight_seen <= 2
+        assert len(srv.requests) == 8 + 3
+        # the first four scenarios take the slots before any failure is retried
+        assert sorted(request_order(srv, scenarios)[:4]) == [0, 1, 2, 3]
+        assert outputs[3].read_bytes() == outputs[0].read_bytes()
+
     def test_unreachable_endpoint_yields_failed_rows_not_a_crash(
         self, tmp_path, api_key_env, capsys
     ):
@@ -340,6 +389,8 @@ class TestErrors:
         ("--timeout", "-1"),
         ("--timeout", "nan"),
         ("--backoff", "nan"),
+        ("--exemplars", "9"),
+        ("--exemplars", "-1"),
     ])
     def test_remote_config_it_cannot_use_sends_nothing(
         self, tmp_path, api_key_env, capsys, flag, value
@@ -347,7 +398,7 @@ class TestErrors:
         scen = synth_file(tmp_path, count=3)
         out = tmp_path / "results.jsonl"
         out.write_text("earlier results\n")
-        options = {"--backoff": "0", flag: value}
+        options = {"--backoff": "0", "--exemplar-scenarios": str(scen), flag: value}
         with MockChatServer(echo_target_responder(load_scenarios(scen))) as srv:
             code = run(
                 "plan", "--scenarios", scen, "--out", out, "--mode", "remote",
