@@ -226,7 +226,8 @@ def load_finetune_jsonl(path) -> list[dict]:
             except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {e}") from None
             msgs = obj.get("messages") if isinstance(obj, dict) else None
-            roles = [m.get("role") for m in msgs] if isinstance(msgs, list) else None
+            ok = isinstance(msgs, list) and all(isinstance(m, dict) for m in msgs)
+            roles = [m.get("role") for m in msgs] if ok else None
             if roles != ["system", "user", "assistant"]:
                 raise ValueError(
                     f"{path}:{lineno}: expected system/user/assistant messages, got {roles}"

@@ -65,12 +65,19 @@ def quantize(v: float, decimals: int = DEFAULT_DECIMALS) -> float:
 
     Ties are resolved on the shortest decimal representation of the double
     (so quantize(2.675, 2) == 2.68, matching what a reader of the printed
-    value expects). Negative zero normalizes to 0.0.
+    value expects). Negative zero normalizes to 0.0. A value already exact
+    at `decimals` comes back unchanged, and so does any |v| >= 2**52, which
+    is an integer as a double. For a finite float this never raises; a
+    non-finite value raises ValueError.
     """
     if not math.isfinite(v):
         raise ValueError(f"cannot quantize non-finite value {v!r}")
+    v = float(v)
+    r = repr(v)
+    if abs(v) >= 2.0**52 or ("e" not in r and len(r) - r.index(".") - 1 <= decimals):
+        return 0.0 if v == 0.0 else v
     exp = Decimal(1).scaleb(-decimals)
-    q = float(Decimal(repr(float(v))).quantize(exp, rounding=ROUND_HALF_UP))
+    q = float(Decimal(r).quantize(exp, rounding=ROUND_HALF_UP))
     return 0.0 if q == 0.0 else q
 
 

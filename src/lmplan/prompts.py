@@ -116,14 +116,17 @@ def output_format_instruction() -> str:
     )
 
 
+SYSTEM_PROMPT = SYSTEM_TEMPLATE.format(
+    total_s=f"{DEFAULT_HORIZON_STEPS * DEFAULT_DT:.1f}",
+    n=DEFAULT_HORIZON_STEPS,
+    dt=f"{DEFAULT_DT:g}",
+    output_format=output_format_instruction(),
+)
+
+
 def build_system_prompt() -> str:
-    """Universal planning context for the fixed horizon; deterministic."""
-    return SYSTEM_TEMPLATE.format(
-        total_s=f"{DEFAULT_HORIZON_STEPS * DEFAULT_DT:.1f}",
-        n=DEFAULT_HORIZON_STEPS,
-        dt=f"{DEFAULT_DT:g}",
-        output_format=output_format_instruction(),
-    )
+    """Universal planning context for the fixed horizon, rendered once at import."""
+    return SYSTEM_PROMPT
 
 
 def _path_text(waypoints) -> str:

@@ -176,10 +176,6 @@ def validate_scenario(s: Scenario) -> list[str]:
 
 # --- JSON ingest / export -------------------------------------------------
 
-def _q(v) -> float:
-    return quantize(float(v))
-
-
 def is_number(v) -> bool:
     """A JSON number: an int or a float, and not a bool."""
     return type(v) in (int, float)
@@ -189,7 +185,7 @@ def _number(raw, sid: str, field_name: str) -> float:
     if not is_number(raw):
         raise ScenarioSchemaError(f"expected a number, got {type(raw).__name__}", sid, field_name)
     try:
-        return _q(raw)
+        return quantize(raw)
     except (ValueError, OverflowError) as e:
         raise ScenarioSchemaError(f"bad number: {e}", sid, field_name) from None
 
@@ -400,12 +396,12 @@ def _speed_profile_trajectory(speeds, lateral=None) -> Trajectory:
         s += v * DEFAULT_DT
         ys.append(s)
     xs = list(lateral) if lateral is not None else [0.0] * len(ys)
-    return Trajectory(tuple(Waypoint(_q(x), _q(y)) for x, y in zip(xs, ys)))
+    return Trajectory(tuple(Waypoint(quantize(x), quantize(y)) for x, y in zip(xs, ys)))
 
 
 def _history(v0: float, steps: int = 4) -> tuple[Waypoint, ...]:
     # constant-speed straight history, most recent last
-    return tuple(Waypoint(0.0, _q(-v0 * DEFAULT_DT * k)) for k in range(steps, 0, -1))
+    return tuple(Waypoint(0.0, quantize(-v0 * DEFAULT_DT * k)) for k in range(steps, 0, -1))
 
 
 def synth_scenario(kind: str, seed: int) -> Scenario:
@@ -426,44 +422,46 @@ def synth_scenario(kind: str, seed: int) -> Scenario:
     times = [DEFAULT_DT * (i + 1) for i in range(H)]
 
     if kind == "empty_road":
-        v0 = _q(rng.uniform(4.0, 8.0))
+        v0 = quantize(rng.uniform(4.0, 8.0))
         ego = EgoState(v0, 0.0, 0.0, _history(v0))
         human = _speed_profile_trajectory([v0] * H)
         return Scenario(sid, ego, (), (), human, tuple(() for _ in range(H)))
 
     if kind == "lead_vehicle":
-        v0 = _q(rng.uniform(5.0, 7.0))
-        v_lead = _q(0.35 * v0)
-        y0 = _q(2.0 + v0)
-        x_lead = _q(rng.uniform(-0.3, 0.3))
+        v0 = quantize(rng.uniform(5.0, 7.0))
+        v_lead = quantize(0.35 * v0)
+        y0 = quantize(2.0 + v0)
+        x_lead = quantize(rng.uniform(-0.3, 0.3))
         ego = EgoState(v0, 0.0, 0.0, _history(v0))
         # brake to the lead's speed within 1 s, then follow
         speeds = [max(v_lead, v0 - (v0 - v_lead) * (t - DEFAULT_DT / 2)) for t in times]
         human = _speed_profile_trajectory(speeds)
-        lead_pos = [Waypoint(x_lead, _q(y0 + v_lead * t)) for t in times]
-        obj = DetectedObject("o1", "car", Waypoint(x_lead, y0), _q(math.pi / 2), 4.6, 1.9)
+        lead_pos = [Waypoint(x_lead, quantize(y0 + v_lead * t)) for t in times]
+        obj = DetectedObject("o1", "car", Waypoint(x_lead, y0), quantize(math.pi / 2), 4.6, 1.9)
         pred = PredictedMotion("o1", tuple(lead_pos))
-        boxes = tuple((ObjectBox(p, _q(math.pi / 2), 4.6, 1.9),) for p in lead_pos)
+        boxes = tuple((ObjectBox(p, quantize(math.pi / 2), 4.6, 1.9),) for p in lead_pos)
         return Scenario(sid, ego, (obj,), (pred,), human, boxes)
 
     if kind == "crossing_pedestrian":
-        v0 = _q(rng.uniform(5.0, 6.5))
-        y_ped = _q(1.5 * v0)
+        v0 = quantize(rng.uniform(5.0, 6.5))
+        y_ped = quantize(1.5 * v0)
         x_ped, vx_ped = 2.1, -1.4  # reaches the lane center at t = 1.5 s
         brake = 3.0
         ego = EgoState(v0, 0.0, 0.0, _history(v0))
         speeds = [max(0.0, v0 - brake * (t - DEFAULT_DT / 2)) for t in times]
         human = _speed_profile_trajectory(speeds)
-        ped_pos = [Waypoint(_q(x_ped + vx_ped * t), y_ped) for t in times]
-        obj = DetectedObject("p1", "pedestrian", Waypoint(_q(x_ped), y_ped), _q(-math.pi), 0.6, 0.6)
+        ped_pos = [Waypoint(quantize(x_ped + vx_ped * t), y_ped) for t in times]
+        obj = DetectedObject(
+            "p1", "pedestrian", Waypoint(quantize(x_ped), y_ped), quantize(-math.pi), 0.6, 0.6
+        )
         pred = PredictedMotion("p1", tuple(ped_pos))
-        boxes = tuple((ObjectBox(p, _q(-math.pi), 0.6, 0.6),) for p in ped_pos)
+        boxes = tuple((ObjectBox(p, quantize(-math.pi), 0.6, 0.6),) for p in ped_pos)
         return Scenario(sid, ego, (obj,), (pred,), human, boxes)
 
     # stationary_obstacle
-    v0 = _q(rng.uniform(5.0, 7.0))
-    y_obs = _q(2.0 * v0)
-    x_obs = _q(rng.uniform(-0.5, 0.5))
+    v0 = quantize(rng.uniform(5.0, 7.0))
+    y_obs = quantize(2.0 * v0)
+    x_obs = quantize(rng.uniform(-0.5, 0.5))
     ego = EgoState(v0, 0.0, 0.0, _history(v0))
     # smoothstep lane shift to x = -2.0, complete by 1.4 s
     shift_end, offset = 1.4, -2.0
@@ -472,8 +470,8 @@ def synth_scenario(kind: str, seed: int) -> Scenario:
         u = min(1.0, t / shift_end)
         lateral.append(offset * (3 * u * u - 2 * u * u * u))
     human = _speed_profile_trajectory([v0] * H, lateral)
-    obj = DetectedObject("b1", "barrier", Waypoint(x_obs, y_obs), _q(math.pi / 2), 2.0, 0.8)
+    obj = DetectedObject("b1", "barrier", Waypoint(x_obs, y_obs), quantize(math.pi / 2), 2.0, 0.8)
     boxes = tuple(
-        (ObjectBox(Waypoint(x_obs, y_obs), _q(math.pi / 2), 2.0, 0.8),) for _ in range(H)
+        (ObjectBox(Waypoint(x_obs, y_obs), quantize(math.pi / 2), 2.0, 0.8),) for _ in range(H)
     )
     return Scenario(sid, ego, (obj,), (), human, boxes)

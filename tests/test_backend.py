@@ -326,11 +326,10 @@ class TestFineTuneExport:
 
     def test_load_rejects_wrong_roles(self, tmp_path):
         path = tmp_path / "roles.jsonl"
-        path.write_text(
-            '{"messages":[{"role":"user","content":"x"}]}\n', encoding="utf-8"
-        )
-        with pytest.raises(ValueError, match="system/user/assistant"):
-            load_finetune_jsonl(path)
+        for line in ('{"messages":[{"role":"user","content":"x"}]}', '{"messages":[1,2,3]}'):
+            path.write_text(line + "\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=r"roles\.jsonl:1: expected system/user/"):
+                load_finetune_jsonl(path)
 
     def test_load_skips_blank_lines(self, tmp_path):
         path = tmp_path / "blank.jsonl"

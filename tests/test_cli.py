@@ -150,6 +150,16 @@ class TestPlanStubs:
         run("plan", "--scenarios", scen, "--out", b, "--mode", "stub_replay_gt")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["stub_replay_gt", "stub_hypothetical"])
+    def test_huge_scenario_value_plans(self, tmp_path, mode):
+        scen = synth_file(tmp_path, count=2)
+        doc = json.loads(scen.read_text())
+        doc["scenarios"][0]["ego"]["velocity"] = 1e26
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "r.jsonl"
+        assert run("plan", "--scenarios", scen, "--out", out, "--mode", mode) == 0
+        assert len(read_results(out)) == 2
+
     def test_exemplar_flags_validated(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=3)
         out = tmp_path / "r.jsonl"
@@ -210,6 +220,20 @@ class TestPlanRemote:
         assert all(r["raw_text"] for r in failed)  # raw text kept for debugging
         # one request per scenario: a garbled reply is not re-asked
         assert len(srv.requests) == 20
+
+    def test_huge_coordinate_reply_is_a_failed_row(self, tmp_path, api_key_env):
+        scen = synth_file(tmp_path, count=3)
+        out = tmp_path / "results.jsonl"
+        reply = "Trajectory: [(111111111111111111111111111,1.00)]"
+        with MockChatServer(lambda payload: reply) as srv:
+            code = run(
+                "plan", "--scenarios", scen, "--out", out,
+                "--mode", "remote", "--endpoint", srv.url, "--backoff", 0,
+            )
+        assert code == 0
+        rows = read_results(out)
+        assert len(rows) == 3
+        assert all(r["parse_quality"] == "failed" for r in rows)
 
     def test_backoff_holds_no_slot(self, tmp_path, api_key_env):
         scen = synth_file(tmp_path, count=4)

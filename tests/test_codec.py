@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from lmplan import (
     quantize,
     serialize_trajectory,
 )
+from lmplan.scenario import COORD_BOUND
 
 finite_coords = st.floats(
     min_value=-200.0, max_value=200.0, allow_nan=False, allow_infinity=False
@@ -61,6 +64,67 @@ class TestQuantize:
     def test_tie_literals_match_oracle(self):
         for v in (2.675, -2.675, 0.125, -0.125, 1.115, 0.045, -0.045, 99.995):
             assert quantize(v, 2) == quantize_by_strings(v, 2)
+
+
+def decimal_quantize(v: float, decimals: int) -> float:
+    """``quantize``'s body before its exact-value fast path: Decimal on every call."""
+    exp = Decimal(1).scaleb(-decimals)
+    q = float(Decimal(repr(float(v))).quantize(exp, rounding=ROUND_HALF_UP))
+    return 0.0 if q == 0.0 else q
+
+
+def _differential_values(rng: random.Random, n: int):
+    """n seeded finite values mixing every repr shape quantize can meet."""
+    def tie():  # a 5 just past 0 to 4 decimals: 7.5, -3.25, 0.005, ...
+        d = rng.randrange(5)
+        digits = str(rng.randrange(10**d) + 10**d)[1:]
+        return float(f"{rng.choice('-+')}{rng.randrange(10 ** rng.randrange(7))}.{digits}5")
+
+    def exact():
+        return rng.randrange(-10**7, 10**7) / 10 ** rng.randrange(5)
+
+    def near_bound():
+        v = COORD_BOUND + rng.choice((-1, 1)) * rng.choice((0.0, 0.005, 1e-9, 1e-13))
+        return rng.choice((-1, 1)) * v
+
+    def bits():
+        while True:
+            v = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(v):
+                return v
+
+    families = (
+        tie,
+        exact,
+        near_bound,
+        bits,
+        lambda: rng.choice((0.0, -0.0)),
+        lambda: rng.randrange(-10**18, 10**18),  # ints, some past 2**52
+        lambda: rng.uniform(-COORD_BOUND, COORD_BOUND),
+        lambda: rng.uniform(-1e4, 1e4),
+        lambda: rng.choice((-1, 1)) * 10 ** rng.uniform(-300, -4),  # tiny, 1.2e-05 style
+        lambda: rng.choice((-1, 1)) * 10 ** rng.uniform(15, 300),  # 2**52 and 1e+16 up
+        lambda: float(f"{rng.randrange(-10**5, 10**5)}e{rng.randrange(-24, 24)}"),  # 1e-05
+    )
+    for _ in range(n):
+        yield rng.choice(families)()
+
+
+def test_quantize_matches_the_decimal_oracle():
+    rng = random.Random(20240607)
+    for i, v in enumerate(_differential_values(rng, 1_000_000)):
+        decimals = (0, 1, 2, 3, 4, 12)[i % 6]
+        got = quantize(v, decimals)
+        assert type(got) is float, (v, decimals)
+        try:
+            want = decimal_quantize(v, decimals)
+        except InvalidOperation:  # more than Decimal's 28 digits; v is then an integer
+            assert abs(v) >= 2.0**52, (v, decimals)
+            want = float(v)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
+            v, decimals, got, want,
+        )
+    assert i == 999_999
 
 
 class TestFormat:

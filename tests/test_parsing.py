@@ -148,6 +148,8 @@ class TestTotality:
         "(1,)" * 50,
         "(" + "9" * 500 + "," + "9" * 500 + ")",
         "[(1e99999,2.0)]",
+        "Trajectory: [(111111111111111111111111111,1.00)]",
+        "Trajectory: [" + ", ".join(["(1" + "0" * 30 + ",-1" + "0" * 40 + ")"] * 6) + "]",
         "\x00\x01\x02",
         "Decision: " + "a" * 10000,
         "Trajectory: [(1.00,2.00), (3.00,4.00)" * 40,
