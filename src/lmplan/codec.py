@@ -81,6 +81,22 @@ def quantize(v: float, decimals: int = DEFAULT_DECIMALS) -> float:
     return 0.0 if q == 0.0 else q
 
 
+def quantize_literal(text: str) -> float:
+    """``quantize(float(text))`` for a JSON float literal, as ``json.loads``' ``parse_float``.
+
+    A literal whose point is among its last ``DEFAULT_DECIMALS + 1``
+    characters has no exponent (that needs a digit, an ``e`` and a digit
+    after the point) and at most ``DEFAULT_DECIMALS`` fractional digits: it
+    is already exact, so it skips ``quantize`` (-0.0 still becomes 0.0). A
+    non-finite value, such as ``1e400``, comes back unchanged for the caller
+    to report.
+    """
+    v = float(text)
+    if "." in text[-DEFAULT_DECIMALS - 1:]:
+        return v + 0.0  # -0.0 + 0.0 is 0.0
+    return quantize(v) if math.isfinite(v) else v
+
+
 def format_number(v: float) -> str:
     """Quantize and render with exactly DEFAULT_DECIMALS fractional digits."""
     return f"{quantize(v):.{DEFAULT_DECIMALS}f}"

@@ -214,11 +214,15 @@ def _metrics_for(
     if cfg.exclude_gt_collisions and s.gt_object_boxes:
         human_flags = collision_steps(gt, s.gt_object_boxes)
         flags = [f and not h for f, h in zip(flags, human_flags)]
+    # per-step errors once; l2_at_horizon's two modes are these same sums
+    errors = [
+        math.hypot(p.x - g.x, p.y - g.y) for p, g in zip(traj.waypoints, gt.waypoints)
+    ]
     l2_at, l2_cum, col_at, col_cum = {}, {}, {}, {}
     for h in HORIZONS_S:
         k = _horizon_step(h)
-        l2_at[h] = l2_at_horizon(traj, gt, h, "at_step")
-        l2_cum[h] = l2_at_horizon(traj, gt, h, "cumulative_mean")
+        l2_at[h] = errors[k - 1]
+        l2_cum[h] = sum(errors[:k]) / k
         col_at[h] = flags[k - 1]
         col_cum[h] = sum(flags[:k]) / k
     return ScenarioMetrics(

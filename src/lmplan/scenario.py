@@ -2,8 +2,9 @@
 
 All positions are ego-centric bird's-eye-view coordinates at the current
 timestep: ego at the origin, +y forward, +x right, meters. Every scalar is
-quantized to ``DEFAULT_DECIMALS`` fractional digits on ingest so that
-store -> prompt -> parse round-trips are exact.
+quantized to ``DEFAULT_DECIMALS`` fractional digits on ingest, as it is
+decoded, so that store -> prompt -> parse round-trips are exact. Ids and
+class names are JSON strings.
 
 ``Waypoint``, ``Trajectory`` and the fixed horizon (``DEFAULT_HORIZON_STEPS``
 waypoints, ``DEFAULT_DT`` seconds apart) are defined in ``codec`` and
@@ -34,9 +35,17 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
-from .codec import DEFAULT_DT, DEFAULT_HORIZON_STEPS, Trajectory, Waypoint, quantize
+from .codec import (
+    DEFAULT_DT,
+    DEFAULT_HORIZON_STEPS,
+    Trajectory,
+    Waypoint,
+    quantize,
+    quantize_literal,
+)
 
 COORD_BOUND = 200.0  # sanity bound for any coordinate over a few seconds
 
@@ -105,6 +114,15 @@ def _finite(v: float) -> bool:
     return isinstance(v, (int, float)) and math.isfinite(v)
 
 
+def _in_bounds(w: Waypoint) -> bool:
+    """A sufficient check that ``_waypoint_violations(w, ...)`` is empty."""
+    x, y = w.x, w.y
+    return (
+        type(x) is float and type(y) is float
+        and -COORD_BOUND <= x <= COORD_BOUND and -COORD_BOUND <= y <= COORD_BOUND
+    )
+
+
 def _waypoint_violations(w: Waypoint, where: str) -> list[str]:
     out = []
     if not (_finite(w.x) and _finite(w.y)):
@@ -119,14 +137,24 @@ def validate_scenario(s: Scenario) -> list[str]:
     """Check every invariant; returns a list of violations (empty means ok)."""
     v: list[str] = []
 
-    if not _finite(s.ego.velocity) or s.ego.velocity < 0:
+    velocity_ok = _finite(s.ego.velocity) and s.ego.velocity >= 0
+    if not velocity_ok:
         v.append("ego velocity >= 0")
     if not _finite(s.ego.acceleration):
         v.append("ego acceleration finite")
+    elif velocity_ok:
+        # the arc the constant-state rollout covers over the horizon
+        t = DEFAULT_HORIZON_STEPS * DEFAULT_DT
+        if s.ego.velocity * t + 0.5 * max(s.ego.acceleration, 0.0) * t * t > COORD_BOUND:
+            v.append(
+                f"ego velocity and ego acceleration: v*T + max(a, 0)*T^2/2 <= "
+                f"{COORD_BOUND:g} m over T = {t:g} s"
+            )
     if not _finite(s.ego.heading_rate):
         v.append("ego heading_rate finite")
     for i, w in enumerate(s.ego.history):
-        v.extend(_waypoint_violations(w, f"ego history[{i}]"))
+        if not _in_bounds(w):
+            v.extend(_waypoint_violations(w, f"ego history[{i}]"))
 
     if len(s.human_trajectory) != DEFAULT_HORIZON_STEPS:
         v.append(
@@ -134,7 +162,8 @@ def validate_scenario(s: Scenario) -> list[str]:
             f"got {len(s.human_trajectory)}"
         )
     for i, w in enumerate(s.human_trajectory.waypoints):
-        v.extend(_waypoint_violations(w, f"human_trajectory[{i}]"))
+        if not _in_bounds(w):
+            v.extend(_waypoint_violations(w, f"human_trajectory[{i}]"))
 
     ids = set()
     for o in s.objects:
@@ -147,7 +176,8 @@ def validate_scenario(s: Scenario) -> list[str]:
             v.append(f"object {o.id!r}: width > 0")
         if not _finite(o.heading) or not (-math.pi <= o.heading <= math.pi):
             v.append(f"object {o.id!r}: heading in [-pi, pi]")
-        v.extend(_waypoint_violations(o.center, f"object {o.id!r} center"))
+        if not _in_bounds(o.center):
+            v.extend(_waypoint_violations(o.center, f"object {o.id!r} center"))
 
     for p in s.predictions:
         if p.object_id not in ids:
@@ -158,7 +188,8 @@ def validate_scenario(s: Scenario) -> list[str]:
                 f"{len(p.future)} != horizon {DEFAULT_HORIZON_STEPS}"
             )
         for i, w in enumerate(p.future):
-            v.extend(_waypoint_violations(w, f"prediction {p.object_id!r} future[{i}]"))
+            if not _in_bounds(w):
+                v.extend(_waypoint_violations(w, f"prediction {p.object_id!r} future[{i}]"))
 
     if s.gt_object_boxes and len(s.gt_object_boxes) != DEFAULT_HORIZON_STEPS:
         v.append(
@@ -169,37 +200,61 @@ def validate_scenario(s: Scenario) -> list[str]:
         for j, b in enumerate(boxes):
             if not (_finite(b.length) and b.length > 0 and _finite(b.width) and b.width > 0):
                 v.append(f"gt box [step {step}][{j}]: positive dimensions")
-            v.extend(_waypoint_violations(b.center, f"gt box [step {step}][{j}] center"))
+            if not _in_bounds(b.center):
+                v.extend(_waypoint_violations(b.center, f"gt box [step {step}][{j}] center"))
 
     return v
 
 
 # --- JSON ingest / export -------------------------------------------------
+#
+# ``load_scenarios`` decodes every float literal through ``quantize_literal``,
+# so the schema walk below takes a finite float as it is. A field's name is
+# carried as its path, ("objects", 0, "center"), and spelled out only when
+# the walk raises.
 
 def is_number(v) -> bool:
     """A JSON number: an int or a float, and not a bool."""
     return type(v) in (int, float)
 
 
-def _number(raw, sid: str, field_name: str) -> float:
+def _field(path: tuple) -> str:
+    """("objects", 0, "center") -> "objects[0].center"."""
+    name = path[0]
+    for part in path[1:]:
+        name += f"[{part}]" if type(part) is int else f".{part}"
+    return name
+
+
+def _number(raw, sid: str, *path) -> float:
+    if type(raw) is float and math.isfinite(raw):
+        return raw
     if not is_number(raw):
-        raise ScenarioSchemaError(f"expected a number, got {type(raw).__name__}", sid, field_name)
+        raise ScenarioSchemaError(f"expected a number, got {type(raw).__name__}", sid, _field(path))
     try:
-        return quantize(raw)
+        return quantize(raw)  # an int, or a non-finite float for quantize to reject
     except (ValueError, OverflowError) as e:
-        raise ScenarioSchemaError(f"bad number: {e}", sid, field_name) from None
+        raise ScenarioSchemaError(f"bad number: {e}", sid, _field(path)) from None
 
 
-def _pair(raw, sid: str, field_name: str) -> Waypoint:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ScenarioSchemaError("expected an [x, y] pair", sid, field_name)
-    return Waypoint(_number(raw[0], sid, field_name), _number(raw[1], sid, field_name))
+def _pair(raw, sid: str, *path) -> Waypoint:
+    if type(raw) is not list or len(raw) != 2:
+        raise ScenarioSchemaError("expected an [x, y] pair", sid, _field(path))
+    return Waypoint(_number(raw[0], sid, *path), _number(raw[1], sid, *path))
 
 
-def _pairs(raw, sid: str, field_name: str) -> tuple[Waypoint, ...]:
-    if not isinstance(raw, list):
-        raise ScenarioSchemaError("expected a list of [x, y] pairs", sid, field_name)
-    return tuple(_pair(p, sid, f"{field_name}[{i}]") for i, p in enumerate(raw))
+def _pairs(raw, sid: str, *path) -> tuple[Waypoint, ...]:
+    if type(raw) is not list:
+        raise ScenarioSchemaError("expected a list of [x, y] pairs", sid, _field(path))
+    out = []
+    for i, p in enumerate(raw):
+        if type(p) is list and len(p) == 2:
+            x, y = p
+            if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
+                out.append(Waypoint(x, y))
+                continue
+        out.append(_pair(p, sid, *path, i))
+    return tuple(out)
 
 
 def _require(d, key: str, sid: str | None):
@@ -208,8 +263,17 @@ def _require(d, key: str, sid: str | None):
     return d[key]
 
 
-def _number_at(d, key: str, sid: str, where: str) -> float:
-    return _number(_require(d, key, sid), sid, f"{where}.{key}")
+def _number_at(d, key: str, sid: str, *where) -> float:
+    return _number(_require(d, key, sid), sid, *where, key)
+
+
+def _string_at(d, key: str, sid: str, *where) -> str:
+    raw = _require(d, key, sid)
+    if type(raw) is not str:
+        raise ScenarioSchemaError(
+            f"expected a string, got {type(raw).__name__}", sid, _field((*where, key))
+        )
+    return raw
 
 
 def _list_at(raw: dict, key: str, sid: str) -> list:
@@ -223,27 +287,28 @@ def _list_at(raw: dict, key: str, sid: str) -> list:
 def _scenario_from_dict(raw: dict) -> Scenario:
     sid = raw.get("id")
     if not isinstance(sid, str) or not sid:
-        raise ScenarioSchemaError("scenario id must be a non-empty string", str(sid), "id")
+        # a number was rounded as it was decoded, so only a string id is echoed
+        shown = sid if isinstance(sid, str) else None
+        raise ScenarioSchemaError("scenario id must be a non-empty string", shown, "id")
 
     ego_raw = _require(raw, "ego", sid)
     ego = EgoState(
         velocity=_number_at(ego_raw, "velocity", sid, "ego"),
         acceleration=_number_at(ego_raw, "acceleration", sid, "ego"),
         heading_rate=_number_at(ego_raw, "heading_rate", sid, "ego"),
-        history=_pairs(ego_raw.get("history", []), sid, "ego.history"),
+        history=_pairs(ego_raw.get("history", []), sid, "ego", "history"),
     )
 
     objects = []
     for i, o in enumerate(_list_at(raw, "objects", sid)):
-        where = f"objects[{i}]"
         objects.append(
             DetectedObject(
-                id=str(_require(o, "id", sid)),
-                class_name=str(_require(o, "class", sid)),
-                center=_pair(_require(o, "center", sid), sid, f"{where}.center"),
-                heading=_number_at(o, "heading", sid, where),
-                length=_number_at(o, "length", sid, where),
-                width=_number_at(o, "width", sid, where),
+                id=_string_at(o, "id", sid, "objects", i),
+                class_name=_string_at(o, "class", sid, "objects", i),
+                center=_pair(_require(o, "center", sid), sid, "objects", i, "center"),
+                heading=_number_at(o, "heading", sid, "objects", i),
+                length=_number_at(o, "length", sid, "objects", i),
+                width=_number_at(o, "width", sid, "objects", i),
             )
         )
 
@@ -251,8 +316,8 @@ def _scenario_from_dict(raw: dict) -> Scenario:
     for i, p in enumerate(_list_at(raw, "predictions", sid)):
         predictions.append(
             PredictedMotion(
-                object_id=str(_require(p, "object_id", sid)),
-                future=_pairs(_require(p, "future", sid), sid, f"predictions[{i}].future"),
+                object_id=_string_at(p, "object_id", sid, "predictions", i),
+                future=_pairs(_require(p, "future", sid), sid, "predictions", i, "future"),
             )
         )
 
@@ -264,13 +329,13 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             raise ScenarioSchemaError("expected a list of boxes", sid, f"gt_object_boxes[{step}]")
         row = []
         for j, b in enumerate(boxes):
-            where = f"gt_object_boxes[{step}][{j}]"
+            where = ("gt_object_boxes", step, j)
             row.append(
                 ObjectBox(
-                    center=_pair(_require(b, "center", sid), sid, f"{where}.center"),
-                    heading=_number_at(b, "heading", sid, where),
-                    length=_number_at(b, "length", sid, where),
-                    width=_number_at(b, "width", sid, where),
+                    center=_pair(_require(b, "center", sid), sid, *where, "center"),
+                    heading=_number_at(b, "heading", sid, *where),
+                    length=_number_at(b, "length", sid, *where),
+                    width=_number_at(b, "width", sid, *where),
                 )
             )
         gt_steps.append(tuple(row))
@@ -296,7 +361,7 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=quantize_literal)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ScenarioSchemaError(f"malformed JSON: {e}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
@@ -358,10 +423,39 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _dumps_indent1(o, pad: str = "") -> str:
+    """``json.dumps(o, indent=1, ensure_ascii=False)``, byte for byte, for str-keyed dicts.
+
+    With ``indent`` set, ``json`` (before 3.13) encodes in Python; this does
+    the same layout but hands strings to the C ``encode_basestring`` and
+    finite floats to ``float.__repr__``. Any other leaf goes to ``json.dumps``.
+    """
+    if isinstance(o, str):
+        return encode_basestring(o)
+    if type(o) is float and math.isfinite(o):
+        return repr(o)  # float.__repr__, as json uses
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + " "
+        items = [_dumps_indent1(v, inner) for v in o]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + " "
+        items = [encode_basestring(k) + ": " + _dumps_indent1(v, inner) for k, v in o.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(o)
+
+
 def save_scenarios(scenarios: list[Scenario], path: str | Path) -> None:
-    """Write scenarios in the documented JSON schema (round-trips exactly)."""
+    """Write scenarios in the documented JSON schema (round-trips exactly).
+
+    The bytes are those of ``json.dumps(doc, indent=1, ensure_ascii=False)``.
+    """
     doc = {"scenarios": [scenario_to_dict(s) for s in scenarios]}
-    Path(path).write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    Path(path).write_text(_dumps_indent1(doc) + "\n", encoding="utf-8")
 
 
 # --- dataset splits -------------------------------------------------------

@@ -151,14 +151,18 @@ class TestPlanStubs:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("mode", ["stub_replay_gt", "stub_hypothetical"])
-    def test_huge_scenario_value_plans(self, tmp_path, mode):
+    def test_huge_scenario_value_plans(self, tmp_path, mode, capsys):
+        # a speed whose rollout leaves the coordinate bound is bad input, not a plan
         scen = synth_file(tmp_path, count=2)
         doc = json.loads(scen.read_text())
         doc["scenarios"][0]["ego"]["velocity"] = 1e26
         scen.write_text(json.dumps(doc))
         out = tmp_path / "r.jsonl"
-        assert run("plan", "--scenarios", scen, "--out", out, "--mode", mode) == 0
-        assert len(read_results(out)) == 2
+        capsys.readouterr()
+        assert run("plan", "--scenarios", scen, "--out", out, "--mode", mode) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lmplan: error:") and "Traceback" not in err
+        assert "ego velocity" in err and not out.exists()
 
     def test_exemplar_flags_validated(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=3)
@@ -450,6 +454,24 @@ class TestErrors:
         scen.write_text(json.dumps(doc))
         assert run("plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl") == 2
         assert "'ego.heading_rate': expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, field_name",
+        [
+            ("objects", ("id", None), "objects[0].id"),
+            ("objects", ("class", {"name": "car"}), "objects[0].class"),
+            ("predictions", ("object_id", 1), "predictions[0].object_id"),
+        ],
+        ids=["id_null", "class_dict", "object_id_int"],
+    )
+    def test_scenario_id_that_is_not_a_string(self, tmp_path, capsys, key, value, field_name):
+        scen = synth_file(tmp_path, count=2)
+        doc = json.loads(scen.read_text())
+        doc["scenarios"][1][key][0][value[0]] = value[1]  # scenario 1 is a lead_vehicle
+        scen.write_text(json.dumps(doc))
+        assert run("plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl") == 2
+        err = capsys.readouterr().err
+        assert f"field {field_name!r}: expected a string" in err and "Traceback" not in err
 
     def test_duplicate_result_id(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=3)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import struct
@@ -16,6 +17,7 @@ from lmplan import (
     quantize,
     serialize_trajectory,
 )
+from lmplan.codec import quantize_literal
 from lmplan.scenario import COORD_BOUND
 
 finite_coords = st.floats(
@@ -125,6 +127,57 @@ def test_quantize_matches_the_decimal_oracle():
             v, decimals, got, want,
         )
     assert i == 999_999
+
+
+def _float_literals(rng: random.Random, n: int):
+    """n seeded JSON float literals of every shape ``quantize_literal`` can meet."""
+    def digits(k):
+        return f"{rng.randrange(10**k):0{k}d}" if k else ""
+
+    def integer_part(k):  # k digits, no leading zero
+        return str(rng.randrange(10 ** (k - 1), 10**k)) if k else "0"
+
+    def sign():
+        return rng.choice(("", "-"))
+
+    def fraction(lo, hi):
+        return f"{sign()}{integer_part(rng.randrange(4))}.{digits(rng.randint(lo, hi))}"
+
+    def exponent(mantissa):
+        return f"{mantissa}{rng.choice('eE')}{rng.choice(('', '+', '-'))}{rng.randrange(400)}"
+
+    families = (
+        lambda: fraction(1, 2),  # already exact: the fast path
+        lambda: fraction(3, 20),
+        lambda: f"{sign()}{integer_part(rng.randrange(4))}.{digits(rng.randrange(4))}5",  # ties
+        lambda: rng.choice(("0.0", "-0.0", "-0.00", "0.00", "-0.000", "-0.001", "-0.004", "-0.005")),
+        lambda: f"{sign()}{integer_part(rng.randint(16, 400))}.{digits(rng.randint(1, 4))}",
+        lambda: exponent(f"{sign()}{integer_part(rng.randint(1, 3))}"),  # 12e-1, 1E400
+        lambda: exponent(fraction(1, 6)),  # -3.25e+01
+        lambda: f"{sign()}{rng.choice(('1e400', '1E400', '1e-400', '5e-324', '1.7976931348623157e308'))}",
+        lambda: repr(rng.uniform(-COORD_BOUND, COORD_BOUND)),
+        lambda: repr(rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300)),  # 1e-05, 1e+16
+    )
+    for _ in range(n):
+        yield rng.choice(families)()
+
+
+def test_quantize_literal_matches_quantize_of_the_float():
+    rng = random.Random(20240818)
+    for i, text in enumerate(_float_literals(rng, 1_000_000)):
+        got = quantize_literal(text)
+        v = float(text)
+        want = quantize(v) if math.isfinite(v) else v  # non-finite: left for the caller
+        assert type(got) is float, text
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (text, got, want)
+    assert i == 999_999
+
+
+def test_quantize_literal_is_what_json_hands_over():
+    text = '[1.5, -0.0, 2.675, 1e400, 3, -1.25E1, 0.125]'
+    got = json.loads(text, parse_float=quantize_literal)
+    assert got == [1.5, 0.0, 2.68, math.inf, 3, -12.5, 0.13]
+    assert math.copysign(1.0, got[1]) == 1.0 and type(got[4]) is int
 
 
 class TestFormat:

@@ -131,6 +131,31 @@ class TestLoading:
         assert exc.value.field_name == field_name
         assert f"field {field_name!r}" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "path, value, field_name, type_name",
+        [
+            (("objects", 0, "id"), None, "objects[0].id", "NoneType"),
+            (("objects", 0, "class"), {"k": "car"}, "objects[0].class", "dict"),
+            (("predictions", 0, "object_id"), 1.5, "predictions[0].object_id", "float"),
+            (("id",), 7, "id", None),
+        ],
+        ids=["object_id_null", "class_dict", "prediction_id_float", "scenario_id_int"],
+    )
+    def test_ids_and_class_names_must_be_strings(self, tmp_path, path, value, field_name,
+                                                 type_name):
+        d = base_scenario_dict()
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioSchemaError) as exc:
+            load_scenarios(write_file(tmp_path, {"scenarios": [d]}))
+        assert exc.value.field_name == field_name
+        if type_name:
+            assert f"field {field_name!r}: expected a string, got {type_name}" in str(exc.value)
+        else:  # a number was rounded on decode, so its value is not echoed as an id
+            assert exc.value.scenario_id is None and "non-empty string" in str(exc.value)
+
     @pytest.mark.parametrize("value", [5, None], ids=["int", "null"])
     @pytest.mark.parametrize("key", ["objects", "predictions", "gt_object_boxes"])
     def test_non_list_collections_rejected(self, tmp_path, key, value):
@@ -205,6 +230,30 @@ class TestValidation:
         d["ego"]["velocity"] = -1.0
         with pytest.raises(ScenarioSchemaError):
             self.load_one(tmp_path, d)
+
+    @pytest.mark.parametrize(
+        "velocity, acceleration, ok",
+        [
+            (66.66, 0.0, True),  # 199.98 m over 3 s
+            (66.67, 0.0, False),
+            (50.0, 11.11, True),  # 150 + 49.995 m
+            (50.0, 11.12, False),
+            (60.0, -1e9, True),  # braking never lengthens the arc
+            (1e26, 0.0, False),
+            (0.0, 1e300, False),
+        ],
+    )
+    def test_ego_rollout_arc_is_bounded(self, tmp_path, velocity, acceleration, ok):
+        d = base_scenario_dict()
+        d["ego"]["velocity"] = velocity
+        d["ego"]["acceleration"] = acceleration
+        if ok:
+            assert self.load_one(tmp_path, d).ego.velocity == velocity
+            return
+        with pytest.raises(ScenarioSchemaError) as exc:
+            self.load_one(tmp_path, d)
+        assert "ego velocity and ego acceleration" in str(exc.value)
+        assert "<= 200 m over T = 3 s" in str(exc.value)
 
     def test_prediction_with_unknown_object(self, tmp_path):
         d = base_scenario_dict()
