@@ -341,7 +341,8 @@ def _check_file(path, non_string_id=None):
         load_scenarios(path)
     except ScenarioSchemaError as e:
         assert e.field_name == _field_name(non_string_id) and "string" in str(e)
-        assert e.scenario_id is None if non_string_id == ("id",) else e.scenario_id
+        if non_string_id == ("id",):
+            assert e.scenario_id is None
         return "error"
     raise AssertionError(f"a non-string {_field_name(non_string_id)} loaded")
 
