@@ -1,18 +1,20 @@
 """Chat-completion backends and fine-tune dataset export.
 
-Three interchangeable ways to turn a prompt into plan text:
+Three interchangeable ways to get plan text for a scenario:
 
 - ``remote``: POST to an OpenAI-style ``/chat/completions`` endpoint with
   bearer auth from the ``PLANNER_API_KEY`` environment variable, retrying
   transient failures with exponential backoff (or the ``Retry-After``
-  seconds of a 429 or 503, capped). ``max_in_flight`` bounds the requests
-  on the wire per config instance; a call waiting out a backoff holds no
-  slot.
+  seconds of a 429 or 503, capped). ``max_in_flight`` (at most
+  ``MAX_IN_FLIGHT``) bounds the requests on the wire per config instance;
+  a call waiting out a backoff holds no slot.
 - ``stub_replay_gt``: offline oracle that answers with the exact
   supervision target for the scenario (upper bound; exercises the full
   text path with zero error).
 - ``stub_hypothetical``: offline baseline that extrapolates the current
   ego state and always keeps speed (lower bound; no learning involved).
+
+Only remote mode reads a prompt; the stubs answer from the scenario alone.
 
 Export writes one chat-format JSON object per line; the line layout is
 fixed (role before content, compact separators, UTF-8 verbatim) so a
@@ -44,6 +46,10 @@ from .scenario import Scenario
 
 API_KEY_ENV = "PLANNER_API_KEY"
 _BACKOFF_CAP = 8.0  # seconds
+# The highest max_in_flight. A remote plan runs up to twice max_in_flight
+# threads (the second half wait out backoffs), so the bound keeps a typo from
+# asking the OS for thousands of them.
+MAX_IN_FLIGHT = 64
 
 
 class BackendMode(str, enum.Enum):
@@ -79,8 +85,8 @@ class BackendConfig:
         self.mode = BackendMode(self.mode)
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+        if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
+            raise ValueError(f"max_in_flight must be in 1..{MAX_IN_FLIGHT}")
         if not 0 <= self.retry_backoff_s < math.inf:
             raise ValueError("retry_backoff_s must be finite and >= 0")
         if not 0 < self.timeout_s < math.inf:
@@ -102,13 +108,18 @@ def messages_from_prompt(prompt: PlannerPrompt) -> list[dict]:
     return messages
 
 
-def complete(cfg: BackendConfig, prompt: PlannerPrompt, scenario: Scenario | None = None) -> str:
-    """Answer the prompt in the configured mode; returns raw plan text.
+def complete(
+    cfg: BackendConfig, prompt: PlannerPrompt | None, scenario: Scenario | None = None
+) -> str:
+    """Answer in the configured mode; returns raw plan text.
 
-    Stub modes need the scenario (they answer from its data, not from the
-    prompt text); remote mode needs endpoint_url and the API key env var.
+    Remote mode sends the prompt and needs endpoint_url and the API key env
+    var. The stub modes answer from the scenario's data and never read a
+    prompt, so a caller may pass ``None`` for it.
     """
     if cfg.mode is BackendMode.REMOTE:
+        if prompt is None:
+            raise ValueError("remote mode requires the prompt")
         return _complete_remote(cfg, prompt)
     if scenario is None:
         raise ValueError(f"{cfg.mode} requires the scenario")

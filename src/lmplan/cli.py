@@ -12,15 +12,19 @@ Subcommands:
 - ``plan``: run a backend over every scenario and write one result line per
   scenario: ``{"scenario_id", "raw_text", "parse_quality", "trajectory"}``.
   Each scenario gets one completion; ``--max-retries`` bounds the backend's
-  HTTP retries, and a reply that fails to parse is not asked again. In
-  remote mode ``--max-in-flight`` bounds the requests on the wire; a
-  scenario waiting out a retry backoff (or a 429/503 ``Retry-After``)
-  holds no slot. Lines are written in scenario order as they finish.
+  HTTP retries, and a reply that fails to parse is not asked again. Only
+  remote mode builds prompts (and packs exemplars into them): the stubs
+  answer from the scenario. In remote mode ``--max-in-flight`` (at most
+  ``MAX_IN_FLIGHT``) bounds the requests on the wire; a scenario waiting
+  out a retry backoff (or a 429/503 ``Retry-After``) holds no slot. Lines
+  are written in scenario order as they finish.
 - ``evaluate``: join results to scenarios by id, compute open-loop metrics,
   write ``report.md`` and ``report.csv``. A repeated result id is an error;
   ids not in the scenario file are ignored with one warning.
 
-Every command uses the fixed horizon: 6 waypoints, 0.5 s apart.
+Every command uses the fixed horizon: 6 waypoints, 0.5 s apart. No command
+writes over one of its input files: an output path that names one is bad
+input.
 
 Exit codes: 0 success; 1 evaluate's parse-failure rate exceeded the
 threshold; 2 bad input or configuration.
@@ -31,11 +35,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .backend import (
+    MAX_IN_FLIGHT,
     BackendConfig,
     BackendError,
     BackendMode,
@@ -81,6 +87,21 @@ def _load_nonempty(path: str):
     return scenarios
 
 
+def _check_outputs(outputs, inputs) -> None:
+    """Raise ``ValueError`` when an output names an existing input file.
+
+    Both are ``(flag, path)`` pairs, an empty path meaning not given. Called
+    before anything is opened for writing, so the input stays as it was.
+    """
+    existing = [(flag, p) for flag, p in inputs if p and os.path.exists(p)]
+    for out_flag, out in outputs:
+        if not out or not os.path.exists(out):
+            continue  # a path not yet there names no input
+        for in_flag, p in existing:
+            if os.path.samefile(out, p):
+                raise ValueError(f"{out_flag} {out} is the {in_flag} file; it would be overwritten")
+
+
 def cmd_synth(args) -> int:
     kinds = args.kinds.split(",") if args.kinds else list(SYNTH_KINDS)
     for k in kinds:
@@ -97,6 +118,10 @@ def cmd_synth(args) -> int:
 def cmd_split(args) -> int:
     scenarios = _load_nonempty(args.scenarios)
     subset = sample_split(scenarios, args.fraction, args.seed)
+    _check_outputs(
+        [("--out", args.out), ("--scenarios-out", args.scenarios_out)],
+        [("--scenarios", args.scenarios)],
+    )
     manifest = {
         "fraction": args.fraction,
         "seed": args.seed,
@@ -114,9 +139,12 @@ def cmd_split(args) -> int:
 
 def cmd_export_finetune(args) -> int:
     scenarios = _load_nonempty(args.scenarios)
+    meta_path = args.out + ".meta.json"
+    _check_outputs(
+        [("--out", args.out), ("--out's sidecar", meta_path)], [("--scenarios", args.scenarios)]
+    )
     examples = (make_finetune_example(s) for s in scenarios)
     n = export_finetune_jsonl(examples, args.out)
-    meta_path = args.out + ".meta.json"
     with open(meta_path, "w", encoding="utf-8") as f:
         json.dump({"count": n, "template_hash": template_hash()}, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -137,19 +165,28 @@ def cmd_plan(args) -> int:
         max_in_flight=args.max_in_flight,
     )
 
+    remote = cfg.mode is BackendMode.REMOTE
+
+    # the same checks in every mode, all before --out is opened
     exemplar_pool = []
     if args.exemplars:
-        check_exemplar_count(args.exemplars)  # before --out is opened
+        check_exemplar_count(args.exemplars)
         if not args.exemplar_scenarios:
             return _fail("--exemplars needs --exemplar-scenarios")
-        exemplar_pool = [
-            make_finetune_example(s) for s in _load_nonempty(args.exemplar_scenarios)
-        ]
+        exemplar_scenarios = _load_nonempty(args.exemplar_scenarios)
+        if remote:
+            exemplar_pool = [make_finetune_example(s) for s in exemplar_scenarios]
+    _check_outputs(
+        [("--out", args.out)],
+        [("--scenarios", args.scenarios), ("--exemplar-scenarios", args.exemplar_scenarios)],
+    )
 
     def plan_one(s):
-        prompt = build_prompt(s)
-        if exemplar_pool:
-            prompt = pack_exemplars(prompt, exemplar_pool, args.exemplars)
+        prompt = None  # the stubs answer from the scenario and read no prompt
+        if remote:
+            prompt = build_prompt(s)
+            if exemplar_pool:
+                prompt = pack_exemplars(prompt, exemplar_pool, args.exemplars)
         try:
             raw = complete(cfg, prompt, s)
         except BackendError as e:
@@ -166,7 +203,7 @@ def cmd_plan(args) -> int:
         # up to max_in_flight scenarios can wait out a backoff while every slot stays busy
         ThreadPoolExecutor(max_workers=2 * cfg.max_in_flight) as pool,
     ):
-        ordered_map = pool.map if cfg.mode is BackendMode.REMOTE else map
+        ordered_map = pool.map if remote else map
         for s, raw, out in ordered_map(plan_one, scenarios):
             quality = out.quality.value
             traj = None if out.trajectory is None else [[w.x, w.y] for w in out.trajectory.waypoints]
@@ -234,12 +271,16 @@ def cmd_evaluate(args) -> int:
         return _fail("--fail-threshold must be a number >= 0")
     scenarios = _load_nonempty(args.scenarios)
     records = _read_results(args.results, {s.id for s in scenarios})
+    out_dir = Path(args.out_dir)
+    _check_outputs(
+        [(f"--out-dir's {name}", str(out_dir / name)) for name in ("report.md", "report.csv")],
+        [("--scenarios", args.scenarios), ("--results", args.results)],
+    )
     cfg = EvalConfig(
         fallback_policy=args.fallback,
         exclude_gt_collisions=args.exclude_gt_collisions,
     )
     report = evaluate_dataset(scenarios, records, cfg)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     md = render_markdown(report)
     (out_dir / "report.md").write_text(md, encoding="utf-8")
@@ -295,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-retries", type=int, default=3, help="HTTP retries per request")
     sp.add_argument("--backoff", type=float, default=0.5, help="initial retry delay, seconds")
     sp.add_argument("--max-in-flight", type=int, default=4,
-                    help="remote requests on the wire at once; a backoff holds no slot")
+                    help=f"remote requests on the wire at once, 1..{MAX_IN_FLIGHT}; "
+                    "a backoff holds no slot")
     sp.add_argument("--exemplars", type=int, default=0, help="in-context examples per prompt")
     sp.add_argument("--exemplar-scenarios", default="", help="scenario file the exemplars come from")
     sp.set_defaults(func=cmd_plan)

@@ -13,7 +13,9 @@ bitwise on quantized values. The delimiters and the precision
 shape.
 
 ``Waypoint``, ``Trajectory`` and the horizon are defined here, the module
-every other one imports; ``scenario`` re-exports them. The horizon is fixed:
+every other one imports; ``scenario`` re-exports them. A ``Waypoint`` is a
+``NamedTuple``: immutable and cheap to build, and, being a tuple, equal to
+the plain ``(x, y)`` tuple of the same numbers. The horizon is fixed:
 ``DEFAULT_HORIZON_STEPS`` waypoints, ``DEFAULT_DT`` seconds apart, the shape
 the system prompt announces.
 """
@@ -25,14 +27,14 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 DEFAULT_DECIMALS = 2
 DEFAULT_HORIZON_STEPS = 6
 DEFAULT_DT = 0.5
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(NamedTuple):
     x: float
     y: float
 
@@ -82,14 +84,16 @@ def quantize(v: float, decimals: int = DEFAULT_DECIMALS) -> float:
 
 
 def quantize_literal(text: str) -> float:
-    """``quantize(float(text))`` for a JSON float literal, as ``json.loads``' ``parse_float``.
+    """``quantize(float(text))`` for a decimal literal.
 
-    A literal whose point is among its last ``DEFAULT_DECIMALS + 1``
-    characters has no exponent (that needs a digit, an ``e`` and a digit
-    after the point) and at most ``DEFAULT_DECIMALS`` fractional digits: it
-    is already exact, so it skips ``quantize`` (-0.0 still becomes 0.0). A
-    non-finite value, such as ``1e400``, comes back unchanged for the caller
-    to report.
+    It decodes JSON float literals, as ``json.loads``' ``parse_float``, and
+    the coordinate literals ``extract_pairs`` finds in plan text. A literal
+    whose point is among its last ``DEFAULT_DECIMALS + 1`` characters has
+    no exponent (that needs a digit, an ``e`` and a digit after the point)
+    and at most ``DEFAULT_DECIMALS`` fractional digits: it is already exact,
+    so it skips ``quantize`` (-0.0 still becomes 0.0). A non-finite value,
+    such as ``1e400`` or a 400-digit run, comes back unchanged for the
+    caller to report or skip.
     """
     v = float(text)
     if "." in text[-DEFAULT_DECIMALS - 1:]:
@@ -98,7 +102,16 @@ def quantize_literal(text: str) -> float:
 
 
 def format_number(v: float) -> str:
-    """Quantize and render with exactly DEFAULT_DECIMALS fractional digits."""
+    """Quantize and render with exactly DEFAULT_DECIMALS fractional digits.
+
+    A value the rendered text reads back as exactly is already quantized,
+    so that text is the answer (``+ 0.0`` prints -0.0 unsigned); any other
+    value goes through ``quantize``, which raises ValueError for a
+    non-finite one (``inf`` reads back as itself, hence the finiteness test).
+    """
+    text = f"{v + 0.0:.{DEFAULT_DECIMALS}f}"
+    if float(text) == v and math.isfinite(v):
+        return text
     return f"{quantize(v):.{DEFAULT_DECIMALS}f}"
 
 
@@ -122,13 +135,17 @@ BRACKET_LIST_RE = re.compile(r"\[([^\[\]]*)\]")  # innermost [...] and its body
 
 
 def extract_pairs(text: str) -> list[tuple[float, float]]:
-    """All quantized coordinate pairs found anywhere in the text, in order."""
+    """All quantized coordinate pairs found anywhere in the text, in order.
+
+    Each literal is decoded by ``quantize_literal``, the rule scenario files
+    are read with; a pair with a non-finite coordinate (a run of digits
+    too long for a double) is skipped.
+    """
     out = []
     for mx, my in _PAIR_RE.findall(text):
-        try:
-            out.append((quantize(float(mx)), quantize(float(my))))
-        except (ValueError, OverflowError):
-            continue  # e.g. a run of digits parsing to inf
+        x, y = quantize_literal(mx), quantize_literal(my)
+        if math.isfinite(x) and math.isfinite(y):
+            out.append((x, y))
     return out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .prompts import template_hash
 from .reasoning import rollout_hypothetical, segment_directions
-from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, ObjectBox, Scenario, Trajectory, Waypoint
+from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, ObjectBox, Scenario, Trajectory
 
 # The paper's protocol: L2 and collision at 1 s, 2 s and 3 s, for the
 # nuScenes ego footprint (meters), starting out facing +y.
@@ -177,7 +177,7 @@ def ego_boxes_along(
 ) -> list[ObjectBox]:
     hs = headings_along(t, initial_heading)
     return [
-        ObjectBox(center=Waypoint(w.x, w.y), heading=h, length=dims.length, width=dims.width)
+        ObjectBox(center=w, heading=h, length=dims.length, width=dims.width)
         for w, h in zip(t.waypoints, hs)
     ]
 

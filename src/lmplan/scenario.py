@@ -8,7 +8,8 @@ class names are JSON strings.
 
 ``Waypoint``, ``Trajectory`` and the fixed horizon (``DEFAULT_HORIZON_STEPS``
 waypoints, ``DEFAULT_DT`` seconds apart) are defined in ``codec`` and
-re-exported here.
+re-exported here. ``Waypoint`` and ``ObjectBox``, the records a scenario
+holds many of, are ``NamedTuple``s; the other records are frozen dataclasses.
 
 File schema (top level ``{"scenarios": [...]}``, all floats SI units):
 
@@ -37,6 +38,7 @@ import random
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import NamedTuple
 
 from .codec import (
     DEFAULT_DT,
@@ -90,8 +92,7 @@ class PredictedMotion:
     future: tuple[Waypoint, ...]
 
 
-@dataclass(frozen=True)
-class ObjectBox:
+class ObjectBox(NamedTuple):
     """Oriented box: center position, heading (rad), length along heading, width."""
 
     center: Waypoint

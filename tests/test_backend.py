@@ -25,7 +25,7 @@ from lmplan import (
     serialize_trajectory,
     synth_scenario,
 )
-from lmplan.backend import _content_of
+from lmplan.backend import MAX_IN_FLIGHT, _content_of
 from mockserver import MockChatServer, echo_target_responder
 
 
@@ -42,6 +42,14 @@ class TestConfig:
             BackendConfig(retry_backoff_s=-0.1)
         with pytest.raises(ValueError):
             BackendConfig(mode="telepathy")
+
+    def test_in_flight_bound_has_a_ceiling(self):
+        # a config holds a semaphore, not threads: no pool is built here
+        assert MAX_IN_FLIGHT == 64
+        assert BackendConfig(max_in_flight=MAX_IN_FLIGHT).max_in_flight == MAX_IN_FLIGHT
+        for too_many in (MAX_IN_FLIGHT + 1, 5000):
+            with pytest.raises(ValueError, match=f"1..{MAX_IN_FLIGHT}"):
+                BackendConfig(mode="remote", max_in_flight=too_many)
 
 
 class TestMessages:
@@ -85,6 +93,12 @@ class TestStubs:
         )
         assert out.trajectory.waypoints != s.human_trajectory.waypoints
 
+    @pytest.mark.parametrize("mode", [BackendMode.STUB_REPLAY_GT, BackendMode.STUB_HYPOTHETICAL])
+    def test_stubs_read_no_prompt(self, mode):
+        s = synth_scenario("crossing_pedestrian", 5)
+        cfg = BackendConfig(mode=mode)
+        assert complete(cfg, None, s) == complete(cfg, build_prompt(s), s)
+
     def test_stub_modes_require_the_scenario(self):
         s = synth_scenario("empty_road", 0)
         for mode in (BackendMode.STUB_REPLAY_GT, BackendMode.STUB_HYPOTHETICAL):
@@ -98,6 +112,11 @@ def remote_cfg(url, **kw):
 
 
 class TestRemote:
+    def test_needs_the_prompt(self):
+        s = synth_scenario("empty_road", 0)
+        with pytest.raises(ValueError, match="prompt"):
+            complete(remote_cfg("http://127.0.0.1:9"), None, s)  # raises before any request
+
     def test_round_trip_and_request_shape(self, api_key_env):
         scenarios = make_scenarios(2)
         prompt = build_prompt(scenarios[0])

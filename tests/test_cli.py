@@ -11,9 +11,12 @@ from lmplan import (
     load_finetune_jsonl,
     load_scenarios,
     make_finetune_example,
+    messages_from_prompt,
     template_hash,
 )
+from lmplan import cli
 from lmplan.cli import main
+from lmplan.prompts import pack_exemplars
 from lmplan.scenario import SYNTH_KINDS
 from mockserver import MockChatServer, echo_target_responder, garble
 
@@ -164,6 +167,23 @@ class TestPlanStubs:
         assert err.startswith("lmplan: error:") and "Traceback" not in err
         assert "ego velocity" in err and not out.exists()
 
+    @pytest.mark.parametrize("mode", ["stub_replay_gt", "stub_hypothetical"])
+    def test_stubs_build_no_prompt(self, tmp_path, monkeypatch, mode):
+        scen = synth_file(tmp_path, count=8)
+        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        assert run("plan", "--scenarios", scen, "--out", want, "--mode", mode) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stub plan built a prompt")
+
+        monkeypatch.setattr(cli, "build_prompt", refuse)
+        monkeypatch.setattr(cli, "pack_exemplars", refuse)
+        assert run(
+            "plan", "--scenarios", scen, "--out", got, "--mode", mode,
+            "--exemplars", 2, "--exemplar-scenarios", scen,
+        ) == 0
+        assert got.read_bytes() == want.read_bytes()
+
     def test_exemplar_flags_validated(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=3)
         out = tmp_path / "r.jsonl"
@@ -205,6 +225,10 @@ class TestPlanRemote:
         assert code == 0
         # system + 2 exemplar pairs + final user = 6 messages
         assert all(len(req["messages"]) == 6 for req in srv.requests)
+        pool = [make_finetune_example(s) for s in scenarios]
+        want = [messages_from_prompt(pack_exemplars(build_prompt(s), pool, 2)) for s in scenarios]
+        sent = [want[i] for i in request_order(srv, scenarios)]
+        assert [req["messages"] for req in srv.requests] == sent
 
     def test_corrupted_completions_become_failed_rows(self, tmp_path, api_key_env):
         scen = synth_file(tmp_path, count=20)
@@ -419,6 +443,7 @@ class TestErrors:
         ("--backoff", "nan"),
         ("--exemplars", "9"),
         ("--exemplars", "-1"),
+        ("--max-in-flight", "65"),
     ])
     def test_remote_config_it_cannot_use_sends_nothing(
         self, tmp_path, api_key_env, capsys, flag, value
@@ -436,6 +461,48 @@ class TestErrors:
         assert srv.requests == []
         assert out.read_text() == "earlier results\n"
         assert capsys.readouterr().err.startswith("lmplan: error:")
+
+    @pytest.mark.parametrize("argv, unwritten", [
+        (["plan", "--scenarios", "{s}", "--out", "{s}"], None),
+        (["plan", "--scenarios", "{s}", "--out", "{link}", "--mode", "stub_replay_gt"], None),
+        (["plan", "--scenarios", "{other}", "--out", "{s}",
+          "--exemplars", "1", "--exemplar-scenarios", "{s}"], None),
+        (["plan", "--scenarios", "{other}", "--out", "{s}", "--mode", "remote",
+          "--endpoint", "http://127.0.0.1:9", "--backoff", "0",
+          "--exemplars", "1", "--exemplar-scenarios", "{s}"],
+         None),
+        (["export-finetune", "--scenarios", "{s}", "--out", "{s}"], None),
+        (["export-finetune", "--scenarios", "{s}", "--out", "{stem}"], "{stem}"),  # the sidecar
+        (["split", "--scenarios", "{s}", "--fraction", "0.5", "--out", "{s}"], None),
+        (["split", "--scenarios", "{s}", "--fraction", "0.5", "--out", "{manifest}",
+          "--scenarios-out", "{link}"], "{manifest}"),
+        (["evaluate", "--scenarios", "{s}", "--results", "{results}", "--out-dir", "{reports}"],
+         "{reports}/report.md"),  # its report.csv links to the scenario file
+    ])
+    def test_output_that_names_an_input_is_refused(self, tmp_path, capsys, argv, unwritten):
+        # the scenario file is named so that export-finetune's sidecar lands on it
+        scen = synth_file(tmp_path, count=3, name="train.jsonl.meta.json")
+        paths = {
+            "s": scen,
+            "other": synth_file(tmp_path, count=2, name="other.json"),
+            "link": tmp_path / "link.json",
+            "stem": tmp_path / "train.jsonl",
+            "manifest": tmp_path / "manifest.json",
+            "results": tmp_path / "results.jsonl",
+            "reports": tmp_path / "reports",
+        }
+        paths["link"].symlink_to(scen)
+        paths["results"].write_text("")
+        paths["reports"].mkdir()
+        (paths["reports"] / "report.csv").symlink_to(scen)
+        before = scen.read_bytes()
+        capsys.readouterr()
+        assert run(*[a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lmplan: error:") and "would be overwritten" in err
+        assert scen.read_bytes() == before
+        if unwritten:
+            assert not (tmp_path / unwritten.format(**paths)).exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "-0.1"])
     def test_fail_threshold_that_cannot_gate(self, tmp_path, capsys, threshold):

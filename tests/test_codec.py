@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 import random
 import struct
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
@@ -10,14 +12,16 @@ from hypothesis import strategies as st
 
 from helpers import quantize_by_strings, traj
 from lmplan import (
+    ObjectBox,
     TrajectoryParseError,
+    Waypoint,
     extract_pairs,
     format_number,
     parse_trajectory,
     quantize,
     serialize_trajectory,
 )
-from lmplan.codec import quantize_literal
+from lmplan.codec import _PAIR_RE, quantize_literal
 from lmplan.scenario import COORD_BOUND
 
 finite_coords = st.floats(
@@ -178,6 +182,137 @@ def test_quantize_literal_is_what_json_hands_over():
     got = json.loads(text, parse_float=quantize_literal)
     assert got == [1.5, 0.0, 2.68, math.inf, 3, -12.5, 0.13]
     assert math.copysign(1.0, got[1]) == 1.0 and type(got[4]) is int
+
+
+def format_number_by_quantize(v: float) -> str:
+    """``format_number``'s body before its exact-value fast path."""
+    return f"{quantize(v):.2f}"
+
+
+def test_format_number_matches_the_quantize_oracle():
+    rng = random.Random(20261018)
+    extra = (
+        lambda: rng.choice((2.675, -2.675, 1.005, -1.005, 0.125, 99.995, 0.005, -0.005)),
+        lambda: -rng.randrange(1, 5000) / 10**6,  # renders as -0.00 before quantize
+        lambda: rng.randrange(-10**6, 10**6),  # ints
+        lambda: rng.choice((-1, 1)) * rng.randrange(2**52, 2**60),  # beyond the float grid
+        lambda: rng.choice((1e300, -1e300, 2.0**52, -(2.0**52), 2.0**52 + 0.5)),
+    )
+    values = _differential_values(rng, 1_000_000)
+    for i, v in enumerate(values):
+        if i % 4 == 0:
+            v = rng.choice(extra)()
+        got, want = format_number(v), format_number_by_quantize(v)
+        assert got == want, (v, got, want)
+    assert i == 999_999
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            format_number(bad)
+
+
+def extract_pairs_by_quantize(text: str) -> list[tuple[float, float]]:
+    """``extract_pairs``' body before it decoded literals with ``quantize_literal``."""
+    out = []
+    for mx, my in _PAIR_RE.findall(text):
+        try:
+            out.append((quantize(float(mx)), quantize(float(my))))
+        except (ValueError, OverflowError):
+            continue
+    return out
+
+
+def _pair_texts(rng: random.Random, n: int):
+    """n seeded texts of coordinate pairs in every literal shape the pair pattern takes."""
+    def digits(k):
+        return f"{rng.randrange(10**k):0{k}d}" if k else ""
+
+    families = (
+        lambda: f"{digits(rng.randint(1, 3))}.{digits(rng.randint(1, 2))}",
+        lambda: f"{digits(rng.randint(1, 3))}.{digits(rng.randint(3, 20))}",  # long fractions
+        lambda: f"{digits(rng.randint(0, 3))}.{digits(rng.randrange(4))}5",  # ties
+        lambda: f"{digits(rng.randint(1, 3))}.",  # 5.
+        lambda: f".{digits(rng.randint(1, 4))}",  # .5
+        lambda: digits(rng.randint(1, 6)),  # 12
+        lambda: digits(400) + rng.choice(("", ".", ".5", ".125")),  # past the largest double
+        lambda: rng.choice(("0.00", "0.001", "0.004", "0.005", "0", "0.", ".0")),
+    )
+
+    def literal():
+        return rng.choice(("", "", "-", "+")) + rng.choice(families)()
+
+    for _ in range(n):
+        pairs = [
+            f"({rng.choice(('', ' '))}{literal()},{rng.choice(('', ' '))}{literal()})"
+            for _ in range(rng.randint(0, 6))
+        ]
+        yield rng.choice(("[", "Trajectory: [", "")) + ", ".join(pairs) + rng.choice(("]", " ok", ""))
+
+
+def test_extract_pairs_matches_quantize_of_each_literal():
+    rng = random.Random(20261019)
+    for i, text in enumerate(_pair_texts(rng, 100_000)):
+        got, want = extract_pairs(text), extract_pairs_by_quantize(text)
+        assert got == want, text
+        for a, b in zip(got, want):
+            assert [math.copysign(1.0, v) for v in a] == [math.copysign(1.0, v) for v in b], text
+            assert type(a[0]) is float and type(a[1]) is float, text
+    assert i == 99_999
+
+
+# The point records before they became NamedTuples, kept as the oracle.
+OldWaypoint = dataclasses.make_dataclass("Waypoint", [("x", float), ("y", float)], frozen=True)
+OldObjectBox = dataclasses.make_dataclass(
+    "ObjectBox",
+    [("center", OldWaypoint), ("heading", float), ("length", float), ("width", float)],
+    frozen=True,
+)
+
+
+class TestPointRecords:
+    @staticmethod
+    def _pairs(rng):
+        """Seeded (new, old) record pairs; repeats and signed zeros make equal ones."""
+        nan = math.nan
+        pool = (0.0, -0.0, 1.5, -2.25, 1e300, 3, nan)
+        for _ in range(2000):
+            x, y, h, ln, w = (rng.choice(pool) for _ in range(5))
+            yield Waypoint(x, y), OldWaypoint(x, y)
+            yield ObjectBox(Waypoint(x, y), h, ln, w), OldObjectBox(OldWaypoint(x, y), h, ln, w)
+
+    def test_repr_hash_and_equality_match_the_dataclasses(self):
+        rng = random.Random(7)
+        pairs = list(self._pairs(rng))
+        for new, old in pairs:
+            assert repr(new) == repr(old)
+            assert hash(new) == hash(old)
+        for (new_a, old_a), (new_b, old_b) in zip(pairs, pairs[2:] + pairs[:2]):
+            assert (new_a == new_b) == (old_a == old_b), (old_a, old_b)
+            assert (new_a != new_b) == (old_a != old_b), (old_a, old_b)
+
+    def test_fields_keep_their_names_and_order(self):
+        assert Waypoint._fields == tuple(f.name for f in dataclasses.fields(OldWaypoint))
+        assert ObjectBox._fields == tuple(f.name for f in dataclasses.fields(OldObjectBox))
+        box = ObjectBox(Waypoint(1.0, 2.0), 0.5, 4.6, 1.9)
+        assert ObjectBox(center=Waypoint(x=1.0, y=2.0), heading=0.5, length=4.6, width=1.9) == box
+        assert (box.center.x, box.center.y, box.heading, box.length, box.width) == (
+            1.0, 2.0, 0.5, 4.6, 1.9,
+        )
+
+    @pytest.mark.parametrize("record, field_name", [
+        (Waypoint(1.0, 2.0), "x"),
+        (Waypoint(1.0, 2.0), "y"),
+        (ObjectBox(Waypoint(1.0, 2.0), 0.5, 4.6, 1.9), "center"),
+        (ObjectBox(Waypoint(1.0, 2.0), 0.5, 4.6, 1.9), "width"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, field_name):
+        with pytest.raises(AttributeError):
+            setattr(record, field_name, 0.0)
+
+    def test_pickle_round_trips(self):
+        for record in (Waypoint(1.25, -0.0), ObjectBox(Waypoint(1.0, 2.0), 0.5, 4.6, 1.9)):
+            back = pickle.loads(pickle.dumps(record))
+            assert back == record and type(back) is type(record)
+            assert repr(back) == repr(record)
 
 
 class TestFormat:
