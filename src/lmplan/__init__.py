@@ -26,7 +26,6 @@ from .codec import (
     serialize_trajectory,
 )
 from .metrics import (
-    EgoDims,
     EvalConfig,
     EvalReport,
     PlanRecord,
@@ -46,7 +45,6 @@ from .prompts import (
     Decision,
     PlannerPrompt,
     build_prompt,
-    build_system_prompt,
     build_user_prompt,
     pack_exemplars,
     template_hash,

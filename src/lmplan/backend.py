@@ -205,14 +205,9 @@ def finetune_line(example: FineTuneExample) -> str:
     """One dataset record, byte-exact: three roles, compact JSON, raw UTF-8."""
     if example.prompt.exemplars:
         raise ValueError("fine-tune records take bare prompts; drop the exemplars")
-    obj = {
-        "messages": [
-            {"role": "system", "content": example.prompt.system_text},
-            {"role": "user", "content": example.prompt.user_text},
-            {"role": "assistant", "content": example.target_text},
-        ]
-    }
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    messages = messages_from_prompt(example.prompt)
+    messages.append({"role": "assistant", "content": example.target_text})
+    return json.dumps({"messages": messages}, separators=(",", ":"), ensure_ascii=False)
 
 
 def export_finetune_jsonl(examples, path) -> int:

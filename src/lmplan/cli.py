@@ -23,8 +23,8 @@ Subcommands:
   ids not in the scenario file are ignored with one warning.
 
 Every command uses the fixed horizon: 6 waypoints, 0.5 s apart. No command
-writes over one of its input files: an output path that names one is bad
-input.
+writes over one of its input files or writes two outputs to one file: an
+output path that names an input or another output is bad input.
 
 Exit codes: 0 success; 1 evaluate's parse-failure rate exceeded the
 threshold; 2 bad input or configuration.
@@ -88,18 +88,26 @@ def _load_nonempty(path: str):
 
 
 def _check_outputs(outputs, inputs) -> None:
-    """Raise ``ValueError`` when an output names an existing input file.
+    """Raise ``ValueError`` when an output names an existing input or an earlier output.
 
     Both are ``(flag, path)`` pairs, an empty path meaning not given. Called
     before anything is opened for writing, so the input stays as it was.
     """
-    existing = [(flag, p) for flag, p in inputs if p and os.path.exists(p)]
+    named = [(flag, p) for flag, p in inputs if p and os.path.exists(p)]
     for out_flag, out in outputs:
-        if not out or not os.path.exists(out):
-            continue  # a path not yet there names no input
-        for in_flag, p in existing:
-            if os.path.samefile(out, p):
-                raise ValueError(f"{out_flag} {out} is the {in_flag} file; it would be overwritten")
+        if not out:
+            continue
+        for flag, p in named:
+            if _same_file(out, p):
+                raise ValueError(f"{out_flag} {out} is the {flag} file; it would be overwritten")
+        named.append((out_flag, out))
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths, either of which may not exist yet, name one file."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def cmd_synth(args) -> int:
@@ -174,8 +182,8 @@ def cmd_plan(args) -> int:
         if not args.exemplar_scenarios:
             return _fail("--exemplars needs --exemplar-scenarios")
         exemplar_scenarios = _load_nonempty(args.exemplar_scenarios)
-        if remote:
-            exemplar_pool = [make_finetune_example(s) for s in exemplar_scenarios]
+        if remote:  # pack_exemplars reads only the first --exemplars of them
+            exemplar_pool = [make_finetune_example(s) for s in exemplar_scenarios[: args.exemplars]]
     _check_outputs(
         [("--out", args.out)],
         [("--scenarios", args.scenarios), ("--exemplar-scenarios", args.exemplar_scenarios)],

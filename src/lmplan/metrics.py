@@ -35,12 +35,6 @@ INITIAL_HEADING = math.pi / 2
 
 
 @dataclass(frozen=True)
-class EgoDims:
-    length: float = EGO_LENGTH
-    width: float = EGO_WIDTH
-
-
-@dataclass(frozen=True)
 class EvalConfig:
     # what to do with rows whose plan failed to parse: substitute the
     # constant-state rollout (kept in the aggregates, counted), or drop them
@@ -111,11 +105,13 @@ def l2_at_horizon(
     if mode not in ("at_step", "cumulative_mean"):
         raise ValueError(f"unknown mode {mode!r}")
     k = _horizon_step(horizon_s)
-    errors = [
-        math.hypot(pred.point(i).x - gt.point(i).x, pred.point(i).y - gt.point(i).y)
-        for i in range(1, k + 1)
-    ]
+    errors = _step_errors(pred, gt, k)
     return errors[-1] if mode == "at_step" else sum(errors) / k
+
+
+def _step_errors(pred: Trajectory, gt: Trajectory, k: int) -> list[float]:
+    """Displacement error at each step 1..k; raises when either trajectory is shorter."""
+    return [math.dist(pred.point(i), gt.point(i)) for i in range(1, k + 1)]
 
 
 def _horizon_step(horizon_s: float) -> int:
@@ -128,7 +124,7 @@ def _horizon_step(horizon_s: float) -> int:
     return k
 
 
-def headings_along(t: Trajectory, initial_heading: float = INITIAL_HEADING) -> list[float]:
+def headings_along(t: Trajectory) -> list[float]:
     """Heading at each waypoint: the direction of the incoming segment.
 
     Standard math convention (radians, atan2(dy, dx)); the first segment
@@ -136,7 +132,7 @@ def headings_along(t: Trajectory, initial_heading: float = INITIAL_HEADING) -> l
     heading forward, so a stopped tail keeps its last direction.
     """
     out = []
-    prev = initial_heading
+    prev = INITIAL_HEADING
     for d in segment_directions(t):
         if d is not None:
             prev = math.atan2(d[1], d[0])
@@ -172,22 +168,14 @@ def obb_intersects(a: ObjectBox, b: ObjectBox) -> bool:
     return sat_margin(a, b) <= 0.0
 
 
-def ego_boxes_along(
-    t: Trajectory, dims: EgoDims = EgoDims(), initial_heading: float = INITIAL_HEADING
-) -> list[ObjectBox]:
-    hs = headings_along(t, initial_heading)
+def ego_boxes_along(t: Trajectory) -> list[ObjectBox]:
     return [
-        ObjectBox(center=w, heading=h, length=dims.length, width=dims.width)
-        for w, h in zip(t.waypoints, hs)
+        ObjectBox(center=w, heading=h, length=EGO_LENGTH, width=EGO_WIDTH)
+        for w, h in zip(t.waypoints, headings_along(t))
     ]
 
 
-def collision_steps(
-    t: Trajectory,
-    gt_boxes: tuple,
-    dims: EgoDims = EgoDims(),
-    initial_heading: float = INITIAL_HEADING,
-) -> list[bool]:
+def collision_steps(t: Trajectory, gt_boxes: tuple) -> list[bool]:
     """Per-step flags: ego box on waypoint i overlaps any box for step i.
 
     ``gt_boxes`` is one tuple of boxes per step; an empty overall tuple
@@ -196,7 +184,7 @@ def collision_steps(
     if not gt_boxes:
         return [False] * len(t)
     flags = []
-    for i, ego_box in enumerate(ego_boxes_along(t, dims, initial_heading)):
+    for i, ego_box in enumerate(ego_boxes_along(t)):
         step_boxes = gt_boxes[i] if i < len(gt_boxes) else ()
         flags.append(any(obb_intersects(ego_box, b) for b in step_boxes))
     return flags
@@ -215,9 +203,7 @@ def _metrics_for(
         human_flags = collision_steps(gt, s.gt_object_boxes)
         flags = [f and not h for f, h in zip(flags, human_flags)]
     # per-step errors once; l2_at_horizon's two modes are these same sums
-    errors = [
-        math.hypot(p.x - g.x, p.y - g.y) for p, g in zip(traj.waypoints, gt.waypoints)
-    ]
+    errors = _step_errors(traj, gt, DEFAULT_HORIZON_STEPS)
     l2_at, l2_cum, col_at, col_cum = {}, {}, {}, {}
     for h in HORIZONS_S:
         k = _horizon_step(h)
@@ -256,7 +242,6 @@ def evaluate_dataset(
 
     rows = []
     parse_failures = 0
-    fallbacks = 0
     for s in scenarios:
         rec = by_id.get(s.id)
         traj = rec.trajectory if rec is not None else None
@@ -266,31 +251,22 @@ def evaluate_dataset(
                 f"scenario {s.id!r}: trajectory has {len(traj)} waypoints, "
                 f"expected {DEFAULT_HORIZON_STEPS}"
             )
-        if traj is None:
+        used_fallback = traj is None
+        if used_fallback:
             parse_failures += 1
             if cfg.fallback_policy == "exclude":
                 continue
             traj = rollout_hypothetical(s.ego)
-            fallbacks += 1
-            rows.append(_metrics_for(s, traj, quality, True, cfg))
-        else:
-            rows.append(_metrics_for(s, traj, quality, False, cfg))
+        rows.append(_metrics_for(s, traj, quality, used_fallback, cfg))
 
     summary = {}
     n = len(rows)
-    for name, getter in (
-        ("l2_at_step", lambda r: r.l2_at_step),
-        ("l2_cumulative", lambda r: r.l2_cumulative),
-        ("collision_at_step", lambda r: r.collision_at_step),
-        ("collision_cumulative", lambda r: r.collision_cumulative),
-    ):
+    for key, _, _ in _METRIC_LABELS:
         per_h = {}
         for h in HORIZONS_S:
-            per_h[h] = (
-                sum(float(getter(r)[h]) for r in rows) / n if n else math.nan
-            )
+            per_h[h] = sum(float(getattr(r, key)[h]) for r in rows) / n if n else math.nan
         per_h["avg"] = sum(per_h[h] for h in HORIZONS_S) / len(HORIZONS_S)
-        summary[name] = per_h
+        summary[key] = per_h
 
     return EvalReport(
         rows=tuple(rows),
@@ -298,7 +274,7 @@ def evaluate_dataset(
         total=len(scenarios),
         evaluated=n,
         parse_failures=parse_failures,
-        fallbacks_substituted=fallbacks,
+        fallbacks_substituted=sum(r.used_fallback for r in rows),
         template_hash=template_hash(),
         config_hash=cfg.hash(),
     )

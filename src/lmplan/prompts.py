@@ -107,26 +107,18 @@ def template_hash() -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def output_format_instruction() -> str:
-    return OUTPUT_FORMAT_INSTRUCTION.format(
-        vocabulary=", ".join(d.value for d in Decision),
-        x1="x1", y1="y1", x2="x2", y2="y2",
-        n=DEFAULT_HORIZON_STEPS,
-        decimals=DEFAULT_DECIMALS,
-    )
-
-
+# the universal planning context for the fixed horizon, rendered once
 SYSTEM_PROMPT = SYSTEM_TEMPLATE.format(
     total_s=f"{DEFAULT_HORIZON_STEPS * DEFAULT_DT:.1f}",
     n=DEFAULT_HORIZON_STEPS,
     dt=f"{DEFAULT_DT:g}",
-    output_format=output_format_instruction(),
+    output_format=OUTPUT_FORMAT_INSTRUCTION.format(
+        vocabulary=", ".join(d.value for d in Decision),
+        x1="x1", y1="y1", x2="x2", y2="y2",
+        n=DEFAULT_HORIZON_STEPS,
+        decimals=DEFAULT_DECIMALS,
+    ),
 )
-
-
-def build_system_prompt() -> str:
-    """Universal planning context for the fixed horizon, rendered once at import."""
-    return SYSTEM_PROMPT
 
 
 def _path_text(waypoints) -> str:
@@ -170,7 +162,7 @@ def build_user_prompt(s: Scenario) -> str:
 
 
 def build_prompt(s: Scenario) -> PlannerPrompt:
-    return PlannerPrompt(system_text=build_system_prompt(), user_text=build_user_prompt(s))
+    return PlannerPrompt(system_text=SYSTEM_PROMPT, user_text=build_user_prompt(s))
 
 
 def check_exemplar_count(k: int) -> None:
@@ -180,20 +172,9 @@ def check_exemplar_count(k: int) -> None:
 
 
 def pack_exemplars(base: PlannerPrompt, pool, k: int) -> PlannerPrompt:
-    """Attach the first min(k, len(pool)) exemplars, in pool order.
-
-    Pool items are fine-tune examples or plain (user_text, assistant_text)
-    pairs. k above ``MAX_EXEMPLARS`` is an error; the context window the
-    backend offers cannot fit more.
-    """
+    """Attach the first k fine-tune examples of ``pool`` as (user_text,
+    target_text) pairs. k above ``MAX_EXEMPLARS`` is an error; the context
+    window the backend offers cannot fit more."""
     check_exemplar_count(k)
-    pairs = []
-    for item in list(pool)[: min(k, len(pool))]:
-        if isinstance(item, tuple):
-            user_text, assistant_text = item
-        else:
-            user_text, assistant_text = item.prompt.user_text, item.target_text
-        pairs.append((user_text, assistant_text))
-    if not pairs:
-        return base
-    return replace(base, exemplars=base.exemplars + tuple(pairs))
+    pairs = tuple((ex.prompt.user_text, ex.target_text) for ex in pool[:k])
+    return replace(base, exemplars=base.exemplars + pairs)

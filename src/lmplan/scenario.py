@@ -111,8 +111,8 @@ class Scenario:
     gt_object_boxes: tuple[tuple[ObjectBox, ...], ...] = field(default=())
 
 
-def _finite(v: float) -> bool:
-    return isinstance(v, (int, float)) and math.isfinite(v)
+def _finite(v) -> bool:
+    return is_number(v) and math.isfinite(v)
 
 
 def _in_bounds(w: Waypoint) -> bool:
@@ -215,8 +215,8 @@ def validate_scenario(s: Scenario) -> list[str]:
 # the walk raises.
 
 def is_number(v) -> bool:
-    """A JSON number: an int or a float, and not a bool."""
-    return type(v) in (int, float)
+    """A JSON number: an int or a float (or a subclass), and not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _field(path: tuple) -> str:

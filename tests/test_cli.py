@@ -211,10 +211,14 @@ class TestPlanRemote:
         assert all(r["parse_quality"] == "clean" for r in rows)
         assert len(srv.requests) == 6
 
-    def test_exemplars_reach_the_request(self, tmp_path, api_key_env):
+    def test_exemplars_reach_the_request(self, tmp_path, api_key_env, monkeypatch):
         scen = synth_file(tmp_path, count=3)
         scenarios = load_scenarios(scen)
         out = tmp_path / "results.jsonl"
+        built = []
+        monkeypatch.setattr(
+            cli, "make_finetune_example", lambda s: built.append(s) or make_finetune_example(s)
+        )
         with MockChatServer(echo_target_responder(scenarios)) as srv:
             code = run(
                 "plan", "--scenarios", scen, "--out", out,
@@ -223,6 +227,7 @@ class TestPlanRemote:
                 "--max-in-flight", 1,
             )
         assert code == 0
+        assert len(built) == 2  # only the exemplars a prompt takes are built
         # system + 2 exemplar pairs + final user = 6 messages
         assert all(len(req["messages"]) == 6 for req in srv.requests)
         pool = [make_finetune_example(s) for s in scenarios]
@@ -478,6 +483,8 @@ class TestErrors:
           "--scenarios-out", "{link}"], "{manifest}"),
         (["evaluate", "--scenarios", "{s}", "--results", "{results}", "--out-dir", "{reports}"],
          "{reports}/report.md"),  # its report.csv links to the scenario file
+        (["split", "--scenarios", "{s}", "--fraction", "0.5", "--out", "{manifest}",
+          "--scenarios-out", "{manifest}"], "{manifest}"),  # the two outputs are one file
     ])
     def test_output_that_names_an_input_is_refused(self, tmp_path, capsys, argv, unwritten):
         # the scenario file is named so that export-finetune's sidecar lands on it

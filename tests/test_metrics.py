@@ -5,7 +5,6 @@ import pytest
 
 from helpers import boxes_intersect_sampled, make_scenarios, random_box, traj
 from lmplan import (
-    EgoDims,
     EvalConfig,
     ObjectBox,
     PlanRecord,
@@ -21,6 +20,7 @@ from lmplan import (
     render_markdown,
     sat_margin,
 )
+from lmplan import metrics
 from lmplan.scenario import EgoState
 
 
@@ -57,6 +57,8 @@ class TestL2:
             l2_at_horizon(GT_STRAIGHT, GT_STRAIGHT, 4.0)  # beyond the horizon
         with pytest.raises(ValueError):
             l2_at_horizon(GT_STRAIGHT, GT_STRAIGHT, 1.0, "median")
+        with pytest.raises(IndexError):  # a trajectory shorter than the horizon step
+            l2_at_horizon(traj([(0, 1), (0, 2)]), GT_STRAIGHT, 3.0, "cumulative_mean")
 
 
 class TestHeadings:
@@ -74,9 +76,10 @@ class TestHeadings:
         assert abs(hs[1]) < 1e-12
         assert hs[2] == hs[1] and hs[3] == hs[1]
 
-    def test_fully_degenerate_uses_initial_heading(self):
+    def test_fully_degenerate_uses_initial_heading(self, monkeypatch):
+        monkeypatch.setattr(metrics, "INITIAL_HEADING", 0.25)
         t = traj([(0, 0), (0, 0)])
-        assert headings_along(t, initial_heading=0.25) == [0.25, 0.25]
+        assert headings_along(t) == [0.25, 0.25]
 
 
 class TestOBB:
@@ -136,11 +139,13 @@ class TestCollision:
     def test_no_boxes_no_collisions(self):
         assert collision_steps(GT_STRAIGHT, ()) == [False] * 6
 
-    def test_ego_box_dimensions_matter(self):
+    def test_ego_box_dimensions_matter(self, monkeypatch):
         # obstacle 1.4 m to the side: hit with a wide ego, missed when narrow
         gt_boxes = ((box(1.4, 1.0, 0.0, 0.4, 0.4),),) + ((),) * 5
-        wide = collision_steps(GT_STRAIGHT, gt_boxes, EgoDims(4.0, 2.5))
-        narrow = collision_steps(GT_STRAIGHT, gt_boxes, EgoDims(4.0, 1.0))
+        monkeypatch.setattr(metrics, "EGO_WIDTH", 2.5)
+        wide = collision_steps(GT_STRAIGHT, gt_boxes)
+        monkeypatch.setattr(metrics, "EGO_WIDTH", 1.0)
+        narrow = collision_steps(GT_STRAIGHT, gt_boxes)
         assert wide[0] and not narrow[0]
 
     def test_ego_boxes_follow_path_heading(self):

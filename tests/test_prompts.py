@@ -5,7 +5,6 @@ import pytest
 from helpers import make_scenarios
 from lmplan import (
     build_prompt,
-    build_system_prompt,
     build_user_prompt,
     extract_pairs,
     make_finetune_example,
@@ -18,6 +17,7 @@ from lmplan.prompts import (
     NO_OBJECTS_LINE,
     NO_PREDICTIONS_LINE,
     SECTION_LABELS,
+    SYSTEM_PROMPT,
     PlannerPrompt,
 )
 
@@ -26,20 +26,21 @@ NUMBER = re.compile(r"-?\d+\.\d\d")
 
 class TestSystemPrompt:
     def test_mentions_horizon_and_duration(self):
-        text = build_system_prompt()
+        text = SYSTEM_PROMPT
         assert "6 waypoints" in text
         assert "3.0 seconds" in text
         assert "0.5 seconds" in text
 
     def test_contains_output_format_and_labels(self):
-        text = build_system_prompt()
+        text = SYSTEM_PROMPT
         for label in SECTION_LABELS:
             assert label in text
         assert "exactly 6 coordinate pairs" in text
         assert "keep_speed" in text and "change_lane_right" in text
 
     def test_deterministic(self):
-        assert build_system_prompt() == build_system_prompt()
+        for s in make_scenarios(4):
+            assert build_prompt(s).system_text == SYSTEM_PROMPT
 
 
 class TestUserPrompt:
@@ -114,11 +115,6 @@ class TestExemplars:
             pack_exemplars(base, self.make_pool(8), MAX_EXEMPLARS + 1)
         with pytest.raises(ValueError):
             pack_exemplars(base, self.make_pool(1), -1)
-
-    def test_accepts_plain_pairs(self):
-        base = build_prompt(synth_scenario("empty_road", 0))
-        packed = pack_exemplars(base, [("ask", "answer")], 1)
-        assert packed.exemplars == (("ask", "answer"),)
 
     def test_base_prompt_unchanged(self):
         base = build_prompt(synth_scenario("empty_road", 0))

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from helpers import make_scenarios
@@ -17,7 +19,7 @@ from lmplan import (
     validate_scenario,
 )
 from lmplan.metrics import collision_steps
-from lmplan.scenario import SYNTH_KINDS
+from lmplan.scenario import SYNTH_KINDS, EgoState
 
 
 def write_file(tmp_path, payload, name="sc.json"):
@@ -224,6 +226,13 @@ class TestValidation:
         d["objects"][0]["width"] = 0.0
         with pytest.raises(ScenarioSchemaError):
             self.load_one(tmp_path, d)
+
+    def test_bool_is_not_a_number(self):
+        s = make_scenarios(1)[0]
+        bad = dataclasses.replace(s, ego=EgoState(True, False, 0.0))
+        assert validate_scenario(bad) == ["ego velocity >= 0", "ego acceleration finite"]
+        ok = dataclasses.replace(s, ego=EgoState(np.float64(5.0), 0.0, 0.0))  # a float subclass
+        assert validate_scenario(ok) == []
 
     def test_negative_velocity(self, tmp_path):
         d = base_scenario_dict()
