@@ -110,7 +110,10 @@ def l2_at_horizon(
 
 
 def _step_errors(pred: Trajectory, gt: Trajectory, k: int) -> list[float]:
-    """Displacement error at each step 1..k; raises when either trajectory is shorter."""
+    """Displacement error at each step 1..k; ValueError when either trajectory is shorter."""
+    for name, t in (("predicted", pred), ("ground-truth", gt)):
+        if len(t) < k:
+            raise ValueError(f"{name} trajectory has {len(t)} waypoints; horizon step {k} needs {k}")
     return [math.dist(pred.point(i), gt.point(i)) for i in range(1, k + 1)]
 
 
@@ -250,6 +253,11 @@ def evaluate_dataset(
             raise ValueError(
                 f"scenario {s.id!r}: trajectory has {len(traj)} waypoints, "
                 f"expected {DEFAULT_HORIZON_STEPS}"
+            )
+        if len(s.human_trajectory) != DEFAULT_HORIZON_STEPS:
+            raise ValueError(
+                f"scenario {s.id!r}: human_trajectory has {len(s.human_trajectory)} "
+                f"waypoints, expected {DEFAULT_HORIZON_STEPS}"
             )
         used_fallback = traj is None
         if used_fallback:

@@ -32,6 +32,7 @@ step, aligned with the waypoint times.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -111,17 +112,45 @@ class Scenario:
     gt_object_boxes: tuple[tuple[ObjectBox, ...], ...] = field(default=())
 
 
+# --- invariants -----------------------------------------------------------
+#
+# One predicate per rule. ``validate_scenario`` writes a message for each
+# rule a scenario breaks; the load walk below calls the same predicates as
+# it builds each record, to learn whether it may skip ``validate_scenario``.
+
+_HORIZON_S = DEFAULT_HORIZON_STEPS * DEFAULT_DT
+
+
 def _finite(v) -> bool:
     return is_number(v) and math.isfinite(v)
 
 
 def _in_bounds(w: Waypoint) -> bool:
     """A sufficient check that ``_waypoint_violations(w, ...)`` is empty."""
-    x, y = w.x, w.y
+    x, y = w
     return (
         type(x) is float and type(y) is float
         and -COORD_BOUND <= x <= COORD_BOUND and -COORD_BOUND <= y <= COORD_BOUND
     )
+
+
+def _speed_ok(v) -> bool:
+    return _finite(v) and v >= 0
+
+
+def _rollout_in_bounds(velocity: float, acceleration: float) -> bool:
+    """The arc the constant-state rollout covers over the horizon stays within ``COORD_BOUND``."""
+    t = _HORIZON_S
+    return velocity * t + 0.5 * max(acceleration, 0.0) * t * t <= COORD_BOUND
+
+
+def _positive(v) -> bool:
+    """An object or box length or width: a finite number above 0."""
+    return is_number(v) and 0.0 < v < math.inf
+
+
+def _heading_ok(h) -> bool:
+    return is_number(h) and -math.pi <= h <= math.pi
 
 
 def _waypoint_violations(w: Waypoint, where: str) -> list[str]:
@@ -138,19 +167,16 @@ def validate_scenario(s: Scenario) -> list[str]:
     """Check every invariant; returns a list of violations (empty means ok)."""
     v: list[str] = []
 
-    velocity_ok = _finite(s.ego.velocity) and s.ego.velocity >= 0
+    velocity_ok = _speed_ok(s.ego.velocity)
     if not velocity_ok:
         v.append("ego velocity >= 0")
     if not _finite(s.ego.acceleration):
         v.append("ego acceleration finite")
-    elif velocity_ok:
-        # the arc the constant-state rollout covers over the horizon
-        t = DEFAULT_HORIZON_STEPS * DEFAULT_DT
-        if s.ego.velocity * t + 0.5 * max(s.ego.acceleration, 0.0) * t * t > COORD_BOUND:
-            v.append(
-                f"ego velocity and ego acceleration: v*T + max(a, 0)*T^2/2 <= "
-                f"{COORD_BOUND:g} m over T = {t:g} s"
-            )
+    elif velocity_ok and not _rollout_in_bounds(s.ego.velocity, s.ego.acceleration):
+        v.append(
+            f"ego velocity and ego acceleration: v*T + max(a, 0)*T^2/2 <= "
+            f"{COORD_BOUND:g} m over T = {_HORIZON_S:g} s"
+        )
     if not _finite(s.ego.heading_rate):
         v.append("ego heading_rate finite")
     for i, w in enumerate(s.ego.history):
@@ -171,11 +197,11 @@ def validate_scenario(s: Scenario) -> list[str]:
         if o.id in ids:
             v.append(f"object {o.id!r}: duplicate id")
         ids.add(o.id)
-        if not (_finite(o.length) and o.length > 0):
+        if not _positive(o.length):
             v.append(f"object {o.id!r}: length > 0")
-        if not (_finite(o.width) and o.width > 0):
+        if not _positive(o.width):
             v.append(f"object {o.id!r}: width > 0")
-        if not _finite(o.heading) or not (-math.pi <= o.heading <= math.pi):
+        if not _heading_ok(o.heading):
             v.append(f"object {o.id!r}: heading in [-pi, pi]")
         if not _in_bounds(o.center):
             v.extend(_waypoint_violations(o.center, f"object {o.id!r} center"))
@@ -199,7 +225,7 @@ def validate_scenario(s: Scenario) -> list[str]:
         )
     for step, boxes in enumerate(s.gt_object_boxes):
         for j, b in enumerate(boxes):
-            if not (_finite(b.length) and b.length > 0 and _finite(b.width) and b.width > 0):
+            if not (_positive(b.length) and _positive(b.width)):
                 v.append(f"gt box [step {step}][{j}]: positive dimensions")
             if not _in_bounds(b.center):
                 v.extend(_waypoint_violations(b.center, f"gt box [step {step}][{j}] center"))
@@ -213,6 +239,26 @@ def validate_scenario(s: Scenario) -> list[str]:
 # so the schema walk below takes a finite float as it is. A field's name is
 # carried as its path, ("objects", 0, "center"), and spelled out only when
 # the walk raises.
+#
+# The walk also applies the invariants as it builds each record, through
+# the rule predicates above, and returns whether the scenario passed them:
+#
+#   every number finite            ``_number`` (a schema error); the fast
+#                                  branches take finite floats only
+#   coordinates within COORD_BOUND ``_in_bounds``: each pair in ``_pairs``,
+#                                  each box center in ``_box``, each object
+#                                  center in ``_scenario_from_dict``
+#   ego velocity, rollout arc      ``_speed_ok``, ``_rollout_in_bounds``
+#   object and box dimensions > 0  ``_positive``; in ``_box`` for a float
+#   object heading in [-pi, pi]    ``_heading_ok``
+#   unique object ids, known       ``_scenario_from_dict``
+#   prediction ids, horizon counts
+#
+# A scenario that passes them all skips ``validate_scenario``; any other
+# goes through it, and it writes every invariant message. A pair or box
+# that misses its fast branch (an int literal, an extra key) takes the
+# general path, which raises the schema errors, and leaves its scenario
+# to ``validate_scenario``.
 
 def is_number(v) -> bool:
     """A JSON number: an int or a float (or a subclass), and not a bool."""
@@ -244,18 +290,27 @@ def _pair(raw, sid: str, *path) -> Waypoint:
     return Waypoint(_number(raw[0], sid, *path), _number(raw[1], sid, *path))
 
 
-def _pairs(raw, sid: str, *path) -> tuple[Waypoint, ...]:
+# a record from a list of its fields, without the NamedTuple's Python-level
+# __new__; the caller has checked the length
+_waypoint = functools.partial(tuple.__new__, Waypoint)
+_object_box = functools.partial(tuple.__new__, ObjectBox)
+
+
+def _pairs(raw, sid: str, *path) -> tuple[tuple[Waypoint, ...], bool]:
+    """The waypoints, and whether each passed ``_in_bounds``."""
     if type(raw) is not list:
         raise ScenarioSchemaError("expected a list of [x, y] pairs", sid, _field(path))
     out = []
+    valid = True
     for i, p in enumerate(raw):
         if type(p) is list and len(p) == 2:
-            x, y = p
-            if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
-                out.append(Waypoint(x, y))
+            w = _waypoint(p)
+            if _in_bounds(w):
+                out.append(w)
                 continue
+        valid = False
         out.append(_pair(p, sid, *path, i))
-    return tuple(out)
+    return tuple(out), valid
 
 
 def _require(d, key: str, sid: str | None):
@@ -285,7 +340,26 @@ def _list_at(raw: dict, key: str, sid: str) -> list:
     return value
 
 
-def _scenario_from_dict(raw: dict) -> Scenario:
+def _box(b) -> ObjectBox | None:
+    """A ``gt_object_boxes`` box that needs no conversion and breaks no invariant, else None."""
+    if type(b) is not dict or len(b) != 4:
+        return None
+    center, heading = b.get("center"), b.get("heading")
+    length, width = b.get("length"), b.get("width")
+    if (
+        type(center) is list and len(center) == 2
+        and type(heading) is float and -math.inf < heading < math.inf
+        and type(length) is float and 0.0 < length < math.inf  # _positive, for a float
+        and type(width) is float and 0.0 < width < math.inf
+    ):
+        w = _waypoint(center)
+        if _in_bounds(w):
+            return _object_box((w, heading, length, width))
+    return None
+
+
+def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
+    """The scenario, and True only if ``validate_scenario`` would find nothing in it."""
     sid = raw.get("id")
     if not isinstance(sid, str) or not sid:
         # a number was rounded as it was decoded, so only a string id is echoed
@@ -293,36 +367,42 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioSchemaError("scenario id must be a non-empty string", shown, "id")
 
     ego_raw = _require(raw, "ego", sid)
-    ego = EgoState(
-        velocity=_number_at(ego_raw, "velocity", sid, "ego"),
-        acceleration=_number_at(ego_raw, "acceleration", sid, "ego"),
-        heading_rate=_number_at(ego_raw, "heading_rate", sid, "ego"),
-        history=_pairs(ego_raw.get("history", []), sid, "ego", "history"),
-    )
+    velocity = _number_at(ego_raw, "velocity", sid, "ego")
+    acceleration = _number_at(ego_raw, "acceleration", sid, "ego")
+    heading_rate = _number_at(ego_raw, "heading_rate", sid, "ego")
+    history, valid = _pairs(ego_raw.get("history", []), sid, "ego", "history")
+    ego = EgoState(velocity, acceleration, heading_rate, history)
+    valid = valid and _speed_ok(velocity) and _rollout_in_bounds(velocity, acceleration)
 
     objects = []
+    ids = set()
     for i, o in enumerate(_list_at(raw, "objects", sid)):
-        objects.append(
-            DetectedObject(
-                id=_string_at(o, "id", sid, "objects", i),
-                class_name=_string_at(o, "class", sid, "objects", i),
-                center=_pair(_require(o, "center", sid), sid, "objects", i, "center"),
-                heading=_number_at(o, "heading", sid, "objects", i),
-                length=_number_at(o, "length", sid, "objects", i),
-                width=_number_at(o, "width", sid, "objects", i),
-            )
+        obj = DetectedObject(
+            id=_string_at(o, "id", sid, "objects", i),
+            class_name=_string_at(o, "class", sid, "objects", i),
+            center=_pair(_require(o, "center", sid), sid, "objects", i, "center"),
+            heading=_number_at(o, "heading", sid, "objects", i),
+            length=_number_at(o, "length", sid, "objects", i),
+            width=_number_at(o, "width", sid, "objects", i),
         )
+        valid = (
+            valid and obj.id not in ids and _in_bounds(obj.center) and _heading_ok(obj.heading)
+            and _positive(obj.length) and _positive(obj.width)
+        )
+        ids.add(obj.id)
+        objects.append(obj)
 
     predictions = []
     for i, p in enumerate(_list_at(raw, "predictions", sid)):
-        predictions.append(
-            PredictedMotion(
-                object_id=_string_at(p, "object_id", sid, "predictions", i),
-                future=_pairs(_require(p, "future", sid), sid, "predictions", i, "future"),
-            )
+        object_id = _string_at(p, "object_id", sid, "predictions", i)
+        future, future_valid = _pairs(_require(p, "future", sid), sid, "predictions", i, "future")
+        valid = (
+            valid and future_valid and object_id in ids and len(future) == DEFAULT_HORIZON_STEPS
         )
+        predictions.append(PredictedMotion(object_id, future))
 
-    human = Trajectory(_pairs(_require(raw, "human_trajectory", sid), sid, "human_trajectory"))
+    human, human_valid = _pairs(_require(raw, "human_trajectory", sid), sid, "human_trajectory")
+    valid = valid and human_valid and len(human) == DEFAULT_HORIZON_STEPS
 
     gt_steps = []
     for step, boxes in enumerate(_list_at(raw, "gt_object_boxes", sid)):
@@ -330,25 +410,22 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             raise ScenarioSchemaError("expected a list of boxes", sid, f"gt_object_boxes[{step}]")
         row = []
         for j, b in enumerate(boxes):
-            where = ("gt_object_boxes", step, j)
-            row.append(
-                ObjectBox(
-                    center=_pair(_require(b, "center", sid), sid, *where, "center"),
-                    heading=_number_at(b, "heading", sid, *where),
-                    length=_number_at(b, "length", sid, *where),
-                    width=_number_at(b, "width", sid, *where),
+            box = _box(b)
+            if box is None:
+                where = ("gt_object_boxes", step, j)
+                valid = False
+                box = ObjectBox(
+                    _pair(_require(b, "center", sid), sid, *where, "center"),
+                    _number_at(b, "heading", sid, *where),
+                    _number_at(b, "length", sid, *where),
+                    _number_at(b, "width", sid, *where),
                 )
-            )
+            row.append(box)
         gt_steps.append(tuple(row))
+    valid = valid and len(gt_steps) in (0, DEFAULT_HORIZON_STEPS)
 
-    return Scenario(
-        id=sid,
-        ego=ego,
-        objects=tuple(objects),
-        predictions=tuple(predictions),
-        human_trajectory=human,
-        gt_object_boxes=tuple(gt_steps),
-    )
+    objects, predictions, gt = tuple(objects), tuple(predictions), tuple(gt_steps)
+    return Scenario(sid, ego, objects, predictions, Trajectory(human), gt), valid
 
 
 def load_scenarios(path: str | Path) -> list[Scenario]:
@@ -357,7 +434,11 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     Raises FileNotFoundError for a missing file, ScenarioSchemaError for
     malformed JSON (nesting too deep to decode included) or any
     schema/invariant violation (the error names the offending scenario id
-    and field).
+    and field). The schema walk applies the invariants as it goes (see the
+    comment above ``is_number``); ``validate_scenario`` runs only for a
+    scenario the walk could not clear, and writes the violation message. A
+    schema error in a scenario is raised before a duplicate scenario id,
+    and that before an invariant violation.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -373,13 +454,14 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     for raw in doc["scenarios"]:
         if not isinstance(raw, dict):
             raise ScenarioSchemaError("each scenario must be an object")
-        s = _scenario_from_dict(raw)
+        s, valid = _scenario_from_dict(raw)
         if s.id in seen:
             raise ScenarioSchemaError("duplicate scenario id", s.id, "id")
         seen.add(s.id)
-        violations = validate_scenario(s)
-        if violations:
-            raise ScenarioSchemaError("; ".join(violations), s.id)
+        if not valid:
+            violations = validate_scenario(s)
+            if violations:
+                raise ScenarioSchemaError("; ".join(violations), s.id)
         out.append(s)
     return out
 

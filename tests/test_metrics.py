@@ -57,7 +57,7 @@ class TestL2:
             l2_at_horizon(GT_STRAIGHT, GT_STRAIGHT, 4.0)  # beyond the horizon
         with pytest.raises(ValueError):
             l2_at_horizon(GT_STRAIGHT, GT_STRAIGHT, 1.0, "median")
-        with pytest.raises(IndexError):  # a trajectory shorter than the horizon step
+        with pytest.raises(ValueError, match="has 2 waypoints; horizon step 6 needs 6"):
             l2_at_horizon(traj([(0, 1), (0, 2)]), GT_STRAIGHT, 3.0, "cumulative_mean")
 
 
@@ -200,6 +200,12 @@ class TestEvaluateDataset:
         records = [PlanRecord("a", traj([(0, 1), (0, 2), (0, 3)]), "clean")]
         with pytest.raises(ValueError, match="'a': trajectory has 3 waypoints, expected 6"):
             evaluate_dataset(scenarios, records)
+
+    def test_short_human_trajectory_is_a_value_error(self):
+        s = Scenario("a", EgoState(2.0, 0.0, 0.0), (), (), traj([(0, i) for i in range(1, 6)]))
+        for records in ([PlanRecord("a", GT_STRAIGHT, "clean")], []):  # a plan, or the fallback
+            with pytest.raises(ValueError, match="'a': human_trajectory has 5 waypoints, expected 6"):
+                evaluate_dataset([s], records)
 
     def test_null_trajectory_record_is_a_parse_failure(self):
         scenarios = [scenario_for_eval("a")]

@@ -30,8 +30,8 @@ from lmplan import (
     scenario_to_dict,
     synth_scenario,
 )
-from lmplan.codec import DEFAULT_DT, DEFAULT_HORIZON_STEPS
-from lmplan.scenario import COORD_BOUND, SYNTH_KINDS, _dumps_indent1
+from lmplan.codec import DEFAULT_DT, DEFAULT_HORIZON_STEPS, quantize_literal
+from lmplan.scenario import COORD_BOUND, SYNTH_KINDS, _dumps_indent1, _scenario_from_dict
 
 # --- writer ---------------------------------------------------------------
 
@@ -425,3 +425,66 @@ def test_reader_matches_the_old_walk_on_whole_file_cases(tmp_path):
         _check_file(path)
     path.write_text('{"scenarios": [{"id": 5}]}', encoding="utf-8")
     _check_file(path, non_string_id=("id",))
+
+
+# --- reader: the invariant flag at its boundaries -------------------------
+
+BOUNDARY_LITERALS = (
+    "200.0", "-200.0", "200.01", "-200.01", "3.14", "3.15", "-3.15",
+    "0.0", "0.01", "-0.01", "66.66", "66.67", "0", "-0",
+)
+
+
+def _check_flag(text, exact):
+    """The walk's flag clears only what the oracle passes, and, when ``exact``, all of it.
+
+    A waypoint or box that misses the walk's fast branch (an int literal, an
+    extra key) is only suspect, so for those the flag may say no to a valid
+    scenario; ``validate_scenario`` then runs and finds nothing.
+    """
+    raw = json.loads(text, parse_float=quantize_literal)["scenarios"][0]
+    s, valid = _scenario_from_dict(raw)
+    ok = old_validate(s) == []
+    assert valid == ok if exact else ok or not valid, (valid, old_validate(s), text[:400])
+
+
+def _boundary_files():
+    """(file text, exact) for every literal at every numeric path, and the structural cases."""
+    for doc in _base_docs():
+        for path in _paths(doc):
+            if type(_node(doc, path)[path[-1]]) is not float:
+                continue
+            for literal in BOUNDARY_LITERALS:
+                mutated = json.loads(json.dumps(doc))
+                _node(mutated, path)[path[-1]] = "@@"
+                text = json.dumps({"scenarios": [mutated]}).replace('"@@"', literal)
+                yield text, "." in literal
+
+        structural = []
+        if doc["objects"]:
+            structural.append(lambda d: d["objects"].append(dict(d["objects"][0])))
+        if doc["predictions"]:
+            structural.append(lambda d: d["predictions"][0].update(object_id="ghost"))
+            for n in (5, 7):
+                structural.append(lambda d, n=n: d["predictions"][0].update(
+                    future=[[0.0, float(i)] for i in range(n)]))
+        for n in (5, 7):
+            structural.append(lambda d, n=n: d.update(
+                gt_object_boxes=(d["gt_object_boxes"] * 2)[:n]))
+        if any(doc["gt_object_boxes"]):
+            structural.append(lambda d: d["gt_object_boxes"][2][0].update(score=1.0))
+        structural.append(lambda d: d.update(gt_object_boxes=[]))
+        for mutate in structural:
+            mutated = json.loads(json.dumps(doc))
+            mutate(mutated)
+            yield json.dumps({"scenarios": [mutated]}), "score" not in json.dumps(mutated)
+
+
+def test_reader_matches_the_old_walk_at_invariant_boundaries(tmp_path):
+    path = tmp_path / "boundary.json"
+    outcomes = []
+    for text, exact in _boundary_files():
+        path.write_text(text, encoding="utf-8")
+        outcomes.append(_check_file(path))
+        _check_flag(text, exact)
+    assert 2000 < len(outcomes) and 200 < outcomes.count("error") < len(outcomes) - 200
