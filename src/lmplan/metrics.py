@@ -113,7 +113,9 @@ def _step_errors(pred: Trajectory, gt: Trajectory, k: int) -> list[float]:
     """Displacement error at each step 1..k; ValueError when either trajectory is shorter."""
     for name, t in (("predicted", pred), ("ground-truth", gt)):
         if len(t) < k:
-            raise ValueError(f"{name} trajectory has {len(t)} waypoints; horizon step {k} needs {k}")
+            raise ValueError(
+                f"{name} trajectory has {len(t)} waypoints; horizon step {k} needs {k}"
+            )
     return [math.dist(pred.point(i), gt.point(i)) for i in range(1, k + 1)]
 
 

@@ -204,7 +204,7 @@ class TestEvaluateDataset:
     def test_short_human_trajectory_is_a_value_error(self):
         s = Scenario("a", EgoState(2.0, 0.0, 0.0), (), (), traj([(0, i) for i in range(1, 6)]))
         for records in ([PlanRecord("a", GT_STRAIGHT, "clean")], []):  # a plan, or the fallback
-            with pytest.raises(ValueError, match="'a': human_trajectory has 5 waypoints, expected 6"):
+            with pytest.raises(ValueError, match="'a': human_trajectory has 5 waypoints"):
                 evaluate_dataset([s], records)
 
     def test_null_trajectory_record_is_a_parse_failure(self):
