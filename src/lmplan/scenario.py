@@ -122,7 +122,11 @@ _HORIZON_S = DEFAULT_HORIZON_STEPS * DEFAULT_DT
 
 
 def _finite(v) -> bool:
-    return is_number(v) and math.isfinite(v)
+    """A number that converts to a finite float; an int past the float range does not."""
+    try:
+        return is_number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _in_bounds(w: Waypoint) -> bool:
@@ -146,7 +150,7 @@ def _rollout_in_bounds(velocity: float, acceleration: float) -> bool:
 
 def _positive(v) -> bool:
     """An object or box length or width: a finite number above 0."""
-    return is_number(v) and 0.0 < v < math.inf
+    return _finite(v) and v > 0
 
 
 def _heading_ok(h) -> bool:
@@ -506,39 +510,94 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def _dumps_indent1(o, pad: str = "") -> str:
-    """``json.dumps(o, indent=1, ensure_ascii=False)``, byte for byte, for str-keyed dicts.
+# The writer follows the file schema's fixed layout: ``json.dumps(doc,
+# indent=1, ensure_ascii=False)``'s, one newline and one space per level,
+# in ``scenario_to_dict``'s key order. A pad is a newline and the indent of
+# the line a bracket opens on; the bracket's items sit one space further in.
+# Leaves keep ``json``'s rules: ``encode_basestring`` for a string,
+# ``float.__repr__`` for a finite float, ``json.dumps`` for any other.
 
-    With ``indent`` set, ``json`` (before 3.13) encodes in Python; this does
-    the same layout but hands strings to the C ``encode_basestring`` and
-    finite floats to ``float.__repr__``. Any other leaf goes to ``json.dumps``.
-    """
-    if isinstance(o, str):
-        return encode_basestring(o)
-    if type(o) is float and math.isfinite(o):
-        return repr(o)  # float.__repr__, as json uses
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = pad + " "
-        items = [_dumps_indent1(v, inner) for v in o]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = pad + " "
-        items = [encode_basestring(k) + ": " + _dumps_indent1(v, inner) for k, v in o.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    return json.dumps(o)
+_INF = math.inf
+_P2, _P3, _P4, _P5, _P6 = ("\n" + " " * depth for depth in range(2, 7))
+
+
+def _leaf(v) -> str:
+    if type(v) is float and -_INF < v < _INF:
+        return repr(v)  # float.__repr__, as json uses
+    if isinstance(v, str):
+        return encode_basestring(v)
+    return json.dumps(v)  # int, bool, a non-finite float, a float subclass; raises for the rest
+
+
+def _pair_json(w: Waypoint, pad: str) -> str:
+    """``[x, y]``, opened on a line of indent ``pad``."""
+    x, y = w
+    inner = pad + " "
+    if type(x) is float and type(y) is float and -_INF < x < _INF and -_INF < y < _INF:
+        return f"[{inner}{x!r},{inner}{y!r}{pad}]"
+    return f"[{inner}{_leaf(x)},{inner}{_leaf(y)}{pad}]"
+
+
+def _list_json(items: list[str], pad: str) -> str:
+    """A list of items already written one level in from ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + " "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _pairs_json(ws, pad: str) -> str:
+    inner = pad + " "
+    return _list_json([_pair_json(w, inner) for w in ws], pad)
+
+
+def _scenario_json(s: Scenario) -> str:
+    """One entry of the top-level list, opened at indent 2."""
+    e = s.ego
+    objects = [
+        f'{{{_P5}"id": {_leaf(o.id)},{_P5}"class": {_leaf(o.class_name)},'
+        f'{_P5}"center": {_pair_json(o.center, _P5)},{_P5}"heading": {_leaf(o.heading)},'
+        f'{_P5}"length": {_leaf(o.length)},{_P5}"width": {_leaf(o.width)}{_P4}}}'
+        for o in s.objects
+    ]
+    predictions = [
+        f'{{{_P5}"object_id": {_leaf(p.object_id)},'
+        f'{_P5}"future": {_pairs_json(p.future, _P5)}{_P4}}}'
+        for p in s.predictions
+    ]
+    gt_steps = [
+        _list_json([
+            f'{{{_P6}"center": {_pair_json(center, _P6)},{_P6}"heading": {_leaf(heading)},'
+            f'{_P6}"length": {_leaf(length)},{_P6}"width": {_leaf(width)}{_P5}}}'
+            for center, heading, length, width in boxes
+        ], _P4)
+        for boxes in s.gt_object_boxes
+    ]
+    return (
+        f'{{{_P3}"id": {_leaf(s.id)},'
+        f'{_P3}"ego": {{{_P4}"velocity": {_leaf(e.velocity)},'
+        f'{_P4}"acceleration": {_leaf(e.acceleration)},'
+        f'{_P4}"heading_rate": {_leaf(e.heading_rate)},'
+        f'{_P4}"history": {_pairs_json(e.history, _P4)}{_P3}}},'
+        f'{_P3}"objects": {_list_json(objects, _P3)},'
+        f'{_P3}"predictions": {_list_json(predictions, _P3)},'
+        f'{_P3}"human_trajectory": {_pairs_json(s.human_trajectory.waypoints, _P3)},'
+        f'{_P3}"gt_object_boxes": {_list_json(gt_steps, _P3)}{_P2}}}'
+    )
 
 
 def save_scenarios(scenarios: list[Scenario], path: str | Path) -> None:
     """Write scenarios in the documented JSON schema (round-trips exactly).
 
-    The bytes are those of ``json.dumps(doc, indent=1, ensure_ascii=False)``.
+    The writer follows the schema's fixed layout: the bytes are those of
+    ``json.dumps({"scenarios": [scenario_to_dict(s), ...]}, indent=1,
+    ensure_ascii=False)`` and one newline, in UTF-8. The whole text is
+    encoded before the file is opened, so a leaf that cannot be written
+    raises and leaves an existing file as it was.
     """
-    doc = {"scenarios": [scenario_to_dict(s) for s in scenarios]}
-    Path(path).write_text(_dumps_indent1(doc) + "\n", encoding="utf-8")
+    entries = _list_json([_scenario_json(s) for s in scenarios], "\n ")
+    data = ('{\n "scenarios": ' + entries + "\n}\n").encode("utf-8")
+    Path(path).write_bytes(data)
 
 
 # --- dataset splits -------------------------------------------------------

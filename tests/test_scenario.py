@@ -234,6 +234,30 @@ class TestValidation:
         ok = dataclasses.replace(s, ego=EgoState(np.float64(5.0), 0.0, 0.0))  # a float subclass
         assert validate_scenario(ok) == []
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("velocity", "ego velocity >= 0"),
+            ("acceleration", "ego acceleration finite"),
+            ("history", "ego history[0]: coordinates must be finite"),
+            ("length", "object 'o1': length > 0"),
+        ],
+        ids=["velocity", "acceleration", "history", "length"],
+    )
+    def test_int_past_the_float_range_is_a_violation(self, field, message):
+        # a file cannot hold one (the loader rounds or rejects such ints), a library caller can
+        huge = 10**400
+        s = synth_scenario("lead_vehicle", 0)
+        if field == "velocity":
+            bad = dataclasses.replace(s, ego=EgoState(huge, 0.0, 0.0))
+        elif field == "acceleration":
+            bad = dataclasses.replace(s, ego=EgoState(0.0, huge, 0.0))
+        elif field == "history":
+            bad = dataclasses.replace(s, ego=EgoState(0.0, 0.0, 0.0, (Waypoint(huge, 0.0),)))
+        else:
+            bad = dataclasses.replace(s, objects=(dataclasses.replace(s.objects[0], length=huge),))
+        assert validate_scenario(bad) == [message]
+
     def test_negative_velocity(self, tmp_path):
         d = base_scenario_dict()
         d["ego"]["velocity"] = -1.0

@@ -7,10 +7,12 @@ the walk it replaced returned, or raise the same message. That walk
 up front) is kept below as the oracle, with the old ``validate_scenario``.
 """
 
+import dataclasses
 import json
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +33,7 @@ from lmplan import (
     synth_scenario,
 )
 from lmplan.codec import DEFAULT_DT, DEFAULT_HORIZON_STEPS, quantize_literal
-from lmplan.scenario import COORD_BOUND, SYNTH_KINDS, _dumps_indent1, _scenario_from_dict
+from lmplan.scenario import COORD_BOUND, SYNTH_KINDS, _scenario_from_dict
 
 # --- writer ---------------------------------------------------------------
 
@@ -45,32 +47,69 @@ class StrSub(str):
     pass
 
 
-leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
+numbers = st.one_of(
     st.floats(),  # NaN, +-inf, +-0.0 and subnormals included
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1e16, 0.1]),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 1e16, 0.1]),
+    st.integers(),
+    st.just(10**400),
+    st.booleans(),
     st.floats().map(FloatSub),
+)
+strings = st.one_of(
     st.text(),  # non-ASCII, quotes, backslashes and control characters included
-    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é \U0001f600", "\ud800"]),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é \U0001f600"]),
     st.text().map(StrSub),
 )
-trees = st.recursive(
-    leaves,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=4), children, max_size=4),
-    ),
-    max_leaves=40,
+coordinates = st.one_of(st.floats(allow_nan=False, allow_infinity=False), numbers, strings)
+waypoints = st.builds(Waypoint, coordinates, coordinates)
+paths = st.lists(waypoints, max_size=3).map(tuple)
+boxes = st.builds(ObjectBox, waypoints, numbers, numbers, numbers)
+generated_scenarios = st.builds(
+    Scenario,
+    strings,
+    st.builds(EgoState, numbers, numbers, numbers, paths),
+    st.lists(
+        st.builds(DetectedObject, strings, strings, waypoints, numbers, numbers, numbers),
+        max_size=2,
+    ).map(tuple),
+    st.lists(st.builds(PredictedMotion, strings, paths), max_size=2).map(tuple),
+    paths.map(Trajectory),
+    st.lists(st.lists(boxes, max_size=2).map(tuple), max_size=3).map(tuple),  # empty steps too
 )
 
 
-@given(trees)
-@settings(max_examples=600, deadline=None)
-def test_writer_matches_json_indent_1(tree):
-    assert _dumps_indent1(tree) == json.dumps(tree, indent=1, ensure_ascii=False)
+@given(st.lists(generated_scenarios, max_size=2))
+@settings(max_examples=400, deadline=None)
+def test_scenario_writer_matches_json_indent_1(tmp_path_factory, scenarios):
+    path = tmp_path_factory.mktemp("writer") / "s.json"
+    save_scenarios(scenarios, path)
+    doc = {"scenarios": [scenario_to_dict(s) for s in scenarios]}
+    assert path.read_bytes() == (json.dumps(doc, indent=1, ensure_ascii=False) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "field, leaf, error",
+    [
+        ("velocity", object(), TypeError),
+        ("id", "\ud800", UnicodeEncodeError),  # a lone surrogate has no UTF-8 bytes
+        ("class", "car \udfff", UnicodeEncodeError),
+    ],
+    ids=["object", "surrogate-id", "surrogate-class"],
+)
+def test_unwritable_leaf_raises_and_keeps_the_file(tmp_path, field, leaf, error):
+    path = tmp_path / "s.json"
+    save_scenarios(make_scenarios(2), path)
+    before = path.read_bytes()
+    s = synth_scenario("lead_vehicle", 0)
+    if field == "velocity":
+        bad = dataclasses.replace(s, ego=EgoState(leaf, 0.0, 0.0))
+    elif field == "id":
+        bad = dataclasses.replace(s, id=leaf)
+    else:
+        bad = dataclasses.replace(s, objects=(dataclasses.replace(s.objects[0], class_name=leaf),))
+    with pytest.raises(error):
+        save_scenarios(make_scenarios(2) + [bad], path)
+    assert path.read_bytes() == before
 
 
 def test_saved_file_is_json_indent_1(tmp_path):
