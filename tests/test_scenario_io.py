@@ -81,7 +81,7 @@ generated_scenarios = st.builds(
 @given(st.lists(generated_scenarios, max_size=2))
 @settings(max_examples=400, deadline=None)
 def test_scenario_writer_matches_json_indent_1(tmp_path_factory, scenarios):
-    path = tmp_path_factory.mktemp("writer") / "s.json"
+    path = tmp_path_factory.getbasetemp() / "generated-scenarios.json"
     save_scenarios(scenarios, path)
     doc = {"scenarios": [scenario_to_dict(s) for s in scenarios]}
     assert path.read_bytes() == (json.dumps(doc, indent=1, ensure_ascii=False) + "\n").encode()
