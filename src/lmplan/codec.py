@@ -65,21 +65,46 @@ class TrajectoryParseError(ValueError):
 def quantize(v: float, decimals: int = DEFAULT_DECIMALS) -> float:
     """Round half away from zero to `decimals` fractional digits.
 
-    Ties are resolved on the shortest decimal representation of the double
-    (so quantize(2.675, 2) == 2.68, matching what a reader of the printed
-    value expects). Negative zero normalizes to 0.0. A value already exact
-    at `decimals` comes back unchanged, and so does any |v| >= 2**52, which
-    is an integer as a double. For a finite float this never raises; a
-    non-finite value raises ValueError.
+    Ties are resolved on D, the shortest decimal representation of the
+    double (so quantize(2.675, 2) == 2.68, matching what a reader of the
+    printed value expects). Negative zero normalizes to 0.0, and any
+    |v| >= 2**52, an integer as a double, comes back unchanged. For a
+    finite float this never raises; a non-finite value raises ValueError,
+    and an int too large for a double raises OverflowError, as ``float``
+    does. The result is always a plain ``float``.
+
+    At 2 decimals, the default, a value rounds in binary: with
+    ``t = v * 100.0`` inside ``-1e9 < t < 1e9`` and ``n = round(t)``,
+    ``|t - n| < 0.499999`` (0.5 - 1e-6) gives ``n / 100.0``. That is the
+    ``Decimal`` result, because
+
+    - ``t`` differs from D*100 by at most |t|*2**-52 (D and v, and t and
+      v*100, each differ by half an ulp at most), under 2.3e-7 inside the
+      band;
+    - so outside the 1e-6 tie band D*100 is within 0.5 of ``n`` and not
+      at a half, and rounding it half up gives ``round(t)``;
+    - ``t - n`` is exact (Sterbenz lemma: ``n`` and ``t`` are within a
+      factor of 2 of each other, or ``n`` is 0), so the test sees the true
+      distance;
+    - ``n / 100.0`` is the correctly rounded double of n/100 (|n| < 2**53
+      converts exactly), which is the double ``float(Decimal(...))`` gives
+      for the quantized decimal.
+
+    Any other call - a value near a decimal tie, one past the band, a
+    non-finite value or another `decimals` - rounds D with ``Decimal``.
     """
+    t = v * 100.0
+    if decimals == 2 and -1e9 < t < 1e9:
+        n = round(t)
+        if -0.499999 < t - n < 0.499999:
+            return n / 100.0
     if not math.isfinite(v):
         raise ValueError(f"cannot quantize non-finite value {v!r}")
     v = float(v)
-    r = repr(v)
-    if abs(v) >= 2.0**52 or ("e" not in r and len(r) - r.index(".") - 1 <= decimals):
-        return 0.0 if v == 0.0 else v
+    if abs(v) >= 2.0**52:
+        return v
     exp = Decimal(1).scaleb(-decimals)
-    q = float(Decimal(r).quantize(exp, rounding=ROUND_HALF_UP))
+    q = float(Decimal(repr(v)).quantize(exp, rounding=ROUND_HALF_UP))
     return 0.0 if q == 0.0 else q
 
 

@@ -333,7 +333,20 @@ def _string_at(d, key: str, sid: str, *where) -> str:
         raise ScenarioSchemaError(
             f"expected a string, got {type(raw).__name__}", sid, _field((*where, key))
         )
+    if not raw.isascii():
+        _check_utf8(raw, sid, _field((*where, key)))
     return raw
+
+
+def _check_utf8(raw: str, sid: str, field_name: str) -> None:
+    """Reject a string holding a lone surrogate (a ``"\\ud800"`` escape).
+
+    No UTF-8 output can hold one, so every writer would fail part-way.
+    """
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ScenarioSchemaError("lone surrogate; UTF-8 cannot encode it", sid, field_name) from None
 
 
 def _list_at(raw: dict, key: str, sid: str) -> list:
@@ -369,6 +382,8 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
         # a number was rounded as it was decoded, so only a string id is echoed
         shown = sid if isinstance(sid, str) else None
         raise ScenarioSchemaError("scenario id must be a non-empty string", shown, "id")
+    if not sid.isascii():
+        _check_utf8(sid, sid, "id")
 
     ego_raw = _require(raw, "ego", sid)
     velocity = _number_at(ego_raw, "velocity", sid, "ego")

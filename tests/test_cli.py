@@ -547,6 +547,37 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"field {field_name!r}: expected a string" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("argv, outputs", [
+        (["plan", "--scenarios", "{s}", "--out", "{out}/r.jsonl", "--mode", "stub_hypothetical"],
+         ["r.jsonl"]),
+        (["evaluate", "--scenarios", "{s}", "--results", "{results}", "--out-dir", "{out}/rep"],
+         ["rep/report.md", "rep/report.csv"]),
+        (["split", "--scenarios", "{s}", "--fraction", "0.5", "--out", "{out}/m.json",
+          "--scenarios-out", "{out}/sub.json"], ["m.json", "sub.json"]),
+    ], ids=["plan", "evaluate", "split"])
+    def test_lone_surrogate_id_writes_nothing(self, tmp_path, capsys, argv, outputs, existing):
+        scen = synth_file(tmp_path, count=1)
+        doc = json.loads(scen.read_text())
+        doc["scenarios"][0]["id"] = "\ud800"
+        scen.write_text(json.dumps(doc))  # ASCII: the "\ud800" escape
+        results = tmp_path / "results.jsonl"
+        results.write_text("")
+        out = tmp_path / "out"
+        if existing:
+            for name in outputs:
+                (out / name).parent.mkdir(parents=True, exist_ok=True)
+                (out / name).write_bytes(b"old bytes\n")
+        capsys.readouterr()
+        assert run(*[a.format(s=scen, results=results, out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "field 'id': lone surrogate" in err and "Traceback" not in err
+        for name in outputs:
+            if existing:
+                assert (out / name).read_bytes() == b"old bytes\n", name
+            else:
+                assert not (out / name).exists(), name
+
     def test_duplicate_result_id(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=3)
         results = tmp_path / "results.jsonl"

@@ -6,6 +6,7 @@ import random
 import struct
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,57 @@ def test_quantize_matches_the_decimal_oracle():
             v, decimals, got, want,
         )
     assert i == 999_999
+
+
+def _ulps_away(x: float, k: int) -> float:
+    """x with its magnitude moved by k ulps (k may be negative)."""
+    bits = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return math.copysign(struct.unpack("<d", struct.pack("<q", bits + k))[0], x)
+
+
+def _two_decimal_ties(rng: random.Random, n: int):
+    """n seeded doubles of (m + 0.5) / 100, |m| log-uniform up to 1e12.
+
+    v * 100 then sits on both sides of the 1e9 edge of ``quantize``'s
+    binary branch.
+    """
+    for _ in range(n):
+        m = int(10 ** rng.uniform(0, 12)) * rng.choice((-1, 1))
+        yield (m + 0.5) / 100
+
+
+def _assert_quantize_is_the_decimal_oracle(v: float) -> None:
+    got, want = quantize(v), decimal_quantize(v, 2)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (v, got, want)
+
+
+def test_quantize_within_40_ulps_of_a_decimal_tie():
+    rng = random.Random(20261020)
+    for tie in _two_decimal_ties(rng, 2_500):
+        for k in range(-40, 41):  # k = 0 is the tie's own double
+            _assert_quantize_is_the_decimal_oracle(_ulps_away(tie, k))
+
+
+def test_quantize_a_small_shift_from_a_decimal_tie():
+    rng = random.Random(20261021)
+    for tie in _two_decimal_ties(rng, 100_000):
+        shift = rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -5)
+        _assert_quantize_is_the_decimal_oracle(tie + shift)
+
+
+class _Meters(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "v, want",
+    [(3, 3.0), (-7, -7.0), (True, 1.0), (False, 0.0), (_Meters(2.675), 2.68),
+     (_Meters(1.5), 1.5), (np.float64(2.675), 2.68), (np.float64(-0.001), 0.0)],
+)
+def test_quantize_returns_a_plain_float(v, want):
+    got = quantize(v)
+    assert type(got) is float and got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def _float_literals(rng: random.Random, n: int):

@@ -527,3 +527,45 @@ def test_reader_matches_the_old_walk_at_invariant_boundaries(tmp_path):
         outcomes.append(_check_file(path))
         _check_flag(text, exact)
     assert 2000 < len(outcomes) and 200 < outcomes.count("error") < len(outcomes) - 200
+
+
+# --- reader: strings no writer can hold -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "where, field_name",
+    [
+        (("id",), "id"),
+        (("objects", 0, "id"), "objects[0].id"),
+        (("objects", 0, "class"), "objects[0].class"),
+        (("predictions", 0, "object_id"), "predictions[0].object_id"),
+    ],
+)
+def test_lone_surrogate_is_a_schema_error(tmp_path, where, field_name):
+    path = tmp_path / "s.json"
+    save_scenarios(make_scenarios(2), path)  # scenario 1 is a lead_vehicle
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    node = doc["scenarios"][1]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] += "\ud800"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # ASCII: the "\ud800" escape
+    with pytest.raises(ScenarioSchemaError, match="lone surrogate") as e:
+        load_scenarios(path)
+    assert e.value.field_name == field_name
+
+
+def test_non_ascii_strings_load(tmp_path):
+    s = synth_scenario("lead_vehicle", 0)
+    renamed = {o.id: f"{o.id}-ß" for o in s.objects}
+    s = dataclasses.replace(
+        s,
+        id="szene-ü",
+        objects=tuple(dataclasses.replace(o, id=renamed[o.id], class_name="Fußgänger ✓")
+                      for o in s.objects),
+        predictions=tuple(dataclasses.replace(p, object_id=renamed[p.object_id])
+                          for p in s.predictions),
+    )
+    path = tmp_path / "s.json"
+    save_scenarios([s], path)
+    assert load_scenarios(path) == [s]
