@@ -216,7 +216,13 @@ def cmd_plan(args) -> int:
             quality = out.quality.value
             traj = None if out.trajectory is None else [[w.x, w.y] for w in out.trajectory.waypoints]
             row = {"scenario_id": s.id, "raw_text": raw, "parse_quality": quality, "trajectory": traj}
-            f.write(json.dumps(row, separators=(",", ":"), ensure_ascii=False) + "\n")
+            line = json.dumps(row, separators=(",", ":"), ensure_ascii=False)
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # a reply holding a lone surrogate
+                    line = json.dumps(row, separators=(",", ":"))  # \u escapes are valid UTF-8
+            f.write(line + "\n")
             counts[quality] += 1
     print(
         f"planned {len(scenarios)} scenarios -> {args.out} "
@@ -227,7 +233,29 @@ def cmd_plan(args) -> int:
 
 
 def _result_trajectory(raw) -> Trajectory:
-    """A result line's ``[[x, y], ...]``: finite number pairs, one per step."""
+    """A result line's ``[[x, y], ...]``: finite number pairs, one per step.
+
+    A list of ``DEFAULT_HORIZON_STEPS`` two-float lists, as ``plan`` writes
+    it, is built directly; anything else takes ``_checked_trajectory``,
+    which builds the same trajectory or raises its error.
+    """
+    if type(raw) is list and len(raw) == DEFAULT_HORIZON_STEPS:
+        points = []
+        for p in raw:
+            if type(p) is not list or len(p) != 2:
+                break
+            x, y = p
+            # a sum of two floats is finite only when both are
+            if type(x) is not float or type(y) is not float or not math.isfinite(x + y):
+                break
+            points.append(Waypoint(x, y))
+        else:
+            return Trajectory(tuple(points))
+    return _checked_trajectory(raw)
+
+
+def _checked_trajectory(raw) -> Trajectory:
+    """``_result_trajectory`` for any JSON value, checking each rule in turn."""
     if not isinstance(raw, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p) for p in raw
     ):
@@ -240,6 +268,9 @@ def _result_trajectory(raw) -> Trajectory:
             f"trajectory has {len(points)} waypoints, expected {DEFAULT_HORIZON_STEPS}"
         )
     return Trajectory(points)
+
+
+_QUALITIES = tuple(q.value for q in ParseQuality)
 
 
 def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
@@ -258,6 +289,10 @@ def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
                 raw_traj = obj.get("trajectory")
                 if not isinstance(sid, str) or not isinstance(quality, str):
                     raise TypeError("scenario_id and parse_quality must be strings")
+                if quality not in _QUALITIES:
+                    raise ValueError(
+                        f"parse_quality must be one of {', '.join(_QUALITIES)}, not {quality!r}"
+                    )
                 if sid in first_line:
                     raise ValueError(f"duplicate scenario_id {sid!r} (first on line {first_line[sid]})")
                 first_line[sid] = lineno

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import event, given, settings
@@ -253,6 +254,36 @@ class TestPlanRemote:
         assert all(r["raw_text"] for r in failed)  # raw text kept for debugging
         # one request per scenario: a garbled reply is not re-asked
         assert len(srv.requests) == 20
+
+    def test_lone_surrogate_reply_is_escaped_and_the_run_goes_on(self, tmp_path, api_key_env):
+        scen = synth_file(tmp_path, count=4)
+        scenarios = load_scenarios(scen)
+        echo = echo_target_responder(scenarios)
+        odd_prompt = build_prompt(scenarios[1]).user_text
+
+        def with_surrogate(payload):
+            text = echo(payload)
+            return text + " \ud800" if payload["messages"][-1]["content"] == odd_prompt else text
+
+        outputs = {}
+        for name, responder in (("plain", echo), ("surrogate", with_surrogate)):
+            outputs[name] = tmp_path / f"{name}.jsonl"
+            with MockChatServer(responder) as srv:
+                code = run(
+                    "plan", "--scenarios", scen, "--out", outputs[name],
+                    "--mode", "remote", "--endpoint", srv.url, "--backoff", 0,
+                )
+            assert code == 0
+            assert len(srv.requests) == 4
+        plain = outputs["plain"].read_bytes().splitlines()
+        data = outputs["surrogate"].read_bytes()
+        lines = data.decode("utf-8").encode("utf-8").splitlines()  # strict: valid UTF-8
+        assert len(lines) == 4
+        assert [lines[i] for i in (0, 2, 3)] == [plain[i] for i in (0, 2, 3)]
+        assert b"\\ud800" in lines[1]
+        assert json.loads(lines[1])["raw_text"].endswith(" \ud800")
+        assert run("evaluate", "--scenarios", scen, "--results", outputs["surrogate"],
+                   "--out-dir", tmp_path / "rep") == 0
 
     def test_huge_coordinate_reply_is_a_failed_row(self, tmp_path, api_key_env):
         scen = synth_file(tmp_path, count=3)
@@ -626,8 +657,12 @@ class TestErrors:
             ('"trajectory": [["a", 1.0]' + ", [0.0, 1.0]" * 5 + "]", "[x, y] number pairs"),
             ('"trajectory": [[NaN, 1.0]' + ", [0.0, 1.0]" * 5 + "]", "finite"),
             ('"parse_quality": ["clean"], "trajectory": null', "must be strings"),
+            ('"parse_quality": "clean,1\\nx", "trajectory": null', "must be one of"),
+            ('"parse_quality": "\\ud800", "trajectory": null', "must be one of"),
+            ('"parse_quality": "CLEAN", "trajectory": null', "must be one of"),
         ],
-        ids=["short", "flat", "non_numeric", "nan", "non_string_quality"],
+        ids=["short", "flat", "non_numeric", "nan", "non_string_quality",
+             "csv_breaking_quality", "lone_surrogate_quality", "upper_case_quality"],
     )
     def test_bad_result_line(self, tmp_path, capsys, fields, message):
         scen = synth_file(tmp_path, count=2)
@@ -639,6 +674,73 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"lmplan: error: {bad}:1: bad result line:")
         assert message in err
+        assert not (tmp_path / "rep").exists()
+
+    def test_result_trajectory_fast_path_matches_the_checked_path(self, monkeypatch):
+        # result lines as JSON text, mutated off plan's shape; each must build the
+        # same trajectory, or raise the same error, with or without the fast path
+        rng = random.Random(14)
+        tokens = {"@nan@": "NaN", "@big@": "1e400", "@-big@": "-1e400", "@huge@": "1" + "0" * 400}
+
+        def coordinate():
+            return rng.choice((rng.uniform(-200, 200), 0.0, -0.0, 1e-5, 123456.789))
+
+        mutations = (
+            lambda: rng.randint(-300, 300),
+            lambda: rng.choice((True, False)),
+            lambda: "@nan@",
+            lambda: rng.choice(("@big@", "@-big@", "@huge@")),
+            lambda: rng.choice(("1.0", "x", "")),
+            lambda: rng.choice(([1.0], [[1.0, 2.0]], [])),
+            lambda: -0.0,
+        )
+        lines = []
+        for _ in range(3000):
+            pairs = [[coordinate(), coordinate()] for _ in range(6)]
+            for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+                if not isinstance(pairs, list) or not pairs:
+                    break
+                op = rng.randrange(len(mutations) + 5)
+                i = rng.randrange(len(pairs))
+                pair = pairs[i]
+                if op < len(mutations):
+                    if isinstance(pair, list) and pair:
+                        pair[rng.randrange(len(pair))] = mutations[op]()
+                elif op == len(mutations):
+                    del pairs[i]  # 5 pairs
+                elif op == len(mutations) + 1:
+                    pairs.insert(i, [coordinate(), coordinate()])  # 7 pairs
+                elif op == len(mutations) + 2:
+                    pairs[i] = rng.choice((1.0, None, {"x": 1.0}, "pair"))  # a pair that is no list
+                elif op == len(mutations) + 3 and isinstance(pair, list):
+                    pairs[i] = pair + [coordinate()] if rng.random() < 0.5 else pair[:1]
+                elif op == len(mutations) + 4:
+                    pairs = rng.choice(({"trajectory": pairs}, "[]", 6, None))  # no list at all
+            text = json.dumps(pairs)
+            for token, literal in tokens.items():
+                text = text.replace(f'"{token}"', literal)
+            lines.append(text)
+
+        def outcome(build, raw):
+            try:
+                t = build(raw)
+            except (ValueError, TypeError, OverflowError) as e:
+                return type(e).__name__, str(e)
+            return "ok", json.dumps([list(w) for w in t.waypoints])
+
+        checked = []
+        fast_built = 0
+        checked_path, calls = cli._checked_trajectory, []
+        monkeypatch.setattr(cli, "_checked_trajectory", lambda r: calls.append(r) or checked_path(r))
+        for line in lines:
+            raw = json.loads(line)
+            want = outcome(checked_path, raw)
+            before = len(calls)
+            assert outcome(cli._result_trajectory, raw) == want, line
+            fast_built += len(calls) == before
+            checked.append(want[0])
+        assert fast_built > 500 and "-0.0" in "".join(lines)
+        assert {"ok", "ValueError", "OverflowError"} <= set(checked)
 
     @pytest.mark.parametrize("value", [5, None], ids=["int", "null"])
     @pytest.mark.parametrize("key", ["objects", "predictions", "gt_object_boxes"])

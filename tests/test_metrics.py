@@ -18,10 +18,12 @@ from lmplan import (
     obb_intersects,
     render_csv,
     render_markdown,
+    rollout_hypothetical,
     sat_margin,
+    synth_scenario,
 )
 from lmplan import metrics
-from lmplan.scenario import EgoState
+from lmplan.scenario import SYNTH_KINDS, EgoState, Trajectory
 
 
 def box(cx, cy, heading=0.0, length=4.0, width=2.0):
@@ -153,6 +155,161 @@ class TestCollision:
         boxes = ego_boxes_along(t)
         assert abs(boxes[1].heading - math.pi / 4) < 1e-12
         assert boxes[0].center.y == 1
+
+
+def full_collision_steps(t, gt_boxes):
+    """The reference: the separating-axis test on every pair, any() per step."""
+    if not gt_boxes:
+        return [False] * len(t)
+    return [
+        any(obb_intersects(ego, b) for b in (gt_boxes[i] if i < len(gt_boxes) else ()))
+        for i, ego in enumerate(ego_boxes_along(t))
+    ]
+
+
+def half_diagonal(length, width):
+    return 0.5 * math.hypot(length, width)
+
+
+def corners(b):
+    c, s = math.cos(b.heading), math.sin(b.heading)
+    hl, hw = b.length / 2, b.width / 2
+    return [
+        (b.center.x + u * hl * c - v * hw * s, b.center.y + u * hl * s + v * hw * c)
+        for u, v in ((1, 1), (-1, 1), (-1, -1), (1, -1))
+    ]
+
+
+def point_segment_distance(p, a, b):
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    t = ((p[0] - a[0]) * abx + (p[1] - a[1]) * aby) / (abx * abx + aby * aby)
+    t = min(1.0, max(0.0, t))
+    return math.hypot(p[0] - a[0] - t * abx, p[1] - a[1] - t * aby)
+
+
+def polygon_distance(a, b):
+    """Distance between two disjoint boxes: the nearest corner-to-edge pair."""
+    ca, cb = corners(a), corners(b)
+    return min(
+        point_segment_distance(p, q[k], q[(k + 1) % 4])
+        for ps, q in ((ca, cb), (cb, ca))
+        for p in ps
+        for k in range(4)
+    )
+
+
+def sized_box(rng, cx=0.0, cy=0.0, spread=15.0):
+    return ObjectBox(
+        Waypoint(cx + rng.uniform(-spread, spread), cy + rng.uniform(-spread, spread)),
+        rng.uniform(-math.pi, math.pi),
+        rng.uniform(0.05, 12.0),
+        rng.uniform(0.05, 12.0),
+    )
+
+
+def shifted(t, dx, dy):
+    return Trajectory(tuple(Waypoint(w.x + dx, w.y + dy) for w in t.waypoints))
+
+
+class TestBroadPhase:
+    """``collision_steps`` skips far boxes; its flags must be the full test's."""
+
+    def test_synth_scenes_match_the_full_test(self):
+        hits = 0
+        for kind in SYNTH_KINDS:
+            for seed in range(200):
+                s = synth_scenario(kind, seed)
+                rollout = rollout_hypothetical(s.ego)
+                plans = [s.human_trajectory, rollout] + [
+                    shifted(rollout, dx, dy) for dx, dy in ((0.5, 0), (-0.5, 0), (0, 0.5), (0, -0.5))
+                ]
+                for t in plans:
+                    want = full_collision_steps(t, s.gt_object_boxes)
+                    assert collision_steps(t, s.gt_object_boxes) == want, (kind, seed)
+                    hits += sum(want)
+        assert hits > 100
+
+    def test_crowded_scenes_match_the_full_test(self):
+        rng = random.Random(14)
+        hits = 0
+        for _ in range(60):
+            t = traj([(rng.uniform(-3, 3) * i, 2.0 * i) for i in range(1, 7)])
+            gt_boxes = tuple(
+                tuple(sized_box(rng, w.x, w.y) for _ in range(rng.randint(30, 60)))
+                for w in t.waypoints
+            )
+            want = full_collision_steps(t, gt_boxes)
+            assert collision_steps(t, gt_boxes) == want
+            hits += sum(want)
+        assert 0 < hits < 360
+
+    @pytest.mark.parametrize("corner_to_corner", [False, True])
+    def test_pairs_at_the_reach(self, monkeypatch, corner_to_corner):
+        # center distance = sum of half-diagonals + eps; corner to corner, the
+        # boxes overlap for eps < 0 and are apart for eps > 0
+        rng = random.Random(2 + corner_to_corner)
+        eps_values = [0.0] + [s * e for e in (1e-12, 1e-9, 1e-7, 1e-6, 1e-5) for s in (1, -1)]
+        hits = misses = 0
+        for _ in range(150):
+            monkeypatch.setattr(metrics, "EGO_LENGTH", rng.uniform(0.05, 12.0))
+            monkeypatch.setattr(metrics, "EGO_WIDTH", rng.uniform(0.05, 12.0))
+            t = traj([(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(6)])
+            for eps_row in range(0, len(eps_values), 6):
+                steps = []
+                for ego, eps in zip(ego_boxes_along(t), eps_values[eps_row:eps_row + 6]):
+                    length, width = rng.uniform(0.05, 12.0), rng.uniform(0.05, 12.0)
+                    reach = half_diagonal(ego.length, ego.width) + half_diagonal(length, width)
+                    if corner_to_corner:
+                        # along the ego's corner direction, the box's corner facing back
+                        away = ego.heading + math.atan2(ego.width, ego.length)
+                        heading = away + math.pi - math.atan2(width, length)
+                    else:
+                        away = rng.uniform(-math.pi, math.pi)
+                        heading = rng.uniform(-math.pi, math.pi)
+                    d = reach + eps
+                    center = Waypoint(
+                        ego.center.x + d * math.cos(away), ego.center.y + d * math.sin(away)
+                    )
+                    steps.append((ObjectBox(center, heading, length, width),))
+                steps = tuple(steps)
+                want = full_collision_steps(t, steps)
+                assert collision_steps(t, steps) == want
+                hits += sum(want)
+                misses += len(want) - sum(want)
+        assert misses > 0
+        if corner_to_corner:
+            assert hits > 0
+
+    @pytest.mark.parametrize(
+        "center", [(4.0, 0.0), (1.0, 1.5), (4.0, 1.5), (-2.0, -1.5)],
+        ids=["face_x", "face_y", "corner", "corner_behind"],
+    )
+    def test_touching_boxes_collide(self, monkeypatch, center):
+        # dyadic sizes on a path along +x, so the margin is exactly 0.0
+        monkeypatch.setattr(metrics, "EGO_LENGTH", 4.0)
+        monkeypatch.setattr(metrics, "EGO_WIDTH", 2.0)
+        t = traj([(i, 0) for i in range(1, 7)])
+        b = box(*center, 0.0, 2.0, 1.0)
+        assert sat_margin(ego_boxes_along(t)[0], b) == 0.0
+        assert collision_steps(t, ((b,),) + ((),) * 5) == [True] + [False] * 5
+
+    def test_sat_margin_is_at_least_distance_over_root_2(self):
+        rng = random.Random(7)
+        checked = 0
+        for i in range(20000):
+            if i % 4:
+                a, b = sized_box(rng, spread=10.0), sized_box(rng, spread=10.0)
+            else:  # two axis-aligned squares on a diagonal: the bound is tight
+                gap = rng.uniform(1e-6, 3.0)
+                a = box(0.0, 0.0, 0.0, 2.0, 2.0)
+                b = box(2.0 + gap, 2.0 + gap * rng.uniform(0.5, 2.0), 0.0, 2.0, 2.0)
+            margin = sat_margin(a, b)
+            if margin <= 0.0:
+                continue
+            dist = polygon_distance(a, b)
+            assert dist / math.sqrt(2) - 1e-12 <= margin <= dist + 1e-12
+            checked += 1
+        assert checked > 10000
 
 
 def scenario_for_eval(sid, gt_boxes=()):
