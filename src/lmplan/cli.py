@@ -207,7 +207,9 @@ def cmd_plan(args) -> int:
     # stub modes (builtin map) run on this thread.
     counts = {"clean": 0, "recovered": 0, "failed": 0}
     with (
-        open(args.out, "w", encoding="utf-8", newline="", buffering=1) as f,
+        # a lone surrogate from a reply can sit only inside a JSON string, where
+        # backslashreplace writes its JSON escape (\ud800)
+        open(args.out, "w", encoding="utf-8", errors="backslashreplace", newline="", buffering=1) as f,
         # up to max_in_flight scenarios can wait out a backoff while every slot stays busy
         ThreadPoolExecutor(max_workers=2 * cfg.max_in_flight) as pool,
     ):
@@ -216,13 +218,7 @@ def cmd_plan(args) -> int:
             quality = out.quality.value
             traj = None if out.trajectory is None else [[w.x, w.y] for w in out.trajectory.waypoints]
             row = {"scenario_id": s.id, "raw_text": raw, "parse_quality": quality, "trajectory": traj}
-            line = json.dumps(row, separators=(",", ":"), ensure_ascii=False)
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:  # a reply holding a lone surrogate
-                    line = json.dumps(row, separators=(",", ":"))  # \u escapes are valid UTF-8
-            f.write(line + "\n")
+            f.write(json.dumps(row, separators=(",", ":"), ensure_ascii=False) + "\n")
             counts[quality] += 1
     print(
         f"planned {len(scenarios)} scenarios -> {args.out} "
@@ -233,29 +229,7 @@ def cmd_plan(args) -> int:
 
 
 def _result_trajectory(raw) -> Trajectory:
-    """A result line's ``[[x, y], ...]``: finite number pairs, one per step.
-
-    A list of ``DEFAULT_HORIZON_STEPS`` two-float lists, as ``plan`` writes
-    it, is built directly; anything else takes ``_checked_trajectory``,
-    which builds the same trajectory or raises its error.
-    """
-    if type(raw) is list and len(raw) == DEFAULT_HORIZON_STEPS:
-        points = []
-        for p in raw:
-            if type(p) is not list or len(p) != 2:
-                break
-            x, y = p
-            # a sum of two floats is finite only when both are
-            if type(x) is not float or type(y) is not float or not math.isfinite(x + y):
-                break
-            points.append(Waypoint(x, y))
-        else:
-            return Trajectory(tuple(points))
-    return _checked_trajectory(raw)
-
-
-def _checked_trajectory(raw) -> Trajectory:
-    """``_result_trajectory`` for any JSON value, checking each rule in turn."""
+    """A result line's ``[[x, y], ...]``: finite number pairs, one per step."""
     if not isinstance(raw, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p) for p in raw
     ):

@@ -12,7 +12,8 @@ per-step ground-truth object boxes with the separating-axis test. Touching
 boxes count as a collision. A broad phase first skips every box whose
 circumscribed circle is more than ``_GAP`` from the ego box's; the
 docstring of ``collision_steps`` proves such a box is never a collision, so
-the flags are those of the full test on every pair.
+for finite coordinates the flags are those of the full test on every pair;
+a trajectory that is not finite is a ``ValueError``.
 
 Aggregation folds rows in scenario-id order, so reports are byte-identical
 under input permutation.
@@ -24,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .prompts import template_hash
 from .reasoning import rollout_hypothetical, segment_directions
@@ -192,7 +194,8 @@ def collision_steps(t: Trajectory, gt_boxes: tuple) -> list[bool]:
     """Per-step flags: ego box on waypoint i overlaps any box for step i.
 
     ``gt_boxes`` is one tuple of boxes per step; an empty overall tuple
-    means no obstacle data, i.e. no collisions.
+    means no obstacle data, i.e. no collisions. A waypoint that is not
+    finite raises ``ValueError``.
 
     A broad phase skips ``sat_margin`` for a box whose center is farther
     from the waypoint than ``r``, the two boxes' half-diagonals plus
@@ -214,7 +217,12 @@ def collision_steps(t: Trajectory, gt_boxes: tuple) -> list[bool]:
       about 10⁶ times the rounding error of ``sat_margin`` (and of the
       squared distances) for coordinates within ±200 m, so the full test
       would have found the pair apart too.
+
+    The proof needs finite coordinates: hence the waypoint check, and boxes
+    are taken as finite, as ``load_scenarios`` ensures.
     """
+    if not all(map(math.isfinite, chain.from_iterable(t.waypoints))):
+        raise ValueError("trajectory coordinates must be finite")
     if not gt_boxes:
         return [False] * len(t)
     ego_reach = 0.5 * math.hypot(EGO_LENGTH, EGO_WIDTH) + _GAP

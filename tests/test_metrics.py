@@ -150,6 +150,20 @@ class TestCollision:
         narrow = collision_steps(GT_STRAIGHT, gt_boxes)
         assert wide[0] and not narrow[0]
 
+    @pytest.mark.parametrize(
+        "points",
+        [[(math.inf, math.inf), (math.inf, -math.inf)], [(math.nan, 1.0), (0.0, 2.0)]],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_waypoint_is_a_value_error(self, points):
+        # at (inf, inf), (inf, -inf) the full test once flagged step 2 (a NaN
+        # heading makes every SAT term NaN) and the broad phase would not
+        t = traj(points + [(0.0, float(i)) for i in range(3, 7)])
+        gt_boxes = ((box(0.0, 1.0),), (box(0.0, 2.0),)) + ((),) * 4
+        for boxes in (gt_boxes, ()):
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                collision_steps(t, boxes)
+
     def test_ego_boxes_follow_path_heading(self):
         t = traj([(0, 1), (1, 2), (2, 3)])
         boxes = ego_boxes_along(t)
@@ -363,6 +377,12 @@ class TestEvaluateDataset:
         for records in ([PlanRecord("a", GT_STRAIGHT, "clean")], []):  # a plan, or the fallback
             with pytest.raises(ValueError, match="'a': human_trajectory has 5 waypoints"):
                 evaluate_dataset([s], records)
+
+    def test_non_finite_record_is_a_value_error(self):
+        scenarios = [scenario_for_eval("a", ((box(0.0, 100.0),),) * 6)]
+        plan = traj([(math.nan, float(i)) for i in range(1, 7)])
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            evaluate_dataset(scenarios, [PlanRecord("a", plan, "clean")])
 
     def test_null_trajectory_record_is_a_parse_failure(self):
         scenarios = [scenario_for_eval("a")]
