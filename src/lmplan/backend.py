@@ -29,6 +29,7 @@ import math
 import os
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 
 import requests
@@ -134,12 +135,34 @@ def _stub_hypothetical(s: Scenario) -> str:
     return render_plan_text(trace, serialize_trajectory(hypo))
 
 
-def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
+def check_remote_config(cfg: BackendConfig) -> str:
+    """Raise ``BackendError`` unless remote mode can send with ``cfg``; return the API key.
+
+    The endpoint must be an ``http`` or ``https`` URL with a host (and, if
+    it names a port, one in 1..65535), and the ``PLANNER_API_KEY``
+    environment variable must be set. No retry can mend either, so a caller
+    can reject them before it sends or writes anything.
+    """
     if not cfg.endpoint_url:
         raise BackendError("remote mode needs endpoint_url")
+    try:
+        parts = urllib.parse.urlsplit(cfg.endpoint_url)
+        usable = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+    except ValueError:  # an unclosed "[", or a port that is not a number in range
+        usable = False
+    if not usable:
+        raise BackendError(
+            f"remote mode needs an http:// or https:// endpoint_url with a host, "
+            f"not {cfg.endpoint_url!r}"
+        )
     key = os.environ.get(API_KEY_ENV)
     if not key:
         raise BackendError(f"remote mode needs the {API_KEY_ENV} environment variable")
+    return key
+
+
+def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
+    key = check_remote_config(cfg)
     url = cfg.endpoint_url.rstrip("/") + "/chat/completions"
     payload = {
         "model": cfg.model,

@@ -16,8 +16,10 @@ Subcommands:
   remote mode builds prompts (and packs exemplars into them): the stubs
   answer from the scenario. In remote mode ``--max-in-flight`` (at most
   ``MAX_IN_FLIGHT``) bounds the requests on the wire; a scenario waiting
-  out a retry backoff (or a 429/503 ``Retry-After``) holds no slot. Lines
-  are written in scenario order as they finish.
+  out a retry backoff (or a 429/503 ``Retry-After``) holds no slot. An
+  endpoint that is not an http(s) URL with a host, or no API key, exits 2
+  before ``--out`` is opened. Lines are written in scenario order as they
+  finish.
 - ``evaluate``: join results to scenarios by id, compute open-loop metrics,
   write ``report.md`` and ``report.csv``. A repeated result id is an error;
   ids not in the scenario file are ignored with one warning.
@@ -45,6 +47,7 @@ from .backend import (
     BackendConfig,
     BackendError,
     BackendMode,
+    check_remote_config,
     complete,
     export_finetune_jsonl,
 )
@@ -188,6 +191,11 @@ def cmd_plan(args) -> int:
         [("--out", args.out)],
         [("--scenarios", args.scenarios), ("--exemplar-scenarios", args.exemplar_scenarios)],
     )
+    if remote:
+        try:
+            check_remote_config(cfg)
+        except BackendError as e:
+            return _fail(str(e))
 
     def plan_one(s):
         prompt = None  # the stubs answer from the scenario and read no prompt

@@ -134,6 +134,10 @@ def _horizon_step(horizon_s: float) -> int:
     return k
 
 
+# (horizon, step) of the protocol's horizons, fixed at import
+_HORIZON_STEPS = tuple((h, _horizon_step(h)) for h in HORIZONS_S)
+
+
 def headings_along(t: Trajectory) -> list[float]:
     """Heading at each waypoint: the direction of the incoming segment.
 
@@ -260,8 +264,7 @@ def _metrics_for(
     # per-step errors once; l2_at_horizon's two modes are these same sums
     errors = _step_errors(traj, gt, DEFAULT_HORIZON_STEPS)
     l2_at, l2_cum, col_at, col_cum = {}, {}, {}, {}
-    for h in HORIZONS_S:
-        k = _horizon_step(h)
+    for h, k in _HORIZON_STEPS:
         l2_at[h] = errors[k - 1]
         l2_cum[h] = sum(errors[:k]) / k
         col_at[h] = flags[k - 1]
@@ -319,14 +322,17 @@ def evaluate_dataset(
             traj = rollout_hypothetical(s.ego)
         rows.append(_metrics_for(s, traj, quality, used_fallback, cfg))
 
-    summary = {}
     n = len(rows)
-    for key, _, _ in _METRIC_LABELS:
-        per_h = {}
-        for h in HORIZONS_S:
-            per_h[h] = sum(float(getattr(r, key)[h]) for r in rows) / n if n else math.nan
+    cells = [(key, h) for key, _, _ in _METRIC_LABELS for h in HORIZONS_S]
+    # one pass over the rows; each cell's column is then summed in row order,
+    # as a per-cell sum over the rows would
+    columns = zip(*([getattr(r, key)[h] for key, h in cells] for r in rows))
+    means = [sum(map(float, c)) / n for c in columns] if n else [math.nan] * len(cells)
+    summary = {key: {} for key, _, _ in _METRIC_LABELS}
+    for (key, h), mean in zip(cells, means):
+        summary[key][h] = mean
+    for per_h in summary.values():
         per_h["avg"] = sum(per_h[h] for h in HORIZONS_S) / len(HORIZONS_S)
-        summary[key] = per_h
 
     return EvalReport(
         rows=tuple(rows),

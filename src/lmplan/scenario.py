@@ -33,9 +33,11 @@ step, aligned with the waypoint times.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import math
 import random
+import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -240,9 +242,11 @@ def validate_scenario(s: Scenario) -> list[str]:
 # --- JSON ingest / export -------------------------------------------------
 #
 # ``load_scenarios`` decodes every float literal through ``quantize_literal``,
-# so the schema walk below takes a finite float as it is. A field's name is
+# once per distinct literal text in the file (``_LiteralMemo``), so the
+# schema walk below takes a finite float as it is. A field's name is
 # carried as its path, ("objects", 0, "center"), and spelled out only when
-# the walk raises.
+# the walk raises. The cyclic collector is paused while the tree is built
+# and restored as the caller had it, even on error.
 #
 # The walk also applies the invariants as it builds each record, through
 # the rule predicates above, and returns whether the scenario passed them:
@@ -447,6 +451,30 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
     return Scenario(sid, ego, objects, predictions, Trajectory(human), gt), valid
 
 
+class _LiteralMemo(dict):
+    """``quantize_literal`` of each float literal text, decoded on first sight.
+
+    Its ``__getitem__`` is ``json.loads``' ``parse_float``: a repeated
+    literal is a dict hit, not a Python call. ``quantize_literal`` is a pure
+    function of the text, so the memo returns what the call would.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> float:
+        v = self[text] = quantize_literal(text)
+        return v
+
+
+# The decoded JSON and the records built from it hold no reference cycles:
+# each object is freed by refcount or outlives the load. Allocating them
+# still triggers cyclic collections, which can free nothing and rescan the
+# growing tree, so the collector is paused while the tree is built. Loads
+# pause it one at a time, so that two threads cannot interleave their
+# check-then-act on the collector's state and leave it off.
+_GC_PAUSE = threading.Lock()
+
+
 def load_scenarios(path: str | Path) -> list[Scenario]:
     """Load and validate all scenarios from a JSON file, in file order.
 
@@ -458,11 +486,24 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     scenario the walk could not clear, and writes the violation message. A
     schema error in a scenario is raised before a duplicate scenario id,
     and that before an invariant violation.
+
+    The cyclic garbage collector is off during the decode and the walk; it
+    is switched back on afterwards, error or not, unless it was already off.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8")
+    with _GC_PAUSE:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return _scenarios_from_text(text)  # the decoded tree is freed on return
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _scenarios_from_text(text: str) -> list[Scenario]:
     try:
-        doc = json.loads(text, parse_float=quantize_literal)
+        doc = json.loads(text, parse_float=_LiteralMemo().__getitem__)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ScenarioSchemaError(f"malformed JSON: {e}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):

@@ -479,6 +479,10 @@ class TestErrors:
         ("--exemplars", "9"),
         ("--exemplars", "-1"),
         ("--max-in-flight", "65"),
+        ("--endpoint", ""),
+        ("--endpoint", "localhost:9"),
+        ("--endpoint", "ftp://x"),
+        ("--endpoint", "http://[::1"),
     ])
     def test_remote_config_it_cannot_use_sends_nothing(
         self, tmp_path, api_key_env, capsys, flag, value
@@ -496,6 +500,21 @@ class TestErrors:
         assert srv.requests == []
         assert out.read_text() == "earlier results\n"
         assert capsys.readouterr().err.startswith("lmplan: error:")
+
+    def test_remote_plan_without_api_key_sends_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("PLANNER_API_KEY", raising=False)
+        scen = synth_file(tmp_path, count=3)
+        out = tmp_path / "results.jsonl"
+        out.write_text("earlier results\n")
+        with MockChatServer(echo_target_responder(load_scenarios(scen))) as srv:
+            code = run(
+                "plan", "--scenarios", scen, "--out", out, "--mode", "remote",
+                "--endpoint", srv.url, "--backoff", "0",
+            )
+        assert code == 2
+        assert srv.requests == []
+        assert out.read_text() == "earlier results\n"
+        assert "PLANNER_API_KEY" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, unwritten", [
         (["plan", "--scenarios", "{s}", "--out", "{s}"], None),

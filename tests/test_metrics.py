@@ -341,6 +341,23 @@ class TestEvaluateDataset:
         assert report.parse_failures == 0
         assert report.evaluated == 4
 
+    def test_summary_cells_are_row_means_bit_for_bit(self):
+        rng = random.Random(3)
+        scenarios = make_scenarios(200)
+        records = [
+            PlanRecord(s.id, traj([(x + rng.gauss(0, 0.7), y + rng.gauss(0, 0.7))
+                                   for x, y in s.human_trajectory.waypoints]))
+            for s in scenarios[:-10]  # the last 10 fall back to the rollout
+        ]
+        report = evaluate_dataset(scenarios, records)
+        n = len(report.rows)
+        for key in ("l2_at_step", "l2_cumulative", "collision_at_step", "collision_cumulative"):
+            want = {h: sum(float(getattr(r, key)[h]) for r in report.rows) / n
+                    for h in (1.0, 2.0, 3.0)}
+            want["avg"] = sum(want.values()) / 3
+            assert report.summary[key] == want
+        assert 0 < report.summary["collision_at_step"][3.0] < 1
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             evaluate_dataset([], [])

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from lmplan import (
     synth_scenario,
     validate_scenario,
 )
+from lmplan import scenario as scenario_module
 from lmplan.metrics import collision_steps
 from lmplan.scenario import SYNTH_KINDS, EgoState
 
@@ -193,6 +197,77 @@ class TestLoading:
         path = write_file(tmp_path, {"scenarios": [d]})
         with pytest.raises(ScenarioSchemaError):
             load_scenarios(path)  # the fixed horizon of 6 must reject it
+
+
+DEPTH = 200_000
+
+COLLECTOR_CASES = {
+    "loads": (json.dumps({"scenarios": [base_scenario_dict()]}), None),
+    "schema error": (json.dumps({"scenarios": [{"id": "x", "ego": []}]}), "missing required key"),
+    "malformed JSON": ("{not json", "malformed JSON"),
+    "nesting too deep": ('{"scenarios": ' + "[" * DEPTH + "]" * DEPTH + "}", "malformed JSON"),
+}
+
+
+@pytest.fixture
+def collector_state():
+    """Put the collector back as it was, whatever the test left it in."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("case", COLLECTOR_CASES)
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+    def test_load_restores_the_collector(self, tmp_path, monkeypatch, collector_state,
+                                         case, enabled):
+        text, error = COLLECTOR_CASES[case]
+        path = tmp_path / "sc.json"
+        path.write_text(text, encoding="utf-8")
+        seen = []
+        real = scenario_module.quantize_literal
+
+        def spy(literal):
+            seen.append(gc.isenabled())
+            return real(literal)
+
+        monkeypatch.setattr(scenario_module, "quantize_literal", spy)
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            assert len(load_scenarios(path)) == 1
+        else:
+            with pytest.raises(ScenarioSchemaError, match=error):
+                load_scenarios(path)
+        assert gc.isenabled() is enabled
+        assert not any(seen)  # paused while the literals were decoded
+        if case == "loads":
+            assert seen
+
+    def test_concurrent_loads_agree_and_leave_the_collector_on(self, tmp_path, collector_state):
+        path = tmp_path / "sc.json"
+        save_scenarios(make_scenarios(8), path)
+        want = load_scenarios(path)
+        gc.enable()
+        results: list[list] = [[] for _ in range(8)]
+
+        def worker(out):
+            for _ in range(20):
+                out.append(load_scenarios(path))
+
+        threads = [threading.Thread(target=worker, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == 20 and all(got == want for got in out) for out in results)
+        assert gc.isenabled()
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -464,6 +465,42 @@ def test_reader_matches_the_old_walk_on_whole_file_cases(tmp_path):
         _check_file(path)
     path.write_text('{"scenarios": [{"id": 5}]}', encoding="utf-8")
     _check_file(path, non_string_id=("id",))
+
+
+# --- reader: one literal text, many scenarios -----------------------------
+#
+# The reader decodes each distinct literal text once per load and reuses the
+# value; these files spell equal values differently and repeat each spelling
+# across scenarios.
+
+SPELLINGS = ("-0.0", "0.0", "-0.00", "1.0", "1.00", "1", "2.675", "2.68", "1.5e-3", "0.0015")
+
+
+def _respelled_file(literals) -> str:
+    """Eight scenarios whose coordinates and ego scalars take ``literals`` in turn, cycling."""
+    docs = [scenario_to_dict(synth_scenario(kind, seed)) for seed in (1, 2) for kind in SYNTH_KINDS]
+    n = 0
+    for doc in docs:
+        ego = doc["ego"]
+        paths = [ego["history"], doc["human_trajectory"], *(p["future"] for p in doc["predictions"])]
+        for w in (w for path in paths for w in path):
+            w[:] = [f"@@{n}@@", f"@@{n + 1}@@"]
+            n += 2
+        ego["acceleration"], ego["heading_rate"] = f"@@{n}@@", f"@@{n + 1}@@"
+        n += 2
+    text = json.dumps({"scenarios": docs})
+    return re.sub(r'"@@(\d+)@@"', lambda m: literals[int(m[1]) % len(literals)], text)
+
+
+@pytest.mark.parametrize("literals, outcome", [
+    (SPELLINGS, "ok"),
+    (SPELLINGS[::-1], "ok"),
+    (SPELLINGS * 5 + ("1e400",), "error"),  # finite literals first, then one that overflows
+])
+def test_reader_matches_the_old_walk_on_repeated_literals(tmp_path, literals, outcome):
+    path = tmp_path / "respelled.json"
+    path.write_text(_respelled_file(literals), encoding="utf-8")
+    assert _check_file(path) == outcome
 
 
 # --- reader: the invariant flag at its boundaries -------------------------
