@@ -35,6 +35,7 @@ threshold; 2 bad input or configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -52,6 +53,7 @@ from .backend import (
     export_finetune_jsonl,
 )
 from .metrics import (
+    FALLBACK_POLICIES,
     EvalConfig,
     PlanRecord,
     evaluate_dataset,
@@ -353,14 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("plan", help="run a backend over scenarios")
     sp.add_argument("--scenarios", required=True)
     sp.add_argument("--out", required=True, help="results JSONL path")
-    sp.add_argument("--mode", default="stub_hypothetical", choices=[m.value for m in BackendMode])
-    sp.add_argument("--endpoint", default="", help="base URL for remote mode")
-    sp.add_argument("--model", default="planner-v1")
-    sp.add_argument("--temperature", type=float, default=0.0)
-    sp.add_argument("--timeout", type=float, default=30.0)
-    sp.add_argument("--max-retries", type=int, default=3, help="HTTP retries per request")
-    sp.add_argument("--backoff", type=float, default=0.5, help="initial retry delay, seconds")
-    sp.add_argument("--max-in-flight", type=int, default=4,
+    defaults = {f.name: f.default for f in dataclasses.fields(BackendConfig)}
+    sp.add_argument("--mode", default=defaults["mode"].value, choices=[m.value for m in BackendMode])
+    sp.add_argument("--endpoint", default=defaults["endpoint_url"], help="base URL for remote mode")
+    sp.add_argument("--model", default=defaults["model"])
+    sp.add_argument("--temperature", type=float, default=defaults["temperature"])
+    sp.add_argument("--timeout", type=float, default=defaults["timeout_s"])
+    sp.add_argument("--max-retries", type=int, default=defaults["max_retries"],
+                    help="HTTP retries per request")
+    sp.add_argument("--backoff", type=float, default=defaults["retry_backoff_s"],
+                    help="initial retry delay, seconds")
+    sp.add_argument("--max-in-flight", type=int, default=defaults["max_in_flight"],
                     help=f"remote requests on the wire at once, 1..{MAX_IN_FLIGHT}; "
                     "a backoff holds no slot")
     sp.add_argument("--exemplars", type=int, default=0, help="in-context examples per prompt")
@@ -371,11 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenarios", required=True)
     sp.add_argument("--results", required=True)
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument(
-        "--fallback",
-        default="substitute_hypothetical",
-        choices=["substitute_hypothetical", "exclude"],
-    )
+    sp.add_argument("--fallback", default=FALLBACK_POLICIES[0], choices=FALLBACK_POLICIES)
     sp.add_argument(
         "--fail-threshold",
         type=float,

@@ -39,6 +39,11 @@ class Waypoint(NamedTuple):
     y: float
 
 
+# a Waypoint from an (x, y) pair, without the NamedTuple's Python-level
+# __new__; the caller has checked the length
+_waypoint = functools.partial(tuple.__new__, Waypoint)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sequence of future 2D waypoints in the ego frame, ``DEFAULT_DT`` apart."""
@@ -90,14 +95,34 @@ def quantize(v: float, decimals: int = DEFAULT_DECIMALS) -> float:
       converts exactly), which is the double ``float(Decimal(...))`` gives
       for the quantized decimal.
 
-    Any other call - a value near a decimal tie, one past the band, a
-    non-finite value or another `decimals` - rounds D with ``Decimal``.
+    Inside the band, a value within 1e-6 of a tie (``|t - n| >= 0.499999``)
+    rounds on the text of D instead: with ``k = floor(|t|)``, the result is
+    ``k / 100.0`` signed as ``v``, or ``(k + 1) / 100.0`` when the third
+    fractional digit of ``repr(v)`` is 5 or more. That too is the
+    ``Decimal`` result, because
+
+    - ``|t| >= 0.499999`` and ``|t| < 1e9`` give ``0.005 <= |v| < 1e7``
+      (to within the tolerance), where ``repr`` is positional;
+    - D*100 is within 2.3e-7 of ``t``, so within 1.3e-6 of ``k + 0.5``
+      and not an integer: D has at least 3 fractional digits, and the third
+      is 4 below the half and 5 at or above it, which is the digit that
+      rounding half up turns on;
+    - ``k`` or ``k + 1`` over 100.0 is the correctly rounded double, as
+      above; ``+ 0.0`` turns a negative zero into 0.0.
+
+    Any other call - a value past the band, a non-finite value or another
+    `decimals` - rounds D with ``Decimal``.
     """
     t = v * 100.0
     if decimals == 2 and -1e9 < t < 1e9:
         n = round(t)
         if -0.499999 < t - n < 0.499999:
             return n / 100.0
+        k = math.floor(abs(t))
+        d = repr(float(v))
+        if d[d.index(".") + 3] >= "5":
+            k += 1
+        return math.copysign(k, v) / 100.0 + 0.0
     if not math.isfinite(v):
         raise ValueError(f"cannot quantize non-finite value {v!r}")
     v = float(v)
@@ -126,6 +151,10 @@ def quantize_literal(text: str) -> float:
     return quantize(v) if math.isfinite(v) else v
 
 
+# "%.2f": the one fixed-point spec every coordinate and scalar prints with
+_FIXED = f"%.{DEFAULT_DECIMALS}f"
+
+
 def format_number(v: float) -> str:
     """Quantize and render with exactly DEFAULT_DECIMALS fractional digits.
 
@@ -134,10 +163,10 @@ def format_number(v: float) -> str:
     value goes through ``quantize``, which raises ValueError for a
     non-finite one (``inf`` reads back as itself, hence the finiteness test).
     """
-    text = f"{v + 0.0:.{DEFAULT_DECIMALS}f}"
+    text = _FIXED % (v + 0.0)
     if float(text) == v and math.isfinite(v):
         return text
-    return f"{quantize(v):.{DEFAULT_DECIMALS}f}"
+    return _FIXED % quantize(v)
 
 
 def format_pair(x: float, y: float) -> str:
@@ -145,8 +174,9 @@ def format_pair(x: float, y: float) -> str:
 
 
 def format_waypoints(waypoints) -> str:
-    """Bracketed pair list for any waypoint sequence."""
-    return "[" + ", ".join(format_pair(w.x, w.y) for w in waypoints) + "]"
+    """Bracketed pair list for any sequence of (x, y) pairs."""
+    pairs = [f"({format_number(x)},{format_number(y)})" for x, y in waypoints]
+    return "[" + ", ".join(pairs) + "]"
 
 
 def serialize_trajectory(t: Trajectory) -> str:
@@ -154,7 +184,7 @@ def serialize_trajectory(t: Trajectory) -> str:
     return format_waypoints(t.waypoints)
 
 
-_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)"
+_NUMBER = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)"
 _PAIR_RE = re.compile(r"\(\s*(" + _NUMBER + r")\s*,\s*(" + _NUMBER + r")\s*\)")
 BRACKET_LIST_RE = re.compile(r"\[([^\[\]]*)\]")  # innermost [...] and its body
 
@@ -209,7 +239,7 @@ def locate_trajectory(text: str, expected_len: int) -> tuple[Trajectory, bool]:
             )
         chosen = loose
 
-    return Trajectory(tuple(Waypoint(x, y) for x, y in chosen)), bool(candidates)
+    return Trajectory(tuple(map(_waypoint, chosen))), bool(candidates)
 
 
 def parse_trajectory(text: str, expected_len: int) -> Trajectory:

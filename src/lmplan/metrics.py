@@ -38,18 +38,21 @@ EGO_LENGTH = 4.084
 EGO_WIDTH = 1.730
 INITIAL_HEADING = math.pi / 2
 
+# what to do with rows whose plan failed to parse, the first the default:
+# substitute the constant-state rollout (kept in the aggregates, counted),
+# or drop them
+FALLBACK_POLICIES = ("substitute_hypothetical", "exclude")
+
 
 @dataclass(frozen=True)
 class EvalConfig:
-    # what to do with rows whose plan failed to parse: substitute the
-    # constant-state rollout (kept in the aggregates, counted), or drop them
-    fallback_policy: str = "substitute_hypothetical"
+    fallback_policy: str = FALLBACK_POLICIES[0]
     # mask steps where the human trajectory itself overlaps a box, so
     # labeling artifacts in the ground truth do not count against the plan
     exclude_gt_collisions: bool = False
 
     def __post_init__(self):
-        if self.fallback_policy not in ("substitute_hypothetical", "exclude"):
+        if self.fallback_policy not in FALLBACK_POLICIES:
             raise ValueError(f"unknown fallback_policy {self.fallback_policy!r}")
 
     def hash(self) -> str:

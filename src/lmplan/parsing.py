@@ -39,42 +39,66 @@ class PlanOutput:
 
 
 # Longest token first so alternation cannot stop at a shorter one; accepts
-# underscore, hyphen, or whitespace between the words of a token.
+# underscore, hyphen, or whitespace between the words of a token. Each token
+# is a group named by its value, so a match names its decision even when
+# IGNORECASE let a letter through that ``str.lower`` does not map to ASCII
+# (the long s in "ſtop", the dotted capital I in "rİght").
 _DECISION_RE = re.compile(
     r"\b(?:"
     + "|".join(
-        d.value.replace("_", r"[ _\-]+")
+        f"(?P<{d.value}>" + d.value.replace("_", r"[ _\-]+") + ")"
         for d in sorted(Decision, key=lambda d: -len(d.value))
     )
     + r")\b",
     re.IGNORECASE,
 )
+_DECISION_OF_TOKEN = {d.value: d for d in Decision}
+
+# the labels as they appear in lowercased text; the parser lowercases a
+# reply once (``_lower``) and searches that
+_LABELS = tuple(label.lower() for label in SECTION_LABELS)
+_DECISION_LABEL = SECTION_DECISION.lower()
+_TRAJECTORY_LABEL = SECTION_TRAJECTORY.lower()
 
 
-def _last_label_tail(text: str, label: str) -> str | None:
-    """Text after the final occurrence of `label`, case-insensitive."""
-    i = text.lower().rfind(label.lower())
-    if i < 0:
-        return None
-    return text[i + len(label):]
-
-
-def _decision_section(text: str) -> str | None:
-    """Body of the last Decision section: up to the next label or blank line."""
+def _lower(text: str) -> str:
+    """``text.lower()`` one character for one, so that an index into it is an
+    index into ``text``: a character that lowercases to two (``"İ"``) stays
+    as it is. No label holds such a character."""
     low = text.lower()
-    i = low.rfind(SECTION_DECISION.lower())
+    if len(low) == len(text):
+        return low
+    return "".join(c if len(c.lower()) > 1 else c.lower() for c in text)
+
+
+def _decision_section(text: str, low: str) -> str | None:
+    """Body of the last Decision section: up to the next label or blank line.
+
+    ``low`` is ``_lower(text)``.
+    """
+    i = low.rfind(_DECISION_LABEL)
     if i < 0:
         return None
     start = i + len(SECTION_DECISION)
     end = len(text)
-    for label in SECTION_LABELS:
-        j = low.find(label.lower(), start)
+    for label in _LABELS:
+        j = low.find(label, start)
         if j >= 0:
             end = min(end, j)
     blank = text.find("\n\n", start)
     if blank >= 0:
         end = min(end, blank)
     return text[start:end]
+
+
+def _decision_in(text: str, low: str) -> Decision | None:
+    section = _decision_section(text, low)
+    if section is None:
+        return None
+    m = _DECISION_RE.search(section)
+    if m is None:
+        return None
+    return _DECISION_OF_TOKEN[m.lastgroup]
 
 
 def extract_decision(text: str) -> Decision | None:
@@ -84,28 +108,18 @@ def extract_decision(text: str) -> Decision | None:
     reasoning cannot be mistaken for the verdict; the earliest token wins
     because the format puts the decision before its justification.
     """
-    section = _decision_section(text)
-    if section is None:
-        return None
-    m = _DECISION_RE.search(section)
-    if m is None:
-        return None
-    token = re.sub(r"[ _\-]+", "_", m.group(0).lower())
-    return Decision(token)
-
-
-def _has_all_labels(text: str) -> bool:
-    low = text.lower()
-    return all(label.lower() in low for label in SECTION_LABELS)
+    return _decision_in(text, _lower(text))
 
 
 def parse_plan_output(text: str, horizon_steps: int) -> PlanOutput:
     """Classify and extract a plan from raw model output. Never raises."""
-    decision = extract_decision(text)
+    low = _lower(text)
+    decision = _decision_in(text, low)
 
     trajectory = None
     error = None
-    tail = _last_label_tail(text, SECTION_TRAJECTORY)
+    i = low.rfind(_TRAJECTORY_LABEL)
+    tail = None if i < 0 else text[i + len(SECTION_TRAJECTORY):]
     if tail is not None:
         try:
             trajectory = parse_trajectory(tail, horizon_steps)
@@ -115,7 +129,7 @@ def parse_plan_output(text: str, horizon_steps: int) -> PlanOutput:
     # locate_trajectory answers from parse_trajectory's memo: no second scan
     if (
         trajectory is not None
-        and _has_all_labels(text)
+        and all(label in low for label in _LABELS)
         and locate_trajectory(tail, horizon_steps)[1]
     ):
         return PlanOutput(ParseQuality.CLEAN, trajectory, decision)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codec import DEFAULT_DECIMALS, format_number, quantize, serialize_trajectory
+from .codec import DEFAULT_DECIMALS, _waypoint, format_number, quantize, serialize_trajectory
 from .prompts import (
     SECTION_CRITICAL,
     SECTION_DECISION,
@@ -27,7 +27,7 @@ from .prompts import (
     PlannerPrompt,
     build_prompt,
 )
-from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, EgoState, Scenario, Trajectory, Waypoint
+from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, EgoState, Scenario, Trajectory
 
 # Segments shorter than this carry no usable direction.
 _MIN_SEGMENT = 0.01
@@ -78,30 +78,29 @@ def rollout_hypothetical(ego: EgoState, decimals: int = DEFAULT_DECIMALS) -> Tra
     v0 = max(0.0, ego.velocity)
     a = ego.acceleration
     kappa = ego.heading_rate / v0 if v0 > _EPS else 0.0
-
-    def arc_at(t: float) -> float:
-        if a < 0 and v0 + a * t < 0:
-            t = -v0 / a
-        return max(0.0, v0 * t + 0.5 * a * t * t)
+    curved = abs(kappa) > _EPS
 
     points = []
     for i in range(1, DEFAULT_HORIZON_STEPS + 1):
-        s = arc_at(i * DEFAULT_DT)
-        if abs(kappa) > _EPS:
+        t = i * DEFAULT_DT
+        if a < 0 and v0 + a * t < 0:
+            t = -v0 / a
+        s = max(0.0, v0 * t + 0.5 * a * t * t)
+        if curved:
             x = (math.cos(kappa * s) - 1.0) / kappa
             y = math.sin(kappa * s) / kappa
         else:
             x, y = 0.0, s
-        points.append(Waypoint(quantize(x, decimals), quantize(y, decimals)))
+        points.append(_waypoint((quantize(x, decimals), quantize(y, decimals))))
     return Trajectory(tuple(points))
 
 
 def path_length(t: Trajectory) -> float:
     """Arc length from the origin through every waypoint."""
     total, px, py = 0.0, 0.0, 0.0
-    for w in t.waypoints:
-        total += math.hypot(w.x - px, w.y - py)
-        px, py = w.x, w.y
+    for x, y in t.waypoints:
+        total += math.hypot(x - px, y - py)
+        px, py = x, y
     return total
 
 
@@ -110,10 +109,10 @@ def segment_directions(t: Trajectory) -> list[tuple[float, float] | None]:
     for a segment shorter than a centimeter, which carries no direction."""
     out = []
     px, py = 0.0, 0.0
-    for w in t.waypoints:
-        dx, dy = w.x - px, w.y - py
+    for x, y in t.waypoints:
+        dx, dy = x - px, y - py
         out.append((dx, dy) if math.hypot(dx, dy) >= _MIN_SEGMENT else None)
-        px, py = w.x, w.y
+        px, py = x, y
     return out
 
 
@@ -135,12 +134,6 @@ def net_heading_change_deg(t: Trajectory) -> float:
 
 def final_lateral_offset(t: Trajectory) -> float:
     return t.waypoints[-1].x if t.waypoints else 0.0
-
-
-def _object_position(obj, prediction, step: int) -> Waypoint:
-    if prediction is not None and prediction.future:
-        return prediction.future[min(step, len(prediction.future)) - 1]
-    return obj.center
 
 
 def _relation(obj, prediction) -> str:
@@ -170,16 +163,22 @@ def find_critical_objects(
     """
     if hypo is None:
         hypo = rollout_hypothetical(s.ego)
+    ego_path = hypo.waypoints
     by_id = {p.object_id: p for p in s.predictions}
     found = []
     for obj in s.objects:
         pred = by_id.get(obj.id)
+        if pred is not None and pred.future:
+            # step i's position is future[i - 1], the last one held past its end
+            future = pred.future
+            path = future[: len(ego_path)] + future[-1:] * (len(ego_path) - len(future))
+        else:
+            path = (obj.center,) * len(ego_path)
         first, closest = None, math.inf
-        for i in range(1, len(hypo) + 1):
-            ego_p = hypo.point(i)
-            obj_p = _object_position(obj, pred, i)
-            d = math.hypot(obj_p.x - ego_p.x, obj_p.y - ego_p.y)
-            closest = min(closest, d)
+        for i, ((ex, ey), (ox, oy)) in enumerate(zip(ego_path, path), 1):
+            d = math.hypot(ox - ex, oy - ey)
+            if d < closest:
+                closest = d
             if first is None and d < LATERAL_THRESHOLD:
                 first = i
         if first is not None:

@@ -48,6 +48,7 @@ from .codec import (
     DEFAULT_HORIZON_STEPS,
     Trajectory,
     Waypoint,
+    _waypoint,
     quantize,
     quantize_literal,
 )
@@ -299,8 +300,7 @@ def _pair(raw, sid: str, *path) -> Waypoint:
 
 
 # a record from a list of its fields, without the NamedTuple's Python-level
-# __new__; the caller has checked the length
-_waypoint = functools.partial(tuple.__new__, Waypoint)
+# __new__ (``_waypoint`` is codec's); the caller has checked the length
 _object_box = functools.partial(tuple.__new__, ObjectBox)
 
 

@@ -7,6 +7,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lmplan import (
+    BackendConfig,
+    EvalConfig,
     build_prompt,
     load_finetune_jsonl,
     load_scenarios,
@@ -16,6 +18,7 @@ from lmplan import (
 )
 from lmplan import cli
 from lmplan.cli import main
+from lmplan.metrics import FALLBACK_POLICIES
 from lmplan.prompts import pack_exemplars
 from lmplan.scenario import SYNTH_KINDS
 from mockserver import MockChatServer, echo_target_responder, garble
@@ -791,3 +794,27 @@ def test_evaluate_exit_code_is_always_0_1_or_2(evaluate_dir, lines, threshold):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("lmplan: error:")
+
+
+def test_parsed_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    plan = parser.parse_args(["plan", "--scenarios", "s.json", "--out", "r.jsonl"])
+    backend = BackendConfig()
+    assert (plan.mode, plan.endpoint, plan.model, plan.temperature, plan.timeout,
+            plan.max_retries, plan.backoff, plan.max_in_flight) == (
+        backend.mode.value, backend.endpoint_url, backend.model, backend.temperature,
+        backend.timeout_s, backend.max_retries, backend.retry_backoff_s, backend.max_in_flight)
+    evaluate = parser.parse_args(["evaluate", "--scenarios", "s.json", "--results", "r.jsonl",
+                                  "--out-dir", "d"])
+    assert evaluate.fallback == EvalConfig().fallback_policy == FALLBACK_POLICIES[0]
+    assert evaluate.exclude_gt_collisions == EvalConfig().exclude_gt_collisions
+    for policy in FALLBACK_POLICIES:
+        assert EvalConfig(fallback_policy=policy).fallback_policy == policy
+        args = parser.parse_args(["evaluate", "--scenarios", "s", "--results", "r",
+                                  "--out-dir", "d", "--fallback", policy])
+        assert args.fallback == policy
+    with pytest.raises(SystemExit):
+        parser.parse_args(["evaluate", "--scenarios", "s", "--results", "r", "--out-dir", "d",
+                           "--fallback", "drop"])
+    with pytest.raises(ValueError):
+        EvalConfig(fallback_policy="drop")

@@ -1,9 +1,13 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
 import random
+import re
 import struct
+import subprocess
+import sys
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import numpy as np
@@ -12,17 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import quantize_by_strings, traj
+import lmplan
 from lmplan import (
     ObjectBox,
     TrajectoryParseError,
     Waypoint,
     extract_pairs,
     format_number,
+    format_pair,
     parse_trajectory,
     quantize,
     serialize_trajectory,
 )
-from lmplan.codec import _PAIR_RE, quantize_literal
+from lmplan.codec import _PAIR_RE, _waypoint, format_waypoints, quantize_literal
 from lmplan.scenario import COORD_BOUND
 
 finite_coords = st.floats(
@@ -170,6 +176,55 @@ def test_quantize_a_small_shift_from_a_decimal_tie():
         _assert_quantize_is_the_decimal_oracle(tie + shift)
 
 
+def _in_the_tie_band(v: float) -> bool:
+    """Whether ``quantize(v)`` takes its tie path: v * 100 inside the binary
+    band and within 1e-6 of a half."""
+    t = v * 100.0
+    return -1e9 < t < 1e9 and abs(t - round(t)) >= 0.499999
+
+
+def _tie_path_values(rng: random.Random):
+    """Doubles at and around two-decimal ties, out to the 1e9 edge of the band.
+
+    Every (k + 0.5) / 100 and (10k + 5) / 1000 for small k, then seeded k
+    log-uniform up to 1e10, each with both ``nextafter`` neighbours and
+    1e-8 of jitter either way, all in both signs.
+    """
+    ks = list(range(4000)) + [int(10 ** rng.uniform(3, 10)) for _ in range(4000)]
+    ks += [10**9 + d for d in range(-300, 300)]  # t on both sides of the band's edge
+    for k in ks:
+        for tie in ((k + 0.5) / 100, (10 * k + 5) / 1000):
+            jitter = rng.uniform(0, 1e-8)
+            for v in (tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf),
+                      tie + 1e-8, tie - 1e-8, tie + jitter, tie - jitter):
+                yield v
+                yield -v
+
+
+def test_quantize_tie_path_is_the_decimal_rule():
+    rng = random.Random(20261016)
+    on_the_path = 0
+    for v in _tie_path_values(rng):
+        on_the_path += _in_the_tie_band(v)
+        got, want = quantize(v), decimal_quantize(v, 2)
+        assert type(got) is float, v
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (v, got, want)
+    assert on_the_path > 50_000  # the tie path, not only the binary or Decimal one
+
+
+@pytest.mark.parametrize(
+    "v, want",
+    [(0.005, 0.01), (-0.005, -0.01), (2.675, 2.68), (-2.675, -2.68), (0.125, 0.13),
+     (1.115, 1.12), (0.004999999, 0.0), (-0.004999999, 0.0), (9999999.995, 10000000.0),
+     (0.045, 0.05)],
+)
+def test_quantize_tie_path_cases(v, want):
+    assert _in_the_tie_band(v)
+    got = quantize(v)
+    assert type(got) is float and got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 class _Meters(float):
     pass
 
@@ -262,6 +317,60 @@ def test_format_number_matches_the_quantize_oracle():
             format_number(bad)
 
 
+def nested_spec_format_number(v: float) -> str:
+    """``format_number`` as it was: the format spec built on every call."""
+    text = f"{v + 0.0:.{2}f}"
+    if float(text) == v and math.isfinite(v):
+        return text
+    return f"{quantize(v):.{2}f}"
+
+
+def format_pair_join(waypoints) -> str:
+    """``format_waypoints`` as it was: one ``format_pair`` call per pair."""
+    return "[" + ", ".join(format_pair(w.x, w.y) for w in waypoints) + "]"
+
+
+def _format_values(rng: random.Random, n: int):
+    """Quantized and unquantized values, signed zeros, ints and ties."""
+    families = (
+        lambda: rng.randrange(-20000, 20000) / 100,  # quantized
+        lambda: rng.uniform(-COORD_BOUND, COORD_BOUND),
+        lambda: rng.choice((0.0, -0.0, -0.001, -0.0049, 0.0049)),
+        lambda: rng.randrange(-10**6, 10**6),
+        lambda: rng.choice((-1, 1)) * rng.randrange(2**52, 2**60),
+        lambda: rng.choice((-1, 1)) * (rng.randrange(10**6) + 0.5) / 100,  # ties
+        lambda: rng.choice((2.675, -2.675, 1.005, 0.125, 99.995, 0.005, -0.005)),
+        lambda: rng.choice((-1, 1)) * 10 ** rng.uniform(-12, 12),
+    )
+    for _ in range(n):
+        yield rng.choice(families)()
+
+
+def test_format_number_matches_the_nested_spec_version():
+    rng = random.Random(20261022)
+    for v in _format_values(rng, 100_000):
+        assert format_number(v) == nested_spec_format_number(v), v
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            format_number(bad)
+
+
+def test_format_waypoints_matches_the_format_pair_join():
+    rng = random.Random(20261023)
+    values = _format_values(rng, 200_000)
+    for _ in range(10_000):
+        waypoints = [Waypoint(next(values), next(values)) for _ in range(rng.randrange(8))]
+        assert format_waypoints(waypoints) == format_pair_join(waypoints), waypoints
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            format_waypoints([Waypoint(0.0, 1.0), Waypoint(1.0, bad)])
+
+
+def test_waypoint_from_a_pair_is_a_waypoint():
+    w = _waypoint((1.5, -0.0))
+    assert type(w) is Waypoint and w == Waypoint(1.5, -0.0) and repr(w) == "Waypoint(x=1.5, y=-0.0)"
+
+
 def extract_pairs_by_quantize(text: str) -> list[tuple[float, float]]:
     """``extract_pairs``' body before it decoded literals with ``quantize_literal``."""
     out = []
@@ -309,6 +418,50 @@ def test_extract_pairs_matches_quantize_of_each_literal():
             assert [math.copysign(1.0, v) for v in a] == [math.copysign(1.0, v) for v in b], text
             assert type(a[0]) is float and type(a[1]) is float, text
     assert i == 99_999
+
+
+# The number pattern before it was made unambiguous: ``\d+\.?\d*`` splits a
+# digit run in many ways, so a pair that does not close backtracks cubically.
+_OLD_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)"
+_OLD_PAIR_RE = re.compile(r"\(\s*(" + _OLD_NUMBER + r")\s*,\s*(" + _OLD_NUMBER + r")\s*\)")
+
+
+def test_pair_pattern_finds_what_the_old_pattern_found():
+    rng = random.Random(20261024)
+    alphabet = "0123456789" * 3 + "..--++  ,,(()))[]x\n"
+    for _ in range(50_000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(40)))
+        assert _PAIR_RE.findall(text) == _OLD_PAIR_RE.findall(text), text
+    for _ in range(5_000):  # well-formed pairs among the noise
+        text = "".join(
+            rng.choice(("(", "(1.25,-0.5)", "( 3., .5 )", "(+7,", "12.", ", ", ")", "x", "-"))
+            for _ in range(rng.randrange(12))
+        )
+        assert _PAIR_RE.findall(text) == _OLD_PAIR_RE.findall(text), text
+
+
+_PARSE_A_LONG_UNCLOSED_PAIR = """
+import time
+from lmplan import parse_plan_output
+n = 100_000
+text = "Trajectory: [(" + "1" * n + ", " + "2" * n + " x]"
+start = time.perf_counter()
+out = parse_plan_output(text, 6)
+print(out.quality.value, out.trajectory is None, time.perf_counter() - start)
+"""
+
+
+def test_a_pair_of_100000_digit_coordinates_that_never_closes_fails_fast():
+    # in a child process: a backtracking regex holds the GIL, so only a
+    # timeout from outside can stop it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(lmplan.__file__)))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _PARSE_A_LONG_UNCLOSED_PAIR], env=env,
+                          capture_output=True, text=True, timeout=60)
+    quality, no_trajectory, elapsed = proc.stdout.split()
+    assert (quality, no_trajectory) == ("failed", "True")
+    assert float(elapsed) < 1.0, elapsed
 
 
 # The point records before they became NamedTuples, kept as the oracle.

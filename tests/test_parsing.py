@@ -1,14 +1,22 @@
 import random
+import re
 
 from helpers import make_scenarios
 from lmplan import (
+    BackendConfig,
     Decision,
     ParseQuality,
+    PlanOutput,
+    TrajectoryParseError,
+    complete,
     extract_decision,
     make_finetune_example,
     parse_plan_output,
+    parse_trajectory,
     serialize_trajectory,
 )
+from lmplan.codec import locate_trajectory
+from lmplan.prompts import SECTION_DECISION, SECTION_LABELS, SECTION_TRAJECTORY
 
 VALID = (
     "Critical objects: none.\n"
@@ -192,3 +200,162 @@ def test_round_trip_serialize_then_parse():
     text = f"Trajectory: {serialize_trajectory(t)}"
     out = parse_plan_output(text, 2)
     assert [(w.x, w.y) for w in out.trajectory.waypoints] == [(0.25, 1.75), (-3.5, 8.0)]
+
+
+# --- the parser as it was, lowercasing the reply once per label search ---
+
+_OLD_DECISION_RE = re.compile(
+    r"\b(?:"
+    + "|".join(
+        d.value.replace("_", r"[ _\-]+") for d in sorted(Decision, key=lambda d: -len(d.value))
+    )
+    + r")\b",
+    re.IGNORECASE,
+)
+
+def _old_last_label_tail(text, label):
+    i = text.lower().rfind(label.lower())
+    if i < 0:
+        return None
+    return text[i + len(label):]
+
+
+def _old_decision_section(text):
+    low = text.lower()
+    i = low.rfind(SECTION_DECISION.lower())
+    if i < 0:
+        return None
+    start = i + len(SECTION_DECISION)
+    end = len(text)
+    for label in SECTION_LABELS:
+        j = low.find(label.lower(), start)
+        if j >= 0:
+            end = min(end, j)
+    blank = text.find("\n\n", start)
+    if blank >= 0:
+        end = min(end, blank)
+    return text[start:end]
+
+
+def old_extract_decision(text):
+    section = _old_decision_section(text)
+    if section is None:
+        return None
+    m = _OLD_DECISION_RE.search(section)
+    if m is None:
+        return None
+    return Decision(re.sub(r"[ _\-]+", "_", m.group(0).lower()))
+
+
+def old_parse_plan_output(text, horizon_steps):
+    decision = old_extract_decision(text)
+    trajectory = None
+    error = None
+    tail = _old_last_label_tail(text, SECTION_TRAJECTORY)
+    if tail is not None:
+        try:
+            trajectory = parse_trajectory(tail, horizon_steps)
+        except TrajectoryParseError as e:
+            error = str(e)
+    if (
+        trajectory is not None
+        and all(label.lower() in text.lower() for label in SECTION_LABELS)
+        and locate_trajectory(tail, horizon_steps)[1]
+    ):
+        return PlanOutput(ParseQuality.CLEAN, trajectory, decision)
+    if trajectory is None:
+        try:
+            trajectory = parse_trajectory(text, horizon_steps)
+        except TrajectoryParseError as e:
+            if error is None:
+                error = str(e)
+    if trajectory is not None:
+        return PlanOutput(ParseQuality.RECOVERED, trajectory, decision)
+    return PlanOutput(ParseQuality.FAILED, None, decision, error)
+
+
+def _vary_case(rng, text):
+    return "".join(c.upper() if rng.random() < 0.5 else c.lower() for c in text)
+
+
+def _garble(rng, text):
+    """One seeded edit of a plan text; ASCII only, as the old parser needs."""
+    lines = text.split("\n")
+    op = rng.randrange(9)
+    if op == 0:  # a section missing
+        del lines[rng.randrange(len(lines))]
+    elif op == 1:  # labels in any case
+        for label in SECTION_LABELS:
+            text = text.replace(label, _vary_case(rng, label))
+        return text
+    elif op == 2:  # a section repeated
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    elif op == 3:  # a blank line anywhere, right after a label too
+        colons = [i + 1 for i, c in enumerate(text) if c == ":"]
+        i = rng.choice(colons + [rng.randrange(len(text) + 1)])
+        return text[:i] + "\n\n" + text[i:]
+    elif op == 4:  # cut off, as by max_tokens
+        return text[: rng.randrange(len(text) + 1)]
+    elif op == 5:  # characters deleted, inserted or replaced
+        chars = list(text)
+        for _ in range(rng.randint(1, 6)):
+            pos = rng.randrange(len(chars) + 1)
+            if rng.random() < 0.5 and pos < len(chars):
+                del chars[pos]
+            else:
+                chars.insert(pos, chr(rng.randrange(32, 127)))
+        return "".join(chars)
+    elif op == 6:  # the decision spelled with spaces or hyphens
+        return re.sub(r"(?<=[a-z])_(?=[a-z])", lambda m: rng.choice((" ", "-", " - ", "_")), text)
+    elif op == 7:  # lines shuffled
+        rng.shuffle(lines)
+    else:  # all of it lowercased or uppercased
+        return rng.choice((text.lower(), text.upper()))
+    return "\n".join(lines)
+
+
+def test_parse_plan_output_matches_the_old_parser_field_for_field():
+    rng = random.Random(20261027)
+    replay, hypothetical = BackendConfig(mode="stub_replay_gt"), BackendConfig()
+    texts = []
+    for s in make_scenarios(200):
+        texts += [complete(replay, None, s), complete(hypothetical, None, s)]
+    corpus = list(texts)
+    for _ in range(6000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            text = _garble(rng, text)
+        corpus.append(text)
+    corpus += [VALID.replace(label, "") for label in SECTION_LABELS]
+    corpus += [VALID.replace(SECTION_DECISION, SECTION_DECISION + sep) for sep in ("\n\n", "\n")]
+    corpus += ["", "Decision:", "Trajectory:", "decision: STOP\n\ntrajectory: [(1,2)]"]
+    qualities = set()
+    for text in corpus:
+        for horizon in (6, 2):
+            got, want = parse_plan_output(text, horizon), old_parse_plan_output(text, horizon)
+            assert got == want, text
+            assert got.decision is want.decision and got.quality is want.quality, text
+            qualities.add(got.quality)
+        assert extract_decision(text) is old_extract_decision(text), text
+    assert qualities == set(ParseQuality)
+
+
+def test_a_decision_token_that_lowercases_past_ascii_still_parses():
+    # IGNORECASE matches the long s and the dotted capital I, which str.lower
+    # does not map to "s" and "i"; the reply is still a plan, not an error
+    for word, want in (("ſtop", Decision.STOP), ("turn rİght", Decision.TURN_RIGHT),
+                       ("KEEP SPEED", Decision.KEEP_SPEED)):
+        out = parse_plan_output(f"Decision: {word}\n{VALID.splitlines()[-1]}", 6)
+        assert out.decision is want and out.quality is ParseQuality.RECOVERED
+
+
+def test_a_letter_that_lowercases_to_two_does_not_shift_the_sections():
+    # "İ".lower() is two characters; before, each one moved every later label
+    # position by one, cutting into the trajectory and losing the decision
+    lines = VALID.splitlines()
+    lines[1] = "Interaction analysis: " + "İ" * 60 + "stanbul road, no conflicts."
+    text = "\n".join(lines)
+    out = parse_plan_output(text, 6)
+    assert out == parse_plan_output(VALID, 6)
+    assert out.quality is ParseQuality.CLEAN and out.decision is Decision.KEEP_SPEED
+    assert extract_decision("İ" * 40 + "Decision: stop\n\nturn left") is Decision.STOP

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -24,11 +25,15 @@ from lmplan.reasoning import (
     path_length,
 )
 from lmplan.scenario import (
+    DEFAULT_DT,
+    DEFAULT_HORIZON_STEPS,
+    SYNTH_KINDS,
     DetectedObject,
     EgoState,
     PredictedMotion,
     Trajectory,
     Waypoint,
+    synth_scenario,
 )
 
 
@@ -370,3 +375,129 @@ class TestComposition:
             lists = re.findall(r"\[(\([^\[\]]*)\]", text)  # not the "[o1]" id tags
             assert lists
             assert all(re.fullmatch(f"{pair}(, {pair})*", body) for body in lists), text
+
+
+# --- the rollout and the critical-object scan as they were, kept as oracles ---
+
+def closure_rollout(ego: EgoState, decimals: int = 2) -> Trajectory:
+    """``rollout_hypothetical`` with its arc length in a closure, as it was."""
+    v0 = max(0.0, ego.velocity)
+    a = ego.acceleration
+    kappa = ego.heading_rate / v0 if v0 > 1e-9 else 0.0
+
+    def arc_at(t: float) -> float:
+        if a < 0 and v0 + a * t < 0:
+            t = -v0 / a
+        return max(0.0, v0 * t + 0.5 * a * t * t)
+
+    points = []
+    for i in range(1, DEFAULT_HORIZON_STEPS + 1):
+        s = arc_at(i * DEFAULT_DT)
+        if abs(kappa) > 1e-9:
+            x = (math.cos(kappa * s) - 1.0) / kappa
+            y = math.sin(kappa * s) / kappa
+        else:
+            x, y = 0.0, s
+        points.append(Waypoint(quantize(x, decimals), quantize(y, decimals)))
+    return Trajectory(tuple(points))
+
+
+def _bits(t: Trajectory):
+    """Each coordinate's exact value, the sign of zero included."""
+    return [(x.hex(), y.hex()) for x, y in t.waypoints]
+
+
+def _oracle_egos(rng: random.Random):
+    for kind in SYNTH_KINDS:  # every synth archetype x 200 seeds
+        for seed in range(200):
+            yield synth_scenario(kind, seed).ego
+    for _ in range(1000):  # curved: heading_rate != 0, at any speed
+        v0 = rng.choice((0.0, 1e-10, rng.uniform(0.0, 0.1), rng.uniform(0.0, 20.0)))
+        w = rng.choice((-1, 1)) * rng.choice((1e-12, 1e-6, rng.uniform(0.0, 1.0)))
+        yield EgoState(v0, rng.uniform(-3.0, 3.0), w)
+    for _ in range(1000):  # braking to a stop inside the 3 s horizon, straight or curved
+        v0 = rng.uniform(0.0, 15.0)
+        a = -rng.uniform(v0 / 3.0, v0 * 4.0 + 1e-3)
+        yield EgoState(v0, a, rng.choice((0.0, rng.uniform(-0.5, 0.5))))
+    yield EgoState(-2.0, -1.0, 0.3)  # reversing speed clamps to 0
+    yield EgoState(4.0, -2.0, 0.0)  # stops exactly at t = 2 s
+
+
+def test_rollout_matches_the_closure_version():
+    rng = random.Random(20261025)
+    n = 0
+    for ego in _oracle_egos(rng):
+        assert _bits(rollout_hypothetical(ego)) == _bits(closure_rollout(ego)), ego
+        n += 1
+    for ego in list(_oracle_egos(random.Random(7)))[::50]:
+        for decimals in (0, 1, 3):
+            got = rollout_hypothetical(ego, decimals)
+            assert _bits(got) == _bits(closure_rollout(ego, decimals)), (ego, decimals)
+            assert all(type(w) is Waypoint for w in got.waypoints)
+    assert n == 4 * 200 + 2000 + 2
+
+
+def test_rollout_quantizes_both_coordinates_of_every_step(monkeypatch):
+    calls = []
+
+    def counting(v, decimals=2):
+        calls.append(v)
+        return quantize(v, decimals)
+
+    monkeypatch.setattr(reasoning, "quantize", counting)
+    for ego in (EgoState(6.0, 0.0, 0.0), EgoState(5.0, -4.0, 0.2)):
+        calls.clear()
+        rollout_hypothetical(ego)
+        assert len(calls) == 2 * DEFAULT_HORIZON_STEPS
+
+
+def step_by_step_critical_objects(s: Scenario, hypo: Trajectory):
+    """``find_critical_objects`` with a ``Trajectory.point`` and a position
+    lookup per step, as it was."""
+    def position(obj, prediction, step):
+        if prediction is not None and prediction.future:
+            return prediction.future[min(step, len(prediction.future)) - 1]
+        return obj.center
+
+    by_id = {p.object_id: p for p in s.predictions}
+    found = []
+    for obj in s.objects:
+        pred = by_id.get(obj.id)
+        first, closest = None, math.inf
+        for i in range(1, len(hypo) + 1):
+            ego_p = hypo.point(i)
+            obj_p = position(obj, pred, i)
+            d = math.hypot(obj_p.x - ego_p.x, obj_p.y - ego_p.y)
+            closest = min(closest, d)
+            if first is None and d < reasoning.LATERAL_THRESHOLD:
+                first = i
+        if first is not None:
+            found.append(
+                reasoning.CriticalObject(
+                    obj.id, obj.class_name, reasoning._relation(obj, pred), first, closest
+                )
+            )
+    found.sort(key=lambda c: (c.first_conflict_step, c.min_distance, c.object_id))
+    return tuple(found)
+
+
+def test_critical_objects_match_the_step_by_step_version():
+    rng = random.Random(20261026)
+    for kind in SYNTH_KINDS:
+        for seed in range(200):
+            s = synth_scenario(kind, seed)
+            preds = [
+                PredictedMotion(p.object_id, p.future[: rng.randrange(len(p.future) + 1)])
+                for p in s.predictions
+            ]  # futures shorter than the horizon, or empty
+            objects = list(s.objects) + [
+                DetectedObject(f"x{i}", "cone", Waypoint(rng.uniform(-4, 4), rng.uniform(0, 20)),
+                               0.0, 0.5, 0.5)
+                for i in range(rng.randrange(3))
+            ]
+            for variant in (s, dataclasses.replace(s, objects=tuple(objects),
+                                                   predictions=tuple(preds))):
+                for hypo in (rollout_hypothetical(variant.ego), variant.human_trajectory,
+                             Trajectory(variant.human_trajectory.waypoints[:3]), Trajectory(())):
+                    got = find_critical_objects(variant, hypo)
+                    assert got == step_by_step_critical_objects(variant, hypo), (kind, seed)
