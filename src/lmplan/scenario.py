@@ -117,9 +117,11 @@ class Scenario:
 
 # --- invariants -----------------------------------------------------------
 #
-# One predicate per rule. ``validate_scenario`` writes a message for each
-# rule a scenario breaks; the load walk below calls the same predicates as
-# it builds each record, to learn whether it may skip ``validate_scenario``.
+# One function per record kind holds that record's rules and returns a
+# message for each rule it breaks. ``validate_scenario`` joins their lists;
+# the load walk below calls the same functions as it builds each record, to
+# learn whether it may skip ``validate_scenario``. Two checks are only
+# sufficient, kept as fast paths: ``_in_bounds`` and ``_box``'s float test.
 
 _HORIZON_S = DEFAULT_HORIZON_STEPS * DEFAULT_DT
 
@@ -127,7 +129,7 @@ _HORIZON_S = DEFAULT_HORIZON_STEPS * DEFAULT_DT
 def _finite(v) -> bool:
     """A number that converts to a finite float; an int past the float range does not."""
     try:
-        return is_number(v) and math.isfinite(v)
+        return (type(v) is float or is_number(v)) and math.isfinite(v)
     except OverflowError:
         return False
 
@@ -141,102 +143,111 @@ def _in_bounds(w: Waypoint) -> bool:
     )
 
 
-def _speed_ok(v) -> bool:
-    return _finite(v) and v >= 0
-
-
-def _rollout_in_bounds(velocity: float, acceleration: float) -> bool:
-    """The arc the constant-state rollout covers over the horizon stays within ``COORD_BOUND``."""
-    t = _HORIZON_S
-    return velocity * t + 0.5 * max(acceleration, 0.0) * t * t <= COORD_BOUND
-
-
-def _positive(v) -> bool:
-    """An object or box length or width: a finite number above 0."""
-    return _finite(v) and v > 0
-
-
-def _heading_ok(h) -> bool:
-    return is_number(h) and -math.pi <= h <= math.pi
-
-
 def _waypoint_violations(w: Waypoint, where: str) -> list[str]:
-    out = []
     if not (_finite(w.x) and _finite(w.y)):
-        out.append(f"{where}: coordinates must be finite")
-    else:
-        if abs(w.x) > COORD_BOUND or abs(w.y) > COORD_BOUND:
-            out.append(f"{where}: |x| <= {COORD_BOUND:g} and |y| <= {COORD_BOUND:g}")
+        return [f"{where}: coordinates must be finite"]
+    if abs(w.x) > COORD_BOUND or abs(w.y) > COORD_BOUND:
+        return [f"{where}: |x| <= {COORD_BOUND:g} and |y| <= {COORD_BOUND:g}"]
+    return []
+
+
+def _path_violations(ws, where: str) -> list[str]:
+    out = []
+    for i, w in enumerate(ws):
+        if not _in_bounds(w):  # the fast path
+            out += _waypoint_violations(w, f"{where}[{i}]")
+    return out
+
+
+def _ego_violations(ego: EgoState) -> list[str]:
+    """The ego scalars; its history is a path."""
+    out = []
+    v, a, k, t = ego.velocity, ego.acceleration, ego.heading_rate, _HORIZON_S
+    velocity_ok = _finite(v) and v >= 0
+    if not velocity_ok:
+        out.append("ego velocity >= 0")
+    if not _finite(a):
+        out.append("ego acceleration finite")
+    # the arc the constant-state rollout covers over the horizon stays within COORD_BOUND
+    elif velocity_ok and not (v * t + 0.5 * max(a, 0.0) * t * t <= COORD_BOUND):
+        out.append(
+            f"ego velocity and ego acceleration: v*T + max(a, 0)*T^2/2 <= "
+            f"{COORD_BOUND:g} m over T = {_HORIZON_S:g} s"
+        )
+    if not _finite(k):
+        out.append("ego heading_rate finite")
+    # the rollout's curvature, k / v, times any arc it covers stays finite
+    elif velocity_ok and v > 0 and not math.isfinite(k / v * COORD_BOUND):
+        out.append(f"ego heading_rate / ego velocity * {COORD_BOUND:g} m finite")
+    return out
+
+
+def _human_count_violations(n: int) -> list[str]:
+    if n == DEFAULT_HORIZON_STEPS:
+        return []
+    return [f"trajectory length: expected {DEFAULT_HORIZON_STEPS} waypoints, got {n}"]
+
+
+def _object_violations(o: DetectedObject, ids: set) -> list[str]:
+    """``ids`` holds the ids of the objects before ``o``."""
+    out = []
+    if o.id in ids:
+        out.append(f"object {o.id!r}: duplicate id")
+    if not (_finite(o.length) and o.length > 0):
+        out.append(f"object {o.id!r}: length > 0")
+    if not (_finite(o.width) and o.width > 0):
+        out.append(f"object {o.id!r}: width > 0")
+    if not (is_number(o.heading) and -math.pi <= o.heading <= math.pi):
+        out.append(f"object {o.id!r}: heading in [-pi, pi]")
+    if not _in_bounds(o.center):  # the fast path
+        out += _waypoint_violations(o.center, f"object {o.id!r} center")
+    return out
+
+
+def _prediction_violations(p: PredictedMotion, ids: set) -> list[str]:
+    """``ids`` holds every object id; the future's waypoints are a path."""
+    out = []
+    if p.object_id not in ids:
+        out.append(f"prediction references unknown object id {p.object_id!r}")
+    if len(p.future) != DEFAULT_HORIZON_STEPS:
+        out.append(
+            f"prediction {p.object_id!r}: future length "
+            f"{len(p.future)} != horizon {DEFAULT_HORIZON_STEPS}"
+        )
+    return out
+
+
+def _gt_count_violations(n: int) -> list[str]:
+    if n in (0, DEFAULT_HORIZON_STEPS):
+        return []
+    return [f"gt_object_boxes length: expected {DEFAULT_HORIZON_STEPS} steps, got {n}"]
+
+
+def _box_violations(b: ObjectBox, where: str) -> list[str]:
+    out = []
+    if not (_finite(b.length) and b.length > 0 and _finite(b.width) and b.width > 0):
+        out.append(f"{where}: positive dimensions")
+    if not _in_bounds(b.center):  # the fast path
+        out += _waypoint_violations(b.center, f"{where} center")
     return out
 
 
 def validate_scenario(s: Scenario) -> list[str]:
     """Check every invariant; returns a list of violations (empty means ok)."""
-    v: list[str] = []
-
-    velocity_ok = _speed_ok(s.ego.velocity)
-    if not velocity_ok:
-        v.append("ego velocity >= 0")
-    if not _finite(s.ego.acceleration):
-        v.append("ego acceleration finite")
-    elif velocity_ok and not _rollout_in_bounds(s.ego.velocity, s.ego.acceleration):
-        v.append(
-            f"ego velocity and ego acceleration: v*T + max(a, 0)*T^2/2 <= "
-            f"{COORD_BOUND:g} m over T = {_HORIZON_S:g} s"
-        )
-    if not _finite(s.ego.heading_rate):
-        v.append("ego heading_rate finite")
-    for i, w in enumerate(s.ego.history):
-        if not _in_bounds(w):
-            v.extend(_waypoint_violations(w, f"ego history[{i}]"))
-
-    if len(s.human_trajectory) != DEFAULT_HORIZON_STEPS:
-        v.append(
-            f"trajectory length: expected {DEFAULT_HORIZON_STEPS} waypoints, "
-            f"got {len(s.human_trajectory)}"
-        )
-    for i, w in enumerate(s.human_trajectory.waypoints):
-        if not _in_bounds(w):
-            v.extend(_waypoint_violations(w, f"human_trajectory[{i}]"))
-
+    v = _ego_violations(s.ego) + _path_violations(s.ego.history, "ego history")
+    v += _human_count_violations(len(s.human_trajectory))
+    v += _path_violations(s.human_trajectory.waypoints, "human_trajectory")
     ids = set()
     for o in s.objects:
-        if o.id in ids:
-            v.append(f"object {o.id!r}: duplicate id")
+        v += _object_violations(o, ids)
         ids.add(o.id)
-        if not _positive(o.length):
-            v.append(f"object {o.id!r}: length > 0")
-        if not _positive(o.width):
-            v.append(f"object {o.id!r}: width > 0")
-        if not _heading_ok(o.heading):
-            v.append(f"object {o.id!r}: heading in [-pi, pi]")
-        if not _in_bounds(o.center):
-            v.extend(_waypoint_violations(o.center, f"object {o.id!r} center"))
-
     for p in s.predictions:
-        if p.object_id not in ids:
-            v.append(f"prediction references unknown object id {p.object_id!r}")
-        if len(p.future) != DEFAULT_HORIZON_STEPS:
-            v.append(
-                f"prediction {p.object_id!r}: future length "
-                f"{len(p.future)} != horizon {DEFAULT_HORIZON_STEPS}"
-            )
-        for i, w in enumerate(p.future):
-            if not _in_bounds(w):
-                v.extend(_waypoint_violations(w, f"prediction {p.object_id!r} future[{i}]"))
-
-    if s.gt_object_boxes and len(s.gt_object_boxes) != DEFAULT_HORIZON_STEPS:
-        v.append(
-            f"gt_object_boxes length: expected {DEFAULT_HORIZON_STEPS} steps, "
-            f"got {len(s.gt_object_boxes)}"
-        )
+        v += _prediction_violations(p, ids)
+        v += _path_violations(p.future, f"prediction {p.object_id!r} future")
+    v += _gt_count_violations(len(s.gt_object_boxes))
     for step, boxes in enumerate(s.gt_object_boxes):
         for j, b in enumerate(boxes):
-            if not (_positive(b.length) and _positive(b.width)):
-                v.append(f"gt box [step {step}][{j}]: positive dimensions")
-            if not _in_bounds(b.center):
-                v.extend(_waypoint_violations(b.center, f"gt box [step {step}][{j}] center"))
-
+            v += _box_violations(b, f"gt box [step {step}][{j}]")
     return v
 
 
@@ -249,29 +260,16 @@ def validate_scenario(s: Scenario) -> list[str]:
 # the walk raises. The cyclic collector is paused while the tree is built
 # and restored as the caller had it, even on error.
 #
-# The walk also applies the invariants as it builds each record, through
-# the rule predicates above, and returns whether the scenario passed them:
-#
-#   every number finite            ``_number`` (a schema error); the fast
-#                                  branches take finite floats only
-#   coordinates within COORD_BOUND ``_in_bounds``: each pair in ``_pairs``,
-#                                  each box center in ``_box``, each object
-#                                  center in ``_scenario_from_dict``
-#   ego velocity, rollout arc      ``_speed_ok``, ``_rollout_in_bounds``
-#   object and box dimensions > 0  ``_positive``; in ``_box`` for a float
-#   object heading in [-pi, pi]    ``_heading_ok``
-#   unique object ids, known       ``_scenario_from_dict``
-#   prediction ids, horizon counts
-#
-# A scenario that passes them all skips ``validate_scenario``; any other
-# goes through it, and it writes every invariant message. A pair or box
-# that misses its fast branch (an int literal, an extra key) takes the
-# general path, which raises the schema errors, and leaves its scenario
-# to ``validate_scenario``.
+# The walk also calls the rule functions above on each record it builds,
+# and returns whether the scenario broke none of them; such a scenario
+# skips ``validate_scenario``, and any other goes through it, which writes
+# every message. A pair that misses ``_pairs``' fast branch (an int
+# literal, a coordinate out of bounds) takes the general path, which
+# raises the schema errors, and leaves its scenario to ``validate_scenario``.
 
 def is_number(v) -> bool:
     """A JSON number: an int or a float (or a subclass), and not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return type(v) is float or isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _field(path: tuple) -> str:
@@ -362,15 +360,15 @@ def _list_at(raw: dict, key: str, sid: str) -> list:
 
 
 def _box(b) -> ObjectBox | None:
-    """A ``gt_object_boxes`` box that needs no conversion and breaks no invariant, else None."""
+    """A ``gt_object_boxes`` box that needs no conversion, else None."""
     if type(b) is not dict or len(b) != 4:
         return None
     center, heading = b.get("center"), b.get("heading")
     length, width = b.get("length"), b.get("width")
-    if (
+    if (  # a sufficient check that ``_box_violations`` is empty, the fast path
         type(center) is list and len(center) == 2
         and type(heading) is float and -math.inf < heading < math.inf
-        and type(length) is float and 0.0 < length < math.inf  # _positive, for a float
+        and type(length) is float and 0.0 < length < math.inf
         and type(width) is float and 0.0 < width < math.inf
     ):
         w = _waypoint(center)
@@ -395,7 +393,7 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
     heading_rate = _number_at(ego_raw, "heading_rate", sid, "ego")
     history, valid = _pairs(ego_raw.get("history", []), sid, "ego", "history")
     ego = EgoState(velocity, acceleration, heading_rate, history)
-    valid = valid and _speed_ok(velocity) and _rollout_in_bounds(velocity, acceleration)
+    valid = valid and not _ego_violations(ego)
 
     objects = []
     ids = set()
@@ -408,10 +406,7 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
             length=_number_at(o, "length", sid, "objects", i),
             width=_number_at(o, "width", sid, "objects", i),
         )
-        valid = (
-            valid and obj.id not in ids and _in_bounds(obj.center) and _heading_ok(obj.heading)
-            and _positive(obj.length) and _positive(obj.width)
-        )
+        valid = valid and not _object_violations(obj, ids)
         ids.add(obj.id)
         objects.append(obj)
 
@@ -419,13 +414,12 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
     for i, p in enumerate(_list_at(raw, "predictions", sid)):
         object_id = _string_at(p, "object_id", sid, "predictions", i)
         future, future_valid = _pairs(_require(p, "future", sid), sid, "predictions", i, "future")
-        valid = (
-            valid and future_valid and object_id in ids and len(future) == DEFAULT_HORIZON_STEPS
-        )
-        predictions.append(PredictedMotion(object_id, future))
+        pred = PredictedMotion(object_id, future)
+        valid = valid and future_valid and not _prediction_violations(pred, ids)
+        predictions.append(pred)
 
     human, human_valid = _pairs(_require(raw, "human_trajectory", sid), sid, "human_trajectory")
-    valid = valid and human_valid and len(human) == DEFAULT_HORIZON_STEPS
+    valid = valid and human_valid and not _human_count_violations(len(human))
 
     gt_steps = []
     for step, boxes in enumerate(_list_at(raw, "gt_object_boxes", sid)):
@@ -436,16 +430,16 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
             box = _box(b)
             if box is None:
                 where = ("gt_object_boxes", step, j)
-                valid = False
                 box = ObjectBox(
                     _pair(_require(b, "center", sid), sid, *where, "center"),
                     _number_at(b, "heading", sid, *where),
                     _number_at(b, "length", sid, *where),
                     _number_at(b, "width", sid, *where),
                 )
+                valid = valid and not _box_violations(box, f"gt box [step {step}][{j}]")
             row.append(box)
         gt_steps.append(tuple(row))
-    valid = valid and len(gt_steps) in (0, DEFAULT_HORIZON_STEPS)
+    valid = valid and not _gt_count_violations(len(gt_steps))
 
     objects, predictions, gt = tuple(objects), tuple(predictions), tuple(gt_steps)
     return Scenario(sid, ego, objects, predictions, Trajectory(human), gt), valid
@@ -481,8 +475,8 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     Raises FileNotFoundError for a missing file, ScenarioSchemaError for
     malformed JSON (nesting too deep to decode included) or any
     schema/invariant violation (the error names the offending scenario id
-    and field). The schema walk applies the invariants as it goes (see the
-    comment above ``is_number``); ``validate_scenario`` runs only for a
+    and field). The schema walk calls the per-record rule functions that
+    ``validate_scenario`` joins; ``validate_scenario`` runs only for a
     scenario the walk could not clear, and writes the violation message. A
     schema error in a scenario is raised before a duplicate scenario id,
     and that before an invariant violation.
@@ -661,12 +655,13 @@ def save_scenarios(scenarios: list[Scenario], path: str | Path) -> None:
 def split_size(n: int, fraction: float) -> int:
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    # round before ceil so 0.01 * 700 == 7, not ceil(7.000000000000001)
-    return min(n, math.ceil(round(fraction * n, 9)))
+    # round before ceil so 0.01 * 700 == 7, not ceil(7.000000000000001); rounding can
+    # reach 0 (5e-10 * 1), yet a positive fraction of a nonempty set selects one
+    return min(n, max(1, math.ceil(round(fraction * n, 9))))
 
 
 def sample_split(scenarios: list[Scenario], fraction: float, seed: int) -> list[Scenario]:
-    """Seeded prefix sample of ceil(fraction * N) scenarios.
+    """Seeded prefix sample of ceil(fraction * N) scenarios, at least one if N >= 1.
 
     One seeded permutation drives every fraction, so for a fixed seed the
     1% sample is a prefix of the 10% sample, which is a prefix of the 50%

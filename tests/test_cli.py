@@ -107,6 +107,16 @@ class TestSplit:
         ids = json.loads(out.read_text())["ids"]
         assert [s.id for s in load_scenarios(sub)] == ids
 
+    def test_a_tiny_fraction_selects_one_scenario_that_plans(self, tmp_path):
+        # 1e-10 * 3 rounds to 0 before the ceiling; the subset must still hold one
+        scen = synth_file(tmp_path, count=3)
+        out, sub = tmp_path / "m.json", tmp_path / "subset.json"
+        assert run("split", "--scenarios", scen, "--fraction", 1e-10, "--out", out,
+                   "--scenarios-out", sub) == 0
+        assert json.loads(out.read_text())["count"] == 1
+        assert run("plan", "--scenarios", sub, "--out", tmp_path / "r.jsonl") == 0
+        assert len(read_results(tmp_path / "r.jsonl")) == 1
+
     def test_bad_fraction_fails(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=5)
         assert run("split", "--scenarios", scen, "--fraction", 1.5, "--out", tmp_path / "m.json") == 2
@@ -629,6 +639,38 @@ class TestErrors:
                 assert (out / name).read_bytes() == b"old bytes\n", name
             else:
                 assert not (out / name).exists(), name
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (["plan", "--scenarios", "{s}", "--out", "{out}/r.jsonl", "--mode", "stub_hypothetical"],
+         ["r.jsonl"]),
+        (["plan", "--scenarios", "{s}", "--out", "{out}/r.jsonl", "--mode", "stub_replay_gt"],
+         ["r.jsonl"]),
+        (["export-finetune", "--scenarios", "{s}", "--out", "{out}/ft.jsonl"],
+         ["ft.jsonl", "ft.jsonl.meta.json"]),
+        (["evaluate", "--scenarios", "{s}", "--results", "{results}", "--out-dir", "{out}/rep"],
+         ["rep/report.md", "rep/report.csv"]),
+    ], ids=["plan-hypothetical", "plan-replay", "export-finetune", "evaluate"])
+    def test_heading_rate_the_rollout_cannot_take_writes_nothing(
+        self, tmp_path, capsys, argv, outputs
+    ):
+        # finite, yet heading_rate / velocity times the arc overflows in the rollout
+        scen = synth_file(tmp_path, count=2)
+        results = tmp_path / "results.jsonl"
+        assert run("plan", "--scenarios", scen, "--out", results) == 0
+        doc = json.loads(scen.read_text())
+        doc["scenarios"][1]["ego"].update(velocity=0.01, heading_rate=1e307)
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for name in outputs:
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_bytes(b"old bytes\n")
+        capsys.readouterr()
+        assert run(*[a.format(s=scen, results=results, out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "scenario 'lead_vehicle-0001': ego heading_rate / ego velocity" in err
+        assert str(scen) in err and "Traceback" not in err
+        for name in outputs:
+            assert (out / name).read_bytes() == b"old bytes\n", name
 
     def test_duplicate_result_id(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=3)

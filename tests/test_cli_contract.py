@@ -38,6 +38,45 @@ def lmplan_cmd(cwd: Path, *argv) -> int:
     return proc.returncode
 
 
+def test_synth_plan_evaluate_run_and_a_missing_file_exits_2(tmp_path):
+    assert lmplan_cmd(tmp_path, "synth", "--count", 40, "--out", "s.json") == 0
+    assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", "r.jsonl",
+                      "--mode", "stub_hypothetical") == 0
+    assert lmplan_cmd(tmp_path, "evaluate", "--scenarios", "s.json", "--results", "r.jsonl",
+                      "--out-dir", "report") == 0
+    assert lmplan_cmd(tmp_path, "plan", "--scenarios", "missing.json", "--out", "m.jsonl",
+                      "--mode", "stub_hypothetical") == 2
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_cli_written_scenario_files_are_json_indent_1(tmp_path):
+    # on 3.13 json encodes indented output in C, an oracle independent of the writer
+    assert lmplan_cmd(tmp_path, "synth", "--count", 40, "--out", "s.json") == 0
+    assert lmplan_cmd(tmp_path, "split", "--scenarios", "s.json", "--fraction", 0.5,
+                      "--out", "manifest.json", "--scenarios-out", "sub.json") == 0
+    assert lmplan_cmd(tmp_path, "export-finetune", "--scenarios", "sub.json",
+                      "--out", "ft.jsonl") == 0
+    for name in ("s.json", "sub.json"):
+        data = (tmp_path / name).read_bytes()
+        want = json.dumps(json.loads(data), indent=1, ensure_ascii=False) + "\n"
+        assert data == want.encode("utf-8"), name
+
+
+def test_a_bad_parse_quality_exits_2_before_any_report(tmp_path):
+    # a quality holding a comma and a newline would split report.csv rows
+    assert lmplan_cmd(tmp_path, "synth", "--count", 4, "--out", "s.json") == 0
+    assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", "r.jsonl",
+                      "--mode", "stub_hypothetical") == 0
+    rows = [json.loads(line) for line in (tmp_path / "r.jsonl").read_text("utf-8").splitlines()]
+    rows[0]["parse_quality"] = "clean,1\nx"
+    (tmp_path / "bad.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+    )
+    assert lmplan_cmd(tmp_path, "evaluate", "--scenarios", "s.json", "--results", "bad.jsonl",
+                      "--out-dir", "report") == 2
+    assert not (tmp_path / "report" / "report.csv").exists()
+
+
 def test_replayed_ground_truth_scores_zero_in_every_cell(tmp_path):
     # quantize -> serialize -> parse -> score, as separate processes
     assert lmplan_cmd(tmp_path, "synth", "--count", 40, "--out", "s.json") == 0

@@ -23,6 +23,7 @@ from lmplan import (
 )
 from lmplan import scenario as scenario_module
 from lmplan.metrics import collision_steps
+from lmplan.reasoning import rollout_hypothetical
 from lmplan.scenario import SYNTH_KINDS, EgoState
 
 
@@ -363,6 +364,35 @@ class TestValidation:
         assert "ego velocity and ego acceleration" in str(exc.value)
         assert "<= 200 m over T = 3 s" in str(exc.value)
 
+    HEADING_RATE_MESSAGE = "ego heading_rate / ego velocity * 200 m finite"
+
+    @pytest.mark.parametrize("velocity, heading_rate", [(0.01, 1e307), (1.0, 1e308)])
+    def test_heading_rate_past_the_rollout_curvature_is_a_violation(self, velocity, heading_rate):
+        # both finite, yet heading_rate / velocity times an arc overflows to inf,
+        # which math.cos rejects in the rollout
+        s = dataclasses.replace(synth_scenario("lead_vehicle", 0),
+                                ego=EgoState(velocity, 0.0, heading_rate))
+        assert validate_scenario(s) == [self.HEADING_RATE_MESSAGE]
+
+    def test_heading_rate_past_the_rollout_curvature_fails_to_load(self, tmp_path):
+        d = base_scenario_dict()
+        d["ego"]["velocity"], d["ego"]["heading_rate"] = 0.01, 1e307
+        with pytest.raises(ScenarioSchemaError) as exc:
+            self.load_one(tmp_path, d)
+        assert exc.value.scenario_id == "s1"
+        assert str(exc.value).endswith(self.HEADING_RATE_MESSAGE)
+
+    @pytest.mark.parametrize("ego", [
+        EgoState(0.01, 0.0, 8.9e303),  # 8.9e303 / 0.01 * 200 = 1.78e308
+        EgoState(66.66, 0.0, 66.66 * 8.9e305),  # the longest arc the arc rule allows
+        EgoState(1e-10, 0.0, 1.0),
+        EgoState(0.0, 0.0, 1e308),  # a standing ego goes straight
+    ])
+    def test_an_ego_that_passes_the_rules_rolls_out(self, ego):
+        s = dataclasses.replace(synth_scenario("lead_vehicle", 0), ego=ego)
+        assert validate_scenario(s) == []
+        assert len(rollout_hypothetical(ego)) == 6
+
     def test_prediction_with_unknown_object(self, tmp_path):
         d = base_scenario_dict()
         d["predictions"][0]["object_id"] = "ghost"
@@ -391,6 +421,13 @@ class TestSplits:
         assert split_size(300, 0.1) == 30
         assert split_size(900, 0.3) == 270
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 700])
+    @pytest.mark.parametrize("fraction", [1e-10, 4e-10, 5e-324])
+    def test_split_size_of_a_positive_fraction_is_at_least_one(self, n, fraction):
+        # ceil(fraction * n) is 1, though a product below 5e-10 rounds to 0 at 9 digits
+        assert split_size(n, fraction) == 1
+        assert split_size(0, fraction) == 0
+
     def test_split_size_bounds(self):
         for frac in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
@@ -412,6 +449,8 @@ class TestSplits:
             half = {s.id for s in sample_split(scenarios, 0.50, seed)}
             assert one <= ten <= half
             assert (len(one), len(ten), len(half)) == (1, 10, 50)
+            tiny = [s.id for s in sample_split(scenarios, 1e-10, seed)]
+            assert tiny == [s.id for s in sample_split(scenarios, 0.01, seed)]
 
     def test_sample_split_full_fraction_is_permutation(self):
         scenarios = make_scenarios(12)

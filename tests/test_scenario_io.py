@@ -5,6 +5,8 @@ indent=1, ensure_ascii=False)``, and ``load_scenarios`` must return what
 the walk it replaced returned, or raise the same message. That walk
 (json's own floats, ``quantize`` on every number, every field name built
 up front) is kept below as the oracle, with the old ``validate_scenario``.
+``validate_scenario`` itself must write the messages that its flat form,
+one predicate per rule in one function, wrote for the same records.
 """
 
 import dataclasses
@@ -32,6 +34,7 @@ from lmplan import (
     save_scenarios,
     scenario_to_dict,
     synth_scenario,
+    validate_scenario,
 )
 from lmplan.codec import DEFAULT_DT, DEFAULT_HORIZON_STEPS, quantize_literal
 from lmplan.scenario import COORD_BOUND, SYNTH_KINDS, _scenario_from_dict
@@ -128,6 +131,152 @@ def test_save_load_save_is_byte_identical(tmp_path):
     save_scenarios(make_scenarios(40, seed0=100), a)
     save_scenarios(load_scenarios(a), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- validate_scenario on library-built records ---------------------------
+#
+# The messages, in order, against ``validate_scenario`` as it was written
+# before its rules moved into one function per record kind: each rule once
+# as a message, with one predicate per rule. Records built in Python can hold
+# what no file can: bools, ``10**400``, NaN, strings as numbers, float
+# subclasses, empty gt steps.
+
+_T = DEFAULT_HORIZON_STEPS * DEFAULT_DT
+
+
+def flat_is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def flat_finite(v):
+    try:
+        return flat_is_number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def flat_in_bounds(w):
+    x, y = w
+    return (
+        type(x) is float and type(y) is float
+        and -COORD_BOUND <= x <= COORD_BOUND and -COORD_BOUND <= y <= COORD_BOUND
+    )
+
+
+def flat_speed_ok(v):
+    return flat_finite(v) and v >= 0
+
+
+def flat_rollout_in_bounds(velocity, acceleration):
+    return velocity * _T + 0.5 * max(acceleration, 0.0) * _T * _T <= COORD_BOUND
+
+
+def flat_positive(v):
+    return flat_finite(v) and v > 0
+
+
+def flat_heading_ok(h):
+    return flat_is_number(h) and -math.pi <= h <= math.pi
+
+
+def flat_waypoint_violations(w, where):
+    out = []
+    if not (flat_finite(w.x) and flat_finite(w.y)):
+        out.append(f"{where}: coordinates must be finite")
+    else:
+        if abs(w.x) > COORD_BOUND or abs(w.y) > COORD_BOUND:
+            out.append(f"{where}: |x| <= {COORD_BOUND:g} and |y| <= {COORD_BOUND:g}")
+    return out
+
+
+def flat_validate(s):
+    v = []
+    velocity_ok = flat_speed_ok(s.ego.velocity)
+    if not velocity_ok:
+        v.append("ego velocity >= 0")
+    if not flat_finite(s.ego.acceleration):
+        v.append("ego acceleration finite")
+    elif velocity_ok and not flat_rollout_in_bounds(s.ego.velocity, s.ego.acceleration):
+        v.append(
+            f"ego velocity and ego acceleration: v*T + max(a, 0)*T^2/2 <= "
+            f"{COORD_BOUND:g} m over T = {_T:g} s"
+        )
+    if not flat_finite(s.ego.heading_rate):
+        v.append("ego heading_rate finite")
+    elif velocity_ok and s.ego.velocity > 0:
+        # the one rule added since: the rollout's curvature times the arc stays finite
+        if not math.isfinite(s.ego.heading_rate / s.ego.velocity * COORD_BOUND):
+            v.append(f"ego heading_rate / ego velocity * {COORD_BOUND:g} m finite")
+    for i, w in enumerate(s.ego.history):
+        if not flat_in_bounds(w):
+            v.extend(flat_waypoint_violations(w, f"ego history[{i}]"))
+
+    if len(s.human_trajectory) != DEFAULT_HORIZON_STEPS:
+        v.append(
+            f"trajectory length: expected {DEFAULT_HORIZON_STEPS} waypoints, "
+            f"got {len(s.human_trajectory)}"
+        )
+    for i, w in enumerate(s.human_trajectory.waypoints):
+        if not flat_in_bounds(w):
+            v.extend(flat_waypoint_violations(w, f"human_trajectory[{i}]"))
+
+    ids = set()
+    for o in s.objects:
+        if o.id in ids:
+            v.append(f"object {o.id!r}: duplicate id")
+        ids.add(o.id)
+        if not flat_positive(o.length):
+            v.append(f"object {o.id!r}: length > 0")
+        if not flat_positive(o.width):
+            v.append(f"object {o.id!r}: width > 0")
+        if not flat_heading_ok(o.heading):
+            v.append(f"object {o.id!r}: heading in [-pi, pi]")
+        if not flat_in_bounds(o.center):
+            v.extend(flat_waypoint_violations(o.center, f"object {o.id!r} center"))
+
+    for p in s.predictions:
+        if p.object_id not in ids:
+            v.append(f"prediction references unknown object id {p.object_id!r}")
+        if len(p.future) != DEFAULT_HORIZON_STEPS:
+            v.append(
+                f"prediction {p.object_id!r}: future length "
+                f"{len(p.future)} != horizon {DEFAULT_HORIZON_STEPS}"
+            )
+        for i, w in enumerate(p.future):
+            if not flat_in_bounds(w):
+                v.extend(flat_waypoint_violations(w, f"prediction {p.object_id!r} future[{i}]"))
+
+    if s.gt_object_boxes and len(s.gt_object_boxes) != DEFAULT_HORIZON_STEPS:
+        v.append(
+            f"gt_object_boxes length: expected {DEFAULT_HORIZON_STEPS} steps, "
+            f"got {len(s.gt_object_boxes)}"
+        )
+    for step, boxes in enumerate(s.gt_object_boxes):
+        for j, b in enumerate(boxes):
+            if not (flat_positive(b.length) and flat_positive(b.width)):
+                v.append(f"gt box [step {step}][{j}]: positive dimensions")
+            if not flat_in_bounds(b.center):
+                v.extend(flat_waypoint_violations(b.center, f"gt box [step {step}][{j}] center"))
+
+    return v
+
+
+def _shared_ids(s):
+    """``s`` with its predictions pointing at its objects where it has any, so both branches run."""
+    ids = [o.id for o in s.objects]
+    if not ids:
+        return s
+    predictions = tuple(
+        dataclasses.replace(p, object_id=ids[i % len(ids)]) if i % 2 else p
+        for i, p in enumerate(s.predictions)
+    )
+    return dataclasses.replace(s, predictions=predictions)
+
+
+@given(generated_scenarios.map(_shared_ids))
+@settings(max_examples=500, deadline=None)
+def test_validate_scenario_matches_the_flat_rules_on_built_records(s):
+    assert validate_scenario(s) == flat_validate(s)
 
 
 # --- reader: the oracle ---------------------------------------------------
