@@ -47,6 +47,7 @@ from .scenario import Scenario
 
 API_KEY_ENV = "PLANNER_API_KEY"
 _BACKOFF_CAP = 8.0  # seconds
+MAX_TIMEOUT_S = 86400.0  # one day; the socket layer overflows from about 9.2e9 s
 # The highest max_in_flight. A remote plan runs up to twice max_in_flight
 # threads (the second half wait out backoffs), so the bound keeps a typo from
 # asking the OS for thousands of them.
@@ -90,8 +91,8 @@ class BackendConfig:
             raise ValueError(f"max_in_flight must be in 1..{MAX_IN_FLIGHT}")
         if not 0 <= self.retry_backoff_s < math.inf:
             raise ValueError("retry_backoff_s must be finite and >= 0")
-        if not 0 < self.timeout_s < math.inf:
-            raise ValueError("timeout_s must be finite and > 0")
+        if not 0 < self.timeout_s <= MAX_TIMEOUT_S:
+            raise ValueError(f"timeout_s must be > 0 and at most {MAX_TIMEOUT_S:g}")
         if not math.isfinite(self.temperature):
             raise ValueError("temperature must be finite")
         # the one bound on remote requests on the wire through this config;
@@ -171,8 +172,7 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
     }
     headers = {"Authorization": f"Bearer {key}"}
 
-    delay = wait = cfg.retry_backoff_s
-    last: BackendError | None = None
+    delay = wait = min(cfg.retry_backoff_s, _BACKOFF_CAP)
     for attempt in range(cfg.max_retries + 1):
         if attempt:
             time.sleep(wait)  # outside the gate: a scenario backing off holds no slot
@@ -181,7 +181,7 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
             with cfg._gate:
                 resp = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
         except requests.RequestException as e:
-            last = BackendError(f"request failed: {e}")
+            err = BackendError(f"request failed: {e}")
             continue
         if resp.status_code == 200:
             return _content_of(resp)
@@ -192,13 +192,11 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
             body=excerpt,
         )
         if resp.status_code == 429 or resp.status_code >= 500:
-            last = err
             if resp.status_code in (429, 503):
                 wait = _retry_after(resp.headers.get("Retry-After"), delay)
             continue
         raise err  # other 4xx will not improve on retry
-    assert last is not None
-    raise last
+    raise err  # the last attempt's error: every pass of the loop sets it
 
 
 def _retry_after(value: str | None, default: float) -> float:

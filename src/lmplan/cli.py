@@ -40,6 +40,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -187,6 +188,11 @@ def cmd_plan(args) -> int:
         if not args.exemplar_scenarios:
             return _fail("--exemplars needs --exemplar-scenarios")
         exemplar_scenarios = _load_nonempty(args.exemplar_scenarios)
+        if len(exemplar_scenarios) < args.exemplars:
+            return _fail(
+                f"--exemplars {args.exemplars} needs as many scenarios; "
+                f"{args.exemplar_scenarios} holds {len(exemplar_scenarios)}"
+            )
         if remote:  # pack_exemplars reads only the first --exemplars of them
             exemplar_pool = [make_finetune_example(s) for s in exemplar_scenarios[: args.exemplars]]
     _check_outputs(
@@ -215,7 +221,7 @@ def cmd_plan(args) -> int:
     # Both maps yield in input order: a line is written once it and all
     # before it are done. The pool starts threads only on submit, so the
     # stub modes (builtin map) run on this thread.
-    counts = {"clean": 0, "recovered": 0, "failed": 0}
+    counts = Counter()
     with (
         # a lone surrogate from a reply can sit only inside a JSON string, where
         # backslashreplace writes its JSON escape (\ud800)
@@ -229,12 +235,9 @@ def cmd_plan(args) -> int:
             traj = None if out.trajectory is None else [[w.x, w.y] for w in out.trajectory.waypoints]
             row = {"scenario_id": s.id, "raw_text": raw, "parse_quality": quality, "trajectory": traj}
             f.write(json.dumps(row, separators=(",", ":"), ensure_ascii=False) + "\n")
-            counts[quality] += 1
-    print(
-        f"planned {len(scenarios)} scenarios -> {args.out} "
-        f"(clean {counts['clean']}, recovered {counts['recovered']}, "
-        f"failed {counts['failed']})"
-    )
+            counts[out.quality] += 1
+    tally = ", ".join(f"{q.value} {counts[q]}" for q in ParseQuality)
+    print(f"planned {len(scenarios)} scenarios -> {args.out} ({tally})")
     return 0
 
 

@@ -53,10 +53,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.waypoints)
 
-    def point(self, step: int) -> Waypoint:
-        """Waypoint at 1-based horizon step (step i sits at time i * DEFAULT_DT)."""
-        return self.waypoints[step - 1]
-
 
 class TrajectoryParseError(ValueError):
     """Raised when text does not contain the expected coordinate pairs."""

@@ -297,9 +297,7 @@ def evaluate_dataset(
     scenarios = sorted(scenarios, key=lambda s: s.id)
     if not scenarios:
         raise ValueError("no scenarios to evaluate")
-    by_id = {}
-    for r in records:
-        by_id[r.scenario_id] = r
+    by_id = {r.scenario_id: r for r in records}
 
     rows = []
     parse_failures = 0
@@ -326,13 +324,12 @@ def evaluate_dataset(
         rows.append(_metrics_for(s, traj, quality, used_fallback, cfg))
 
     n = len(rows)
-    cells = [(key, h) for key, _, _ in _METRIC_LABELS for h in HORIZONS_S]
     # one pass over the rows; each cell's column is then summed in row order,
     # as a per-cell sum over the rows would
-    columns = zip(*([getattr(r, key)[h] for key, h in cells] for r in rows))
-    means = [sum(map(float, c)) / n for c in columns] if n else [math.nan] * len(cells)
+    columns = zip(*([getattr(r, key)[h] for key, h in _CELLS] for r in rows))
+    means = [sum(map(float, c)) / n for c in columns] if n else [math.nan] * len(_CELLS)
     summary = {key: {} for key, _, _ in _METRIC_LABELS}
-    for (key, h), mean in zip(cells, means):
+    for (key, h), mean in zip(_CELLS, means):
         summary[key][h] = mean
     for per_h in summary.values():
         per_h["avg"] = sum(per_h[h] for h in HORIZONS_S) / len(HORIZONS_S)
@@ -355,6 +352,8 @@ _METRIC_LABELS = (
     ("collision_at_step", "Collision at step (%)", 100.0),
     ("collision_cumulative", "Collision cumulative (%)", 100.0),
 )
+# the report's (metric, horizon) cells, in column order
+_CELLS = tuple((key, h) for key, _, _ in _METRIC_LABELS for h in HORIZONS_S)
 
 
 def render_markdown(report: EvalReport) -> str:
@@ -381,21 +380,22 @@ def render_markdown(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field, RFC 4180-quoted only if it holds ``,``, ``"`` or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(report: EvalReport) -> str:
     """Per-scenario rows plus one __mean__ row, %.6f values."""
-    cols = []
-    for key, _, _ in _METRIC_LABELS:
-        cols.extend((key, h) for h in HORIZONS_S)
-    header = ["scenario_id", "parse_quality", "used_fallback"] + [
-        f"{key}_{h:g}s" for key, h in cols
-    ]
+    header = ("scenario_id", "parse_quality", "used_fallback", *(f"{k}_{h:g}s" for k, h in _CELLS))
     out = [",".join(header)]
-    row_format = "%s,%s,%d" + ",%.6f" * len(cols)
+    row_format = "%s,%s,%d" + ",%.6f" * len(_CELLS)
     for r in report.rows:
-        values = [getattr(r, key)[h] for key, h in cols]
-        out.append(row_format % (r.scenario_id, r.parse_quality, r.used_fallback, *values))
-    mean_cells = ["__mean__", "", ""]
-    for key, h in cols:
-        mean_cells.append(f"{report.summary[key][h]:.6f}")
-    out.append(",".join(mean_cells))
+        values = [getattr(r, key)[h] for key, h in _CELLS]
+        sid = _csv_field(r.scenario_id)
+        out.append(row_format % (sid, r.parse_quality, r.used_fallback, *values))
+    means = (f"{report.summary[key][h]:.6f}" for key, h in _CELLS)
+    out.append(",".join(["__mean__", "", "", *means]))
     return "\n".join(out) + "\n"

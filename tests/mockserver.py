@@ -126,7 +126,7 @@ class MockChatServer:
         return Handler
 
 
-def echo_target_responder(scenarios, codec=None):
+def echo_target_responder(scenarios):
     """Responder answering each prompt with the supervision target for the
     scenario whose scene text matches the last user message."""
     from lmplan import make_finetune_example

@@ -25,7 +25,7 @@ from lmplan import (
     serialize_trajectory,
     synth_scenario,
 )
-from lmplan.backend import MAX_IN_FLIGHT, _content_of
+from lmplan.backend import MAX_IN_FLIGHT, MAX_TIMEOUT_S, _content_of
 from mockserver import MockChatServer, echo_target_responder
 
 
@@ -42,6 +42,9 @@ class TestConfig:
             BackendConfig(retry_backoff_s=-0.1)
         with pytest.raises(ValueError):
             BackendConfig(mode="telepathy")
+        with pytest.raises(ValueError, match=f"at most {MAX_TIMEOUT_S:g}"):
+            BackendConfig(timeout_s=1e300)
+        assert BackendConfig(timeout_s=MAX_TIMEOUT_S).timeout_s == MAX_TIMEOUT_S
 
     def test_in_flight_bound_has_a_ceiling(self):
         # a config holds a semaphore, not threads: no pool is built here
@@ -191,6 +194,8 @@ class TestRemote:
         (429, "-1", 1, 0.25, [0.25]),
         (429, "nan", 1, 0.25, [0.25]),
         (500, "1", 1, 0.25, [0.25]),  # only 429 and 503 carry it
+        (500, None, 2, 100.0, [8.0, 8.0]),  # the cap holds from the first retry
+        (503, None, 1, 1e300, [8.0]),
     ])
     def test_retry_after_seconds_are_honoured(
         self, api_key_env, monkeypatch, status, retry_after, fail_first, backoff, delays

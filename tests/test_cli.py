@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 
@@ -14,6 +16,7 @@ from lmplan import (
     load_scenarios,
     make_finetune_example,
     messages_from_prompt,
+    save_scenarios,
     template_hash,
 )
 from lmplan import cli
@@ -206,6 +209,16 @@ class TestPlanStubs:
             "plan", "--scenarios", scen, "--out", out,
             "--exemplars", 9, "--exemplar-scenarios", scen,
         ) == 2
+        capsys.readouterr()
+        few = synth_file(tmp_path, count=2, name="few.json")
+        for mode in ("stub_replay_gt", "stub_hypothetical"):
+            assert run(
+                "plan", "--scenarios", scen, "--out", out, "--mode", mode,
+                "--exemplars", 5, "--exemplar-scenarios", few,
+            ) == 2
+            err = capsys.readouterr().err
+            assert "--exemplars 5" in err and "holds 2" in err
+        assert not out.exists()
 
 
 class TestPlanRemote:
@@ -391,6 +404,20 @@ class TestEvaluate:
         assert "parse failures 0" in md
         assert csv_text.splitlines()[-1].startswith("__mean__")
 
+    def test_report_csv_quotes_ids_that_need_it(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "x\ny"]
+        scen = tmp_path / "odd_ids.json"
+        scenarios = load_scenarios(synth_file(tmp_path, count=3))
+        save_scenarios([dataclasses.replace(s, id=i) for s, i in zip(scenarios, ids)], scen)
+        results = tmp_path / "results.jsonl"
+        assert run("plan", "--scenarios", scen, "--out", results, "--mode", "stub_replay_gt") == 0
+        assert run("evaluate", "--scenarios", scen, "--results", results,
+                   "--out-dir", tmp_path / "rep") == 0
+        with open(tmp_path / "rep" / "report.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(r) for r in rows] == [15] * 5
+        assert [r[0] for r in rows] == ["scenario_id", *ids, "__mean__"]
+
     def test_threshold_trips_exit_code(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=4)
         results = tmp_path / "results.jsonl"
@@ -488,9 +515,11 @@ class TestErrors:
         ("--timeout", "0"),
         ("--timeout", "-1"),
         ("--timeout", "nan"),
+        ("--timeout", "1e300"),
         ("--backoff", "nan"),
         ("--exemplars", "9"),
         ("--exemplars", "-1"),
+        ("--exemplars", "5"),  # the --exemplar-scenarios file holds 3
         ("--max-in-flight", "65"),
         ("--endpoint", ""),
         ("--endpoint", "localhost:9"),

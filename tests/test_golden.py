@@ -75,3 +75,28 @@ def test_no_function_local_imports():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    # a parameter no body reads is left over from a removed feature; a name
+    # starting with "_", self and *args are exempt
+    tests = Path(__file__).parent
+    paths = sorted(Path(lmplan.__file__).parent.glob("*.py"))
+    paths += [tests / "mockserver.py", tests / "helpers.py"]
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + ([a.kwarg] if a.kwarg else [])
+            read = {
+                node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+            }
+            found += [
+                f"{path.name}:{fn.lineno} {p.arg}" for p in params
+                if p.arg != "self" and not p.arg.startswith("_") and p.arg not in read
+            ]
+    assert not found, found

@@ -135,7 +135,7 @@ class TestCriticalObjects:
             for step in range(1, len(hypo) + 1):
                 p = pred.get(obj.id)
                 pos = p.future[step - 1] if p is not None else obj.center
-                e = hypo.point(step)
+                e = hypo.waypoints[step - 1]
                 dists.append(math.hypot(pos.x - e.x, pos.y - e.y))
             hits = [i + 1 for i, d in enumerate(dists) if d < threshold]
             if hits:
@@ -465,7 +465,7 @@ def step_by_step_critical_objects(s: Scenario, hypo: Trajectory):
         pred = by_id.get(obj.id)
         first, closest = None, math.inf
         for i in range(1, len(hypo) + 1):
-            ego_p = hypo.point(i)
+            ego_p = hypo.waypoints[i - 1]
             obj_p = position(obj, pred, i)
             d = math.hypot(obj_p.x - ego_p.x, obj_p.y - ego_p.y)
             closest = min(closest, d)

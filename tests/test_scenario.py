@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import sys
 import threading
 
@@ -198,6 +199,34 @@ class TestLoading:
         path = write_file(tmp_path, {"scenarios": [d]})
         with pytest.raises(ScenarioSchemaError):
             load_scenarios(path)  # the fixed horizon of 6 must reject it
+
+
+def test_a_load_decodes_each_distinct_float_literal_once(tmp_path, monkeypatch):
+    path = tmp_path / "sc.json"
+    save_scenarios(make_scenarios(3), path)
+    text = path.read_text(encoding="utf-8")
+    # respell every other float literal with a trailing zero: same value, new text
+    parts = re.split(r"(-?\d+\.\d+)", text)
+    parts[3::4] = [p + "0" for p in parts[3::4]]
+    path.write_text("".join(parts), encoding="utf-8")
+    literals = []
+    json.loads("".join(parts), parse_float=literals.append)
+    distinct = set(literals)
+    assert len(literals) > len(distinct)  # repeats in the file
+    assert any(t + "0" in distinct for t in distinct)  # and respellings
+    calls = []
+    real = scenario_module.quantize_literal
+
+    def spy(literal):
+        calls.append(literal)
+        return real(literal)
+
+    monkeypatch.setattr(scenario_module, "quantize_literal", spy)
+    assert load_scenarios(path) == make_scenarios(3)
+    assert sorted(calls) == sorted(distinct)
+    calls.clear()
+    load_scenarios(path)  # no decode outlives a load
+    assert sorted(calls) == sorted(distinct)
 
 
 DEPTH = 200_000
