@@ -33,7 +33,6 @@ from .metrics import (
     ego_boxes_along,
     evaluate_dataset,
     headings_along,
-    l2_at_horizon,
     obb_intersects,
     render_csv,
     render_markdown,

@@ -31,6 +31,7 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
+from pathlib import Path
 
 import requests
 
@@ -244,20 +245,20 @@ def export_finetune_jsonl(examples, path) -> int:
 def load_finetune_jsonl(path) -> list[dict]:
     """Read records back, checking the three-role shape line by line."""
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {e}") from None
-            msgs = obj.get("messages") if isinstance(obj, dict) else None
-            ok = isinstance(msgs, list) and all(isinstance(m, dict) for m in msgs)
-            roles = [m.get("role") for m in msgs] if ok else None
-            if roles != ["system", "user", "assistant"]:
-                raise ValueError(
-                    f"{path}:{lineno}: expected system/user/assistant messages, got {roles}"
-                )
-            out.append(obj)
+    # split as text mode would (\n, \r, \r\n), so a line that is not UTF-8 has its number
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
+        except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {e}") from None
+        msgs = obj.get("messages") if isinstance(obj, dict) else None
+        ok = isinstance(msgs, list) and all(isinstance(m, dict) for m in msgs)
+        roles = [m.get("role") for m in msgs] if ok else None
+        if roles != ["system", "user", "assistant"]:
+            raise ValueError(
+                f"{path}:{lineno}: expected system/user/assistant messages, got {roles}"
+            )
+        out.append(obj)
     return out

@@ -168,16 +168,8 @@ def cmd_export_finetune(args) -> int:
 
 def cmd_plan(args) -> int:
     scenarios = _load_nonempty(args.scenarios)
-    cfg = BackendConfig(
-        mode=args.mode,
-        endpoint_url=args.endpoint,
-        model=args.model,
-        temperature=args.temperature,
-        timeout_s=args.timeout,
-        max_retries=args.max_retries,
-        retry_backoff_s=args.backoff,
-        max_in_flight=args.max_in_flight,
-    )
+    # each of the config's fields is parsed into the flag destination of its name
+    cfg = BackendConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(BackendConfig)})
 
     remote = cfg.mode is BackendMode.REMOTE
 
@@ -265,31 +257,31 @@ def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
     records = []
     first_line: dict[str, int] = {}
     unknown = 0
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
+    # split as text mode would (\n, \r, \r\n), so a line that is not UTF-8 has its number
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
+            sid = obj["scenario_id"]
+            quality = obj.get("parse_quality", "failed")
+            raw_traj = obj.get("trajectory")
+            if not isinstance(sid, str) or not isinstance(quality, str):
+                raise TypeError("scenario_id and parse_quality must be strings")
+            if quality not in _QUALITIES:
+                raise ValueError(
+                    f"parse_quality must be one of {', '.join(_QUALITIES)}, not {quality!r}"
+                )
+            if sid in first_line:
+                raise ValueError(f"duplicate scenario_id {sid!r} (first on line {first_line[sid]})")
+            first_line[sid] = lineno
+            if sid not in known_ids:
+                unknown += 1
                 continue
-            try:
-                obj = json.loads(line)
-                sid = obj["scenario_id"]
-                quality = obj.get("parse_quality", "failed")
-                raw_traj = obj.get("trajectory")
-                if not isinstance(sid, str) or not isinstance(quality, str):
-                    raise TypeError("scenario_id and parse_quality must be strings")
-                if quality not in _QUALITIES:
-                    raise ValueError(
-                        f"parse_quality must be one of {', '.join(_QUALITIES)}, not {quality!r}"
-                    )
-                if sid in first_line:
-                    raise ValueError(f"duplicate scenario_id {sid!r} (first on line {first_line[sid]})")
-                first_line[sid] = lineno
-                if sid not in known_ids:
-                    unknown += 1
-                    continue
-                traj = None if raw_traj is None else _result_trajectory(raw_traj)
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
-                raise ValueError(f"{path}:{lineno}: bad result line: {e}") from None
-            records.append(PlanRecord(scenario_id=sid, trajectory=traj, parse_quality=quality))
+            traj = None if raw_traj is None else _result_trajectory(raw_traj)
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
+            raise ValueError(f"{path}:{lineno}: bad result line: {e}") from None
+        records.append(PlanRecord(scenario_id=sid, trajectory=traj, parse_quality=quality))
     if unknown:
         msg = f"ignored {unknown} result line(s) whose scenario_id is not in the scenario file"
         print(f"lmplan: warning: {path}: {msg}", file=sys.stderr)
@@ -360,14 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="results JSONL path")
     defaults = {f.name: f.default for f in dataclasses.fields(BackendConfig)}
     sp.add_argument("--mode", default=defaults["mode"].value, choices=[m.value for m in BackendMode])
-    sp.add_argument("--endpoint", default=defaults["endpoint_url"], help="base URL for remote mode")
+    sp.add_argument("--endpoint", dest="endpoint_url", metavar="ENDPOINT",
+                    default=defaults["endpoint_url"], help="base URL for remote mode")
     sp.add_argument("--model", default=defaults["model"])
     sp.add_argument("--temperature", type=float, default=defaults["temperature"])
-    sp.add_argument("--timeout", type=float, default=defaults["timeout_s"])
+    sp.add_argument("--timeout", dest="timeout_s", metavar="TIMEOUT", type=float,
+                    default=defaults["timeout_s"])
     sp.add_argument("--max-retries", type=int, default=defaults["max_retries"],
                     help="HTTP retries per request")
-    sp.add_argument("--backoff", type=float, default=defaults["retry_backoff_s"],
-                    help="initial retry delay, seconds")
+    sp.add_argument("--backoff", dest="retry_backoff_s", metavar="BACKOFF", type=float,
+                    default=defaults["retry_backoff_s"], help="initial retry delay, seconds")
     sp.add_argument("--max-in-flight", type=int, default=defaults["max_in_flight"],
                     help=f"remote requests on the wire at once, 1..{MAX_IN_FLIGHT}; "
                     "a backoff holds no slot")

@@ -63,21 +63,25 @@ class TrajectoryParseError(ValueError):
         super().__init__(message)
 
 
-def quantize(v: float, decimals: int = DEFAULT_DECIMALS) -> float:
-    """Round half away from zero to `decimals` fractional digits.
+# the step every value rounds to, 10**-DEFAULT_DECIMALS, for the Decimal path
+_STEP = Decimal(1).scaleb(-DEFAULT_DECIMALS)
+
+
+def quantize(v: float) -> float:
+    """Round half away from zero to ``DEFAULT_DECIMALS`` (2) fractional digits.
 
     Ties are resolved on D, the shortest decimal representation of the
-    double (so quantize(2.675, 2) == 2.68, matching what a reader of the
+    double (so quantize(2.675) == 2.68, matching what a reader of the
     printed value expects). Negative zero normalizes to 0.0, and any
     |v| >= 2**52, an integer as a double, comes back unchanged. For a
     finite float this never raises; a non-finite value raises ValueError,
     and an int too large for a double raises OverflowError, as ``float``
     does. The result is always a plain ``float``.
 
-    At 2 decimals, the default, a value rounds in binary: with
-    ``t = v * 100.0`` inside ``-1e9 < t < 1e9`` and ``n = round(t)``,
-    ``|t - n| < 0.499999`` (0.5 - 1e-6) gives ``n / 100.0``. That is the
-    ``Decimal`` result, because
+    A value rounds in binary: with ``t = v * 100.0`` inside
+    ``-1e9 < t < 1e9`` and ``n = round(t)``, ``|t - n| < 0.499999``
+    (0.5 - 1e-6) gives ``n / 100.0``. That is the ``Decimal`` result,
+    because
 
     - ``t`` differs from D*100 by at most |t|*2**-52 (D and v, and t and
       v*100, each differ by half an ulp at most), under 2.3e-7 inside the
@@ -106,11 +110,10 @@ def quantize(v: float, decimals: int = DEFAULT_DECIMALS) -> float:
     - ``k`` or ``k + 1`` over 100.0 is the correctly rounded double, as
       above; ``+ 0.0`` turns a negative zero into 0.0.
 
-    Any other call - a value past the band, a non-finite value or another
-    `decimals` - rounds D with ``Decimal``.
+    A finite value past the band rounds D with ``Decimal``, to ``_STEP``.
     """
     t = v * 100.0
-    if decimals == 2 and -1e9 < t < 1e9:
+    if -1e9 < t < 1e9:
         n = round(t)
         if -0.499999 < t - n < 0.499999:
             return n / 100.0
@@ -124,8 +127,7 @@ def quantize(v: float, decimals: int = DEFAULT_DECIMALS) -> float:
     v = float(v)
     if abs(v) >= 2.0**52:
         return v
-    exp = Decimal(1).scaleb(-decimals)
-    q = float(Decimal(repr(v)).quantize(exp, rounding=ROUND_HALF_UP))
+    q = float(Decimal(repr(v)).quantize(_STEP, rounding=ROUND_HALF_UP))
     return 0.0 if q == 0.0 else q
 
 

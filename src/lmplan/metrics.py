@@ -102,43 +102,9 @@ class EvalReport:
     config_hash: str
 
 
-def l2_at_horizon(
-    pred: Trajectory, gt: Trajectory, horizon_s: float, mode: str = "at_step"
-) -> float:
-    """Displacement error against the ground truth at one time horizon.
-
-    ``at_step`` takes the error at the horizon waypoint; ``cumulative_mean``
-    averages the per-step errors over every step up to the horizon.
-    """
-    if mode not in ("at_step", "cumulative_mean"):
-        raise ValueError(f"unknown mode {mode!r}")
-    k = _horizon_step(horizon_s)
-    errors = _step_errors(pred, gt, k)
-    return errors[-1] if mode == "at_step" else sum(errors) / k
-
-
-def _step_errors(pred: Trajectory, gt: Trajectory, k: int) -> list[float]:
-    """Displacement error at each step 1..k; ValueError when either trajectory is shorter."""
-    for name, t in (("predicted", pred), ("ground-truth", gt)):
-        if len(t) < k:
-            raise ValueError(
-                f"{name} trajectory has {len(t)} waypoints; horizon step {k} needs {k}"
-            )
-    return list(map(math.dist, pred.waypoints[:k], gt.waypoints[:k]))
-
-
-def _horizon_step(horizon_s: float) -> int:
-    k = horizon_s / DEFAULT_DT
-    if abs(k - round(k)) > 1e-6:
-        raise ValueError(f"horizon {horizon_s} s is not a multiple of dt={DEFAULT_DT}")
-    k = round(k)
-    if not 1 <= k <= DEFAULT_HORIZON_STEPS:
-        raise ValueError(f"horizon {horizon_s} s needs step {k}, have {DEFAULT_HORIZON_STEPS}")
-    return k
-
-
-# (horizon, step) of the protocol's horizons, fixed at import
-_HORIZON_STEPS = tuple((h, _horizon_step(h)) for h in HORIZONS_S)
+# (horizon, step) of the protocol's horizons: each horizon is a whole
+# number of DEFAULT_DT steps within the plan, as tests/test_metrics.py pins
+_HORIZON_STEPS = tuple((h, round(h / DEFAULT_DT)) for h in HORIZONS_S)
 
 
 def headings_along(t: Trajectory) -> list[float]:
@@ -204,7 +170,7 @@ def collision_steps(t: Trajectory, gt_boxes: tuple) -> list[bool]:
     means no obstacle data, i.e. no collisions. A waypoint that is not
     finite raises ``ValueError``.
 
-    A broad phase skips ``sat_margin`` for a box whose center is farther
+    A broad phase skips ``obb_intersects`` for a box whose center is farther
     from the waypoint than ``r``, the two boxes' half-diagonals plus
     ``_GAP`` (compared as squared distance against ``r * r``). The skip
     never changes a flag:
@@ -245,7 +211,7 @@ def collision_steps(t: Trajectory, gt_boxes: tuple) -> list[bool]:
                 continue
             if ego_box is None:
                 ego_box = ObjectBox(w, heading, EGO_LENGTH, EGO_WIDTH)
-            if sat_margin(ego_box, b) <= 0.0:
+            if obb_intersects(ego_box, b):
                 hit = True
                 break
         flags.append(hit)
@@ -264,8 +230,7 @@ def _metrics_for(
     if cfg.exclude_gt_collisions and s.gt_object_boxes:
         human_flags = collision_steps(gt, s.gt_object_boxes)
         flags = [f and not h for f, h in zip(flags, human_flags)]
-    # per-step errors once; l2_at_horizon's two modes are these same sums
-    errors = _step_errors(traj, gt, DEFAULT_HORIZON_STEPS)
+    errors = list(map(math.dist, traj.waypoints, gt.waypoints))
     l2_at, l2_cum, col_at, col_cum = {}, {}, {}, {}
     for h, k in _HORIZON_STEPS:
         l2_at[h] = errors[k - 1]

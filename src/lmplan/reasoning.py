@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codec import DEFAULT_DECIMALS, _waypoint, format_number, quantize, serialize_trajectory
+from .codec import _waypoint, format_number, quantize, serialize_trajectory
 from .prompts import (
     SECTION_CRITICAL,
     SECTION_DECISION,
@@ -67,7 +67,7 @@ class ReasoningTrace:
         return f"{self.decision.value} - {_DECISION_PHRASES[self.decision]}."
 
 
-def rollout_hypothetical(ego: EgoState, decimals: int = DEFAULT_DECIMALS) -> Trajectory:
+def rollout_hypothetical(ego: EgoState) -> Trajectory:
     """Extrapolate the current ego state over the fixed horizon.
 
     Arc length grows as v0*t + a*t^2/2 and freezes once a negative
@@ -91,7 +91,7 @@ def rollout_hypothetical(ego: EgoState, decimals: int = DEFAULT_DECIMALS) -> Tra
             y = math.sin(kappa * s) / kappa
         else:
             x, y = 0.0, s
-        points.append(_waypoint((quantize(x, decimals), quantize(y, decimals))))
+        points.append(_waypoint((quantize(x), quantize(y))))
     return Trajectory(tuple(points))
 
 

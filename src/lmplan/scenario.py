@@ -474,19 +474,23 @@ _GC_PAUSE = threading.Lock()
 def load_scenarios(path: str | Path) -> list[Scenario]:
     """Load and validate all scenarios from a JSON file, in file order.
 
-    Raises FileNotFoundError for a missing file, ScenarioSchemaError for
-    malformed JSON (nesting too deep to decode included) or any
-    schema/invariant violation (the error names the offending scenario id
-    and field). The schema walk calls the per-record rule functions that
-    ``validate_scenario`` joins; ``validate_scenario`` runs only for a
-    scenario the walk could not clear, and writes the violation message. A
-    schema error in a scenario is raised before a duplicate scenario id,
-    and that before an invariant violation.
+    Raises FileNotFoundError for a missing file, ScenarioSchemaError for a
+    file that is not UTF-8, malformed JSON (nesting too deep or an integer
+    literal too long to decode included) or any schema/invariant violation
+    (the error names the offending scenario id and field). The schema walk
+    calls the per-record rule functions that ``validate_scenario`` joins;
+    ``validate_scenario`` runs only for a scenario the walk could not clear,
+    and writes the violation message. A schema error in a scenario is
+    raised before a duplicate scenario id, and that before an invariant
+    violation.
 
     The cyclic garbage collector is off during the decode and the walk; it
     is switched back on afterwards, error or not, unless it was already off.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ScenarioSchemaError(f"not UTF-8 text: {e}") from None
     with _GC_PAUSE:
         enabled = gc.isenabled()
         gc.disable()
@@ -500,7 +504,7 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
 def _scenarios_from_text(text: str) -> list[Scenario]:
     try:
         doc = json.loads(text, parse_float=_LiteralMemo().__getitem__)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # ValueError: JSONDecodeError, or an over-long int
         raise ScenarioSchemaError(f"malformed JSON: {e}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise ScenarioSchemaError('top level must be {"scenarios": [...]}')

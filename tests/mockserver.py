@@ -24,6 +24,8 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from lmplan import make_finetune_example
+
 
 def garble(text: str) -> str:
     """Make a completion unparseable: strip digits and brackets."""
@@ -129,8 +131,6 @@ class MockChatServer:
 def echo_target_responder(scenarios):
     """Responder answering each prompt with the supervision target for the
     scenario whose scene text matches the last user message."""
-    from lmplan import make_finetune_example
-
     by_user_text = {}
     for s in scenarios:
         ex = make_finetune_example(s)

@@ -17,15 +17,16 @@ from helpers import boxes_intersect_sampled, integrate_rollout, random_box
 from lmplan import (
     SYNTH_KINDS,
     Decision,
+    ObjectBox,
     ParseQuality,
     PlanRecord,
+    Scenario,
     Trajectory,
     TrajectoryParseError,
     Waypoint,
     compose_reasoning,
     evaluate_dataset,
     extract_decision,
-    l2_at_horizon,
     make_finetune_example,
     obb_intersects,
     parse_plan_output,
@@ -37,6 +38,7 @@ from lmplan import (
     serialize_trajectory,
     synth_scenario,
 )
+from lmplan import reasoning
 from lmplan.cli import main
 from lmplan.scenario import EgoState
 from mockserver import MockChatServer, echo_target_responder
@@ -84,14 +86,30 @@ def test_perfect_planner_identity_end_to_end(tmp_path, capsys):
 
 
 def test_metric_convention_oracle():
-    # hand-computed fixture: per-step x-offsets of 0.3 m * step index give
-    # at_step {0.6, 1.2, 1.8} and cumulative_mean {0.45, 0.75, 1.05}; tol 1e-9
+    # hand-computed fixture scored by evaluate_dataset, the report's path:
+    # per-step x-offsets of 0.3 m * step index give L2 at step
+    # {0.6, 1.2, 1.8} and cumulative {0.45, 0.75, 1.05}; boxes on the plan
+    # at steps 2, 5 and 6 give collision at step {1, 0, 1} and cumulative
+    # {0.5, 0.25, 0.5}; tol 1e-9 in every row cell and summary cell
     gt = Trajectory(tuple(Waypoint(0.0, float(i)) for i in range(1, 7)))
     pred = Trajectory(tuple(Waypoint(0.3 * i, float(i)) for i in range(1, 7)))
-    for h, want in ((1.0, 0.6), (2.0, 1.2), (3.0, 1.8)):
-        assert abs(l2_at_horizon(pred, gt, h, "at_step") - want) < 1e-9
-    for h, want in ((1.0, 0.45), (2.0, 0.75), (3.0, 1.05)):
-        assert abs(l2_at_horizon(pred, gt, h, "cumulative_mean") - want) < 1e-9
+    boxes = tuple(
+        (ObjectBox(pred.waypoints[i - 1], 0.0, 1.0, 1.0),) if i in (2, 5, 6) else ()
+        for i in range(1, 7)
+    )
+    s = Scenario("oracle", EgoState(2.0, 0.0, 0.0), (), (), gt, boxes)
+    report = evaluate_dataset([s], [PlanRecord("oracle", pred)])
+    want = {
+        "l2_at_step": (0.6, 1.2, 1.8),
+        "l2_cumulative": (0.45, 0.75, 1.05),
+        "collision_at_step": (1.0, 0.0, 1.0),
+        "collision_cumulative": (0.5, 0.25, 0.5),
+    }
+    (row,) = report.rows
+    for key, values in want.items():
+        for h, v in zip((1.0, 2.0, 3.0), values):
+            assert abs(getattr(row, key)[h] - v) < 1e-9, (key, h)
+            assert abs(report.summary[key][h] - v) < 1e-9, (key, h)
 
 
 def test_collision_geometry_vs_sampling_oracle():
@@ -125,22 +143,24 @@ KINEMATIC_FIXTURE = (
 )
 
 
-def test_reasoning_rollout_closed_form():
-    # closed form matches the analytic fixture to 1e-9 once quantization is
-    # out of the way; at wire precision the 0.005 m de-quantization bound
-    # holds; the speed-clamped case matches a 1 ms-step integrator
+def test_reasoning_rollout_closed_form(monkeypatch):
+    # at wire precision the 0.005 m de-quantization bound holds against the
+    # analytic fixture; with quantization out of the way the closed form
+    # matches it to 1e-9, and the speed-clamped case matches a 1 ms-step
+    # integrator
     ego = EgoState(6.0, 1.0, 0.3)
-    fine = rollout_hypothetical(ego, decimals=12)
-    for w, (fx, fy) in zip(fine.waypoints, KINEMATIC_FIXTURE):
-        assert abs(w.x - fx) < 1e-9 and abs(w.y - fy) < 1e-9
-    wire = rollout_hypothetical(ego, decimals=2)
+    wire = rollout_hypothetical(ego)
     for w, (fx, fy) in zip(wire.waypoints, KINEMATIC_FIXTURE):
         assert abs(w.x - fx) <= 0.005 + 1e-12
         assert abs(w.y - fy) <= 0.005 + 1e-12
+    monkeypatch.setattr(reasoning, "quantize", lambda v: v)  # the unrounded closed form
+    fine = rollout_hypothetical(ego)
+    for w, (fx, fy) in zip(fine.waypoints, KINEMATIC_FIXTURE):
+        assert abs(w.x - fx) < 1e-9 and abs(w.y - fy) < 1e-9
 
     # braking to a stop at t = 2 s, turning while still moving
     ref = integrate_rollout(3.0, -1.5, 0.2, HORIZON, DT, step=1e-3)
-    clamped = rollout_hypothetical(EgoState(3.0, -1.5, 0.2), decimals=12)
+    clamped = rollout_hypothetical(EgoState(3.0, -1.5, 0.2))
     for w, (rx, ry) in zip(clamped.waypoints, ref):
         assert abs(w.x - rx) < 1e-7 and abs(w.y - ry) < 1e-7
     # once stopped, the pose must freeze

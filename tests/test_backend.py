@@ -348,6 +348,13 @@ class TestFineTuneExport:
         with pytest.raises(ValueError, match=r"deep\.jsonl:1: invalid JSON"):
             load_finetune_jsonl(path)
 
+    def test_load_reports_a_line_that_is_not_utf8_with_its_number(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        good = finetune_line(make_finetune_example(synth_scenario("empty_road", 1)))
+        path.write_bytes((good + "\n").encode("utf-8") * 2 + b'{"caf\xe9": 1}\n')
+        with pytest.raises(ValueError, match=r"latin1\.jsonl:3: invalid JSON: 'utf-8' codec"):
+            load_finetune_jsonl(path)
+
     def test_load_rejects_wrong_roles(self, tmp_path):
         path = tmp_path / "roles.jsonl"
         for line in ('{"messages":[{"role":"user","content":"x"}]}', '{"messages":[1,2,3]}'):

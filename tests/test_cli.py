@@ -786,6 +786,39 @@ class TestErrors:
         assert run("plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl") == 2
         assert capsys.readouterr().err.startswith(f"lmplan: error: {scen}: malformed JSON")
 
+    @pytest.mark.parametrize("flag", ["--scenarios", "--exemplar-scenarios"])
+    @pytest.mark.parametrize("content, message", [
+        (b'\xff{"scenarios": []}', "not UTF-8 text"),
+        (b'{"scenarios": [{"id": "a", "ego": {"velocity": %s}}]}' % (b"9" * 5000),
+         "malformed JSON: Exceeds the limit"),
+    ], ids=["not_utf8", "long_int_literal"])
+    def test_undecodable_scenario_file_is_named(self, tmp_path, capsys, flag, content, message):
+        good = synth_file(tmp_path, count=2)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        files = {"--scenarios": good, "--exemplar-scenarios": good, flag: bad}
+        out = tmp_path / "r.jsonl"
+        assert run("plan", *[a for pair in files.items() for a in pair],
+                   "--exemplars", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lmplan: error: {bad}: {message}"), err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("sep", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_result_line_that_is_not_utf8(self, tmp_path, capsys, sep):
+        # lines end as text mode reads them, so the line number holds for each ending
+        scen = synth_file(tmp_path, count=2)
+        results = tmp_path / "results.jsonl"
+        assert run("plan", "--scenarios", scen, "--out", results) == 0
+        first, second = results.read_bytes().splitlines()
+        results.write_bytes(first + sep + second[:20] + b"\xe9" + second[20:] + sep)
+        capsys.readouterr()
+        assert run("evaluate", "--scenarios", scen, "--results", results,
+                   "--out-dir", tmp_path / "rep") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lmplan: error: {results}:2: bad result line: 'utf-8' codec")
+        assert not (tmp_path / "rep").exists()
+
     def test_too_deeply_nested_result_line(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=2)
         bad = tmp_path / "deep.jsonl"
@@ -871,10 +904,8 @@ def test_parsed_defaults_are_the_config_defaults():
     parser = cli.build_parser()
     plan = parser.parse_args(["plan", "--scenarios", "s.json", "--out", "r.jsonl"])
     backend = BackendConfig()
-    assert (plan.mode, plan.endpoint, plan.model, plan.temperature, plan.timeout,
-            plan.max_retries, plan.backoff, plan.max_in_flight) == (
-        backend.mode.value, backend.endpoint_url, backend.model, backend.temperature,
-        backend.timeout_s, backend.max_retries, backend.retry_backoff_s, backend.max_in_flight)
+    names = [f.name for f in dataclasses.fields(BackendConfig)]  # each a flag destination
+    assert [getattr(plan, n) for n in names] == [getattr(backend, n) for n in names]
     evaluate = parser.parse_args(["evaluate", "--scenarios", "s.json", "--results", "r.jsonl",
                                   "--out-dir", "d"])
     assert evaluate.fallback == EvalConfig().fallback_policy == FALLBACK_POLICIES[0]

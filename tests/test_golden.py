@@ -62,11 +62,17 @@ def test_pipeline_outputs_are_byte_identical(tmp_path, capsys):
     assert sha256(train) == EXPORT_SHA256
 
 
+# the sources the two AST checks below scan: the package and the shared test helpers
+CHECKED_SOURCES = sorted(Path(lmplan.__file__).parent.glob("*.py")) + [
+    Path(__file__).parent / "mockserver.py",
+    Path(__file__).parent / "helpers.py",
+]
+
+
 def test_no_function_local_imports():
     # an import inside a function usually hides an import cycle
-    package = Path(lmplan.__file__).parent
     found = []
-    for path in sorted(package.glob("*.py")):
+    for path in CHECKED_SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -80,11 +86,8 @@ def test_no_function_local_imports():
 def test_no_function_takes_a_parameter_it_never_reads():
     # a parameter no body reads is left over from a removed feature; a name
     # starting with "_", self and *args are exempt
-    tests = Path(__file__).parent
-    paths = sorted(Path(lmplan.__file__).parent.glob("*.py"))
-    paths += [tests / "mockserver.py", tests / "helpers.py"]
     found = []
-    for path in paths:
+    for path in CHECKED_SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):

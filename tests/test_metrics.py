@@ -14,7 +14,6 @@ from lmplan import (
     ego_boxes_along,
     evaluate_dataset,
     headings_along,
-    l2_at_horizon,
     obb_intersects,
     render_csv,
     render_markdown,
@@ -23,7 +22,7 @@ from lmplan import (
     synth_scenario,
 )
 from lmplan import metrics
-from lmplan.scenario import SYNTH_KINDS, EgoState, Trajectory
+from lmplan.scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, SYNTH_KINDS, EgoState, Trajectory
 
 
 def box(cx, cy, heading=0.0, length=4.0, width=2.0):
@@ -33,34 +32,33 @@ def box(cx, cy, heading=0.0, length=4.0, width=2.0):
 GT_STRAIGHT = traj([(0, i) for i in range(1, 7)])  # dt 0.5, 6 steps
 
 
+def scored(pred, gt=GT_STRAIGHT, boxes=()):
+    """The one report row ``evaluate_dataset`` gives ``pred`` against ``gt``."""
+    s = Scenario("a", EgoState(2.0, 0.0, 0.0), (), (), gt, boxes)
+    return evaluate_dataset([s], [PlanRecord("a", pred)]).rows[0]
+
+
 class TestL2:
     def test_identical_trajectories_score_zero(self):
+        row = scored(GT_STRAIGHT)
         for h in (1.0, 2.0, 3.0):
-            assert l2_at_horizon(GT_STRAIGHT, GT_STRAIGHT, h) == 0.0
-            assert l2_at_horizon(GT_STRAIGHT, GT_STRAIGHT, h, "cumulative_mean") == 0.0
+            assert row.l2_at_step[h] == 0.0
+            assert row.l2_cumulative[h] == 0.0
 
     def test_hand_fixture_both_conventions(self):
-        pred = traj([(0.3 * i, i) for i in range(1, 7)])
-        assert abs(l2_at_horizon(pred, GT_STRAIGHT, 1.0) - 0.6) < 1e-9
-        assert abs(l2_at_horizon(pred, GT_STRAIGHT, 2.0) - 1.2) < 1e-9
-        assert abs(l2_at_horizon(pred, GT_STRAIGHT, 3.0) - 1.8) < 1e-9
-        cum = [l2_at_horizon(pred, GT_STRAIGHT, h, "cumulative_mean") for h in (1, 2, 3)]
-        for got, want in zip(cum, (0.45, 0.75, 1.05)):
-            assert abs(got - want) < 1e-9
+        row = scored(traj([(0.3 * i, i) for i in range(1, 7)]))
+        for h, at, cum in ((1.0, 0.6, 0.45), (2.0, 1.2, 0.75), (3.0, 1.8, 1.05)):
+            assert abs(row.l2_at_step[h] - at) < 1e-9
+            assert abs(row.l2_cumulative[h] - cum) < 1e-9
 
     def test_error_uses_both_axes(self):
-        pred = traj([(0.3, 1.4), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)])
-        assert abs(l2_at_horizon(pred, GT_STRAIGHT, 0.5) - 0.5) < 1e-12
+        row = scored(traj([(0, 1), (0.3, 2.4), (0, 3), (0, 4), (0, 5), (0, 6)]))
+        assert abs(row.l2_at_step[1.0] - 0.5) < 1e-12  # step 2 is the 1 s cell
 
-    def test_bad_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            l2_at_horizon(GT_STRAIGHT, GT_STRAIGHT, 0.7)  # not a multiple of dt
-        with pytest.raises(ValueError):
-            l2_at_horizon(GT_STRAIGHT, GT_STRAIGHT, 4.0)  # beyond the horizon
-        with pytest.raises(ValueError):
-            l2_at_horizon(GT_STRAIGHT, GT_STRAIGHT, 1.0, "median")
-        with pytest.raises(ValueError, match="has 2 waypoints; horizon step 6 needs 6"):
-            l2_at_horizon(traj([(0, 1), (0, 2)]), GT_STRAIGHT, 3.0, "cumulative_mean")
+    def test_each_horizon_is_a_whole_step_of_the_plan(self):
+        assert [h for h, _ in metrics._HORIZON_STEPS] == list(metrics.HORIZONS_S)
+        for h, k in metrics._HORIZON_STEPS:
+            assert k * DEFAULT_DT == h and 1 <= k <= DEFAULT_HORIZON_STEPS
 
 
 class TestHeadings:
