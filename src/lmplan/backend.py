@@ -39,7 +39,8 @@ from .codec import serialize_trajectory
 from .prompts import Decision, PlannerPrompt
 from .reasoning import (
     FineTuneExample,
-    build_trace,
+    ReasoningTrace,
+    find_critical_objects,
     make_finetune_example,
     render_plan_text,
     rollout_hypothetical,
@@ -133,7 +134,7 @@ def complete(
 
 def _stub_hypothetical(s: Scenario) -> str:
     hypo = rollout_hypothetical(s.ego)
-    trace = build_trace(s, hypo, Decision.KEEP_SPEED)
+    trace = ReasoningTrace(find_critical_objects(s, hypo), Decision.KEEP_SPEED)
     return render_plan_text(trace, serialize_trajectory(hypo))
 
 

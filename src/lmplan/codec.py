@@ -202,13 +202,15 @@ def extract_pairs(text: str) -> list[tuple[float, float]]:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def locate_trajectory(text: str, expected_len: int) -> tuple[Trajectory, bool]:
-    """``parse_trajectory`` plus whether the pairs came from a bracketed list.
+def parse_trajectory(text: str, expected_len: int) -> tuple[Trajectory, bool]:
+    """Parse exactly expected_len coordinate pairs out of arbitrary text.
 
-    Memoized on its arguments, so a caller that has just parsed a text can
-    ask where the pairs came from without scanning the text again; the memo
-    has room for what other threads parse in between.
+    Grammar first: bracketed pair lists are located and the last one of the
+    expected length wins (prose before or after is ignored). If no bracketed
+    list holds a pair, the whole text is scanned for pairs as a fallback.
+    Returns the trajectory and whether its pairs came from a bracketed list.
+    Raises TrajectoryParseError on empty input, an unparseable payload, or a
+    pair count other than expected_len (reporting the found count).
     """
     if not text or not text.strip():
         raise TrajectoryParseError("empty input", found=0, expected=expected_len)
@@ -238,15 +240,3 @@ def locate_trajectory(text: str, expected_len: int) -> tuple[Trajectory, bool]:
         chosen = loose
 
     return Trajectory(tuple(map(_waypoint, chosen))), bool(candidates)
-
-
-def parse_trajectory(text: str, expected_len: int) -> Trajectory:
-    """Parse exactly expected_len coordinate pairs out of arbitrary text.
-
-    Grammar first: bracketed pair lists are located and the last one of the
-    expected length wins (prose before or after is ignored). If no bracketed
-    list exists the whole text is scanned for pairs as a fallback. Raises
-    TrajectoryParseError on empty input, an unparseable payload, or a pair
-    count other than expected_len (reporting the found count).
-    """
-    return locate_trajectory(text, expected_len)[0]

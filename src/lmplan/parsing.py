@@ -17,7 +17,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .codec import Trajectory, TrajectoryParseError, locate_trajectory, parse_trajectory
+from .codec import Trajectory, TrajectoryParseError, parse_trajectory
 from .prompts import SECTION_DECISION, SECTION_LABELS, SECTION_TRAJECTORY, Decision
 
 
@@ -112,35 +112,29 @@ def extract_decision(text: str) -> Decision | None:
 
 
 def parse_plan_output(text: str, horizon_steps: int) -> PlanOutput:
-    """Classify and extract a plan from raw model output. Never raises."""
+    """Classify and extract a plan from raw model output. Never raises.
+
+    The text after the last ``Trajectory:`` label is scanned once; the whole
+    text is scanned only when that tail yields no trajectory.
+    """
     low = _lower(text)
     decision = _decision_in(text, low)
 
-    trajectory = None
     error = None
     i = low.rfind(_TRAJECTORY_LABEL)
-    tail = None if i < 0 else text[i + len(SECTION_TRAJECTORY):]
-    if tail is not None:
+    if i >= 0:
+        tail = text[i + len(SECTION_TRAJECTORY):]
         try:
-            trajectory = parse_trajectory(tail, horizon_steps)
+            trajectory, bracketed = parse_trajectory(tail, horizon_steps)
         except TrajectoryParseError as e:
             error = str(e)
+        else:
+            if bracketed and all(label in low for label in _LABELS):
+                return PlanOutput(ParseQuality.CLEAN, trajectory, decision)
+            return PlanOutput(ParseQuality.RECOVERED, trajectory, decision)
 
-    # locate_trajectory answers from parse_trajectory's memo: no second scan
-    if (
-        trajectory is not None
-        and all(label in low for label in _LABELS)
-        and locate_trajectory(tail, horizon_steps)[1]
-    ):
-        return PlanOutput(ParseQuality.CLEAN, trajectory, decision)
-
-    if trajectory is None:
-        try:
-            trajectory = parse_trajectory(text, horizon_steps)
-        except TrajectoryParseError as e:
-            if error is None:
-                error = str(e)
-
-    if trajectory is not None:
-        return PlanOutput(ParseQuality.RECOVERED, trajectory, decision)
-    return PlanOutput(ParseQuality.FAILED, None, decision, error)
+    try:
+        trajectory = parse_trajectory(text, horizon_steps)[0]
+    except TrajectoryParseError as e:
+        return PlanOutput(ParseQuality.FAILED, None, decision, error or str(e))
+    return PlanOutput(ParseQuality.RECOVERED, trajectory, decision)

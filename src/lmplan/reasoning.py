@@ -59,8 +59,11 @@ class CriticalObject:
 @dataclass(frozen=True)
 class ReasoningTrace:
     critical_objects: tuple[CriticalObject, ...]
-    interaction_text: str
     decision: Decision
+
+    @property
+    def interaction_text(self) -> str:
+        return interaction_summary(self.critical_objects)
 
     @property
     def decision_text(self) -> str:
@@ -255,20 +258,10 @@ def interaction_summary(critical: tuple[CriticalObject, ...]) -> str:
     return "; ".join(clauses) + "."
 
 
-def build_trace(s: Scenario, hypo: Trajectory, decision: Decision) -> ReasoningTrace:
-    """Critical objects and interactions against the rollout, plus a decision."""
-    critical = find_critical_objects(s, hypo)
-    return ReasoningTrace(
-        critical_objects=critical,
-        interaction_text=interaction_summary(critical),
-        decision=decision,
-    )
-
-
 def compose_reasoning(s: Scenario) -> ReasoningTrace:
     """Derive the full trace: critical objects, interactions, and decision."""
     hypo = rollout_hypothetical(s.ego)
-    return build_trace(s, hypo, classify_decision(s, hypo))
+    return ReasoningTrace(find_critical_objects(s, hypo), classify_decision(s, hypo))
 
 
 def render_reasoning(trace: ReasoningTrace) -> str:

@@ -504,8 +504,12 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
 def _scenarios_from_text(text: str) -> list[Scenario]:
     try:
         doc = json.loads(text, parse_float=_LiteralMemo().__getitem__)
-    except (ValueError, RecursionError) as e:  # ValueError: JSONDecodeError, or an over-long int
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ScenarioSchemaError(f"malformed JSON: {e}") from None
+    except ValueError:  # json's int() refuses a literal past sys.get_int_max_str_digits()
+        raise ScenarioSchemaError(
+            "malformed JSON: an integer literal has too many digits to decode"
+        ) from None
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise ScenarioSchemaError('top level must be {"scenarios": [...]}')
 

@@ -59,7 +59,7 @@ def test_codec_round_trip_10k_trajectories():
     for _ in range(10_000):
         pts = [(rng.uniform(-200, 200), rng.uniform(-200, 200)) for _ in range(HORIZON)]
         t = Trajectory(tuple(Waypoint(x, y) for x, y in pts))
-        back = parse_trajectory(serialize_trajectory(t), HORIZON)
+        back, _ = parse_trajectory(serialize_trajectory(t), HORIZON)
         want = tuple(Waypoint(quantize(x), quantize(y)) for x, y in pts)
         assert back.waypoints == want
     elapsed = time.perf_counter() - start

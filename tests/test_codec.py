@@ -534,7 +534,7 @@ class TestFormat:
 class TestParse:
     def test_exact_round_trip(self):
         t = traj([(1.23, -4.56), (0.0, 0.01), (-200.0, 199.99)])
-        parsed = parse_trajectory(serialize_trajectory(t), 3)
+        parsed, _ = parse_trajectory(serialize_trajectory(t), 3)
         assert [(w.x, w.y) for w in parsed.waypoints] == [
             (w.x, w.y) for w in t.waypoints
         ]
@@ -543,32 +543,38 @@ class TestParse:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, points):
         t = traj(points)
-        parsed = parse_trajectory(serialize_trajectory(t), len(points))
+        parsed, _ = parse_trajectory(serialize_trajectory(t), len(points))
         assert [(w.x, w.y) for w in parsed.waypoints] == [
             (quantize(x), quantize(y)) for x, y in points
         ]
 
     def test_prose_around_the_list_is_ignored(self):
         text = "The plan is:\nTrajectory: [(1.00,2.00), (3.00,4.00)] as requested."
-        parsed = parse_trajectory(text, 2)
+        parsed, bracketed = parse_trajectory(text, 2)
         assert (parsed.waypoints[1].x, parsed.waypoints[1].y) == (3.0, 4.0)
+        assert bracketed is True
 
     def test_last_right_length_list_wins(self):
         text = "[(9.00,9.00), (8.00,8.00)] then final [(1.00,1.00), (2.00,2.00)]"
-        parsed = parse_trajectory(text, 2)
+        parsed, _ = parse_trajectory(text, 2)
         assert parsed.waypoints[0].x == 1.0
 
     def test_wrong_length_bracket_is_skipped_for_a_right_one(self):
         text = "[(9.00,9.00)] and [(1.00,1.00), (2.00,2.00)]"
-        parsed = parse_trajectory(text, 2)
+        parsed, _ = parse_trajectory(text, 2)
         assert len(parsed) == 2
 
     def test_loose_pairs_without_brackets(self):
-        parsed = parse_trajectory("(1.5,2.5) (3.5,4.5)", 2)
+        parsed, bracketed = parse_trajectory("(1.5,2.5) (3.5,4.5)", 2)
         assert (parsed.waypoints[0].x, parsed.waypoints[0].y) == (1.5, 2.5)
+        assert bracketed is False
+        # a bracket holding no pair does not count as a list
+        parsed, bracketed = parse_trajectory("[see below] (1,2), (3,4)", 2)
+        assert parsed.waypoints == ((1.0, 2.0), (3.0, 4.0))
+        assert bracketed is False
 
     def test_whitespace_inside_pairs_tolerated(self):
-        parsed = parse_trajectory("[( 1.5 , 2.5 ), (3.5,4.5)]", 2)
+        parsed, _ = parse_trajectory("[( 1.5 , 2.5 ), (3.5,4.5)]", 2)
         assert parsed.waypoints[0].y == 2.5
 
     def test_length_mismatch_reports_counts(self):
@@ -595,7 +601,7 @@ class TestParse:
             parse_trajectory(f"[({digits}.0,1.0)]", 1)
 
     def test_parsed_values_are_quantized(self):
-        parsed = parse_trajectory("(1.23456,0.005)", 1)
+        parsed, _ = parse_trajectory("(1.23456,0.005)", 1)
         assert parsed.waypoints[0].x == 1.23
         assert parsed.waypoints[0].y == 0.01
 
@@ -608,7 +614,7 @@ def test_round_trip_random_spot_check():
             for _ in range(rng.randint(1, 8))
         ]
         t = traj(points)
-        parsed = parse_trajectory(serialize_trajectory(t), len(points))
+        parsed, _ = parse_trajectory(serialize_trajectory(t), len(points))
         assert [(w.x, w.y) for w in parsed.waypoints] == [
             (quantize(w.x), quantize(w.y)) for w in t.waypoints
         ]

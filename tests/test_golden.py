@@ -62,7 +62,7 @@ def test_pipeline_outputs_are_byte_identical(tmp_path, capsys):
     assert sha256(train) == EXPORT_SHA256
 
 
-# the sources the two AST checks below scan: the package and the shared test helpers
+# the sources the AST checks below scan: the package and the shared test helpers
 CHECKED_SOURCES = sorted(Path(lmplan.__file__).parent.glob("*.py")) + [
     Path(__file__).parent / "mockserver.py",
     Path(__file__).parent / "helpers.py",
@@ -102,4 +102,21 @@ def test_no_function_takes_a_parameter_it_never_reads():
                 f"{path.name}:{fn.lineno} {p.arg}" for p in params
                 if p.arg != "self" and not p.arg.startswith("_") and p.arg not in read
             ]
+    assert not found, found
+
+
+def test_no_function_is_memoized():
+    # a functools.cache or lru_cache memo outlives every call: hidden state
+    # that threads share, holding whatever it was last asked about
+    found = []
+    for path in CHECKED_SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for d in fn.decorator_list:
+                target = d.func if isinstance(d, ast.Call) else d
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    found.append(f"{path.name}:{d.lineno}")
     assert not found, found

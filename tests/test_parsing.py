@@ -15,7 +15,6 @@ from lmplan import (
     parse_trajectory,
     serialize_trajectory,
 )
-from lmplan.codec import locate_trajectory
 from lmplan.prompts import SECTION_DECISION, SECTION_LABELS, SECTION_TRAJECTORY
 
 VALID = (
@@ -81,6 +80,13 @@ class TestRecovered:
         out = parse_plan_output(text, 2)
         assert out.quality is ParseQuality.RECOVERED
         assert out.decision is Decision.STOP
+        # every label present, but a loose tail is never clean, even after a
+        # bracket that holds no pair
+        for tail in ("(0.00,3.00) (0.00,6.00) (0.00,9.00) (0.00,12.00) (0.00,15.00) (0.00,18.00)",
+                     "[see below] (0,3), (0,6), (0,9), (0,12), (0,15), (0,18)"):
+            out = parse_plan_output(VALID[: VALID.rindex("[")] + tail, 6)
+            assert out.quality is ParseQuality.RECOVERED
+            assert [w.y for w in out.trajectory.waypoints] == [3, 6, 9, 12, 15, 18]
 
 
 class TestFailed:
@@ -254,18 +260,18 @@ def old_parse_plan_output(text, horizon_steps):
     tail = _old_last_label_tail(text, SECTION_TRAJECTORY)
     if tail is not None:
         try:
-            trajectory = parse_trajectory(tail, horizon_steps)
+            trajectory = parse_trajectory(tail, horizon_steps)[0]
         except TrajectoryParseError as e:
             error = str(e)
     if (
         trajectory is not None
         and all(label.lower() in text.lower() for label in SECTION_LABELS)
-        and locate_trajectory(tail, horizon_steps)[1]
+        and parse_trajectory(tail, horizon_steps)[1]
     ):
         return PlanOutput(ParseQuality.CLEAN, trajectory, decision)
     if trajectory is None:
         try:
-            trajectory = parse_trajectory(text, horizon_steps)
+            trajectory = parse_trajectory(text, horizon_steps)[0]
         except TrajectoryParseError as e:
             if error is None:
                 error = str(e)
