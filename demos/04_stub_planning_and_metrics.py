@@ -32,7 +32,7 @@ def plan_batch(mode):
     for s in scenarios:
         raw = complete(cfg, build_prompt(s), scenario=s)
         out = parse_plan_output(raw, len(s.human_trajectory))
-        records.append(PlanRecord(s.id, out.trajectory, out.quality.value))
+        records.append(PlanRecord(s.id, out.trajectory, out.quality))
     return records
 
 # (2) Ground-truth replay: the report must read 0.00 everywhere.

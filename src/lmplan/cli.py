@@ -10,7 +10,7 @@ Subcommands:
 - ``export-finetune``: supervision dataset as chat-format JSONL, plus a
   sidecar ``<out>.meta.json`` recording the prompt template hash.
 - ``plan``: run a backend over every scenario and write one result line per
-  scenario: ``{"scenario_id", "raw_text", "parse_quality", "trajectory"}``.
+  scenario, ``metrics.PlanRecord.to_line``.
   Each scenario gets one completion; ``--max-retries`` bounds the backend's
   HTTP retries, and a reply that fails to parse is not asked again. Only
   remote mode builds prompts (and packs exemplars into them): the stubs
@@ -20,9 +20,10 @@ Subcommands:
   endpoint that is not an http(s) URL with a host, or no API key, exits 2
   before ``--out`` is opened. Lines are written in scenario order as they
   finish.
-- ``evaluate``: join results to scenarios by id, compute open-loop metrics,
-  write ``report.md`` and ``report.csv``. A repeated result id is an error;
-  ids not in the scenario file are ignored with one warning.
+- ``evaluate``: join the result lines (``metrics.PlanRecord.from_line``, each
+  checked in full) to scenarios by id, compute open-loop metrics, write
+  ``report.md`` and ``report.csv``. A repeated result id is an error; ids
+  not in the scenario file are ignored with one warning.
 
 Every command uses the fixed horizon: 6 waypoints, 0.5 s apart. No command
 writes over one of its input files or writes two outputs to one file: an
@@ -37,7 +38,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -61,16 +61,13 @@ from .metrics import (
     render_csv,
     render_markdown,
 )
-from .parsing import ParseQuality, PlanOutput, parse_plan_output
+from .parsing import ParseQuality, parse_plan_output
 from .prompts import build_prompt, check_exemplar_count, pack_exemplars, template_hash
 from .reasoning import make_finetune_example
 from .scenario import (
     DEFAULT_HORIZON_STEPS,
     SYNTH_KINDS,
     ScenarioSchemaError,
-    Trajectory,
-    Waypoint,
-    is_number,
     load_scenarios,
     sample_split,
     save_scenarios,
@@ -207,8 +204,9 @@ def cmd_plan(args) -> int:
             raw = complete(cfg, prompt, s)
         except BackendError as e:
             print(f"lmplan: warning: {s.id}: {e}", file=sys.stderr)
-            return s, "", PlanOutput(ParseQuality.FAILED, None, None, str(e))
-        return s, raw, parse_plan_output(raw, DEFAULT_HORIZON_STEPS)
+            return PlanRecord(s.id)
+        out = parse_plan_output(raw, DEFAULT_HORIZON_STEPS)
+        return PlanRecord(s.id, out.trajectory, out.quality, raw)
 
     # Both maps yield in input order: a line is written once it and all
     # before it are done. The pool starts threads only on submit, so the
@@ -222,38 +220,16 @@ def cmd_plan(args) -> int:
         ThreadPoolExecutor(max_workers=2 * cfg.max_in_flight) as pool,
     ):
         ordered_map = pool.map if remote else map
-        for s, raw, out in ordered_map(plan_one, scenarios):
-            quality = out.quality.value
-            traj = None if out.trajectory is None else [[w.x, w.y] for w in out.trajectory.waypoints]
-            row = {"scenario_id": s.id, "raw_text": raw, "parse_quality": quality, "trajectory": traj}
-            f.write(json.dumps(row, separators=(",", ":"), ensure_ascii=False) + "\n")
-            counts[out.quality] += 1
+        for rec in ordered_map(plan_one, scenarios):
+            f.write(rec.to_line())
+            counts[rec.parse_quality] += 1
     tally = ", ".join(f"{q.value} {counts[q]}" for q in ParseQuality)
     print(f"planned {len(scenarios)} scenarios -> {args.out} ({tally})")
     return 0
 
 
-def _result_trajectory(raw) -> Trajectory:
-    """A result line's ``[[x, y], ...]``: finite number pairs, one per step."""
-    if not isinstance(raw, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p) for p in raw
-    ):
-        raise ValueError("trajectory must be a list of [x, y] number pairs")
-    points = tuple(Waypoint(float(x), float(y)) for x, y in raw)
-    if not all(math.isfinite(w.x) and math.isfinite(w.y) for w in points):
-        raise ValueError("trajectory coordinates must be finite")
-    if len(points) != DEFAULT_HORIZON_STEPS:
-        raise ValueError(
-            f"trajectory has {len(points)} waypoints, expected {DEFAULT_HORIZON_STEPS}"
-        )
-    return Trajectory(points)
-
-
-_QUALITIES = tuple(q.value for q in ParseQuality)
-
-
 def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
-    """Result lines for the known scenario ids; a repeated id is an error."""
+    """Records of the known scenario ids; each line is checked, a repeated id is an error."""
     records = []
     first_line: dict[str, int] = {}
     unknown = 0
@@ -262,26 +238,17 @@ def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
-            sid = obj["scenario_id"]
-            quality = obj.get("parse_quality", "failed")
-            raw_traj = obj.get("trajectory")
-            if not isinstance(sid, str) or not isinstance(quality, str):
-                raise TypeError("scenario_id and parse_quality must be strings")
-            if quality not in _QUALITIES:
-                raise ValueError(
-                    f"parse_quality must be one of {', '.join(_QUALITIES)}, not {quality!r}"
-                )
+            rec = PlanRecord.from_line(line)
+            sid = rec.scenario_id
             if sid in first_line:
                 raise ValueError(f"duplicate scenario_id {sid!r} (first on line {first_line[sid]})")
-            first_line[sid] = lineno
-            if sid not in known_ids:
-                unknown += 1
-                continue
-            traj = None if raw_traj is None else _result_trajectory(raw_traj)
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
+        except (ValueError, OverflowError, RecursionError) as e:
             raise ValueError(f"{path}:{lineno}: bad result line: {e}") from None
-        records.append(PlanRecord(scenario_id=sid, trajectory=traj, parse_quality=quality))
+        first_line[sid] = lineno
+        if sid in known_ids:
+            records.append(rec)
+        else:
+            unknown += 1
     if unknown:
         msg = f"ignored {unknown} result line(s) whose scenario_id is not in the scenario file"
         print(f"lmplan: warning: {path}: {msg}", file=sys.stderr)

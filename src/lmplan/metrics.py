@@ -27,9 +27,11 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
+from .parsing import ParseQuality
 from .prompts import template_hash
 from .reasoning import rollout_hypothetical, segment_directions
-from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, ObjectBox, Scenario, Trajectory
+from .scenario import (DEFAULT_DT, DEFAULT_HORIZON_STEPS, ObjectBox, Scenario, Trajectory,
+                       Waypoint, is_number)
 
 # The paper's protocol: L2 and collision at 1 s, 2 s and 3 s, for the
 # nuScenes ego footprint (meters), starting out facing +y.
@@ -70,19 +72,60 @@ class EvalConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+_QUALITIES = {q.value: q for q in ParseQuality}
+
+
 @dataclass(frozen=True)
 class PlanRecord:
-    """A planner's answer for one scenario, as fed to the evaluator."""
+    """A planner's answer for one scenario: one line of the ``plan`` results
+    file, which ``to_line`` writes and ``from_line`` reads. A field the line
+    leaves out reads as its dataclass default, ``cls.<field>``."""
 
     scenario_id: str
-    trajectory: Trajectory | None
-    parse_quality: str = "clean"
+    trajectory: Trajectory | None = None
+    parse_quality: ParseQuality = ParseQuality.FAILED
+    raw_text: str = ""
+
+    def to_line(self) -> str:
+        traj = None if self.trajectory is None else [[w.x, w.y] for w in self.trajectory.waypoints]
+        row = {"scenario_id": self.scenario_id, "raw_text": self.raw_text,
+               "parse_quality": self.parse_quality, "trajectory": traj}
+        return json.dumps(row, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+    @classmethod
+    def from_line(cls, line: bytes) -> PlanRecord:
+        """The record a line holds, every field checked; a bad line raises
+        ``ValueError`` (or ``OverflowError``, ``RecursionError``) saying why."""
+        obj = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
+        if not isinstance(obj, dict) or "scenario_id" not in obj:
+            raise ValueError("expected a JSON object with a scenario_id")
+        sid, traj = obj["scenario_id"], obj.get("trajectory", cls.trajectory)
+        quality = obj.get("parse_quality", cls.parse_quality)
+        raw_text = obj.get("raw_text", cls.raw_text)
+        if not isinstance(sid, str) or not isinstance(quality, str):
+            raise ValueError("scenario_id and parse_quality must be strings")
+        if quality not in _QUALITIES:
+            raise ValueError(f"parse_quality must be one of {', '.join(_QUALITIES)}, not {quality!r}")
+        if not isinstance(raw_text, str):
+            raise ValueError("raw_text must be a string")
+        if traj is not None:
+            if not isinstance(traj, list) or not all(
+                isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p) for p in traj
+            ):
+                raise ValueError("trajectory must be a list of [x, y] number pairs")
+            traj = Trajectory(tuple(Waypoint(float(x), float(y)) for x, y in traj))
+            if not all(map(math.isfinite, chain.from_iterable(traj.waypoints))):
+                raise ValueError("trajectory coordinates must be finite")
+            if len(traj) != DEFAULT_HORIZON_STEPS:
+                raise ValueError(f"trajectory has {len(traj)} waypoints, "
+                                 f"expected {DEFAULT_HORIZON_STEPS}")
+        return cls(sid, traj, _QUALITIES[quality], raw_text)
 
 
 @dataclass(frozen=True)
 class ScenarioMetrics:
     scenario_id: str
-    parse_quality: str
+    parse_quality: ParseQuality
     used_fallback: bool
     l2_at_step: dict
     l2_cumulative: dict
@@ -221,7 +264,7 @@ def collision_steps(t: Trajectory, gt_boxes: tuple) -> list[bool]:
 def _metrics_for(
     s: Scenario,
     traj: Trajectory,
-    quality: str,
+    quality: ParseQuality,
     used_fallback: bool,
     cfg: EvalConfig,
 ) -> ScenarioMetrics:
@@ -267,9 +310,8 @@ def evaluate_dataset(
     rows = []
     parse_failures = 0
     for s in scenarios:
-        rec = by_id.get(s.id)
-        traj = rec.trajectory if rec is not None else None
-        quality = rec.parse_quality if rec is not None else "failed"
+        rec = by_id.get(s.id) or PlanRecord(s.id)
+        traj = rec.trajectory
         if traj is not None and len(traj) != DEFAULT_HORIZON_STEPS:
             raise ValueError(
                 f"scenario {s.id!r}: trajectory has {len(traj)} waypoints, "
@@ -286,7 +328,7 @@ def evaluate_dataset(
             if cfg.fallback_policy == "exclude":
                 continue
             traj = rollout_hypothetical(s.ego)
-        rows.append(_metrics_for(s, traj, quality, used_fallback, cfg))
+        rows.append(_metrics_for(s, traj, rec.parse_quality, used_fallback, cfg))
 
     n = len(rows)
     # one pass over the rows; each cell's column is then summed in row order,

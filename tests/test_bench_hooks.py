@@ -1,4 +1,5 @@
-"""A name the benchmark's tracer hooks that is gone fails here, not only in a traced run."""
+"""A name the benchmark's tracer hooks that is gone, or that the pipeline no
+longer calls through, fails here, not only in a traced run."""
 
 from pathlib import Path
 
@@ -7,9 +8,11 @@ import pytest
 from lmplan import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+needs_bench = pytest.mark.skipif(not (BENCH / "layers.py").exists(),
+                                 reason="no bench/ in this checkout")
 
 
-@pytest.mark.skipif(not (BENCH / "layers.py").exists(), reason="no bench/ in this checkout")
+@needs_bench
 def test_pass_tracer_finds_every_hooked_name(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     from layers import install_pass_tracer
@@ -22,3 +25,29 @@ def test_pass_tracer_finds_every_hooked_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert cli.complete is complete
+
+
+@needs_bench
+def test_pass_tracer_hooks_fire_in_a_pipeline_run(monkeypatch, tmp_path):
+    # a call site moved out of cli's globals leaves its hook in place but never called
+    monkeypatch.syspath_prepend(str(BENCH))
+    from layers import install_pass_tracer
+    from tracing import Tracer
+
+    scenarios, results = tmp_path / "scenarios.json", tmp_path / "results.jsonl"
+    tracer = Tracer()
+    try:
+        install_pass_tracer(tracer)
+        assert cli.main(["synth", "--out", str(scenarios), "--count", "4"]) == 0
+        for mode in ("stub_replay_gt", "stub_hypothetical"):
+            assert cli.main(["plan", "--scenarios", str(scenarios), "--out", str(results),
+                             "--mode", mode]) == 0
+        assert cli.main(["evaluate", "--scenarios", str(scenarios), "--results", str(results),
+                         "--out-dir", str(tmp_path / "rep")]) == 0
+    finally:
+        tracer.uninstall()
+    assert {s.name for s in tracer.spans} >= {
+        "cli.plan", "cli.evaluate", "scenario.load", "parsing.parse",
+        "backend.complete.stub_replay_gt", "backend.complete.stub_hypothetical",
+        "metrics.evaluate", "metrics.render_markdown", "metrics.render_csv",
+    }

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from lmplan import (
     BackendConfig,
     EvalConfig,
+    ParseQuality,
+    PlanRecord,
     build_prompt,
     load_finetune_jsonl,
     load_scenarios,
@@ -471,6 +473,23 @@ class TestEvaluate:
         md = (tmp_path / "rep" / "report.md").read_text()
         assert "evaluated 3" in md
 
+    def test_a_line_with_only_id_and_trajectory_reads_as_failed(self, tmp_path, capsys):
+        scen = synth_file(tmp_path, count=2)
+        results = tmp_path / "results.jsonl"
+        run("plan", "--scenarios", scen, "--out", results, "--mode", "stub_replay_gt")
+        rows = [{"scenario_id": r["scenario_id"], "trajectory": r["trajectory"]}
+                for r in read_results(results)]
+        lines = [json.dumps(r).encode() for r in rows]
+        results.write_bytes(b"\n".join(lines) + b"\n")
+        record = PlanRecord.from_line(lines[0])
+        assert (record.parse_quality, record.raw_text) == (ParseQuality.FAILED, "")
+        assert record.trajectory is not None
+        assert run("evaluate", "--scenarios", scen, "--results", results,
+                   "--out-dir", tmp_path / "rep") == 0
+        with open(tmp_path / "rep" / "report.csv", encoding="utf-8", newline="") as f:
+            csv_rows = list(csv.reader(f))[1:-1]
+        assert [(r[1], r[2]) for r in csv_rows] == [("failed", "0")] * 2
+
 
 class TestErrors:
     def test_missing_scenario_file(self, tmp_path, capsys):
@@ -733,6 +752,26 @@ class TestErrors:
         ]
         assert "evaluated 3" in captured.out and "parse failures 0" in captured.out
 
+    def test_a_foreign_result_line_is_checked_in_full(self, tmp_path, capsys):
+        full = synth_file(tmp_path, count=6)
+        results = tmp_path / "results.jsonl"
+        run("plan", "--scenarios", full, "--out", results, "--mode", "stub_replay_gt")
+        subset = tmp_path / "subset.json"
+        run("split", "--scenarios", full, "--fraction", 0.5, "--out", tmp_path / "m.json",
+            "--scenarios-out", subset)
+        kept = {s.id for s in load_scenarios(subset)}
+        rows = read_results(results)
+        n = next(i for i, r in enumerate(rows) if r["scenario_id"] not in kept)
+        rows[n]["trajectory"] = rows[n]["trajectory"][:3]
+        results.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert run("evaluate", "--scenarios", subset, "--results", results,
+                   "--out-dir", tmp_path / "rep") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lmplan: error: {results}:{n + 1}: bad result line:")
+        assert "3 waypoints, expected 6" in err
+        assert not (tmp_path / "rep").exists()
+
     def test_evaluate_scenarios_is_a_directory(self, tmp_path, capsys):
         results = tmp_path / "r.jsonl"
         results.write_text("")
@@ -752,15 +791,22 @@ class TestErrors:
             ('"parse_quality": "clean,1\\nx", "trajectory": null', "must be one of"),
             ('"parse_quality": "\\ud800", "trajectory": null', "must be one of"),
             ('"parse_quality": "CLEAN", "trajectory": null', "must be one of"),
+            ('"raw_text": ["a"], "trajectory": null', "raw_text must be a string"),
+            ('{"trajectory": null}', "expected a JSON object with a scenario_id"),
+            ('["scenario_id"]', "expected a JSON object with a scenario_id"),
+            ("5", "expected a JSON object with a scenario_id"),
         ],
         ids=["short", "flat", "non_numeric", "nan", "non_string_quality",
-             "csv_breaking_quality", "lone_surrogate_quality", "upper_case_quality"],
+             "csv_breaking_quality", "lone_surrogate_quality", "upper_case_quality",
+             "non_string_raw_text", "no_scenario_id", "json_array", "json_number"],
     )
     def test_bad_result_line(self, tmp_path, capsys, fields, message):
         scen = synth_file(tmp_path, count=2)
         sid = load_scenarios(scen)[0].id
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(f'{{"scenario_id": "{sid}", {fields}}}\n')
+        # fields that follow the first scenario's id in an object, or a whole line
+        line = f'{{"scenario_id": "{sid}", {fields}}}' if fields.startswith('"') else fields
+        bad.write_text(line + "\n")
         assert run("evaluate", "--scenarios", scen, "--results", bad,
                    "--out-dir", tmp_path / "rep") == 2
         err = capsys.readouterr().err

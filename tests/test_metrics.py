@@ -1,12 +1,16 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import boxes_intersect_sampled, make_scenarios, random_box, traj
 from lmplan import (
     EvalConfig,
     ObjectBox,
+    ParseQuality,
     PlanRecord,
     Scenario,
     Waypoint,
@@ -476,3 +480,29 @@ class TestRenderers:
         assert a.config_hash == b.config_hash
         assert a.template_hash == b.template_hash
         assert EvalConfig().hash() != EvalConfig(exclude_gt_collisions=True).hash()
+
+
+# quotes, backslashes, control and line-break characters, non-ASCII, lone surrogates
+_AWKWARD = st.sampled_from('"\\/\x00\x1f\x7f\n\r\u2028\xe9\u6f22\U0001f600\ud800\udfff')
+# a high surrogate followed by a low one, as two characters, reads back as
+# the one character they escape together; a reply decoded from JSON or UTF-8
+# never holds such a pair
+_TEXT = st.text(_AWKWARD | st.characters(blacklist_categories=()), max_size=30).filter(
+    lambda t: re.search("[\ud800-\udbff][\udc00-\udfff]", t) is None
+)
+_COORD = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+)
+_TRAJECTORY = st.lists(st.builds(Waypoint, _COORD, _COORD), min_size=6, max_size=6).map(
+    lambda points: Trajectory(tuple(points))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=st.builds(PlanRecord, _TEXT, st.none() | _TRAJECTORY, st.sampled_from(ParseQuality),
+                        _TEXT))
+def test_plan_record_round_trips_through_its_line(record):
+    # encoded as ``plan`` writes it: a lone surrogate becomes its JSON escape
+    back = PlanRecord.from_line(record.to_line().encode("utf-8", "backslashreplace"))
+    assert back == record
+    assert repr(back) == repr(record)  # -0.0 keeps its sign
