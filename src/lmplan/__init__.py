@@ -38,7 +38,7 @@ from .metrics import (
     render_markdown,
     sat_margin,
 )
-from .parsing import ParseQuality, PlanOutput, extract_decision, parse_plan_output
+from .parsing import ParseQuality, PlanOutput, parse_plan_output
 from .prompts import (
     MAX_EXEMPLARS,
     Decision,

@@ -244,7 +244,7 @@ def export_finetune_jsonl(examples, path) -> int:
 
 
 def load_finetune_jsonl(path) -> list[dict]:
-    """Read records back, checking the three-role shape line by line."""
+    """Read records back, checking the three-role shape and string contents line by line."""
     out = []
     # split as text mode would (\n, \r, \r\n), so a line that is not UTF-8 has its number
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
@@ -261,5 +261,8 @@ def load_finetune_jsonl(path) -> list[dict]:
             raise ValueError(
                 f"{path}:{lineno}: expected system/user/assistant messages, got {roles}"
             )
+        for m in msgs:
+            if not isinstance(m.get("content"), str):
+                raise ValueError(f"{path}:{lineno}: {m['role']} message content must be a string")
         out.append(obj)
     return out

@@ -15,8 +15,10 @@ docstring of ``collision_steps`` proves such a box is never a collision, so
 for finite coordinates the flags are those of the full test on every pair;
 a trajectory that is not finite is a ``ValueError``.
 
-Aggregation folds rows in scenario-id order, so reports are byte-identical
-under input permutation.
+Plans arrive as ``PlanRecord`` rows, which check their own fields, so
+``evaluate_dataset`` checks only the human trajectory. Aggregation folds
+rows in scenario-id order, so reports are byte-identical under input
+permutation.
 """
 
 from __future__ import annotations
@@ -78,13 +80,37 @@ _QUALITIES = {q.value: q for q in ParseQuality}
 @dataclass(frozen=True)
 class PlanRecord:
     """A planner's answer for one scenario: one line of the ``plan`` results
-    file, which ``to_line`` writes and ``from_line`` reads. A field the line
-    leaves out reads as its dataclass default, ``cls.<field>``."""
+    file. The record checks its own fields (a quality string is coerced to its
+    member), so ``to_line`` writes only lines that ``from_line`` reads back
+    equal. A field the line leaves out reads as its default, ``cls.<field>``."""
 
     scenario_id: str
     trajectory: Trajectory | None = None
     parse_quality: ParseQuality = ParseQuality.FAILED
     raw_text: str = ""
+
+    def __post_init__(self):
+        quality, traj = self.parse_quality, self.trajectory
+        if not isinstance(self.scenario_id, str) or not isinstance(quality, str):
+            raise ValueError("scenario_id and parse_quality must be strings")
+        if type(quality) is not ParseQuality:
+            if quality not in _QUALITIES:
+                raise ValueError(
+                    f"parse_quality must be one of {', '.join(_QUALITIES)}, not {quality!r}")
+            object.__setattr__(self, "parse_quality", _QUALITIES[quality])
+        if not isinstance(self.raw_text, str):
+            raise ValueError("raw_text must be a string")
+        if traj is not None:
+            if not isinstance(traj, Trajectory) or not all(
+                type(w) is Waypoint and isinstance(w.x, float) and isinstance(w.y, float)
+                for w in traj.waypoints
+            ):
+                raise ValueError("trajectory must be a Trajectory of float Waypoints")
+            if not all(map(math.isfinite, chain.from_iterable(traj.waypoints))):
+                raise ValueError("trajectory coordinates must be finite")
+            if len(traj) != DEFAULT_HORIZON_STEPS:
+                raise ValueError(f"trajectory has {len(traj)} waypoints, "
+                                 f"expected {DEFAULT_HORIZON_STEPS}")
 
     def to_line(self) -> str:
         traj = None if self.trajectory is None else [[w.x, w.y] for w in self.trajectory.waypoints]
@@ -94,32 +120,20 @@ class PlanRecord:
 
     @classmethod
     def from_line(cls, line: bytes) -> PlanRecord:
-        """The record a line holds, every field checked; a bad line raises
-        ``ValueError`` (or ``OverflowError``, ``RecursionError``) saying why."""
+        """The record a line holds: checks the JSON, the record its fields. A bad
+        line raises ``ValueError`` (or ``OverflowError``, ``RecursionError``)."""
         obj = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
         if not isinstance(obj, dict) or "scenario_id" not in obj:
             raise ValueError("expected a JSON object with a scenario_id")
-        sid, traj = obj["scenario_id"], obj.get("trajectory", cls.trajectory)
-        quality = obj.get("parse_quality", cls.parse_quality)
-        raw_text = obj.get("raw_text", cls.raw_text)
-        if not isinstance(sid, str) or not isinstance(quality, str):
-            raise ValueError("scenario_id and parse_quality must be strings")
-        if quality not in _QUALITIES:
-            raise ValueError(f"parse_quality must be one of {', '.join(_QUALITIES)}, not {quality!r}")
-        if not isinstance(raw_text, str):
-            raise ValueError("raw_text must be a string")
+        traj = obj.get("trajectory", cls.trajectory)
         if traj is not None:
             if not isinstance(traj, list) or not all(
                 isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p) for p in traj
             ):
                 raise ValueError("trajectory must be a list of [x, y] number pairs")
             traj = Trajectory(tuple(Waypoint(float(x), float(y)) for x, y in traj))
-            if not all(map(math.isfinite, chain.from_iterable(traj.waypoints))):
-                raise ValueError("trajectory coordinates must be finite")
-            if len(traj) != DEFAULT_HORIZON_STEPS:
-                raise ValueError(f"trajectory has {len(traj)} waypoints, "
-                                 f"expected {DEFAULT_HORIZON_STEPS}")
-        return cls(sid, traj, _QUALITIES[quality], raw_text)
+        return cls(obj["scenario_id"], traj, obj.get("parse_quality", cls.parse_quality),
+                   obj.get("raw_text", cls.raw_text))
 
 
 @dataclass(frozen=True)
@@ -312,11 +326,6 @@ def evaluate_dataset(
     for s in scenarios:
         rec = by_id.get(s.id) or PlanRecord(s.id)
         traj = rec.trajectory
-        if traj is not None and len(traj) != DEFAULT_HORIZON_STEPS:
-            raise ValueError(
-                f"scenario {s.id!r}: trajectory has {len(traj)} waypoints, "
-                f"expected {DEFAULT_HORIZON_STEPS}"
-            )
         if len(s.human_trajectory) != DEFAULT_HORIZON_STEPS:
             raise ValueError(
                 f"scenario {s.id!r}: human_trajectory has {len(s.human_trajectory)} "

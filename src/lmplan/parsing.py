@@ -71,14 +71,12 @@ def _lower(text: str) -> str:
     return "".join(c if len(c.lower()) > 1 else c.lower() for c in text)
 
 
-def _decision_section(text: str, low: str) -> str | None:
-    """Body of the last Decision section: up to the next label or blank line.
-
-    ``low`` is ``_lower(text)``.
-    """
+def _decision_section(text: str, low: str) -> str:
+    """Body of the last Decision section, up to the next label or blank line
+    (``""`` if there is none); ``low`` is ``_lower(text)``."""
     i = low.rfind(_DECISION_LABEL)
     if i < 0:
-        return None
+        return ""
     start = i + len(SECTION_DECISION)
     end = len(text)
     for label in _LABELS:
@@ -92,30 +90,19 @@ def _decision_section(text: str, low: str) -> str | None:
 
 
 def _decision_in(text: str, low: str) -> Decision | None:
-    section = _decision_section(text, low)
-    if section is None:
-        return None
-    m = _DECISION_RE.search(section)
-    if m is None:
-        return None
-    return _DECISION_OF_TOKEN[m.lastgroup]
-
-
-def extract_decision(text: str) -> Decision | None:
-    """First decision token inside the Decision section, if any.
-
-    Scoped to the labeled section so maneuver words elsewhere in the
-    reasoning cannot be mistaken for the verdict; the earliest token wins
-    because the format puts the decision before its justification.
-    """
-    return _decision_in(text, _lower(text))
+    m = _DECISION_RE.search(_decision_section(text, low))
+    return None if m is None else _DECISION_OF_TOKEN[m.lastgroup]
 
 
 def parse_plan_output(text: str, horizon_steps: int) -> PlanOutput:
     """Classify and extract a plan from raw model output. Never raises.
 
-    The text after the last ``Trajectory:`` label is scanned once; the whole
-    text is scanned only when that tail yields no trajectory.
+    The decision is the first decision token inside the last Decision
+    section, taken whatever the trajectory: scoped to the labeled section so
+    maneuver words elsewhere in the reasoning cannot be mistaken for the
+    verdict, earliest first because the format puts the decision before its
+    justification. The text after the last ``Trajectory:`` label is scanned
+    once; the whole text is scanned only when that tail yields no trajectory.
     """
     low = _lower(text)
     decision = _decision_in(text, low)

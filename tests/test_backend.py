@@ -15,7 +15,6 @@ from lmplan import (
     build_prompt,
     complete,
     export_finetune_jsonl,
-    extract_decision,
     finetune_line,
     load_finetune_jsonl,
     make_finetune_example,
@@ -83,7 +82,7 @@ class TestStubs:
         text = complete(cfg, build_prompt(s), scenario=s)
         out = parse_plan_output(text, len(s.human_trajectory))
         assert out.quality is ParseQuality.CLEAN
-        assert extract_decision(text) is Decision.KEEP_SPEED
+        assert out.decision is Decision.KEEP_SPEED
         hypo = rollout_hypothetical(s.ego)
         assert out.trajectory.waypoints == hypo.waypoints
 
@@ -361,6 +360,13 @@ class TestFineTuneExport:
             path.write_text(line + "\n", encoding="utf-8")
             with pytest.raises(ValueError, match=r"roles\.jsonl:1: expected system/user/"):
                 load_finetune_jsonl(path)
+
+    def test_load_rejects_a_message_without_string_content(self, tmp_path):
+        path = tmp_path / "content.jsonl"
+        path.write_text('{"messages":[{"role":"system"},{"role":"user","content":5},'
+                        '{"role":"assistant","content":null}]}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"content\.jsonl:1: system message content must be a str"):
+            load_finetune_jsonl(path)
 
     def test_load_skips_blank_lines(self, tmp_path):
         path = tmp_path / "blank.jsonl"

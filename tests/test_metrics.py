@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -387,9 +388,8 @@ class TestEvaluateDataset:
 
     def test_record_off_the_horizon_is_a_value_error(self):
         scenarios = [scenario_for_eval("a")]
-        records = [PlanRecord("a", traj([(0, 1), (0, 2), (0, 3)]), "clean")]
-        with pytest.raises(ValueError, match="'a': trajectory has 3 waypoints, expected 6"):
-            evaluate_dataset(scenarios, records)
+        with pytest.raises(ValueError, match="trajectory has 3 waypoints, expected 6"):
+            evaluate_dataset(scenarios, [PlanRecord("a", traj([(0, 1), (0, 2), (0, 3)]), "clean")])
 
     def test_short_human_trajectory_is_a_value_error(self):
         s = Scenario("a", EgoState(2.0, 0.0, 0.0), (), (), traj([(0, i) for i in range(1, 6)]))
@@ -498,11 +498,59 @@ _TRAJECTORY = st.lists(st.builds(Waypoint, _COORD, _COORD), min_size=6, max_size
 )
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} in a results line")
+
+
 @settings(max_examples=300, deadline=None)
-@given(record=st.builds(PlanRecord, _TEXT, st.none() | _TRAJECTORY, st.sampled_from(ParseQuality),
+@given(record=st.builds(PlanRecord, _TEXT, st.none() | _TRAJECTORY,
+                        st.sampled_from([*ParseQuality, *(q.value for q in ParseQuality)]),
                         _TEXT))
 def test_plan_record_round_trips_through_its_line(record):
+    assert type(record.parse_quality) is ParseQuality  # a value string is coerced
+    line = record.to_line()
+    json.loads(line, parse_constant=_no_constant)  # no NaN, Infinity or -Infinity
     # encoded as ``plan`` writes it: a lone surrogate becomes its JSON escape
-    back = PlanRecord.from_line(record.to_line().encode("utf-8", "backslashreplace"))
+    back = PlanRecord.from_line(line.encode("utf-8", "backslashreplace"))
     assert back == record
     assert repr(back) == repr(record)  # -0.0 keeps its sign
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("parse_quality", "bogus"),
+        ("parse_quality", "clean,1\nx"),
+        ("parse_quality", ["clean"]),
+        ("trajectory", [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]),
+        ("trajectory", [[math.nan, 1.0]] + [[0.0, 1.0]] * 5),
+        ("trajectory", [[0.0, 1.0]] * 5 + [[0.0, -math.inf]]),
+        ("scenario_id", 5),
+        ("raw_text", ["a"]),
+    ],
+    ids=["unknown_quality", "csv_breaking_quality", "non_string_quality", "short", "nan", "inf",
+         "int_id", "non_string_raw_text"],
+)
+def test_a_bad_field_is_refused_as_its_line_is(field, value):
+    fields = {"scenario_id": "a", "trajectory": None, "parse_quality": "clean", "raw_text": ""}
+    with pytest.raises(ValueError) as built:
+        PlanRecord(**{**fields, field: traj(value) if field == "trajectory" else value})
+    with pytest.raises(ValueError) as read:
+        PlanRecord.from_line(json.dumps({**fields, field: value}).encode())
+    assert str(built.value) == str(read.value)
+
+
+@pytest.mark.parametrize(
+    "trajectory",
+    [
+        [[0.0, float(i)] for i in range(1, 7)],
+        Trajectory(tuple((0.0, float(i)) for i in range(1, 7))),
+        Trajectory(tuple(Waypoint(0, i) for i in range(1, 7))),
+        Trajectory(tuple(Waypoint(True, float(i)) for i in range(1, 7))),
+    ],
+    ids=["list", "plain_tuples", "int_coordinates", "bool_coordinates"],
+)
+def test_a_trajectory_must_hold_float_waypoints(trajectory):
+    # each would write no line, a line that from_line refuses, or one that reads back as floats
+    with pytest.raises(ValueError, match="^trajectory must be a Trajectory of float Waypoints$"):
+        PlanRecord("a", trajectory, "clean")

@@ -3,13 +3,13 @@ import re
 
 from helpers import make_scenarios
 from lmplan import (
+    DEFAULT_HORIZON_STEPS,
     BackendConfig,
     Decision,
     ParseQuality,
     PlanOutput,
     TrajectoryParseError,
     complete,
-    extract_decision,
     make_finetune_example,
     parse_plan_output,
     parse_trajectory,
@@ -112,19 +112,24 @@ class TestFailed:
         assert out.decision is Decision.DECELERATE
 
 
+def decision_of(text):
+    """The decision ``parse_plan_output`` takes from ``text``, whatever its trajectory."""
+    return parse_plan_output(text, DEFAULT_HORIZON_STEPS).decision
+
+
 class TestDecisionExtraction:
     def test_all_tokens_roundtrip(self):
         for d in Decision:
-            assert extract_decision(f"Decision: {d.value} now.") is d
+            assert decision_of(f"Decision: {d.value} now.") is d
 
     def test_spaced_and_hyphenated_variants(self):
-        assert extract_decision("Decision: change lane left.") is Decision.CHANGE_LANE_LEFT
-        assert extract_decision("Decision: turn-right ahead.") is Decision.TURN_RIGHT
-        assert extract_decision("Decision: Keep Speed") is Decision.KEEP_SPEED
+        assert decision_of("Decision: change lane left.") is Decision.CHANGE_LANE_LEFT
+        assert decision_of("Decision: turn-right ahead.") is Decision.TURN_RIGHT
+        assert decision_of("Decision: Keep Speed") is Decision.KEEP_SPEED
 
     def test_earliest_token_wins(self):
         text = "Decision: decelerate now; do not stop."
-        assert extract_decision(text) is Decision.DECELERATE
+        assert decision_of(text) is Decision.DECELERATE
 
     def test_scoped_to_decision_section(self):
         text = (
@@ -132,23 +137,23 @@ class TestDecisionExtraction:
             "Interaction analysis: the stop sign requires a full stop.\n"
             "Decision: keep_speed - sign faces the cross street.\n"
         )
-        assert extract_decision(text) is Decision.KEEP_SPEED
+        assert decision_of(text) is Decision.KEEP_SPEED
 
     def test_word_boundaries_respected(self):
-        assert extract_decision("Decision: unstoppable progress") is None
-        assert extract_decision("Decision: we will stop.") is Decision.STOP
+        assert decision_of("Decision: unstoppable progress") is None
+        assert decision_of("Decision: we will stop.") is Decision.STOP
 
     def test_no_section_returns_none(self):
-        assert extract_decision("just stop") is None
-        assert extract_decision("") is None
+        assert decision_of("just stop") is None
+        assert decision_of("") is None
 
     def test_section_ends_at_blank_line(self):
         text = "Decision: proceed as planned\n\nstop everything"
-        assert extract_decision(text) is None
+        assert decision_of(text) is None
 
     def test_last_decision_section_wins(self):
         text = "Decision: stop\nDecision: accelerate"
-        assert extract_decision(text) is Decision.ACCELERATE
+        assert decision_of(text) is Decision.ACCELERATE
 
 
 class TestTotality:
@@ -342,7 +347,7 @@ def test_parse_plan_output_matches_the_old_parser_field_for_field():
             assert got == want, text
             assert got.decision is want.decision and got.quality is want.quality, text
             qualities.add(got.quality)
-        assert extract_decision(text) is old_extract_decision(text), text
+        assert decision_of(text) is old_extract_decision(text), text
     assert qualities == set(ParseQuality)
 
 
@@ -364,4 +369,4 @@ def test_a_letter_that_lowercases_to_two_does_not_shift_the_sections():
     out = parse_plan_output(text, 6)
     assert out == parse_plan_output(VALID, 6)
     assert out.quality is ParseQuality.CLEAN and out.decision is Decision.KEEP_SPEED
-    assert extract_decision("İ" * 40 + "Decision: stop\n\nturn left") is Decision.STOP
+    assert decision_of("İ" * 40 + "Decision: stop\n\nturn left") is Decision.STOP
