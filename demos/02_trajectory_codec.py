@@ -27,7 +27,7 @@ text = serialize_trajectory(t)
 print("\nwire text:", text)
 
 # (3) Parse it back: exact round trip.
-back, _ = parse_trajectory(text, 6)
+back, _ = parse_trajectory(text)
 assert back.waypoints == tuple(
     Waypoint(quantize(w.x), quantize(w.y)) for w in t.waypoints
 )
@@ -37,18 +37,19 @@ print("round trip ok")
 #     prose, and a loose scan over number pairs is the fallback. The second
 #     value returned says whether the pairs came from a bracketed list.
 wrapped = f"The plan, given traffic, is {text} as requested."
-print("wrapped parse ok:", parse_trajectory(wrapped, 6)[0].waypoints == back.waypoints)
+print("wrapped parse ok:", parse_trajectory(wrapped)[0].waypoints == back.waypoints)
 
 loose = (
     "first (1.00,2.00) then (3.00,4.00) and (5.00,6.00), later (7.00,8.00), "
     "(9.00,10.00) and finally (11.00,12.00)"
 )
-loose_back, bracketed = parse_trajectory(loose, 6)
+loose_back, bracketed = parse_trajectory(loose)
 print("loose parse:", serialize_trajectory(loose_back), "bracketed:", bracketed)
 
-# (5) Wrong cardinality is a typed error carrying found vs expected.
+# (5) The parser reads the fixed horizon (DEFAULT_HORIZON_STEPS = 6 pairs);
+#     any other count is a TrajectoryParseError naming the count found.
 try:
-    parse_trajectory("[(1.00,2.00), (3.00,4.00)]", 6)
+    parse_trajectory("[(1.00,2.00), (3.00,4.00)]")
 except TrajectoryParseError as e:
     print("rejected:", e)
 

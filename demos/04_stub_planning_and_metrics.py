@@ -31,7 +31,7 @@ def plan_batch(mode):
     records = []
     for s in scenarios:
         raw = complete(cfg, build_prompt(s), scenario=s)
-        out = parse_plan_output(raw, len(s.human_trajectory))
+        out = parse_plan_output(raw)
         records.append(PlanRecord(s.id, out.trajectory, out.quality))
     return records
 

@@ -66,11 +66,11 @@ class BackendMode(str, enum.Enum):
 
 
 class BackendError(RuntimeError):
-    """Completion could not be obtained; carries status and a body excerpt."""
+    """Completion could not be obtained; carries the HTTP status, if any. For a
+    reply that is not a completion, the message quotes its first 200 characters."""
 
-    def __init__(self, message: str, status: int | None = None, body: str | None = None):
+    def __init__(self, message: str, status: int | None = None):
         self.status = status
-        self.body = body
         super().__init__(message)
 
 
@@ -187,11 +187,8 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
             continue
         if resp.status_code == 200:
             return _content_of(resp)
-        excerpt = resp.text[:200]
         err = BackendError(
-            f"endpoint returned {resp.status_code}: {excerpt}",
-            status=resp.status_code,
-            body=excerpt,
+            f"endpoint returned {resp.status_code}: {resp.text[:200]}", status=resp.status_code
         )
         if resp.status_code == 429 or resp.status_code >= 500:
             if resp.status_code in (429, 503):
@@ -217,7 +214,7 @@ def _content_of(resp) -> str:
         content = data["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError, RecursionError):
         raise BackendError(
-            "malformed completion body", status=resp.status_code, body=resp.text[:200]
+            f"malformed completion body: {resp.text[:200]}", status=resp.status_code
         ) from None
     if not isinstance(content, str):
         raise BackendError("completion content is not text", status=resp.status_code)

@@ -65,7 +65,6 @@ from .parsing import ParseQuality, parse_plan_output
 from .prompts import build_prompt, check_exemplar_count, pack_exemplars, template_hash
 from .reasoning import make_finetune_example
 from .scenario import (
-    DEFAULT_HORIZON_STEPS,
     SYNTH_KINDS,
     ScenarioSchemaError,
     load_scenarios,
@@ -205,7 +204,7 @@ def cmd_plan(args) -> int:
         except BackendError as e:
             print(f"lmplan: warning: {s.id}: {e}", file=sys.stderr)
             return PlanRecord(s.id)
-        out = parse_plan_output(raw, DEFAULT_HORIZON_STEPS)
+        out = parse_plan_output(raw)
         return PlanRecord(s.id, out.trajectory, out.quality, raw)
 
     # Both maps yield in input order: a line is written once it and all

@@ -55,12 +55,8 @@ class Trajectory:
 
 
 class TrajectoryParseError(ValueError):
-    """Raised when text does not contain the expected coordinate pairs."""
-
-    def __init__(self, message: str, found: int | None = None, expected: int | None = None):
-        self.found = found
-        self.expected = expected
-        super().__init__(message)
+    """Raised when text does not hold ``DEFAULT_HORIZON_STEPS`` coordinate
+    pairs; the message names the count found."""
 
 
 # the step every value rounds to, 10**-DEFAULT_DECIMALS, for the Decimal path
@@ -202,41 +198,28 @@ def extract_pairs(text: str) -> list[tuple[float, float]]:
     return out
 
 
-def parse_trajectory(text: str, expected_len: int) -> tuple[Trajectory, bool]:
-    """Parse exactly expected_len coordinate pairs out of arbitrary text.
+def parse_trajectory(text: str) -> tuple[Trajectory, bool]:
+    """Parse exactly ``DEFAULT_HORIZON_STEPS`` coordinate pairs out of arbitrary text.
 
     Grammar first: bracketed pair lists are located and the last one of the
-    expected length wins (prose before or after is ignored). If no bracketed
+    horizon's length wins (prose before or after is ignored). If no bracketed
     list holds a pair, the whole text is scanned for pairs as a fallback.
     Returns the trajectory and whether its pairs came from a bracketed list.
-    Raises TrajectoryParseError on empty input, an unparseable payload, or a
-    pair count other than expected_len (reporting the found count).
+    Raises TrajectoryParseError on empty input, an unparseable payload, or
+    any other pair count (the message names the count found: that of the
+    last bracketed list, or of the whole text when there is none).
     """
     if not text or not text.strip():
-        raise TrajectoryParseError("empty input", found=0, expected=expected_len)
+        raise TrajectoryParseError("empty input")
 
     candidates = [extract_pairs(m.group(1)) for m in BRACKET_LIST_RE.finditer(text)]
     candidates = [c for c in candidates if c]
 
-    chosen = None
-    for c in candidates:
-        if len(c) == expected_len:
-            chosen = c  # keep the last match of the right length
+    chosen = next((c for c in reversed(candidates) if len(c) == DEFAULT_HORIZON_STEPS), None)
     if chosen is None:
-        if candidates:
-            n = len(candidates[-1])
-            raise TrajectoryParseError(
-                f"trajectory length mismatch: found {n}, expected {expected_len}",
-                found=n,
-                expected=expected_len,
-            )
-        loose = extract_pairs(text)
-        if len(loose) != expected_len:
-            raise TrajectoryParseError(
-                f"trajectory length mismatch: found {len(loose)}, expected {expected_len}",
-                found=len(loose),
-                expected=expected_len,
-            )
-        chosen = loose
-
+        chosen = candidates[-1] if candidates else extract_pairs(text)
+    if len(chosen) != DEFAULT_HORIZON_STEPS:
+        raise TrajectoryParseError(
+            f"trajectory length mismatch: found {len(chosen)}, expected {DEFAULT_HORIZON_STEPS}"
+        )
     return Trajectory(tuple(map(_waypoint, chosen))), bool(candidates)

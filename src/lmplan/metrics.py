@@ -314,12 +314,18 @@ def evaluate_dataset(
 
     A scenario with no record, or a record with no trajectory, is a parse
     failure; the fallback policy decides whether the constant-state rollout
-    stands in for it or the row is dropped from the aggregates.
+    stands in for it or the row is dropped from the aggregates. Two records
+    with one id are a ``ValueError``: which one to score would depend on
+    their order.
     """
     scenarios = sorted(scenarios, key=lambda s: s.id)
     if not scenarios:
         raise ValueError("no scenarios to evaluate")
-    by_id = {r.scenario_id: r for r in records}
+    by_id = {}
+    for r in records:
+        if r.scenario_id in by_id:
+            raise ValueError(f"duplicate scenario_id {r.scenario_id!r} in the records")
+        by_id[r.scenario_id] = r
 
     rows = []
     parse_failures = 0

@@ -4,10 +4,10 @@
 to a ``PlanOutput``, never an exception. Quality is a three-step ladder:
 
 - ``clean``: every announced section label is present and the text after
-  the last ``Trajectory:`` label holds a well-formed bracketed list with
-  exactly the expected number of pairs.
-- ``recovered``: the structure is broken but the expected number of
-  coordinate pairs could still be pulled out of the text.
+  the last ``Trajectory:`` label holds a well-formed bracketed list of
+  exactly ``DEFAULT_HORIZON_STEPS`` pairs, the fixed horizon.
+- ``recovered``: the structure is broken but that many coordinate pairs
+  could still be pulled out of the text.
 - ``failed``: no usable trajectory; ``error`` says what was found.
 """
 
@@ -94,7 +94,7 @@ def _decision_in(text: str, low: str) -> Decision | None:
     return None if m is None else _DECISION_OF_TOKEN[m.lastgroup]
 
 
-def parse_plan_output(text: str, horizon_steps: int) -> PlanOutput:
+def parse_plan_output(text: str) -> PlanOutput:
     """Classify and extract a plan from raw model output. Never raises.
 
     The decision is the first decision token inside the last Decision
@@ -112,7 +112,7 @@ def parse_plan_output(text: str, horizon_steps: int) -> PlanOutput:
     if i >= 0:
         tail = text[i + len(SECTION_TRAJECTORY):]
         try:
-            trajectory, bracketed = parse_trajectory(tail, horizon_steps)
+            trajectory, bracketed = parse_trajectory(tail)
         except TrajectoryParseError as e:
             error = str(e)
         else:
@@ -121,7 +121,7 @@ def parse_plan_output(text: str, horizon_steps: int) -> PlanOutput:
             return PlanOutput(ParseQuality.RECOVERED, trajectory, decision)
 
     try:
-        trajectory = parse_trajectory(text, horizon_steps)[0]
+        trajectory = parse_trajectory(text)[0]
     except TrajectoryParseError as e:
         return PlanOutput(ParseQuality.FAILED, None, decision, error or str(e))
     return PlanOutput(ParseQuality.RECOVERED, trajectory, decision)

@@ -58,7 +58,7 @@ def test_codec_round_trip_10k_trajectories():
     for _ in range(10_000):
         pts = [(rng.uniform(-200, 200), rng.uniform(-200, 200)) for _ in range(HORIZON)]
         t = Trajectory(tuple(Waypoint(x, y) for x, y in pts))
-        back, _ = parse_trajectory(serialize_trajectory(t), HORIZON)
+        back, _ = parse_trajectory(serialize_trajectory(t))
         want = tuple(Waypoint(quantize(x), quantize(y)) for x, y in pts)
         assert back.waypoints == want
     elapsed = time.perf_counter() - start
@@ -173,7 +173,7 @@ def test_supervision_self_consistency():
         for seed in range(30):
             s = synth_scenario(kind, seed)
             ex = make_finetune_example(s)
-            out = parse_plan_output(ex.target_text, len(s.human_trajectory))
+            out = parse_plan_output(ex.target_text)
             assert out.quality is ParseQuality.CLEAN, (kind, seed)
             assert out.trajectory.waypoints == s.human_trajectory.waypoints, (kind, seed)
             want = compose_reasoning(s).decision
@@ -257,10 +257,10 @@ def test_parser_fuzzing_100k_inputs():
             text = bytes(rng.randrange(256) for _ in range(n)).decode("latin-1")
         else:
             text = mutate(rng, rng.choice(targets))
-        out = parse_plan_output(text, HORIZON)
+        out = parse_plan_output(text)
         assert out.quality in (ParseQuality.CLEAN, ParseQuality.RECOVERED, ParseQuality.FAILED)
         try:
-            parse_trajectory(text, HORIZON)
+            parse_trajectory(text)
         except TrajectoryParseError:
             pass  # the documented failure mode, not a crash
 

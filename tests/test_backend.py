@@ -72,7 +72,7 @@ class TestStubs:
         cfg = BackendConfig(mode=BackendMode.STUB_REPLAY_GT)
         text = complete(cfg, build_prompt(s), scenario=s)
         assert text == make_finetune_example(s).target_text
-        out = parse_plan_output(text, len(s.human_trajectory))
+        out = parse_plan_output(text)
         assert out.quality is ParseQuality.CLEAN
         assert out.trajectory.waypoints == s.human_trajectory.waypoints
 
@@ -80,7 +80,7 @@ class TestStubs:
         s = synth_scenario("lead_vehicle", 3)
         cfg = BackendConfig(mode=BackendMode.STUB_HYPOTHETICAL)
         text = complete(cfg, build_prompt(s), scenario=s)
-        out = parse_plan_output(text, len(s.human_trajectory))
+        out = parse_plan_output(text)
         assert out.quality is ParseQuality.CLEAN
         assert out.decision is Decision.KEEP_SPEED
         hypo = rollout_hypothetical(s.ego)
@@ -90,9 +90,7 @@ class TestStubs:
         # human brakes for the lead vehicle; the stub does not
         s = synth_scenario("lead_vehicle", 3)
         cfg = BackendConfig(mode=BackendMode.STUB_HYPOTHETICAL)
-        out = parse_plan_output(
-            complete(cfg, build_prompt(s), scenario=s), len(s.human_trajectory)
-        )
+        out = parse_plan_output(complete(cfg, build_prompt(s), scenario=s))
         assert out.trajectory.waypoints != s.human_trajectory.waypoints
 
     @pytest.mark.parametrize("mode", [BackendMode.STUB_REPLAY_GT, BackendMode.STUB_HYPOTHETICAL])
@@ -281,6 +279,12 @@ class TestContentExtraction:
     def test_malformed_bodies(self, payload):
         with pytest.raises(BackendError):
             _content_of(FakeResponse(payload))
+
+    def test_malformed_body_message_holds_an_excerpt(self):
+        with pytest.raises(BackendError) as e:
+            _content_of(FakeResponse(ValueError("not json"), text="<html>" * 50))
+        assert str(e.value) == "malformed completion body: " + ("<html>" * 50)[:200]
+        assert e.value.status == 200
 
     def test_too_deeply_nested_body(self):
         resp = requests.models.Response()

@@ -438,7 +438,7 @@ from lmplan import parse_plan_output
 n = 100_000
 text = "Trajectory: [(" + "1" * n + ", " + "2" * n + " x]"
 start = time.perf_counter()
-out = parse_plan_output(text, 6)
+out = parse_plan_output(text)
 print(out.quality.value, out.trajectory is None, time.perf_counter() - start)
 """
 
@@ -531,77 +531,92 @@ class TestFormat:
         assert a != b
 
 
+# a right-length plan: six pairs, the fixed horizon; the same pairs bare, as
+# "(1.00,2.00), (3.00,4.00), ...", and the last five of them bare
+SIX = [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0), (9.0, 10.0), (11.0, 12.0)]
+SIX_PAIRS = format_waypoints(SIX)[1:-1]
+LAST_FIVE = format_waypoints(SIX[1:])[1:-1]
+
+
 class TestParse:
     def test_exact_round_trip(self):
-        t = traj([(1.23, -4.56), (0.0, 0.01), (-200.0, 199.99)])
-        parsed, _ = parse_trajectory(serialize_trajectory(t), 3)
+        t = traj([(1.23, -4.56), (0.0, 0.01), (-200.0, 199.99),
+                  (199.99, -200.0), (-0.01, 0.0), (45.67, -89.1)])
+        parsed, _ = parse_trajectory(serialize_trajectory(t))
         assert [(w.x, w.y) for w in parsed.waypoints] == [
             (w.x, w.y) for w in t.waypoints
         ]
 
-    @given(st.lists(st.tuples(finite_coords, finite_coords), min_size=1, max_size=10))
+    @given(st.lists(st.tuples(finite_coords, finite_coords), min_size=6, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, points):
         t = traj(points)
-        parsed, _ = parse_trajectory(serialize_trajectory(t), len(points))
+        parsed, _ = parse_trajectory(serialize_trajectory(t))
         assert [(w.x, w.y) for w in parsed.waypoints] == [
             (quantize(x), quantize(y)) for x, y in points
         ]
 
     def test_prose_around_the_list_is_ignored(self):
-        text = "The plan is:\nTrajectory: [(1.00,2.00), (3.00,4.00)] as requested."
-        parsed, bracketed = parse_trajectory(text, 2)
+        text = f"The plan is:\nTrajectory: [{SIX_PAIRS}] as requested."
+        parsed, bracketed = parse_trajectory(text)
         assert (parsed.waypoints[1].x, parsed.waypoints[1].y) == (3.0, 4.0)
         assert bracketed is True
 
     def test_last_right_length_list_wins(self):
-        text = "[(9.00,9.00), (8.00,8.00)] then final [(1.00,1.00), (2.00,2.00)]"
-        parsed, _ = parse_trajectory(text, 2)
+        text = f"{format_waypoints([(9.0, 9.0)] * 6)} then final [{SIX_PAIRS}]"
+        parsed, _ = parse_trajectory(text)
         assert parsed.waypoints[0].x == 1.0
 
     def test_wrong_length_bracket_is_skipped_for_a_right_one(self):
-        text = "[(9.00,9.00)] and [(1.00,1.00), (2.00,2.00)]"
-        parsed, _ = parse_trajectory(text, 2)
-        assert len(parsed) == 2
+        for text in (f"[(9.00,9.00)] and [{SIX_PAIRS}]", f"[{SIX_PAIRS}] and [(9.00,9.00)]"):
+            parsed, _ = parse_trajectory(text)
+            assert parsed.waypoints == tuple(SIX)
 
     def test_loose_pairs_without_brackets(self):
-        parsed, bracketed = parse_trajectory("(1.5,2.5) (3.5,4.5)", 2)
-        assert (parsed.waypoints[0].x, parsed.waypoints[0].y) == (1.5, 2.5)
+        parsed, bracketed = parse_trajectory(SIX_PAIRS.replace(", ", " "))
+        assert (parsed.waypoints[0].x, parsed.waypoints[0].y) == (1.0, 2.0)
         assert bracketed is False
         # a bracket holding no pair does not count as a list
-        parsed, bracketed = parse_trajectory("[see below] (1,2), (3,4)", 2)
-        assert parsed.waypoints == ((1.0, 2.0), (3.0, 4.0))
+        parsed, bracketed = parse_trajectory("[see below] (1,2), (3,4), (5,6), (7,8), (9,10), (11,12)")
+        assert parsed.waypoints == tuple(SIX)
         assert bracketed is False
 
     def test_whitespace_inside_pairs_tolerated(self):
-        parsed, _ = parse_trajectory("[( 1.5 , 2.5 ), (3.5,4.5)]", 2)
+        parsed, _ = parse_trajectory(f"[( 1.5 , 2.5 ), {LAST_FIVE}]")
         assert parsed.waypoints[0].y == 2.5
+        assert len(parsed) == 6
 
     def test_length_mismatch_reports_counts(self):
-        with pytest.raises(TrajectoryParseError) as exc:
-            parse_trajectory("[(1.00,2.00), (3.00,4.00)]", 6)
-        assert exc.value.found == 2
-        assert exc.value.expected == 6
-        assert "found 2, expected 6" in str(exc.value)
+        # the count is that of the last bracketed list, or of the whole text
+        # when no bracketed list holds a pair
+        for text, found in (("[(1.00,2.00), (3.00,4.00)]", 2),
+                            (f"[{SIX_PAIRS}, (0,0)] [(1.00,2.00), (3.00,4.00)]", 2),
+                            ("[(1.00,2.00), (3.00,4.00)] [(1,2)]", 1),
+                            ("(1,2) (3,4) (5,6)", 3),
+                            (f"{SIX_PAIRS}, (0,0)", 7)):
+            with pytest.raises(TrajectoryParseError) as exc:
+                parse_trajectory(text)
+            assert str(exc.value) == f"trajectory length mismatch: found {found}, expected 6"
 
     def test_empty_and_blank_inputs(self):
         for text in ("", "   \n\t"):
-            with pytest.raises(TrajectoryParseError):
-                parse_trajectory(text, 6)
+            with pytest.raises(TrajectoryParseError, match="^empty input$"):
+                parse_trajectory(text)
 
     def test_no_pairs_at_all(self):
         with pytest.raises(TrajectoryParseError) as exc:
-            parse_trajectory("no coordinates here", 3)
-        assert exc.value.found == 0
+            parse_trajectory("no coordinates here")
+        assert str(exc.value) == "trajectory length mismatch: found 0, expected 6"
         assert extract_pairs("<1.0;2.0>") == []  # the delimiters are fixed
 
     def test_huge_numbers_do_not_crash(self):
+        # a pair with a coordinate too long for a double is skipped
         digits = "9" * 400
-        with pytest.raises(TrajectoryParseError):
-            parse_trajectory(f"[({digits}.0,1.0)]", 1)
+        with pytest.raises(TrajectoryParseError, match="found 5, expected 6"):
+            parse_trajectory(f"[({digits}.0,1.0), {LAST_FIVE}]")
 
     def test_parsed_values_are_quantized(self):
-        parsed, _ = parse_trajectory("(1.23456,0.005)", 1)
+        parsed, _ = parse_trajectory("(1.23456,0.005)" + " (0,0)" * 5)
         assert parsed.waypoints[0].x == 1.23
         assert parsed.waypoints[0].y == 0.01
 
@@ -609,12 +624,9 @@ class TestParse:
 def test_round_trip_random_spot_check():
     rng = random.Random(42)
     for _ in range(200):
-        points = [
-            (rng.uniform(-200, 200), rng.uniform(-200, 200))
-            for _ in range(rng.randint(1, 8))
-        ]
+        points = [(rng.uniform(-200, 200), rng.uniform(-200, 200)) for _ in range(6)]
         t = traj(points)
-        parsed, _ = parse_trajectory(serialize_trajectory(t), len(points))
+        parsed, _ = parse_trajectory(serialize_trajectory(t))
         assert [(w.x, w.y) for w in parsed.waypoints] == [
             (quantize(w.x), quantize(w.y)) for w in t.waypoints
         ]

@@ -8,6 +8,8 @@ a hash here only for a change that is meant to alter that output.
 
 import ast
 import hashlib
+from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 
 import lmplan
@@ -119,4 +121,39 @@ def test_no_function_is_memoized():
                 name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
                 if name in ("cache", "lru_cache"):
                     found.append(f"{path.name}:{d.lineno}")
+    assert not found, found
+
+
+def test_no_parameter_always_gets_one_constant():
+    # a parameter that every call fills with the same upper-case constant is
+    # a setting with one value in use: the function should read the constant
+    # itself. Checked for each function name defined once, over the calls
+    # that name it; a bound method's self or cls is not counted
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in CHECKED_SOURCES]
+    defs = {}
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(fn.name, []).append(fn.args)
+    calls, passed = Counter(), {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            f = getattr(call, "func", None)
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if not isinstance(call, ast.Call) or len(defs.get(name, ())) != 1:
+                continue
+            a = defs[name][0]
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            calls[name] += 1
+            args = takewhile(lambda v: not isinstance(v, ast.Starred), call.args)
+            for param, v in [*zip(positional, args), *((k.arg, k.value) for k in call.keywords)]:
+                const = v.id if isinstance(v, ast.Name) else getattr(v, "attr", "")
+                passed.setdefault((name, param), []).append(const if const.isupper() else "")
+    found = [
+        f"{name}({param}) always {values[0]}"
+        for (name, param), values in passed.items()
+        if param and values[0] and values == [values[0]] * calls[name]
+    ]
     assert not found, found

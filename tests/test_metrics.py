@@ -421,6 +421,14 @@ class TestEvaluateDataset:
         assert render_markdown(fwd) == render_markdown(rev)
         assert render_csv(fwd) == render_csv(rev)
 
+    def test_repeated_record_id_is_a_value_error_in_either_order(self):
+        s = synth_scenario("lead_vehicle", 3)
+        a = PlanRecord(s.id, s.human_trajectory, "clean")
+        b = PlanRecord(s.id, rollout_hypothetical(s.ego), "recovered")
+        for records in ([a, b], [b, a]):
+            with pytest.raises(ValueError, match=f"duplicate scenario_id {s.id!r}"):
+                evaluate_dataset([s], records)
+
     def test_collision_counted_against_gt_boxes(self):
         gt_boxes = tuple(
             (box(0.0, 6.0, 0.0, 0.6, 0.6),) if step == 5 else () for step in range(6)

@@ -3,7 +3,6 @@ import re
 
 from helpers import make_scenarios
 from lmplan import (
-    DEFAULT_HORIZON_STEPS,
     BackendConfig,
     Decision,
     ParseQuality,
@@ -23,11 +22,14 @@ VALID = (
     "Decision: keep_speed - the path ahead is clear, hold the current pace.\n"
     "Trajectory: [(0.00,3.00), (0.00,6.00), (0.00,9.00), (0.00,12.00), (0.00,15.00), (0.00,18.00)]"
 )
+# VALID's six pairs, bracketed and bare
+LIST = VALID[VALID.rindex("["):]
+PAIRS = LIST[1:-1]
 
 
 class TestCleanParsing:
     def test_canonical_output_is_clean(self):
-        out = parse_plan_output(VALID, 6)
+        out = parse_plan_output(VALID)
         assert out.quality is ParseQuality.CLEAN
         assert out.decision is Decision.KEEP_SPEED
         assert out.error is None
@@ -36,85 +38,84 @@ class TestCleanParsing:
     def test_supervision_targets_parse_clean(self):
         for s in make_scenarios(12):
             ex = make_finetune_example(s)
-            out = parse_plan_output(ex.target_text, len(s.human_trajectory))
+            out = parse_plan_output(ex.target_text)
             assert out.quality is ParseQuality.CLEAN
             assert [(w.x, w.y) for w in out.trajectory.waypoints] == [
                 (w.x, w.y) for w in s.human_trajectory.waypoints
             ]
 
     def test_lowercase_labels_still_clean(self):
-        out = parse_plan_output(VALID.lower(), 6)
+        out = parse_plan_output(VALID.lower())
         assert out.quality is ParseQuality.CLEAN
 
     def test_prose_after_the_list_is_tolerated(self):
-        out = parse_plan_output(VALID + "\nThat is my plan.", 6)
+        out = parse_plan_output(VALID + "\nThat is my plan.")
         assert out.quality is ParseQuality.CLEAN
 
     def test_last_trajectory_section_wins(self):
         echoed = VALID.replace("(0.00,3.00)", "(9.99,9.99)") + "\n" + VALID
-        out = parse_plan_output(echoed, 6)
+        out = parse_plan_output(echoed)
         assert out.quality is ParseQuality.CLEAN
         assert out.trajectory.waypoints[0].x == 0.0
 
 
 class TestRecovered:
     def test_bare_list_recovers(self):
-        out = parse_plan_output("[(1.00,2.00), (3.00,4.00)]", 2)
+        out = parse_plan_output(LIST)
         assert out.quality is ParseQuality.RECOVERED
         assert out.trajectory is not None
 
     def test_missing_sections_with_trajectory_label(self):
-        text = "Trajectory: [(1.00,2.00), (3.00,4.00)]"
-        out = parse_plan_output(text, 2)
+        out = parse_plan_output(f"Trajectory: {LIST}")
         assert out.quality is ParseQuality.RECOVERED
 
     def test_pairs_scattered_across_lines(self):
-        text = "step one (1.00,2.00)\nstep two (3.00,4.00)\n"
-        out = parse_plan_output(text, 2)
+        text = "".join(f"step {i} ({i}.00,{2 * i}.00)\n" for i in range(1, 7))
+        out = parse_plan_output(text)
         assert out.quality is ParseQuality.RECOVERED
-        assert [w.x for w in out.trajectory.waypoints] == [1.0, 3.0]
+        assert [w.x for w in out.trajectory.waypoints] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_unbracketed_after_label(self):
         text = "Critical objects: none.\nInteraction analysis: -\nDecision: stop\n" \
-               "Trajectory: (1.00,2.00), (3.00,4.00)"
-        out = parse_plan_output(text, 2)
+               f"Trajectory: {PAIRS}"
+        out = parse_plan_output(text)
         assert out.quality is ParseQuality.RECOVERED
         assert out.decision is Decision.STOP
         # every label present, but a loose tail is never clean, even after a
         # bracket that holds no pair
         for tail in ("(0.00,3.00) (0.00,6.00) (0.00,9.00) (0.00,12.00) (0.00,15.00) (0.00,18.00)",
                      "[see below] (0,3), (0,6), (0,9), (0,12), (0,15), (0,18)"):
-            out = parse_plan_output(VALID[: VALID.rindex("[")] + tail, 6)
+            out = parse_plan_output(VALID[: VALID.rindex("[")] + tail)
             assert out.quality is ParseQuality.RECOVERED
             assert [w.y for w in out.trajectory.waypoints] == [3, 6, 9, 12, 15, 18]
 
 
 class TestFailed:
     def test_garbage(self):
-        out = parse_plan_output("no coordinates at all", 6)
+        out = parse_plan_output("no coordinates at all")
         assert out.quality is ParseQuality.FAILED
         assert out.trajectory is None
         assert "expected 6" in out.error
 
     def test_wrong_pair_count_reports_found(self):
-        out = parse_plan_output("Trajectory: [(1.00,2.00), (3.00,4.00)]", 6)
+        out = parse_plan_output("Trajectory: [(1.00,2.00), (3.00,4.00)]")
         assert out.quality is ParseQuality.FAILED
         assert "found 2, expected 6" in out.error
 
     def test_empty_string(self):
-        out = parse_plan_output("", 6)
+        out = parse_plan_output("")
         assert out.quality is ParseQuality.FAILED
         assert out.decision is None
 
     def test_decision_still_extracted_on_failure(self):
-        out = parse_plan_output("Decision: decelerate, softly.\nTrajectory: none", 6)
+        out = parse_plan_output("Decision: decelerate, softly.\nTrajectory: none")
         assert out.quality is ParseQuality.FAILED
         assert out.decision is Decision.DECELERATE
 
 
 def decision_of(text):
     """The decision ``parse_plan_output`` takes from ``text``, whatever its trajectory."""
-    return parse_plan_output(text, DEFAULT_HORIZON_STEPS).decision
+    return parse_plan_output(text).decision
 
 
 class TestDecisionExtraction:
@@ -178,7 +179,7 @@ class TestTotality:
 
     def test_never_raises_on_adversarial_inputs(self):
         for text in self.ADVERSARIAL:
-            out = parse_plan_output(text, 6)
+            out = parse_plan_output(text)
             assert out.quality in (ParseQuality.FAILED, ParseQuality.RECOVERED, ParseQuality.CLEAN)
 
     def test_fuzz_smoke(self):
@@ -201,16 +202,16 @@ class TestTotality:
                     elif text:
                         text[pos % len(text)] = chr(rng.randrange(256))
                 text = "".join(text)
-            parse_plan_output(text, 6)  # must not raise
+            parse_plan_output(text)  # must not raise
 
 
 def test_round_trip_serialize_then_parse():
     from helpers import traj
 
-    t = traj([(0.25, 1.75), (-3.5, 8.0)])
-    text = f"Trajectory: {serialize_trajectory(t)}"
-    out = parse_plan_output(text, 2)
-    assert [(w.x, w.y) for w in out.trajectory.waypoints] == [(0.25, 1.75), (-3.5, 8.0)]
+    points = [(0.25, 1.75), (-3.5, 8.0), (0.0, -0.01), (12.5, 25.0), (-200.0, 199.99), (3.0, 4.0)]
+    text = f"Trajectory: {serialize_trajectory(traj(points))}"
+    out = parse_plan_output(text)
+    assert [(w.x, w.y) for w in out.trajectory.waypoints] == points
 
 
 # --- the parser as it was, lowercasing the reply once per label search ---
@@ -258,25 +259,25 @@ def old_extract_decision(text):
     return Decision(re.sub(r"[ _\-]+", "_", m.group(0).lower()))
 
 
-def old_parse_plan_output(text, horizon_steps):
+def old_parse_plan_output(text):
     decision = old_extract_decision(text)
     trajectory = None
     error = None
     tail = _old_last_label_tail(text, SECTION_TRAJECTORY)
     if tail is not None:
         try:
-            trajectory = parse_trajectory(tail, horizon_steps)[0]
+            trajectory = parse_trajectory(tail)[0]
         except TrajectoryParseError as e:
             error = str(e)
     if (
         trajectory is not None
         and all(label.lower() in text.lower() for label in SECTION_LABELS)
-        and parse_trajectory(tail, horizon_steps)[1]
+        and parse_trajectory(tail)[1]
     ):
         return PlanOutput(ParseQuality.CLEAN, trajectory, decision)
     if trajectory is None:
         try:
-            trajectory = parse_trajectory(text, horizon_steps)[0]
+            trajectory = parse_trajectory(text)[0]
         except TrajectoryParseError as e:
             if error is None:
                 error = str(e)
@@ -342,11 +343,10 @@ def test_parse_plan_output_matches_the_old_parser_field_for_field():
     corpus += ["", "Decision:", "Trajectory:", "decision: STOP\n\ntrajectory: [(1,2)]"]
     qualities = set()
     for text in corpus:
-        for horizon in (6, 2):
-            got, want = parse_plan_output(text, horizon), old_parse_plan_output(text, horizon)
-            assert got == want, text
-            assert got.decision is want.decision and got.quality is want.quality, text
-            qualities.add(got.quality)
+        got, want = parse_plan_output(text), old_parse_plan_output(text)
+        assert got == want, text
+        assert got.decision is want.decision and got.quality is want.quality, text
+        qualities.add(got.quality)
         assert decision_of(text) is old_extract_decision(text), text
     assert qualities == set(ParseQuality)
 
@@ -356,7 +356,7 @@ def test_a_decision_token_that_lowercases_past_ascii_still_parses():
     # does not map to "s" and "i"; the reply is still a plan, not an error
     for word, want in (("ſtop", Decision.STOP), ("turn rİght", Decision.TURN_RIGHT),
                        ("KEEP SPEED", Decision.KEEP_SPEED)):
-        out = parse_plan_output(f"Decision: {word}\n{VALID.splitlines()[-1]}", 6)
+        out = parse_plan_output(f"Decision: {word}\n{VALID.splitlines()[-1]}")
         assert out.decision is want and out.quality is ParseQuality.RECOVERED
 
 
@@ -366,7 +366,7 @@ def test_a_letter_that_lowercases_to_two_does_not_shift_the_sections():
     lines = VALID.splitlines()
     lines[1] = "Interaction analysis: " + "İ" * 60 + "stanbul road, no conflicts."
     text = "\n".join(lines)
-    out = parse_plan_output(text, 6)
-    assert out == parse_plan_output(VALID, 6)
+    out = parse_plan_output(text)
+    assert out == parse_plan_output(VALID)
     assert out.quality is ParseQuality.CLEAN and out.decision is Decision.KEEP_SPEED
     assert decision_of("İ" * 40 + "Decision: stop\n\nturn left") is Decision.STOP
