@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
+from .codec import _waypoint
 from .parsing import ParseQuality
 from .prompts import template_hash
 from .reasoning import rollout_hypothetical, segment_directions
@@ -76,13 +77,36 @@ class EvalConfig:
 
 _QUALITIES = {q.value: q for q in ParseQuality}
 
+# one encoder for every result line: ``json.dumps`` with these options
+# would build a new one per call
+_encode_line = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
+def _float_pairs(items, pair_type: type) -> bool:
+    """Every item a ``pair_type`` of two plain floats, tested in C-level calls.
+
+    A sufficient check: an item it misses goes to the caller's general
+    one. ``len`` is mapped only once every item is known to be a
+    ``pair_type``, so the check raises nothing for any JSON value.
+    """
+    return (
+        set(map(type, items)) <= {pair_type}
+        and set(map(len, items)) <= {2}
+        and set(map(type, chain.from_iterable(items))) <= {float}
+    )
+
 
 @dataclass(frozen=True)
 class PlanRecord:
     """A planner's answer for one scenario: one line of the ``plan`` results
     file. The record checks its own fields (a quality string is coerced to its
     member), so ``to_line`` writes only lines that ``from_line`` reads back
-    equal. A field the line leaves out reads as its default, ``cls.<field>``."""
+    equal. A field the line leaves out reads as its default, ``cls.<field>``.
+
+    A trajectory of plain float pairs, the one every writer builds, passes
+    the record's and ``from_line``'s checks through ``_float_pairs``, in
+    C-level calls; any other takes the general checks, with the same
+    messages. ``to_line`` encodes with one module-level encoder."""
 
     scenario_id: str
     trajectory: Trajectory | None = None
@@ -101,9 +125,11 @@ class PlanRecord:
         if not isinstance(self.raw_text, str):
             raise ValueError("raw_text must be a string")
         if traj is not None:
-            if not isinstance(traj, Trajectory) or not all(
-                type(w) is Waypoint and isinstance(w.x, float) and isinstance(w.y, float)
-                for w in traj.waypoints
+            if not (type(traj) is Trajectory and _float_pairs(traj.waypoints, Waypoint)) and (
+                not isinstance(traj, Trajectory) or not all(
+                    type(w) is Waypoint and isinstance(w.x, float) and isinstance(w.y, float)
+                    for w in traj.waypoints
+                )
             ):
                 raise ValueError("trajectory must be a Trajectory of float Waypoints")
             if not all(map(math.isfinite, chain.from_iterable(traj.waypoints))):
@@ -113,10 +139,11 @@ class PlanRecord:
                                  f"expected {DEFAULT_HORIZON_STEPS}")
 
     def to_line(self) -> str:
-        traj = None if self.trajectory is None else [[w.x, w.y] for w in self.trajectory.waypoints]
+        # a Waypoint is a tuple, which json writes as the list [x, y]
+        traj = None if self.trajectory is None else self.trajectory.waypoints
         row = {"scenario_id": self.scenario_id, "raw_text": self.raw_text,
                "parse_quality": self.parse_quality, "trajectory": traj}
-        return json.dumps(row, separators=(",", ":"), ensure_ascii=False) + "\n"
+        return _encode_line(row) + "\n"
 
     @classmethod
     def from_line(cls, line: bytes) -> PlanRecord:
@@ -127,11 +154,14 @@ class PlanRecord:
             raise ValueError("expected a JSON object with a scenario_id")
         traj = obj.get("trajectory", cls.trajectory)
         if traj is not None:
-            if not isinstance(traj, list) or not all(
-                isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p) for p in traj
-            ):
-                raise ValueError("trajectory must be a list of [x, y] number pairs")
-            traj = Trajectory(tuple(Waypoint(float(x), float(y)) for x, y in traj))
+            if not (type(traj) is list and _float_pairs(traj, list)):  # float pairs: the fast path
+                if not isinstance(traj, list) or not all(
+                    isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p)
+                    for p in traj
+                ):
+                    raise ValueError("trajectory must be a list of [x, y] number pairs")
+                traj = [(float(x), float(y)) for x, y in traj]
+            traj = Trajectory(tuple(map(_waypoint, traj)))
         return cls(obj["scenario_id"], traj, obj.get("parse_quality", cls.parse_quality),
                    obj.get("raw_text", cls.raw_text))
 

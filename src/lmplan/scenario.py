@@ -120,8 +120,9 @@ class Scenario:
 # One function per record kind holds that record's rules and returns a
 # message for each rule it breaks. ``validate_scenario`` joins their lists;
 # the load walk below calls the same functions as it builds each record, to
-# learn whether it may skip ``validate_scenario``. Two checks are only
-# sufficient, kept as fast paths: ``_in_bounds`` and ``_box``'s float test.
+# learn whether it may skip ``validate_scenario``. ``_in_bounds`` is only a
+# sufficient check, a fast path for the rules of a waypoint; the load walk
+# has one such check per record of its own.
 
 _HORIZON_S = DEFAULT_HORIZON_STEPS * DEFAULT_DT
 
@@ -260,12 +261,19 @@ def validate_scenario(s: Scenario) -> list[str]:
 # the walk raises. The cyclic collector is paused while the tree is built
 # and restored as the caller had it, even on error.
 #
-# The walk also calls the rule functions above on each record it builds,
-# and returns whether the scenario broke none of them; such a scenario
+# The walk returns whether the scenario broke no rule; such a scenario
 # skips ``validate_scenario``, and any other goes through it, which writes
-# every message. A pair that misses ``_pairs``' fast branch (an int
-# literal, a coordinate out of bounds) takes the general path, which
-# raises the schema errors, and leaves its scenario to ``validate_scenario``.
+# every message. Each record first meets one inline check: the ego
+# scalars are plain finite floats; a prediction's id is an ASCII string;
+# each ``[x, y]`` pair (in ``_pairs``) is two plain floats inside
+# ``COORD_BOUND``; and each object (``_object``) and gt box (``_box``) is
+# all of these, with lengths above 0 and, for an object, a heading in
+# [-pi, pi] and an id not seen before. A check is only sufficient: a record
+# that misses it (an int literal, a non-ASCII or repeated id, a value out
+# of bounds) takes the general path, which raises the schema errors and
+# calls the rule functions above, so the messages and their order do not
+# depend on it. The ego's, a prediction's and the two counts' rule
+# functions run on every scenario.
 
 def is_number(v) -> bool:
     """A JSON number: an int or a float (or a subclass), and not a bool."""
@@ -301,18 +309,21 @@ def _pair(raw, sid: str, *path) -> Waypoint:
 # __new__ (``_waypoint`` is codec's); the caller has checked the length
 _object_box = functools.partial(tuple.__new__, ObjectBox)
 
+# the fast paths' bounds, as globals: a float between -_INF and _INF is finite
+_B, _PI, _INF = COORD_BOUND, math.pi, math.inf
+
 
 def _pairs(raw, sid: str, *path) -> tuple[tuple[Waypoint, ...], bool]:
-    """The waypoints, and whether each passed ``_in_bounds``."""
+    """The waypoints, and whether each passed ``_in_bounds``' test, made inline."""
     if type(raw) is not list:
         raise ScenarioSchemaError("expected a list of [x, y] pairs", sid, _field(path))
     out = []
     valid = True
     for i, p in enumerate(raw):
         if type(p) is list and len(p) == 2:
-            w = _waypoint(p)
-            if _in_bounds(w):
-                out.append(w)
+            x, y = p
+            if type(x) is float and type(y) is float and -_B <= x <= _B and -_B <= y <= _B:
+                out.append(_waypoint(p))
                 continue
         valid = False
         out.append(_pair(p, sid, *path, i))
@@ -367,13 +378,33 @@ def _box(b) -> ObjectBox | None:
     length, width = b.get("length"), b.get("width")
     if (  # a sufficient check that ``_box_violations`` is empty, the fast path
         type(center) is list and len(center) == 2
-        and type(heading) is float and -math.inf < heading < math.inf
-        and type(length) is float and 0.0 < length < math.inf
-        and type(width) is float and 0.0 < width < math.inf
+        and type(heading) is float and -_INF < heading < _INF
+        and type(length) is float and 0.0 < length < _INF
+        and type(width) is float and 0.0 < width < _INF
     ):
-        w = _waypoint(center)
-        if _in_bounds(w):
-            return _object_box((w, heading, length, width))
+        x, y = center
+        if type(x) is float and type(y) is float and -_B <= x <= _B and -_B <= y <= _B:
+            return _object_box((_waypoint(center), heading, length, width))
+    return None
+
+
+def _object(o, ids: set) -> DetectedObject | None:
+    """An ``objects`` record that needs no conversion and breaks no rule, else None."""
+    if type(o) is not dict:
+        return None
+    oid, class_name, center = o.get("id"), o.get("class"), o.get("center")
+    heading, length, width = o.get("heading"), o.get("length"), o.get("width")
+    if (  # a sufficient check that ``_object_violations`` is empty, the fast path
+        type(oid) is str and oid.isascii() and oid not in ids
+        and type(class_name) is str and class_name.isascii()
+        and type(center) is list and len(center) == 2
+        and type(heading) is float and -_PI <= heading <= _PI
+        and type(length) is float and 0.0 < length < _INF
+        and type(width) is float and 0.0 < width < _INF
+    ):
+        x, y = center
+        if type(x) is float and type(y) is float and -_B <= x <= _B and -_B <= y <= _B:
+            return DetectedObject(oid, class_name, _waypoint(center), heading, length, width)
     return None
 
 
@@ -388,9 +419,18 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
         _check_utf8(sid, sid, "id")
 
     ego_raw = _require(raw, "ego", sid)
-    velocity = _number_at(ego_raw, "velocity", sid, "ego")
-    acceleration = _number_at(ego_raw, "acceleration", sid, "ego")
-    heading_rate = _number_at(ego_raw, "heading_rate", sid, "ego")
+    velocity = acceleration = heading_rate = None
+    if type(ego_raw) is dict:
+        velocity, acceleration = ego_raw.get("velocity"), ego_raw.get("acceleration")
+        heading_rate = ego_raw.get("heading_rate")
+    if not (  # finite floats, which ``_number`` returns as they are: the fast path
+        type(velocity) is float and -_INF < velocity < _INF
+        and type(acceleration) is float and -_INF < acceleration < _INF
+        and type(heading_rate) is float and -_INF < heading_rate < _INF
+    ):
+        velocity = _number_at(ego_raw, "velocity", sid, "ego")
+        acceleration = _number_at(ego_raw, "acceleration", sid, "ego")
+        heading_rate = _number_at(ego_raw, "heading_rate", sid, "ego")
     history, valid = _pairs(ego_raw.get("history", []), sid, "ego", "history")
     ego = EgoState(velocity, acceleration, heading_rate, history)
     valid = valid and not _ego_violations(ego)
@@ -398,21 +438,25 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
     objects = []
     ids = set()
     for i, o in enumerate(_list_at(raw, "objects", sid)):
-        obj = DetectedObject(
-            id=_string_at(o, "id", sid, "objects", i),
-            class_name=_string_at(o, "class", sid, "objects", i),
-            center=_pair(_require(o, "center", sid), sid, "objects", i, "center"),
-            heading=_number_at(o, "heading", sid, "objects", i),
-            length=_number_at(o, "length", sid, "objects", i),
-            width=_number_at(o, "width", sid, "objects", i),
-        )
-        valid = valid and not _object_violations(obj, ids)
+        obj = _object(o, ids)
+        if obj is None:
+            obj = DetectedObject(
+                id=_string_at(o, "id", sid, "objects", i),
+                class_name=_string_at(o, "class", sid, "objects", i),
+                center=_pair(_require(o, "center", sid), sid, "objects", i, "center"),
+                heading=_number_at(o, "heading", sid, "objects", i),
+                length=_number_at(o, "length", sid, "objects", i),
+                width=_number_at(o, "width", sid, "objects", i),
+            )
+            valid = valid and not _object_violations(obj, ids)
         ids.add(obj.id)
         objects.append(obj)
 
     predictions = []
     for i, p in enumerate(_list_at(raw, "predictions", sid)):
-        object_id = _string_at(p, "object_id", sid, "predictions", i)
+        object_id = p.get("object_id") if type(p) is dict else None
+        if type(object_id) is not str or not object_id.isascii():  # an ASCII id: the fast path
+            object_id = _string_at(p, "object_id", sid, "predictions", i)
         future, future_valid = _pairs(_require(p, "future", sid), sid, "predictions", i, "future")
         pred = PredictedMotion(object_id, future)
         valid = valid and future_valid and not _prediction_violations(pred, ids)
@@ -577,7 +621,6 @@ def scenario_to_dict(s: Scenario) -> dict:
 # Leaves keep ``json``'s rules: ``encode_basestring`` for a string,
 # ``float.__repr__`` for a finite float, ``json.dumps`` for any other.
 
-_INF = math.inf
 _P2, _P3, _P4, _P5, _P6 = ("\n" + " " * depth for depth in range(2, 7))
 
 
