@@ -346,7 +346,8 @@ def evaluate_dataset(
     failure; the fallback policy decides whether the constant-state rollout
     stands in for it or the row is dropped from the aggregates. Two records
     with one id are a ``ValueError``: which one to score would depend on
-    their order.
+    their order. So are two scenarios with one id, which would weight that
+    scenario twice in every mean, as ``load_scenarios`` refuses them.
     """
     scenarios = sorted(scenarios, key=lambda s: s.id)
     if not scenarios:
@@ -359,7 +360,11 @@ def evaluate_dataset(
 
     rows = []
     parse_failures = 0
-    for s in scenarios:
+    previous_id = None
+    for s in scenarios:  # sorted, so a repeated id is the one just seen
+        if s.id == previous_id:
+            raise ValueError(f"duplicate scenario id {s.id!r} in the scenarios")
+        previous_id = s.id
         rec = by_id.get(s.id) or PlanRecord(s.id)
         traj = rec.trajectory
         if len(s.human_trajectory) != DEFAULT_HORIZON_STEPS:

@@ -429,6 +429,14 @@ class TestEvaluateDataset:
             with pytest.raises(ValueError, match=f"duplicate scenario_id {s.id!r}"):
                 evaluate_dataset([s], records)
 
+    def test_repeated_scenario_id_is_a_value_error(self):
+        s = synth_scenario("lead_vehicle", 3)
+        others = [synth_scenario("empty_road", 1), synth_scenario("stationary_obstacle", 2)]
+        rec = PlanRecord(s.id, s.human_trajectory, "clean")
+        for scenarios in ([s, s], [others[0], s, others[1], s]):
+            with pytest.raises(ValueError, match=f"^duplicate scenario id {s.id!r} in the scenarios$"):
+                evaluate_dataset(scenarios, [rec])
+
     def test_collision_counted_against_gt_boxes(self):
         gt_boxes = tuple(
             (box(0.0, 6.0, 0.0, 0.6, 0.6),) if step == 5 else () for step in range(6)
