@@ -330,18 +330,19 @@ def _pairs(raw, sid: str, *path) -> tuple[tuple[Waypoint, ...], bool]:
     return tuple(out), valid
 
 
-def _require(d, key: str, sid: str | None):
+def _require(d, key: str, sid: str, *where):
+    """``d[key]``; ``where`` is the path of ``d``, which names the field if it is missing."""
     if not isinstance(d, dict) or key not in d:
-        raise ScenarioSchemaError("missing required key", sid, key)
+        raise ScenarioSchemaError("missing required key", sid, _field((*where, key)))
     return d[key]
 
 
 def _number_at(d, key: str, sid: str, *where) -> float:
-    return _number(_require(d, key, sid), sid, *where, key)
+    return _number(_require(d, key, sid, *where), sid, *where, key)
 
 
 def _string_at(d, key: str, sid: str, *where) -> str:
-    raw = _require(d, key, sid)
+    raw = _require(d, key, sid, *where)
     if type(raw) is not str:
         raise ScenarioSchemaError(
             f"expected a string, got {type(raw).__name__}", sid, _field((*where, key))
@@ -440,13 +441,14 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
     for i, o in enumerate(_list_at(raw, "objects", sid)):
         obj = _object(o, ids)
         if obj is None:
+            where = ("objects", i)
             obj = DetectedObject(
-                id=_string_at(o, "id", sid, "objects", i),
-                class_name=_string_at(o, "class", sid, "objects", i),
-                center=_pair(_require(o, "center", sid), sid, "objects", i, "center"),
-                heading=_number_at(o, "heading", sid, "objects", i),
-                length=_number_at(o, "length", sid, "objects", i),
-                width=_number_at(o, "width", sid, "objects", i),
+                id=_string_at(o, "id", sid, *where),
+                class_name=_string_at(o, "class", sid, *where),
+                center=_pair(_require(o, "center", sid, *where), sid, *where, "center"),
+                heading=_number_at(o, "heading", sid, *where),
+                length=_number_at(o, "length", sid, *where),
+                width=_number_at(o, "width", sid, *where),
             )
             valid = valid and not _object_violations(obj, ids)
         ids.add(obj.id)
@@ -454,10 +456,11 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
 
     predictions = []
     for i, p in enumerate(_list_at(raw, "predictions", sid)):
+        where = ("predictions", i)
         object_id = p.get("object_id") if type(p) is dict else None
         if type(object_id) is not str or not object_id.isascii():  # an ASCII id: the fast path
-            object_id = _string_at(p, "object_id", sid, "predictions", i)
-        future, future_valid = _pairs(_require(p, "future", sid), sid, "predictions", i, "future")
+            object_id = _string_at(p, "object_id", sid, *where)
+        future, future_valid = _pairs(_require(p, "future", sid, *where), sid, *where, "future")
         pred = PredictedMotion(object_id, future)
         valid = valid and future_valid and not _prediction_violations(pred, ids)
         predictions.append(pred)
@@ -475,7 +478,7 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
             if box is None:
                 where = ("gt_object_boxes", step, j)
                 box = ObjectBox(
-                    _pair(_require(b, "center", sid), sid, *where, "center"),
+                    _pair(_require(b, "center", sid, *where), sid, *where, "center"),
                     _number_at(b, "heading", sid, *where),
                     _number_at(b, "length", sid, *where),
                     _number_at(b, "width", sid, *where),

@@ -140,6 +140,33 @@ class TestLoading:
         assert f"field {field_name!r}" in str(exc.value)
 
     @pytest.mark.parametrize(
+        "mutate, field_name",
+        [
+            (lambda d: d["objects"][0].pop("id"), "objects[0].id"),
+            (lambda d: d["objects"].__setitem__(0, 5), "objects[0].id"),
+            (lambda d: d["predictions"][0].pop("future"), "predictions[0].future"),
+            (lambda d: d["gt_object_boxes"][2][0].pop("center"), "gt_object_boxes[2][0].center"),
+            (lambda d: d["gt_object_boxes"][2].__setitem__(0, []), "gt_object_boxes[2][0].center"),
+            (lambda d: d["ego"].pop("velocity"), "ego.velocity"),
+            (lambda d: d.pop("human_trajectory"), "human_trajectory"),
+        ],
+        ids=["object_id", "object_not_a_dict", "prediction_future", "box_center", "box_not_a_dict",
+             "ego_velocity", "human_trajectory"],
+    )
+    def test_missing_key_is_named_by_its_path(self, tmp_path, mutate, field_name):
+        d = base_scenario_dict("lead_vehicle-0003")
+        d["gt_object_boxes"] = [
+            [{"center": [1.0, 10.0], "heading": 1.57, "length": 4.5, "width": 1.8}] for _ in range(6)
+        ]
+        mutate(d)
+        with pytest.raises(ScenarioSchemaError) as exc:
+            load_scenarios(write_file(tmp_path, {"scenarios": [d]}))
+        assert exc.value.field_name == field_name
+        assert str(exc.value) == (
+            f"scenario 'lead_vehicle-0003': field {field_name!r}: missing required key"
+        )
+
+    @pytest.mark.parametrize(
         "path, value, field_name, type_name",
         [
             (("objects", 0, "id"), None, "objects[0].id", "NoneType"),

@@ -377,14 +377,15 @@ def old_pairs(raw, sid, field_name):
     return tuple(old_pair(p, sid, f"{field_name}[{i}]") for i, p in enumerate(raw))
 
 
-def old_require(d, key, sid):
+def old_require(d, key, sid, where=None):
+    """The one intended change: a missing key is named by its path, ``objects[0].id``."""
     if not isinstance(d, dict) or key not in d:
-        raise ScenarioSchemaError("missing required key", sid, key)
+        raise ScenarioSchemaError("missing required key", sid, f"{where}.{key}" if where else key)
     return d[key]
 
 
 def old_number_at(d, key, sid, where):
-    return old_number(old_require(d, key, sid), sid, f"{where}.{key}")
+    return old_number(old_require(d, key, sid, where), sid, f"{where}.{key}")
 
 
 def old_list_at(raw, key, sid):
@@ -410,9 +411,9 @@ def old_scenario_from_dict(raw):
         where = f"objects[{i}]"
         objects.append(
             DetectedObject(
-                id=str(old_require(o, "id", sid)),
-                class_name=str(old_require(o, "class", sid)),
-                center=old_pair(old_require(o, "center", sid), sid, f"{where}.center"),
+                id=str(old_require(o, "id", sid, where)),
+                class_name=str(old_require(o, "class", sid, where)),
+                center=old_pair(old_require(o, "center", sid, where), sid, f"{where}.center"),
                 heading=old_number_at(o, "heading", sid, where),
                 length=old_number_at(o, "length", sid, where),
                 width=old_number_at(o, "width", sid, where),
@@ -420,10 +421,11 @@ def old_scenario_from_dict(raw):
         )
     predictions = []
     for i, p in enumerate(old_list_at(raw, "predictions", sid)):
+        where = f"predictions[{i}]"
         predictions.append(
             PredictedMotion(
-                object_id=str(old_require(p, "object_id", sid)),
-                future=old_pairs(old_require(p, "future", sid), sid, f"predictions[{i}].future"),
+                object_id=str(old_require(p, "object_id", sid, where)),
+                future=old_pairs(old_require(p, "future", sid, where), sid, f"{where}.future"),
             )
         )
     human = Trajectory(old_pairs(old_require(raw, "human_trajectory", sid), sid, "human_trajectory"))
@@ -436,7 +438,7 @@ def old_scenario_from_dict(raw):
             where = f"gt_object_boxes[{step}][{j}]"
             row.append(
                 ObjectBox(
-                    center=old_pair(old_require(b, "center", sid), sid, f"{where}.center"),
+                    center=old_pair(old_require(b, "center", sid, where), sid, f"{where}.center"),
                     heading=old_number_at(b, "heading", sid, where),
                     length=old_number_at(b, "length", sid, where),
                     width=old_number_at(b, "width", sid, where),
