@@ -786,6 +786,11 @@ class TestErrors:
             ('"trajectory": [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]', "3 waypoints, expected 6"),
             ('"trajectory": [1, 2, 3, 4, 5, 6]', "[x, y] number pairs"),
             ('"trajectory": [["a", 1.0]' + ", [0.0, 1.0]" * 5 + "]", "[x, y] number pairs"),
+            ('"trajectory": [[true, 1.0]' + ", [0.0, 1.0]" * 5 + "]", "[x, y] number pairs"),
+            ('"trajectory": [[0.0, 1.0, 2.0]' + ", [0.0, 1.0]" * 5 + "]", "[x, y] number pairs"),
+            ('"trajectory": [' + "[0.0, 1.0], " * 5 + '[0.0, "1.0"]]', "[x, y] number pairs"),
+            ('"trajectory": [' + "[0.0, 1.0], " * 5 + "5]", "[x, y] number pairs"),
+            ('"trajectory": [[0, 1], [0, 2], [0, 3]]', "3 waypoints, expected 6"),
             ('"trajectory": [[NaN, 1.0]' + ", [0.0, 1.0]" * 5 + "]", "finite"),
             ('"parse_quality": ["clean"], "trajectory": null', "must be strings"),
             ('"parse_quality": "clean,1\\nx", "trajectory": null', "must be one of"),
@@ -796,7 +801,9 @@ class TestErrors:
             ('["scenario_id"]', "expected a JSON object with a scenario_id"),
             ("5", "expected a JSON object with a scenario_id"),
         ],
-        ids=["short", "flat", "non_numeric", "nan", "non_string_quality",
+        ids=["short", "flat", "non_numeric", "true_coordinate", "three_numbers",
+             "string_coordinate", "number_for_a_pair", "int_pairs_short", "nan",
+             "non_string_quality",
              "csv_breaking_quality", "lone_surrogate_quality", "upper_case_quality",
              "non_string_raw_text", "no_scenario_id", "json_array", "json_number"],
     )

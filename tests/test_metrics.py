@@ -434,8 +434,9 @@ class TestEvaluateDataset:
         others = [synth_scenario("empty_road", 1), synth_scenario("stationary_obstacle", 2)]
         rec = PlanRecord(s.id, s.human_trajectory, "clean")
         for scenarios in ([s, s], [others[0], s, others[1], s]):
-            with pytest.raises(ValueError, match=f"^duplicate scenario id {s.id!r} in the scenarios$"):
+            with pytest.raises(ValueError) as e:
                 evaluate_dataset(scenarios, [rec])
+            assert str(e.value) == f"duplicate scenario id {s.id!r} in the scenarios"
 
     def test_collision_counted_against_gt_boxes(self):
         gt_boxes = tuple(
@@ -525,6 +526,11 @@ def _no_constant(name):
 def test_plan_record_round_trips_through_its_line(record):
     assert type(record.parse_quality) is ParseQuality  # a value string is coerced
     line = record.to_line()
+    # the bytes of the json.dumps call the line was first written with
+    points = record.trajectory and [[w.x, w.y] for w in record.trajectory.waypoints]
+    row = {"scenario_id": record.scenario_id, "raw_text": record.raw_text,
+           "parse_quality": record.parse_quality, "trajectory": points}
+    assert line == json.dumps(row, separators=(",", ":"), ensure_ascii=False) + "\n"
     json.loads(line, parse_constant=_no_constant)  # no NaN, Infinity or -Infinity
     # encoded as ``plan`` writes it: a lone surrogate becomes its JSON escape
     back = PlanRecord.from_line(line.encode("utf-8", "backslashreplace"))
@@ -541,11 +547,13 @@ def test_plan_record_round_trips_through_its_line(record):
         ("trajectory", [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]),
         ("trajectory", [[math.nan, 1.0]] + [[0.0, 1.0]] * 5),
         ("trajectory", [[0.0, 1.0]] * 5 + [[0.0, -math.inf]]),
+        ("trajectory", [[0, 1], [0, 2], [0, 3]]),
+        ("trajectory", [[0, 1]] * 5 + [[math.nan, 1]]),
         ("scenario_id", 5),
         ("raw_text", ["a"]),
     ],
     ids=["unknown_quality", "csv_breaking_quality", "non_string_quality", "short", "nan", "inf",
-         "int_id", "non_string_raw_text"],
+         "int_pairs_short", "int_pairs_nan", "int_id", "non_string_raw_text"],
 )
 def test_a_bad_field_is_refused_as_its_line_is(field, value):
     fields = {"scenario_id": "a", "trajectory": None, "parse_quality": "clean", "raw_text": ""}
@@ -554,6 +562,51 @@ def test_a_bad_field_is_refused_as_its_line_is(field, value):
     with pytest.raises(ValueError) as read:
         PlanRecord.from_line(json.dumps({**fields, field: value}).encode())
     assert str(built.value) == str(read.value)
+
+
+_PAIRS = [[0.0, float(i)] for i in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[0, i] for i in range(1, 7)],
+        [[0, 1.0], [0.0, 2], [0, 3], [0.0, 4.0], [0, 5], [0.0, 6]],
+        [[-0, 1], *_PAIRS[1:]],
+    ],
+    ids=["int_pairs", "mixed_pairs", "negative_zero_int"],
+)
+def test_int_pairs_in_a_line_read_as_floats(points):
+    line = json.dumps({"scenario_id": "a", "trajectory": points}).encode()
+    record = PlanRecord.from_line(line)
+    assert record == PlanRecord("a", traj(points))
+    assert {type(v) for w in record.trajectory.waypoints for v in w} == {float}
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[True, 1.0], *_PAIRS[1:]],
+        [*_PAIRS[:5], [0.0, False]],
+        [[0.0, 1.0, 2.0], *_PAIRS[1:]],
+        [*_PAIRS[:5], [6.0]],
+        [["0.0", 1.0], *_PAIRS[1:]],
+        [*_PAIRS[:5], [0.0, None]],
+        [*_PAIRS[:5], 5],
+        [*_PAIRS[:5], "ab"],
+        [*_PAIRS[:5], {"x": 0.0, "y": 6.0}],
+        {"0": [0.0, 1.0]},
+        "[[0.0, 1.0]]",
+    ],
+    ids=["true_coordinate", "false_coordinate", "three_numbers", "one_number",
+         "string_coordinate", "null_coordinate", "number_for_a_pair", "string_for_a_pair",
+         "object_for_a_pair", "object", "string"],
+)
+def test_a_line_trajectory_off_the_fast_path_is_refused(points):
+    # a record built in code cannot hold these; the line's message is the one for any bad shape
+    line = json.dumps({"scenario_id": "a", "trajectory": points}).encode()
+    with pytest.raises(ValueError, match=r"^trajectory must be a list of \[x, y\] number pairs$"):
+        PlanRecord.from_line(line)
 
 
 @pytest.mark.parametrize(

@@ -155,9 +155,8 @@ class TestLoading:
     )
     def test_missing_key_is_named_by_its_path(self, tmp_path, mutate, field_name):
         d = base_scenario_dict("lead_vehicle-0003")
-        d["gt_object_boxes"] = [
-            [{"center": [1.0, 10.0], "heading": 1.57, "length": 4.5, "width": 1.8}] for _ in range(6)
-        ]
+        box = {"center": [1.0, 10.0], "heading": 1.57, "length": 4.5, "width": 1.8}
+        d["gt_object_boxes"] = [[dict(box)] for _ in range(6)]
         mutate(d)
         with pytest.raises(ScenarioSchemaError) as exc:
             load_scenarios(write_file(tmp_path, {"scenarios": [d]}))

@@ -37,6 +37,7 @@ from lmplan import (
     validate_scenario,
 )
 from lmplan.codec import DEFAULT_DT, DEFAULT_HORIZON_STEPS, quantize_literal
+from lmplan import scenario as scenario_module
 from lmplan.scenario import COORD_BOUND, SYNTH_KINDS, _scenario_from_dict
 
 # --- writer ---------------------------------------------------------------
@@ -715,6 +716,125 @@ def test_reader_matches_the_old_walk_at_invariant_boundaries(tmp_path):
         outcomes.append(_check_file(path))
         _check_flag(text, exact)
     assert 2000 < len(outcomes) and 200 < outcomes.count("error") < len(outcomes) - 200
+
+
+# --- reader: the edges of the walk's inline checks ------------------------
+#
+# Each record of the walk meets one inline check before the general path.
+# These files sit just outside each check: a literal that is not a plain
+# finite float, an object with a key too few or too many, an id that is not
+# ASCII or repeats one the check would otherwise pass.
+
+EDGE_LITERALS = ("true", "7", '"7.4"', "1e400", "-1e400", "null", "0.0", "200.01")
+EDGE_PATHS = (
+    ("ego", "velocity"), ("ego", "acceleration"), ("ego", "heading_rate"),
+    ("ego", "history", 1, 0), ("human_trajectory", 3, 1), ("predictions", 0, "future", 5, 0),
+    ("objects", 0, "center", 0), ("objects", 0, "heading"), ("objects", 0, "length"),
+    ("objects", 0, "width"), ("gt_object_boxes", 2, 0, "center", 1),
+    ("gt_object_boxes", 2, 0, "heading"), ("gt_object_boxes", 2, 0, "length"),
+    ("gt_object_boxes", 2, 0, "width"),
+)
+PAIR_LISTS = ("history", "human_trajectory", "future")  # a miss there leaves the flag unsure
+
+
+def _renamed(d, object_id):
+    d["objects"][0]["id"] = d["predictions"][0]["object_id"] = object_id
+
+
+FAST_PATH_EDGES = {
+    "object_5_keys": lambda d: d["objects"][0].pop("width"),
+    "object_7_keys": lambda d: d["objects"][0].update(score=0.9),
+    "object_non_ascii_id": lambda d: _renamed(d, "o1-ß"),
+    "object_non_ascii_class": lambda d: d["objects"][0].update({"class": "Fußgänger ✓"}),
+    "prediction_non_ascii_unknown_id": lambda d: d["predictions"][0].update(object_id="o1-ß"),
+    "repeated_object_id": lambda d: d["objects"].append(dict(d["objects"][0], center=[5.0, 30.0])),
+    "repeated_non_ascii_object_id": lambda d: (
+        _renamed(d, "o1-ß"), d["objects"].append(dict(d["objects"][0]))),
+    "repeated_after_an_int_center": lambda d: d["objects"].insert(
+        0, dict(d["objects"][0], center=[5, 30])),
+    "box_3_keys": lambda d: d["gt_object_boxes"][2][0].pop("width"),
+    "box_5_keys": lambda d: d["gt_object_boxes"][2][0].update(score=0.9),
+    "ego_not_a_dict": lambda d: d.update(ego=[5.0, 0.0, 0.0]),
+    "prediction_not_a_dict": lambda d: d["predictions"].__setitem__(0, "o1"),
+}
+
+
+def _edge_files():
+    """(name, file text, exact) around each inline check, on the lead_vehicle scenario."""
+    base = json.loads(BASE_DOCS)[1]
+    for path in EDGE_PATHS:
+        for literal in EDGE_LITERALS:
+            doc = json.loads(json.dumps(base))
+            _node(doc, path)[path[-1]] = "@@"
+            text = json.dumps({"scenarios": [doc]}).replace('"@@"', literal)
+            yield f"{_field_name(path)}={literal}", text, not set(path) & set(PAIR_LISTS)
+    for name, mutate in FAST_PATH_EDGES.items():
+        doc = json.loads(json.dumps(base))
+        mutate(doc)
+        yield name, json.dumps({"scenarios": [doc]}, ensure_ascii=False), name != "box_5_keys"
+
+
+EDGE_FILES = list(_edge_files())
+
+
+@pytest.mark.parametrize("name, text, exact", EDGE_FILES, ids=[name for name, _, _ in EDGE_FILES])
+def test_reader_matches_the_old_walk_at_the_fast_path_edges(tmp_path, name, text, exact):
+    path = tmp_path / "edge.json"
+    path.write_text(text, encoding="utf-8")
+    outcome = _check_file(path)
+    try:
+        _check_flag(text, exact)
+    except ScenarioSchemaError:
+        assert outcome == "error"
+
+
+def test_the_fast_path_edges_hit_every_outcome(tmp_path):
+    path = tmp_path / "edge.json"
+    outcomes = {}
+    for name, text, _ in EDGE_FILES:
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_scenarios(path)
+            outcomes[name] = "ok"
+        except ScenarioSchemaError as e:
+            outcomes[name] = str(e)
+    assert outcomes["ego.velocity=7"] == outcomes["object_7_keys"] == "ok"
+    assert outcomes["object_non_ascii_id"] == outcomes["object_non_ascii_class"] == "ok"
+    assert outcomes["ego.velocity=1e400"].endswith("field 'ego.velocity': bad number: "
+                                                   "cannot quantize non-finite value inf")
+    assert outcomes["ego.heading_rate=true"].endswith(
+        "field 'ego.heading_rate': expected a number, got bool")
+    assert outcomes["objects[0].length=-1e400"].endswith("bad number: "
+                                                         "cannot quantize non-finite value -inf")
+    for name in ("repeated_object_id", "repeated_non_ascii_object_id",
+                 "repeated_after_an_int_center"):
+        assert "duplicate id" in outcomes[name], name
+    assert "prediction references unknown object id 'o1-ß'" in (
+        outcomes["prediction_non_ascii_unknown_id"])
+
+
+def test_synth_files_skip_validate_scenario(tmp_path, monkeypatch):
+    """Every synth scenario passes the inline checks, so none reaches ``validate_scenario``.
+
+    A change that pushes such a file onto the general path fails here, not
+    only as a slower benchmark. One coordinate respelled as an int literal
+    misses the check, and only its scenario is validated.
+    """
+    checked = []
+    validate = scenario_module.validate_scenario
+    monkeypatch.setattr(scenario_module, "validate_scenario",
+                        lambda s: checked.append(s.id) or validate(s))
+    scenarios = [synth_scenario(kind, seed) for seed in (1, 2) for kind in SYNTH_KINDS]
+    path = tmp_path / "synth.json"
+    save_scenarios(scenarios, path)
+    assert load_scenarios(path) == scenarios and checked == []
+
+    docs = [scenario_to_dict(s) for s in scenarios]
+    x = docs[1]["human_trajectory"][2][0]  # a lead_vehicle's, 0.0
+    assert x == int(x)
+    docs[1]["human_trajectory"][2][0] = int(x)
+    path.write_text(json.dumps({"scenarios": docs}), encoding="utf-8")
+    assert load_scenarios(path) == scenarios and checked == [scenarios[1].id]
 
 
 # --- reader: strings no writer can hold -----------------------------------
