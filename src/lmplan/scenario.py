@@ -309,8 +309,8 @@ def _pair(raw, sid: str, *path) -> Waypoint:
 # __new__ (``_waypoint`` is codec's); the caller has checked the length
 _object_box = functools.partial(tuple.__new__, ObjectBox)
 
-# the fast paths' bounds, as globals: a float between -_INF and _INF is finite
-_B, _PI, _INF = COORD_BOUND, math.pi, math.inf
+# a float between -_INF and _INF is finite
+_PI, _INF = math.pi, math.inf
 
 
 def _pairs(raw, sid: str, *path) -> tuple[tuple[Waypoint, ...], bool]:
@@ -322,7 +322,10 @@ def _pairs(raw, sid: str, *path) -> tuple[tuple[Waypoint, ...], bool]:
     for i, p in enumerate(raw):
         if type(p) is list and len(p) == 2:
             x, y = p
-            if type(x) is float and type(y) is float and -_B <= x <= _B and -_B <= y <= _B:
+            if (
+                type(x) is float and type(y) is float
+                and -COORD_BOUND <= x <= COORD_BOUND and -COORD_BOUND <= y <= COORD_BOUND
+            ):
                 out.append(_waypoint(p))
                 continue
         valid = False
@@ -382,10 +385,9 @@ def _box(b) -> ObjectBox | None:
         and type(heading) is float and -_INF < heading < _INF
         and type(length) is float and 0.0 < length < _INF
         and type(width) is float and 0.0 < width < _INF
+        and _in_bounds(center)
     ):
-        x, y = center
-        if type(x) is float and type(y) is float and -_B <= x <= _B and -_B <= y <= _B:
-            return _object_box((_waypoint(center), heading, length, width))
+        return _object_box((_waypoint(center), heading, length, width))
     return None
 
 
@@ -402,10 +404,9 @@ def _object(o, ids: set) -> DetectedObject | None:
         and type(heading) is float and -_PI <= heading <= _PI
         and type(length) is float and 0.0 < length < _INF
         and type(width) is float and 0.0 < width < _INF
+        and _in_bounds(center)
     ):
-        x, y = center
-        if type(x) is float and type(y) is float and -_B <= x <= _B and -_B <= y <= _B:
-            return DetectedObject(oid, class_name, _waypoint(center), heading, length, width)
+        return DetectedObject(oid, class_name, _waypoint(center), heading, length, width)
     return None
 
 
