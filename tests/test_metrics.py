@@ -527,7 +527,8 @@ def test_plan_record_round_trips_through_its_line(record):
     assert type(record.parse_quality) is ParseQuality  # a value string is coerced
     line = record.to_line()
     # the bytes of the json.dumps call the line was first written with
-    points = record.trajectory and [[w.x, w.y] for w in record.trajectory.waypoints]
+    traj = record.trajectory
+    points = None if traj is None else [[w.x, w.y] for w in traj.waypoints]
     row = {"scenario_id": record.scenario_id, "raw_text": record.raw_text,
            "parse_quality": record.parse_quality, "trajectory": points}
     assert line == json.dumps(row, separators=(",", ":"), ensure_ascii=False) + "\n"
