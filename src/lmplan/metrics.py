@@ -83,18 +83,18 @@ _encode_line = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encod
 
 
 def _float_pairs(items, pair_type: type) -> bool:
-    """Every item a ``pair_type`` of two plain floats: a sufficient check.
+    """Every item a ``pair_type`` of two floats.
 
-    An item it misses goes to the caller's general check. It raises nothing
-    for any JSON value: ``len`` and the unpacking follow the type test. For
-    six pairs a plain loop is cheaper than ``set(map(type, ...))`` checks,
-    whose fixed cost per call dominates at this size.
+    It raises nothing for any JSON value: ``len`` and the unpacking follow
+    the type test. For six pairs a plain loop is cheaper than
+    ``set(map(type, ...))`` checks, whose fixed cost per call dominates at
+    this size.
     """
     for p in items:
         if type(p) is not pair_type or len(p) != 2:
             return False
         x, y = p
-        if type(x) is not float or type(y) is not float:
+        if not isinstance(x, float) or not isinstance(y, float):
             return False
     return True
 
@@ -106,10 +106,10 @@ class PlanRecord:
     member), so ``to_line`` writes only lines that ``from_line`` reads back
     equal. A field the line leaves out reads as its default, ``cls.<field>``.
 
-    A trajectory of plain float pairs, the one every writer builds, passes
-    the record's and ``from_line``'s checks through one loop,
-    ``_float_pairs``; any other takes the general checks, with the same
-    messages. ``to_line`` encodes with one module-level encoder."""
+    The record tests its trajectory with ``_float_pairs``, and ``from_line``
+    a line's float pairs, the ones every writer writes, with the same loop;
+    a line with an int coordinate takes the general check, with the same
+    message. ``to_line`` encodes with one module-level encoder."""
 
     scenario_id: str
     trajectory: Trajectory | None = None
@@ -128,12 +128,7 @@ class PlanRecord:
         if not isinstance(self.raw_text, str):
             raise ValueError("raw_text must be a string")
         if traj is not None:
-            if not (type(traj) is Trajectory and _float_pairs(traj.waypoints, Waypoint)) and (
-                not isinstance(traj, Trajectory) or not all(
-                    type(w) is Waypoint and isinstance(w.x, float) and isinstance(w.y, float)
-                    for w in traj.waypoints
-                )
-            ):
+            if not (isinstance(traj, Trajectory) and _float_pairs(traj.waypoints, Waypoint)):
                 raise ValueError("trajectory must be a Trajectory of float Waypoints")
             if not all(map(math.isfinite, chain.from_iterable(traj.waypoints))):
                 raise ValueError("trajectory coordinates must be finite")

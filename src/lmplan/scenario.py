@@ -120,9 +120,9 @@ class Scenario:
 # One function per record kind holds that record's rules and returns a
 # message for each rule it breaks. ``validate_scenario`` joins their lists;
 # the load walk below calls the same functions as it builds each record, to
-# learn whether it may skip ``validate_scenario``. ``_in_bounds`` is only a
-# sufficient check, a fast path for the rules of a waypoint; the load walk
-# has one such check per record of its own.
+# learn whether it may skip ``validate_scenario``. Two checks are only
+# sufficient, kept as fast paths: ``_in_bounds`` for a waypoint's rules
+# (which ``_pairs`` makes inline) and ``_box``'s for a gt box's.
 
 _HORIZON_S = DEFAULT_HORIZON_STEPS * DEFAULT_DT
 
@@ -261,19 +261,16 @@ def validate_scenario(s: Scenario) -> list[str]:
 # the walk raises. The cyclic collector is paused while the tree is built
 # and restored as the caller had it, even on error.
 #
-# The walk returns whether the scenario broke no rule; such a scenario
+# The walk also calls the rule functions above on each record it builds
+# (a gt box or an ``[x, y]`` pair that passes its fast check breaks none),
+# and returns whether the scenario broke none of them; such a scenario
 # skips ``validate_scenario``, and any other goes through it, which writes
-# every message. Each record first meets one inline check: the ego
-# scalars are plain finite floats; a prediction's id is an ASCII string;
-# each ``[x, y]`` pair (in ``_pairs``) is two plain floats inside
-# ``COORD_BOUND``; and each object (``_object``) and gt box (``_box``) is
-# all of these, with lengths above 0 and, for an object, a heading in
-# [-pi, pi] and an id not seen before. A check is only sufficient: a record
-# that misses it (an int literal, a non-ASCII or repeated id, a value out
-# of bounds) takes the general path, which raises the schema errors and
-# calls the rule functions above, so the messages and their order do not
-# depend on it. The ego's, a prediction's and the two counts' rule
-# functions run on every scenario.
+# every message. An object of ASCII strings and finite floats (``_object``)
+# skips only the general path's conversions. A record that misses its
+# check (an int literal, a non-ASCII id, a coordinate out of bounds) takes
+# the general path, which raises the schema errors, so the messages and
+# their order do not depend on it; a pair that misses leaves its scenario
+# to ``validate_scenario``.
 
 def is_number(v) -> bool:
     """A JSON number: an int or a float (or a subclass), and not a bool."""
@@ -310,7 +307,7 @@ def _pair(raw, sid: str, *path) -> Waypoint:
 _object_box = functools.partial(tuple.__new__, ObjectBox)
 
 # a float between -_INF and _INF is finite
-_PI, _INF = math.pi, math.inf
+_INF = math.inf
 
 
 def _pairs(raw, sid: str, *path) -> tuple[tuple[Waypoint, ...], bool]:
@@ -391,19 +388,20 @@ def _box(b) -> ObjectBox | None:
     return None
 
 
-def _object(o, ids: set) -> DetectedObject | None:
-    """An ``objects`` record that needs no conversion and breaks no rule, else None."""
+def _object(o) -> DetectedObject | None:
+    """An ``objects`` record that needs no conversion, else None."""
     if type(o) is not dict:
         return None
     oid, class_name, center = o.get("id"), o.get("class"), o.get("center")
     heading, length, width = o.get("heading"), o.get("length"), o.get("width")
-    if (  # a sufficient check that ``_object_violations`` is empty, the fast path
-        type(oid) is str and oid.isascii() and oid not in ids
+    if (  # ASCII strings and finite floats (``_in_bounds`` implies them for the center),
+        # which the general path would return as they are
+        type(oid) is str and oid.isascii()
         and type(class_name) is str and class_name.isascii()
         and type(center) is list and len(center) == 2
-        and type(heading) is float and -_PI <= heading <= _PI
-        and type(length) is float and 0.0 < length < _INF
-        and type(width) is float and 0.0 < width < _INF
+        and type(heading) is float and -_INF < heading < _INF
+        and type(length) is float and -_INF < length < _INF
+        and type(width) is float and -_INF < width < _INF
         and _in_bounds(center)
     ):
         return DetectedObject(oid, class_name, _waypoint(center), heading, length, width)
@@ -421,18 +419,9 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
         _check_utf8(sid, sid, "id")
 
     ego_raw = _require(raw, "ego", sid)
-    velocity = acceleration = heading_rate = None
-    if type(ego_raw) is dict:
-        velocity, acceleration = ego_raw.get("velocity"), ego_raw.get("acceleration")
-        heading_rate = ego_raw.get("heading_rate")
-    if not (  # finite floats, which ``_number`` returns as they are: the fast path
-        type(velocity) is float and -_INF < velocity < _INF
-        and type(acceleration) is float and -_INF < acceleration < _INF
-        and type(heading_rate) is float and -_INF < heading_rate < _INF
-    ):
-        velocity = _number_at(ego_raw, "velocity", sid, "ego")
-        acceleration = _number_at(ego_raw, "acceleration", sid, "ego")
-        heading_rate = _number_at(ego_raw, "heading_rate", sid, "ego")
+    velocity = _number_at(ego_raw, "velocity", sid, "ego")
+    acceleration = _number_at(ego_raw, "acceleration", sid, "ego")
+    heading_rate = _number_at(ego_raw, "heading_rate", sid, "ego")
     history, valid = _pairs(ego_raw.get("history", []), sid, "ego", "history")
     ego = EgoState(velocity, acceleration, heading_rate, history)
     valid = valid and not _ego_violations(ego)
@@ -440,7 +429,7 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
     objects = []
     ids = set()
     for i, o in enumerate(_list_at(raw, "objects", sid)):
-        obj = _object(o, ids)
+        obj = _object(o)
         if obj is None:
             where = ("objects", i)
             obj = DetectedObject(
@@ -451,16 +440,14 @@ def _scenario_from_dict(raw: dict) -> tuple[Scenario, bool]:
                 length=_number_at(o, "length", sid, *where),
                 width=_number_at(o, "width", sid, *where),
             )
-            valid = valid and not _object_violations(obj, ids)
+        valid = valid and not _object_violations(obj, ids)
         ids.add(obj.id)
         objects.append(obj)
 
     predictions = []
     for i, p in enumerate(_list_at(raw, "predictions", sid)):
         where = ("predictions", i)
-        object_id = p.get("object_id") if type(p) is dict else None
-        if type(object_id) is not str or not object_id.isascii():  # an ASCII id: the fast path
-            object_id = _string_at(p, "object_id", sid, *where)
+        object_id = _string_at(p, "object_id", sid, *where)
         future, future_valid = _pairs(_require(p, "future", sid, *where), sid, *where, "future")
         pred = PredictedMotion(object_id, future)
         valid = valid and future_valid and not _prediction_violations(pred, ids)

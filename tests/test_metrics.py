@@ -624,3 +624,17 @@ def test_a_trajectory_must_hold_float_waypoints(trajectory):
     # each would write no line, a line that from_line refuses, or one that reads back as floats
     with pytest.raises(ValueError, match="^trajectory must be a Trajectory of float Waypoints$"):
         PlanRecord("a", trajectory, "clean")
+
+
+def test_float_subclass_waypoints_in_a_trajectory_subclass_are_kept():
+    # json writes a float subclass as the float it is, so the line reads back equal
+    class Metres(float):
+        pass
+
+    class Path(Trajectory):
+        pass
+
+    record = PlanRecord("a", Path(tuple(Waypoint(Metres(0.5), Metres(i)) for i in range(1, 7))),
+                        "clean")
+    assert PlanRecord.from_line(record.to_line().encode()).trajectory.waypoints == \
+        record.trajectory.waypoints

@@ -720,10 +720,11 @@ def test_reader_matches_the_old_walk_at_invariant_boundaries(tmp_path):
 
 # --- reader: the edges of the walk's inline checks ------------------------
 #
-# Each record of the walk meets one inline check before the general path.
-# These files sit just outside each check: a literal that is not a plain
-# finite float, an object with a key too few or too many, an id that is not
-# ASCII or repeats one the check would otherwise pass.
+# Objects, gt boxes and [x, y] pairs meet one inline check before the
+# general path. These files sit just outside each check, and at the ego
+# scalars and prediction ids, which take the general path alone: a literal
+# that is not a plain finite float, an object with a key too few or too
+# many, an id that is not ASCII or repeats one the check would pass.
 
 EDGE_LITERALS = ("true", "7", '"7.4"', "1e400", "-1e400", "null", "0.0", "200.01")
 EDGE_PATHS = (
