@@ -106,10 +106,10 @@ class PlanRecord:
     member), so ``to_line`` writes only lines that ``from_line`` reads back
     equal. A field the line leaves out reads as its default, ``cls.<field>``.
 
-    The record tests its trajectory with ``_float_pairs``, and ``from_line``
-    a line's float pairs, the ones every writer writes, with the same loop;
-    a line with an int coordinate takes the general check, with the same
-    message. ``to_line`` encodes with one module-level encoder."""
+    ``from_line`` tests a line's trajectory with ``_float_pairs``, the loop
+    the record uses on its own; a line with an int coordinate takes the
+    general check instead. ``to_line`` encodes with one module-level
+    encoder."""
 
     scenario_id: str
     trajectory: Trajectory | None = None
