@@ -18,7 +18,8 @@ Only remote mode reads a prompt; the stubs answer from the scenario alone.
 
 Export writes one chat-format JSON object per line; the line layout is
 fixed (role before content, compact separators, UTF-8 verbatim) so a
-dataset is byte-reproducible across runs and machines.
+dataset is byte-reproducible across runs and machines; each content goes
+through json's own string encoder, so the bytes are ``json.dumps``'s.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import requests
@@ -222,12 +224,19 @@ def _content_of(resp) -> str:
 
 
 def finetune_line(example: FineTuneExample) -> str:
-    """One dataset record, byte-exact: three roles, compact JSON, raw UTF-8."""
-    if example.prompt.exemplars:
+    """One dataset record, byte-exact: three roles, compact JSON, raw UTF-8.
+    A content that is not a string is a ``ValueError`` naming its role, the
+    message ``load_finetune_jsonl`` would give for the line."""
+    prompt = example.prompt
+    if prompt.exemplars:
         raise ValueError("fine-tune records take bare prompts; drop the exemplars")
-    messages = messages_from_prompt(example.prompt)
-    messages.append({"role": "assistant", "content": example.target_text})
-    return json.dumps({"messages": messages}, separators=(",", ":"), ensure_ascii=False)
+    system, user, assistant = prompt.system_text, prompt.user_text, example.target_text
+    for role, content in (("system", system), ("user", user), ("assistant", assistant)):
+        if not isinstance(content, str):
+            raise ValueError(f"{role} message content must be a string")
+    return (f'{{"messages":[{{"role":"system","content":{encode_basestring(system)}}},'
+            f'{{"role":"user","content":{encode_basestring(user)}}},'
+            f'{{"role":"assistant","content":{encode_basestring(assistant)}}}]}}')
 
 
 def export_finetune_jsonl(examples, path) -> int:

@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring
 
 from .codec import _waypoint
 from .parsing import ParseQuality
@@ -77,10 +78,6 @@ class EvalConfig:
 
 _QUALITIES = {q.value: q for q in ParseQuality}
 
-# one encoder for every result line: ``json.dumps`` with these options
-# would build a new one per call
-_encode_line = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
-
 
 def _float_pairs(items, pair_type: type) -> bool:
     """Every item a ``pair_type`` of two floats.
@@ -108,8 +105,10 @@ class PlanRecord:
 
     ``from_line`` tests a line's trajectory with ``_float_pairs``, the loop
     the record uses on its own; a line with an int coordinate takes the
-    general check instead. ``to_line`` encodes with one module-level
-    encoder."""
+    general check instead. ``to_line`` fills the line's fixed layout with
+    json's leaves: ``encode_basestring`` for each string and
+    ``float.__repr__`` for each coordinate, so its bytes are those of
+    ``json.dumps(row, separators=(",", ":"), ensure_ascii=False)``."""
 
     scenario_id: str
     trajectory: Trajectory | None = None
@@ -128,7 +127,8 @@ class PlanRecord:
         if not isinstance(self.raw_text, str):
             raise ValueError("raw_text must be a string")
         if traj is not None:
-            if not (isinstance(traj, Trajectory) and _float_pairs(traj.waypoints, Waypoint)):
+            if not (isinstance(traj, Trajectory) and isinstance(traj.waypoints, tuple)
+                    and _float_pairs(traj.waypoints, Waypoint)):
                 raise ValueError("trajectory must be a Trajectory of float Waypoints")
             if not all(map(math.isfinite, chain.from_iterable(traj.waypoints))):
                 raise ValueError("trajectory coordinates must be finite")
@@ -137,11 +137,13 @@ class PlanRecord:
                                  f"expected {DEFAULT_HORIZON_STEPS}")
 
     def to_line(self) -> str:
-        # a Waypoint is a tuple, which json writes as the list [x, y]
-        traj = None if self.trajectory is None else self.trajectory.waypoints
-        row = {"scenario_id": self.scenario_id, "raw_text": self.raw_text,
-               "parse_quality": self.parse_quality, "trajectory": traj}
-        return _encode_line(row) + "\n"
+        traj, fr = self.trajectory, float.__repr__  # as json writes a float subclass
+        points = "null" if traj is None else (
+            "[" + ",".join([f"[{fr(x)},{fr(y)}]" for x, y in traj.waypoints]) + "]")
+        return (f'{{"scenario_id":{encode_basestring(self.scenario_id)},'
+                f'"raw_text":{encode_basestring(self.raw_text)},'
+                f'"parse_quality":{encode_basestring(self.parse_quality)},'
+                f'"trajectory":{points}}}\n')
 
     @classmethod
     def from_line(cls, line: bytes) -> PlanRecord:

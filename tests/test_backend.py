@@ -1,8 +1,11 @@
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_scenarios
 from lmplan import (
@@ -293,6 +296,17 @@ class TestContentExtraction:
             _content_of(resp)
 
 
+class _Label(str):
+    """A str subclass: json writes it as the string it holds."""
+
+
+# quotes, backslashes, control and line-break characters, DEL, U+2028,
+# non-ASCII and lone surrogates, as plain strings or in a str subclass
+_AWKWARD = st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u2028\xe9\u6f22\U0001f600\ud800\udfff')
+_TEXT = st.text(_AWKWARD | st.characters(blacklist_categories=()), max_size=40)
+_ANY_TEXT = _TEXT | _TEXT.map(_Label)
+
+
 class TestFineTuneExport:
     def test_line_layout_is_exact(self):
         s = synth_scenario("empty_road", 1)
@@ -313,6 +327,26 @@ class TestFineTuneExport:
         patched = type(ex)(ex.scenario_id, prompt, ex.reasoning, ex.trajectory_text)
         assert " émis" in finetune_line(patched)
         assert "\\u" not in finetune_line(patched)
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=_ANY_TEXT, user=_ANY_TEXT, target=_ANY_TEXT)
+    def test_line_is_json_dumps_of_the_three_messages(self, system, user, target):
+        # finetune_line reads only the prompt and the target text
+        example = SimpleNamespace(prompt=PlannerPrompt(system, user), target_text=target)
+        messages = [{"role": "system", "content": system}, {"role": "user", "content": user},
+                    {"role": "assistant", "content": target}]
+        want = json.dumps({"messages": messages}, separators=(",", ":"), ensure_ascii=False)
+        assert finetune_line(example) == want
+
+    @pytest.mark.parametrize("role", ["system", "user", "assistant"])
+    @pytest.mark.parametrize("content", [None, 5, b"bytes"], ids=["none", "int", "bytes"])
+    def test_a_content_that_is_not_a_string_is_refused(self, role, content):
+        # load_finetune_jsonl would refuse the line, so none is written
+        texts = {"system": "s", "user": "u", "assistant": "a", role: content}
+        example = SimpleNamespace(prompt=PlannerPrompt(texts["system"], texts["user"]),
+                                  target_text=texts["assistant"])
+        with pytest.raises(ValueError, match=f"^{role} message content must be a string$"):
+            finetune_line(example)
 
     def test_exemplars_are_rejected(self):
         ex = make_finetune_example(synth_scenario("empty_road", 1))

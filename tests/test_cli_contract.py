@@ -62,6 +62,24 @@ def test_cli_written_scenario_files_are_json_indent_1(tmp_path):
         assert data == want.encode("utf-8"), name
 
 
+def test_cli_written_result_and_finetune_lines_are_compact_json(tmp_path):
+    # json.dumps re-encodes each line, an oracle independent of both line writers
+    assert lmplan_cmd(tmp_path, "synth", "--count", 40, "--out", "s.json") == 0
+    assert lmplan_cmd(tmp_path, "export-finetune", "--scenarios", "s.json",
+                      "--out", "ft.jsonl") == 0
+    names = ["ft.jsonl"]
+    for mode in ("stub_replay_gt", "stub_hypothetical"):
+        assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", f"{mode}.jsonl",
+                          "--mode", mode) == 0
+        names.append(f"{mode}.jsonl")
+    for name in names:
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 40, name
+        for line in lines:
+            assert line == json.dumps(json.loads(line), separators=(",", ":"),
+                                      ensure_ascii=False), name
+
+
 def test_a_bad_parse_quality_exits_2_before_any_report(tmp_path):
     # a quality holding a comma and a newline would split report.csv rows
     assert lmplan_cmd(tmp_path, "synth", "--count", 4, "--out", "s.json") == 0

@@ -510,6 +510,13 @@ _TEXT = st.text(_AWKWARD | st.characters(blacklist_categories=()), max_size=30).
 _COORD = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
 )
+
+class _Label(str):
+    """A str subclass: json writes it as the string it holds."""
+
+
+# a string as it comes, or the same text in a str subclass
+_ANY_TEXT = _TEXT | _TEXT.map(_Label)
 _TRAJECTORY = st.lists(st.builds(Waypoint, _COORD, _COORD), min_size=6, max_size=6).map(
     lambda points: Trajectory(tuple(points))
 )
@@ -520,9 +527,9 @@ def _no_constant(name):
 
 
 @settings(max_examples=300, deadline=None)
-@given(record=st.builds(PlanRecord, _TEXT, st.none() | _TRAJECTORY,
+@given(record=st.builds(PlanRecord, _ANY_TEXT, st.none() | _TRAJECTORY,
                         st.sampled_from([*ParseQuality, *(q.value for q in ParseQuality)]),
-                        _TEXT))
+                        _ANY_TEXT))
 def test_plan_record_round_trips_through_its_line(record):
     assert type(record.parse_quality) is ParseQuality  # a value string is coerced
     line = record.to_line()
@@ -536,6 +543,7 @@ def test_plan_record_round_trips_through_its_line(record):
     # encoded as ``plan`` writes it: a lone surrogate becomes its JSON escape
     back = PlanRecord.from_line(line.encode("utf-8", "backslashreplace"))
     assert back == record
+    assert hash(back) == hash(record)
     assert repr(back) == repr(record)  # -0.0 keeps its sign
 
 
@@ -614,22 +622,26 @@ def test_a_line_trajectory_off_the_fast_path_is_refused(points):
     "trajectory",
     [
         [[0.0, float(i)] for i in range(1, 7)],
+        Trajectory([Waypoint(0.0, float(i)) for i in range(1, 7)]),
         Trajectory(tuple((0.0, float(i)) for i in range(1, 7))),
         Trajectory(tuple(Waypoint(0, i) for i in range(1, 7))),
         Trajectory(tuple(Waypoint(True, float(i)) for i in range(1, 7))),
     ],
-    ids=["list", "plain_tuples", "int_coordinates", "bool_coordinates"],
+    ids=["list", "waypoint_list", "plain_tuples", "int_coordinates", "bool_coordinates"],
 )
 def test_a_trajectory_must_hold_float_waypoints(trajectory):
-    # each would write no line, a line that from_line refuses, or one that reads back as floats
+    # each would write no line, a line that from_line refuses, one that reads
+    # back as floats, or (a list of waypoints) an unhashable record that reads back as a tuple
     with pytest.raises(ValueError, match="^trajectory must be a Trajectory of float Waypoints$"):
         PlanRecord("a", trajectory, "clean")
 
 
 def test_float_subclass_waypoints_in_a_trajectory_subclass_are_kept():
-    # json writes a float subclass as the float it is, so the line reads back equal
+    # json writes a float subclass as the float it is, whatever its own repr,
+    # so the line reads back equal
     class Metres(float):
-        pass
+        def __repr__(self):
+            return f"Metres({float(self)!r})"
 
     class Path(Trajectory):
         pass
