@@ -181,7 +181,7 @@ def cmd_plan(args) -> int:
                 f"--exemplars {args.exemplars} needs as many scenarios; "
                 f"{args.exemplar_scenarios} holds {len(exemplar_scenarios)}"
             )
-        if remote:  # pack_exemplars reads only the first --exemplars of them
+        if remote:  # only the first --exemplars of them are packed
             exemplar_pool = [make_finetune_example(s) for s in exemplar_scenarios[: args.exemplars]]
     _check_outputs(
         [("--out", args.out)],
@@ -198,7 +198,7 @@ def cmd_plan(args) -> int:
         if remote:
             prompt = build_prompt(s)
             if exemplar_pool:
-                prompt = pack_exemplars(prompt, exemplar_pool, args.exemplars)
+                prompt = pack_exemplars(prompt, exemplar_pool)
         try:
             raw = complete(cfg, prompt, s)
         except BackendError as e:

@@ -5,6 +5,8 @@ so exported datasets and evaluation reports can record which prompt version
 produced them. Scene text renders every number through the trajectory codec,
 so each literal in the prompt re-parses to the exact stored value.
 The ``Decision`` vocabulary the output format announces is defined here.
+In-context exemplars are packed as the caller selects them: ``pack_exemplars``
+attaches the whole pool it is given, up to ``MAX_EXEMPLARS``.
 """
 
 from __future__ import annotations
@@ -171,10 +173,10 @@ def check_exemplar_count(k: int) -> None:
         raise ValueError(f"exemplar count {k} is outside 0..{MAX_EXEMPLARS}")
 
 
-def pack_exemplars(base: PlannerPrompt, pool, k: int) -> PlannerPrompt:
-    """Attach the first k fine-tune examples of ``pool`` as (user_text,
-    target_text) pairs. k above ``MAX_EXEMPLARS`` is an error; the context
-    window the backend offers cannot fit more."""
-    check_exemplar_count(k)
-    pairs = tuple((ex.prompt.user_text, ex.target_text) for ex in pool[:k])
+def pack_exemplars(base: PlannerPrompt, pool) -> PlannerPrompt:
+    """Attach every fine-tune example of ``pool``, in order, as a (user_text,
+    target_text) pair. A pool of more than ``MAX_EXEMPLARS`` is an error; the
+    context window the backend offers cannot fit more."""
+    check_exemplar_count(len(pool))
+    pairs = tuple((ex.prompt.user_text, ex.target_text) for ex in pool)
     return replace(base, exemplars=base.exemplars + pairs)

@@ -3,7 +3,10 @@
 Builds the assistant-side text for fine-tuning: which objects matter, how
 they interact with the planned motion, what high-level maneuver the human
 trajectory encodes, and the trajectory itself. Everything here is
-deterministic given the scenario.
+deterministic given the scenario. A ``ReasoningTrace`` is plain data that
+``render_reasoning`` formats; a ``FineTuneExample`` holds just the two texts
+a fine-tune record exports, the prompt and the target, rendered once when
+the example is made.
 
 The hypothetical rollout extrapolates the current ego state: speed follows
 constant acceleration (clamped at zero, the vehicle does not reverse), and
@@ -60,14 +63,6 @@ class CriticalObject:
 class ReasoningTrace:
     critical_objects: tuple[CriticalObject, ...]
     decision: Decision
-
-    @property
-    def interaction_text(self) -> str:
-        return interaction_summary(self.critical_objects)
-
-    @property
-    def decision_text(self) -> str:
-        return f"{self.decision.value} - {_DECISION_PHRASES[self.decision]}."
 
 
 def rollout_hypothetical(ego: EgoState) -> Trajectory:
@@ -276,8 +271,8 @@ def render_reasoning(trace: ReasoningTrace) -> str:
         listed = "none"
     return (
         f"{SECTION_CRITICAL} {listed}.\n"
-        f"{SECTION_INTERACTION} {trace.interaction_text}\n"
-        f"{SECTION_DECISION} {trace.decision_text}"
+        f"{SECTION_INTERACTION} {interaction_summary(trace.critical_objects)}\n"
+        f"{SECTION_DECISION} {trace.decision.value} - {_DECISION_PHRASES[trace.decision]}."
     )
 
 
@@ -288,23 +283,16 @@ def render_plan_text(trace: ReasoningTrace, trajectory_text: str) -> str:
 
 @dataclass(frozen=True)
 class FineTuneExample:
-    """One supervised pair: scene prompt in, reasoning plus trajectory out."""
+    """One supervised pair: the scene prompt in, and the target text out, the
+    reasoning sections followed by the trajectory."""
 
-    scenario_id: str
     prompt: PlannerPrompt
-    reasoning: ReasoningTrace
-    trajectory_text: str
-
-    @property
-    def target_text(self) -> str:
-        return render_plan_text(self.reasoning, self.trajectory_text)
+    target_text: str
 
 
 def make_finetune_example(s: Scenario) -> FineTuneExample:
-    """Build the supervised example for one scenario."""
+    """Build the supervised example for one scenario, its target rendered once."""
     return FineTuneExample(
-        scenario_id=s.id,
-        prompt=build_prompt(s),
-        reasoning=compose_reasoning(s),
-        trajectory_text=serialize_trajectory(s.human_trajectory),
+        build_prompt(s),
+        render_plan_text(compose_reasoning(s), serialize_trajectory(s.human_trajectory)),
     )

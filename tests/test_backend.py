@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 from types import SimpleNamespace
@@ -324,7 +325,7 @@ class TestFineTuneExport:
     def test_non_ascii_stays_verbatim(self):
         ex = make_finetune_example(synth_scenario("empty_road", 1))
         prompt = PlannerPrompt(ex.prompt.system_text + " émis", ex.prompt.user_text, ())
-        patched = type(ex)(ex.scenario_id, prompt, ex.reasoning, ex.trajectory_text)
+        patched = dataclasses.replace(ex, prompt=prompt)
         assert " émis" in finetune_line(patched)
         assert "\\u" not in finetune_line(patched)
 
@@ -352,7 +353,7 @@ class TestFineTuneExport:
         ex = make_finetune_example(synth_scenario("empty_road", 1))
         prompt = PlannerPrompt(ex.prompt.system_text, ex.prompt.user_text, (("u", "a"),))
         with pytest.raises(ValueError, match="exemplars"):
-            finetune_line(type(ex)(ex.scenario_id, prompt, ex.reasoning, ex.trajectory_text))
+            finetune_line(dataclasses.replace(ex, prompt=prompt))
 
     def test_export_and_load_round_trip(self, tmp_path):
         scenarios = make_scenarios(5)

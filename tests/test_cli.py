@@ -259,7 +259,7 @@ class TestPlanRemote:
         # system + 2 exemplar pairs + final user = 6 messages
         assert all(len(req["messages"]) == 6 for req in srv.requests)
         pool = [make_finetune_example(s) for s in scenarios]
-        want = [messages_from_prompt(pack_exemplars(build_prompt(s), pool, 2)) for s in scenarios]
+        want = [messages_from_prompt(pack_exemplars(build_prompt(s), pool[:2])) for s in scenarios]
         sent = [want[i] for i in request_order(srv, scenarios)]
         assert [req["messages"] for req in srv.requests] == sent
 

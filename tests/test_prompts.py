@@ -94,31 +94,25 @@ class TestExemplars:
 
     def test_zero_is_noop(self):
         base = build_prompt(synth_scenario("empty_road", 0))
-        assert pack_exemplars(base, self.make_pool(3), 0) == base
+        assert pack_exemplars(base, []) == base
 
-    def test_takes_first_k_in_pool_order(self):
-        pool = self.make_pool(4)
+    def test_takes_the_whole_pool_in_order(self):
+        pool = self.make_pool(2)
         base = build_prompt(synth_scenario("empty_road", 0))
-        packed = pack_exemplars(base, pool, 2)
+        packed = pack_exemplars(base, pool)
         assert len(packed.exemplars) == 2
         assert packed.exemplars[0] == (pool[0].prompt.user_text, pool[0].target_text)
         assert packed.exemplars[1] == (pool[1].prompt.user_text, pool[1].target_text)
 
-    def test_pool_shorter_than_k(self):
-        base = build_prompt(synth_scenario("empty_road", 0))
-        packed = pack_exemplars(base, self.make_pool(2), 5)
-        assert len(packed.exemplars) == 2
-
     def test_cap_enforced(self):
         base = build_prompt(synth_scenario("empty_road", 0))
+        assert len(pack_exemplars(base, self.make_pool(MAX_EXEMPLARS)).exemplars) == MAX_EXEMPLARS
         with pytest.raises(ValueError):
-            pack_exemplars(base, self.make_pool(8), MAX_EXEMPLARS + 1)
-        with pytest.raises(ValueError):
-            pack_exemplars(base, self.make_pool(1), -1)
+            pack_exemplars(base, self.make_pool(MAX_EXEMPLARS + 1))
 
     def test_base_prompt_unchanged(self):
         base = build_prompt(synth_scenario("empty_road", 0))
-        pack_exemplars(base, self.make_pool(2), 2)
+        pack_exemplars(base, self.make_pool(2))
         assert base.exemplars == ()
 
 
