@@ -144,9 +144,12 @@ def check_remote_config(cfg: BackendConfig) -> str:
     """Raise ``BackendError`` unless remote mode can send with ``cfg``; return the API key.
 
     The endpoint must be an ``http`` or ``https`` URL with a host (and, if
-    it names a port, one in 1..65535), and the ``PLANNER_API_KEY``
-    environment variable must be set. No retry can mend either, so a caller
-    can reject them before it sends or writes anything.
+    it names a port, one in 1..65535) and no query or fragment, since
+    ``/chat/completions`` is appended to it. The ``PLANNER_API_KEY``
+    environment variable must be set, to visible ASCII only (0x21-0x7E), the
+    characters a bearer token header can carry. No retry can mend any of
+    these, so a caller can reject them before it sends or writes anything.
+    The key's value is never quoted in an error.
     """
     if not cfg.endpoint_url:
         raise BackendError("remote mode needs endpoint_url")
@@ -160,9 +163,16 @@ def check_remote_config(cfg: BackendConfig) -> str:
             f"remote mode needs an http:// or https:// endpoint_url with a host, "
             f"not {cfg.endpoint_url!r}"
         )
+    if "?" in cfg.endpoint_url or "#" in cfg.endpoint_url:
+        raise BackendError(
+            f"remote mode needs an endpoint_url without a query or fragment, "
+            f"not {cfg.endpoint_url!r}"
+        )
     key = os.environ.get(API_KEY_ENV)
     if not key:
         raise BackendError(f"remote mode needs the {API_KEY_ENV} environment variable")
+    if not all("\x21" <= c <= "\x7e" for c in key):
+        raise BackendError(f"{API_KEY_ENV} holds a character outside visible ASCII (0x21-0x7E)")
     return key
 
 

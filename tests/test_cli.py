@@ -544,6 +544,9 @@ class TestErrors:
         ("--endpoint", "localhost:9"),
         ("--endpoint", "ftp://x"),
         ("--endpoint", "http://[::1"),
+        ("--endpoint", "http://127.0.0.1:9/v1?api-version=1"),
+        ("--endpoint", "http://127.0.0.1:9/v1?"),
+        ("--endpoint", "http://127.0.0.1:9/v1#frag"),
     ])
     def test_remote_config_it_cannot_use_sends_nothing(
         self, tmp_path, api_key_env, capsys, flag, value
@@ -562,8 +565,15 @@ class TestErrors:
         assert out.read_text() == "earlier results\n"
         assert capsys.readouterr().err.startswith("lmplan: error:")
 
-    def test_remote_plan_without_api_key_sends_nothing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("PLANNER_API_KEY", raising=False)
+    @pytest.mark.parametrize("key", [None, "", "k\u00e9y-1", "abc\ndef", "abc def", "abc\x7f"],
+                             ids=["unset", "empty", "non_ascii", "newline", "space", "del"])
+    def test_remote_plan_without_api_key_sends_nothing(self, tmp_path, monkeypatch, capsys, key):
+        # no retry can mend a key a header cannot carry: it is refused before
+        # --out is opened, and its value is never printed
+        if key is None:
+            monkeypatch.delenv("PLANNER_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("PLANNER_API_KEY", key)
         scen = synth_file(tmp_path, count=3)
         out = tmp_path / "results.jsonl"
         out.write_text("earlier results\n")
@@ -575,7 +585,9 @@ class TestErrors:
         assert code == 2
         assert srv.requests == []
         assert out.read_text() == "earlier results\n"
-        assert "PLANNER_API_KEY" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "PLANNER_API_KEY" in err
+        assert not key or key not in err
 
     @pytest.mark.parametrize("argv, unwritten", [
         (["plan", "--scenarios", "{s}", "--out", "{s}"], None),
