@@ -74,7 +74,6 @@ from .scenario import (
     load_scenarios,
     sample_split,
     save_scenarios,
-    scenario_to_dict,
     split_size,
     synth_scenario,
     validate_scenario,

@@ -565,50 +565,11 @@ def _scenarios_from_text(text: str) -> list[Scenario]:
     return out
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "id": s.id,
-        "ego": {
-            "velocity": s.ego.velocity,
-            "acceleration": s.ego.acceleration,
-            "heading_rate": s.ego.heading_rate,
-            "history": [[w.x, w.y] for w in s.ego.history],
-        },
-        "objects": [
-            {
-                "id": o.id,
-                "class": o.class_name,
-                "center": [o.center.x, o.center.y],
-                "heading": o.heading,
-                "length": o.length,
-                "width": o.width,
-            }
-            for o in s.objects
-        ],
-        "predictions": [
-            {"object_id": p.object_id, "future": [[w.x, w.y] for w in p.future]}
-            for p in s.predictions
-        ],
-        "human_trajectory": [[w.x, w.y] for w in s.human_trajectory.waypoints],
-        "gt_object_boxes": [
-            [
-                {
-                    "center": [b.center.x, b.center.y],
-                    "heading": b.heading,
-                    "length": b.length,
-                    "width": b.width,
-                }
-                for b in boxes
-            ]
-            for boxes in s.gt_object_boxes
-        ],
-    }
-
-
 # The writer follows the file schema's fixed layout: ``json.dumps(doc,
 # indent=1, ensure_ascii=False)``'s, one newline and one space per level,
-# in ``scenario_to_dict``'s key order. A pad is a newline and the indent of
-# the line a bracket opens on; the bracket's items sit one space further in.
+# in the schema's key order (see ``save_scenarios``). A pad is a newline and
+# the indent of the line a bracket opens on; the bracket's items sit one
+# space further in.
 # Leaves keep ``json``'s rules: ``encode_basestring`` for a string,
 # ``float.__repr__`` for a finite float, ``json.dumps`` for any other.
 
@@ -684,10 +645,17 @@ def save_scenarios(scenarios: list[Scenario], path: str | Path) -> None:
     """Write scenarios in the documented JSON schema (round-trips exactly).
 
     The writer follows the schema's fixed layout: the bytes are those of
-    ``json.dumps({"scenarios": [scenario_to_dict(s), ...]}, indent=1,
-    ensure_ascii=False)`` and one newline, in UTF-8. The whole text is
-    encoded before the file is opened, so a leaf that cannot be written
-    raises and leaves an existing file as it was.
+    ``json.dumps(doc, indent=1, ensure_ascii=False)`` and one newline, in
+    UTF-8, where ``doc`` is the documented schema in its key order:
+    ``{"scenarios": [...]}``, each entry holding ``id``, ``ego``
+    (``velocity``, ``acceleration``, ``heading_rate``, ``history``),
+    ``objects`` (``id``, ``class``, ``center``, ``heading``, ``length``,
+    ``width``), ``predictions`` (``object_id``, ``future``),
+    ``human_trajectory`` and ``gt_object_boxes`` (per step, boxes of
+    ``center``, ``heading``, ``length``, ``width``), each point an
+    ``[x, y]`` list. The whole text is encoded before the file is opened,
+    so a leaf that cannot be written raises and leaves an existing file as
+    it was.
     """
     entries = _list_json([_scenario_json(s) for s in scenarios], "\n ")
     data = ('{\n "scenarios": ' + entries + "\n}\n").encode("utf-8")

@@ -105,3 +105,45 @@ def quantize_by_strings(v: float, decimals: int = 2) -> float:
         scaled += 1
     result = sign * scaled / (10**decimals)
     return 0.0 if result == 0.0 else result
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    """The documented schema's entry for one scenario, in its key order: what
+    a scenario file written by ``save_scenarios`` decodes to."""
+    return {
+        "id": s.id,
+        "ego": {
+            "velocity": s.ego.velocity,
+            "acceleration": s.ego.acceleration,
+            "heading_rate": s.ego.heading_rate,
+            "history": [[w.x, w.y] for w in s.ego.history],
+        },
+        "objects": [
+            {
+                "id": o.id,
+                "class": o.class_name,
+                "center": [o.center.x, o.center.y],
+                "heading": o.heading,
+                "length": o.length,
+                "width": o.width,
+            }
+            for o in s.objects
+        ],
+        "predictions": [
+            {"object_id": p.object_id, "future": [[w.x, w.y] for w in p.future]}
+            for p in s.predictions
+        ],
+        "human_trajectory": [[w.x, w.y] for w in s.human_trajectory.waypoints],
+        "gt_object_boxes": [
+            [
+                {
+                    "center": [b.center.x, b.center.y],
+                    "heading": b.heading,
+                    "length": b.length,
+                    "width": b.width,
+                }
+                for b in boxes
+            ]
+            for boxes in s.gt_object_boxes
+        ],
+    }

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import make_scenarios
+from helpers import make_scenarios, scenario_to_dict
 from lmplan import (
     ScenarioSchemaError,
     Trajectory,
@@ -17,7 +17,6 @@ from lmplan import (
     load_scenarios,
     sample_split,
     save_scenarios,
-    scenario_to_dict,
     split_size,
     synth_scenario,
     validate_scenario,

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_scenarios
+from helpers import make_scenarios, scenario_to_dict
 from lmplan import (
     DetectedObject,
     EgoState,
@@ -32,7 +32,6 @@ from lmplan import (
     load_scenarios,
     quantize,
     save_scenarios,
-    scenario_to_dict,
     synth_scenario,
     validate_scenario,
 )
