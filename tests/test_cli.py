@@ -21,7 +21,7 @@ from lmplan import (
     save_scenarios,
     template_hash,
 )
-from lmplan import cli
+from lmplan import cli, reasoning
 from lmplan.cli import main
 from lmplan.metrics import FALLBACK_POLICIES
 from lmplan.prompts import pack_exemplars
@@ -262,6 +262,27 @@ class TestPlanRemote:
         want = [messages_from_prompt(pack_exemplars(build_prompt(s), pool[:2])) for s in scenarios]
         sent = [want[i] for i in request_order(srv, scenarios)]
         assert [req["messages"] for req in srv.requests] == sent
+
+    def test_exemplar_targets_are_rendered_once_per_run(self, tmp_path, api_key_env, monkeypatch):
+        # an exemplar's target is rendered when its example is built, not each
+        # time a prompt packs it
+        scen = synth_file(tmp_path, count=40)
+        out = tmp_path / "results.jsonl"
+        responder = echo_target_responder(load_scenarios(scen))
+        rendered = []
+        real = reasoning.render_plan_text
+        monkeypatch.setattr(
+            reasoning, "render_plan_text", lambda *a: rendered.append(a) or real(*a)
+        )
+        with MockChatServer(responder) as srv:
+            code = run(
+                "plan", "--scenarios", scen, "--out", out,
+                "--mode", "remote", "--endpoint", srv.url, "--backoff", 0,
+                "--exemplars", 5, "--exemplar-scenarios", scen,
+            )
+        assert code == 0
+        assert len(srv.requests) == 40
+        assert len(rendered) == 5
 
     def test_corrupted_completions_become_failed_rows(self, tmp_path, api_key_env):
         scen = synth_file(tmp_path, count=20)
