@@ -698,9 +698,9 @@ def _speed_profile_trajectory(speeds, lateral=None) -> Trajectory:
     return Trajectory(tuple(Waypoint(quantize(x), quantize(y)) for x, y in zip(xs, ys)))
 
 
-def _history(v0: float, steps: int = 4) -> tuple[Waypoint, ...]:
-    # constant-speed straight history, most recent last
-    return tuple(Waypoint(0.0, quantize(-v0 * DEFAULT_DT * k)) for k in range(steps, 0, -1))
+def _history(v0: float) -> tuple[Waypoint, ...]:
+    # four steps of constant-speed straight history, most recent last
+    return tuple(Waypoint(0.0, quantize(-v0 * DEFAULT_DT * k)) for k in range(4, 0, -1))
 
 
 def synth_scenario(kind: str, seed: int) -> Scenario:

@@ -157,3 +157,52 @@ def test_no_parameter_always_gets_one_constant():
         if param and values[0] and values == [values[0]] * calls[name]
     ]
     assert not found, found
+
+
+def test_no_defaulted_parameter_goes_unpassed():
+    # a defaulted parameter of a package function that no call passes is a
+    # setting with one value in use: the function should use that value
+    # itself. Calls are matched by name over the package, the tests, the
+    # demos and the benchmark; a call with *args or **kwargs may pass any
+    # parameter; a method's self or cls is not counted; dunder methods are
+    # exempt
+    root = Path(__file__).parent.parent
+    package = sorted(Path(lmplan.__file__).parent.glob("*.py"))
+    callers = package + sorted(
+        p for d in ("tests", "demos", "bench") for p in (root / d).rglob("*.py")
+    )
+    defaulted = {}  # (file, line, name) -> [(position or None, parameter)]
+    for path in package:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            if positional[:1] and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            first = len(positional) - len(a.defaults)
+            params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if params:
+                defaulted[(path.name, fn.lineno, fn.name)] = params
+    passed = set()  # (name, parameter) and (name, position)
+    for path in callers:
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            f = getattr(call, "func", None)
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if not isinstance(call, ast.Call) or name is None:
+                continue
+            if any(isinstance(v, ast.Starred) for v in call.args):
+                passed.add((name, "*"))
+            passed.update((name, i) for i in range(len(call.args)))
+            passed.update((name, k.arg or "**") for k in call.keywords)
+    found = [
+        f"{file}:{line} {name}({param})"
+        for (file, line, name), params in defaulted.items()
+        for i, param in params
+        if not {(name, param), (name, i), (name, "**")} & passed
+        and not (i is not None and (name, "*") in passed)
+    ]
+    assert not found, found
