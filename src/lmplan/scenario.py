@@ -39,7 +39,6 @@ import math
 import random
 import threading
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
@@ -565,89 +564,37 @@ def _scenarios_from_text(text: str) -> list[Scenario]:
     return out
 
 
-# The writer follows the file schema's fixed layout: ``json.dumps(doc,
-# indent=1, ensure_ascii=False)``'s, one newline and one space per level,
-# in the schema's key order (see ``save_scenarios``). A pad is a newline and
-# the indent of the line a bracket opens on; the bracket's items sit one
-# space further in.
-# Leaves keep ``json``'s rules: ``encode_basestring`` for a string,
-# ``float.__repr__`` for a finite float, ``json.dumps`` for any other.
+# The writer leaves every leaf to ``json``: each scenario is one line,
+# ``json.dumps`` of its ``_entry`` in json's compact layout. A waypoint and
+# any other tuple pass through as they are, since json writes a tuple as an
+# array.
 
-_P2, _P3, _P4, _P5, _P6 = ("\n" + " " * depth for depth in range(2, 7))
-
-
-def _leaf(v) -> str:
-    if type(v) is float and -_INF < v < _INF:
-        return repr(v)  # float.__repr__, as json uses
-    if isinstance(v, str):
-        return encode_basestring(v)
-    return json.dumps(v)  # int, bool, a non-finite float, a float subclass; raises for the rest
-
-
-def _pair_json(w: Waypoint, pad: str) -> str:
-    """``[x, y]``, opened on a line of indent ``pad``."""
-    x, y = w
-    inner = pad + " "
-    if type(x) is float and type(y) is float and -_INF < x < _INF and -_INF < y < _INF:
-        return f"[{inner}{x!r},{inner}{y!r}{pad}]"
-    return f"[{inner}{_leaf(x)},{inner}{_leaf(y)}{pad}]"
-
-
-def _list_json(items: list[str], pad: str) -> str:
-    """A list of items already written one level in from ``pad``."""
-    if not items:
-        return "[]"
-    inner = pad + " "
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
-
-
-def _pairs_json(ws, pad: str) -> str:
-    inner = pad + " "
-    return _list_json([_pair_json(w, inner) for w in ws], pad)
-
-
-def _scenario_json(s: Scenario) -> str:
-    """One entry of the top-level list, opened at indent 2."""
+def _entry(s: Scenario) -> dict:
+    """One entry of the top-level list, in the schema's key order."""
     e = s.ego
-    objects = [
-        f'{{{_P5}"id": {_leaf(o.id)},{_P5}"class": {_leaf(o.class_name)},'
-        f'{_P5}"center": {_pair_json(o.center, _P5)},{_P5}"heading": {_leaf(o.heading)},'
-        f'{_P5}"length": {_leaf(o.length)},{_P5}"width": {_leaf(o.width)}{_P4}}}'
-        for o in s.objects
-    ]
-    predictions = [
-        f'{{{_P5}"object_id": {_leaf(p.object_id)},'
-        f'{_P5}"future": {_pairs_json(p.future, _P5)}{_P4}}}'
-        for p in s.predictions
-    ]
-    gt_steps = [
-        _list_json([
-            f'{{{_P6}"center": {_pair_json(center, _P6)},{_P6}"heading": {_leaf(heading)},'
-            f'{_P6}"length": {_leaf(length)},{_P6}"width": {_leaf(width)}{_P5}}}'
-            for center, heading, length, width in boxes
-        ], _P4)
-        for boxes in s.gt_object_boxes
-    ]
-    return (
-        f'{{{_P3}"id": {_leaf(s.id)},'
-        f'{_P3}"ego": {{{_P4}"velocity": {_leaf(e.velocity)},'
-        f'{_P4}"acceleration": {_leaf(e.acceleration)},'
-        f'{_P4}"heading_rate": {_leaf(e.heading_rate)},'
-        f'{_P4}"history": {_pairs_json(e.history, _P4)}{_P3}}},'
-        f'{_P3}"objects": {_list_json(objects, _P3)},'
-        f'{_P3}"predictions": {_list_json(predictions, _P3)},'
-        f'{_P3}"human_trajectory": {_pairs_json(s.human_trajectory.waypoints, _P3)},'
-        f'{_P3}"gt_object_boxes": {_list_json(gt_steps, _P3)}{_P2}}}'
-    )
+    return {
+        "id": s.id,
+        "ego": {"velocity": e.velocity, "acceleration": e.acceleration,
+                "heading_rate": e.heading_rate, "history": e.history},
+        "objects": [{"id": o.id, "class": o.class_name, "center": o.center, "heading": o.heading,
+                     "length": o.length, "width": o.width} for o in s.objects],
+        "predictions": [{"object_id": p.object_id, "future": p.future} for p in s.predictions],
+        "human_trajectory": s.human_trajectory.waypoints,
+        "gt_object_boxes": [
+            [{"center": b.center, "heading": b.heading, "length": b.length, "width": b.width}
+             for b in boxes]
+            for boxes in s.gt_object_boxes
+        ],
+    }
 
 
 def save_scenarios(scenarios: list[Scenario], path: str | Path) -> None:
     """Write scenarios in the documented JSON schema (round-trips exactly).
 
-    The writer follows the schema's fixed layout: the bytes are those of
-    ``json.dumps(doc, indent=1, ensure_ascii=False)`` and one newline, in
-    UTF-8, where ``doc`` is the documented schema in its key order:
-    ``{"scenarios": [...]}``, each entry holding ``id``, ``ego``
+    One scenario per line: the bytes are ``{"scenarios":[``, a newline, the
+    entries joined by a comma and a newline, then a newline, ``]}`` and one
+    newline, in UTF-8. Each entry is ``json.dumps(entry, separators=(",",
+    ":"), ensure_ascii=False)``, holding ``id``, ``ego``
     (``velocity``, ``acceleration``, ``heading_rate``, ``history``),
     ``objects`` (``id``, ``class``, ``center``, ``heading``, ``length``,
     ``width``), ``predictions`` (``object_id``, ``future``),
@@ -655,10 +602,10 @@ def save_scenarios(scenarios: list[Scenario], path: str | Path) -> None:
     ``center``, ``heading``, ``length``, ``width``), each point an
     ``[x, y]`` list. The whole text is encoded before the file is opened,
     so a leaf that cannot be written raises and leaves an existing file as
-    it was.
+    it was. ``load_scenarios`` reads any JSON layout.
     """
-    entries = _list_json([_scenario_json(s) for s in scenarios], "\n ")
-    data = ('{\n "scenarios": ' + entries + "\n}\n").encode("utf-8")
+    entries = [json.dumps(_entry(s), separators=(",", ":"), ensure_ascii=False) for s in scenarios]
+    data = ('{"scenarios":[\n' + ",\n".join(entries) + "\n]}\n").encode("utf-8")
     Path(path).write_bytes(data)
 
 

@@ -49,8 +49,8 @@ def test_synth_plan_evaluate_run_and_a_missing_file_exits_2(tmp_path):
     assert not (tmp_path / "m.jsonl").exists()
 
 
-def test_cli_written_scenario_files_are_json_indent_1(tmp_path):
-    # on 3.13 json encodes indented output in C, an oracle independent of the writer
+def test_cli_written_scenario_files_are_one_compact_scenario_per_line(tmp_path):
+    # json.dumps re-encodes each decoded entry, an oracle independent of the writer
     assert lmplan_cmd(tmp_path, "synth", "--count", 40, "--out", "s.json") == 0
     assert lmplan_cmd(tmp_path, "split", "--scenarios", "s.json", "--fraction", 0.5,
                       "--out", "manifest.json", "--scenarios-out", "sub.json") == 0
@@ -58,7 +58,9 @@ def test_cli_written_scenario_files_are_json_indent_1(tmp_path):
                       "--out", "ft.jsonl") == 0
     for name in ("s.json", "sub.json"):
         data = (tmp_path / name).read_bytes()
-        want = json.dumps(json.loads(data), indent=1, ensure_ascii=False) + "\n"
+        entries = [json.dumps(entry, separators=(",", ":"), ensure_ascii=False)
+                   for entry in json.loads(data)["scenarios"]]
+        want = '{"scenarios":[\n' + ",\n".join(entries) + "\n]}\n"
         assert data == want.encode("utf-8"), name
 
 

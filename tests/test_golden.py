@@ -17,7 +17,7 @@ from lmplan import template_hash
 from lmplan.cli import main
 
 TEMPLATE_HASH = "68ef4e5eeb7c"
-SCENARIOS_SHA256 = "31740805badcfc45549c383e8628d1a192ade1a62dcc16cedc3de13814277144"
+SCENARIOS_SHA256 = "7270f0a07aead217c01ea80bf8edd8ebb9bb0b0ef6afe09e4634059abcd35bee"
 PLAN_SHA256 = {
     "stub_replay_gt": "9bb1845e1e4f79034f44820746a6964b70d31677788086c923b7dc53c31f0aed",
     "stub_hypothetical": "5a6adcfb0ca1feb80e5500508f6a8fcbd06851969ed1d01ebd6b8d7683f0b625",

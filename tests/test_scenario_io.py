@@ -1,7 +1,9 @@
 """Differential tests for the scenario file writer and reader.
 
-``save_scenarios`` must write exactly the bytes of ``json.dumps(doc,
-indent=1, ensure_ascii=False)``, and ``load_scenarios`` must return what
+``save_scenarios`` must write one scenario per line, each exactly the
+bytes of ``json.dumps(entry, separators=(",", ":"), ensure_ascii=False)``,
+and ``load_scenarios`` must read that layout and the older indent-1 one to
+the same scenarios. ``load_scenarios`` must also return what
 the walk it replaced returned, or raise the same message. That walk
 (json's own floats, ``quantize`` on every number, every field name built
 up front) is kept below as the oracle, with the old ``validate_scenario``.
@@ -82,13 +84,21 @@ generated_scenarios = st.builds(
 )
 
 
+def one_scenario_per_line(scenarios) -> bytes:
+    """The file ``save_scenarios`` writes, built from json and ``scenario_to_dict``."""
+    entries = [
+        json.dumps(scenario_to_dict(s), separators=(",", ":"), ensure_ascii=False)
+        for s in scenarios
+    ]
+    return ('{"scenarios":[\n' + ",\n".join(entries) + "\n]}\n").encode("utf-8")
+
+
 @given(st.lists(generated_scenarios, max_size=2))
 @settings(max_examples=400, deadline=None)
-def test_scenario_writer_matches_json_indent_1(tmp_path_factory, scenarios):
+def test_scenario_writer_matches_json_one_compact_scenario_per_line(tmp_path_factory, scenarios):
     path = tmp_path_factory.getbasetemp() / "generated-scenarios.json"
     save_scenarios(scenarios, path)
-    doc = {"scenarios": [scenario_to_dict(s) for s in scenarios]}
-    assert path.read_bytes() == (json.dumps(doc, indent=1, ensure_ascii=False) + "\n").encode()
+    assert path.read_bytes() == one_scenario_per_line(scenarios)
 
 
 @pytest.mark.parametrize(
@@ -116,14 +126,31 @@ def test_unwritable_leaf_raises_and_keeps_the_file(tmp_path, field, leaf, error)
     assert path.read_bytes() == before
 
 
-def test_saved_file_is_json_indent_1(tmp_path):
+def test_saved_file_is_one_compact_scenario_per_line(tmp_path):
     scenarios = make_scenarios(24) + [
         Scenario("é \"quoted\" \\ \x01", EgoState(1.0, 0.0, 0.0), (), (), Trajectory(()))
     ]
     path = tmp_path / "s.json"
     save_scenarios(scenarios, path)
+    assert path.read_bytes() == one_scenario_per_line(scenarios)
+
+
+def test_an_indent_1_file_loads_to_the_same_scenarios(tmp_path):
+    # the layout files had before the writer went to one compact scenario per line
+    scenarios = make_scenarios(24)
+    scenarios.append(dataclasses.replace(scenarios.pop(), id="é \"quoted\" \\ \x01"))
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    save_scenarios(scenarios, new)
     doc = {"scenarios": [scenario_to_dict(s) for s in scenarios]}
-    assert path.read_bytes() == (json.dumps(doc, indent=1, ensure_ascii=False) + "\n").encode()
+    old.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert load_scenarios(old) == load_scenarios(new) == scenarios
+
+
+def test_a_file_of_no_scenarios_loads_back_empty(tmp_path):
+    path = tmp_path / "s.json"
+    save_scenarios([], path)
+    assert path.read_bytes() == b'{"scenarios":[\n\n]}\n'
+    assert load_scenarios(path) == []
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
