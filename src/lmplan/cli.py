@@ -17,9 +17,10 @@ Subcommands:
   answer from the scenario. In remote mode ``--max-in-flight`` (at most
   ``MAX_IN_FLIGHT``) bounds the requests on the wire; a scenario waiting
   out a retry backoff (or a 429/503 ``Retry-After``) holds no slot. An
-  endpoint that is not an http(s) URL with a host, or no API key, exits 2
-  before ``--out`` is opened. Lines are written in scenario order as they
-  finish.
+  endpoint that is not an http(s) URL with a host, an endpoint with a
+  query or fragment, no API key, or a ``PLANNER_API_KEY`` holding a
+  character outside 0x21-0x7E exits 2 before ``--out`` is opened. Lines
+  are written in scenario order as they finish.
 - ``evaluate``: join the result lines (``metrics.PlanRecord.from_line``, each
   checked in full) to scenarios by id, compute open-loop metrics, write
   ``report.md`` and ``report.csv``. A repeated result id is an error; ids
@@ -30,7 +31,8 @@ writes over one of its input files or writes two outputs to one file: an
 output path that names an input or another output is bad input.
 
 Exit codes: 0 success; 1 evaluate's parse-failure rate exceeded the
-threshold; 2 bad input or configuration.
+threshold; 2 bad input or configuration. A stdout whose reader has gone
+away (``lmplan evaluate ... | head -1``) changes none of them.
 """
 
 from __future__ import annotations
@@ -79,6 +81,20 @@ def _fail(msg: str) -> int:
     return 2
 
 
+def _say(text: str) -> None:
+    """Print ``text`` to stdout and flush; a reader that has gone away changes no exit code.
+
+    On ``BrokenPipeError`` fd 1 is pointed at ``os.devnull``, so this and
+    later output, and the flush at exit, go nowhere instead of raising.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _load_nonempty(path: str):
     try:
         scenarios = load_scenarios(path)
@@ -121,7 +137,7 @@ def cmd_synth(args) -> int:
         return _fail("--count must be >= 1")
     scenarios = [synth_scenario(kinds[i % len(kinds)], args.seed + i) for i in range(args.count)]
     save_scenarios(scenarios, args.out)
-    print(f"wrote {len(scenarios)} scenarios to {args.out}")
+    _say(f"wrote {len(scenarios)} scenarios to {args.out}")
     return 0
 
 
@@ -143,7 +159,7 @@ def cmd_split(args) -> int:
         f.write("\n")
     if args.scenarios_out:
         save_scenarios(subset, args.scenarios_out)
-    print(f"selected {len(subset)} of {len(scenarios)} scenarios -> {args.out}")
+    _say(f"selected {len(subset)} of {len(scenarios)} scenarios -> {args.out}")
     return 0
 
 
@@ -158,7 +174,7 @@ def cmd_export_finetune(args) -> int:
     with open(meta_path, "w", encoding="utf-8") as f:
         json.dump({"count": n, "template_hash": template_hash()}, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"wrote {n} examples to {args.out} (meta: {meta_path})")
+    _say(f"wrote {n} examples to {args.out} (meta: {meta_path})")
     return 0
 
 
@@ -223,7 +239,7 @@ def cmd_plan(args) -> int:
             f.write(rec.to_line())
             counts[rec.parse_quality] += 1
     tally = ", ".join(f"{q.value} {counts[q]}" for q in ParseQuality)
-    print(f"planned {len(scenarios)} scenarios -> {args.out} ({tally})")
+    _say(f"planned {len(scenarios)} scenarios -> {args.out} ({tally})")
     return 0
 
 
@@ -273,8 +289,7 @@ def cmd_evaluate(args) -> int:
     md = render_markdown(report)
     (out_dir / "report.md").write_text(md, encoding="utf-8")
     (out_dir / "report.csv").write_text(render_csv(report), encoding="utf-8")
-    print(md, end="")
-    print(f"reports written to {out_dir}/report.md and {out_dir}/report.csv")
+    _say(f"{md}reports written to {out_dir}/report.md and {out_dir}/report.csv")
     rate = report.parse_failures / report.total
     if rate > args.fail_threshold:
         print(

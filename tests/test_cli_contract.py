@@ -3,7 +3,8 @@
 Each test runs the command line as its own process in ``tmp_path``:
 ``python -m lmplan.cli`` with this checkout's package on ``PYTHONPATH``, or,
 when ``LMPLAN_EXE`` is set, that command (``LMPLAN_EXE=lmplan`` runs the
-installed console script) with the environment left as it is.
+installed console script) with the environment left as it is, but for
+``PYTHONUNBUFFERED``, which the closed-stdout test sets both ways.
 """
 
 from __future__ import annotations
@@ -18,24 +19,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lmplan
 
 _PACKAGE_ROOT = str(Path(lmplan.__file__).resolve().parent.parent)
 
 
-def lmplan_cmd(cwd: Path, *argv) -> int:
-    """Run one lmplan command in ``cwd``; its exit code."""
+def lmplan_run(cwd: Path, *argv, stdout=subprocess.PIPE, env=None) -> subprocess.CompletedProcess:
+    """Run one lmplan command in ``cwd``, in ``env`` (default this process's environment)."""
     exe = os.environ.get("LMPLAN_EXE")
-    env = dict(os.environ)
+    env = dict(os.environ if env is None else env)
     if exe:
         cmd = shlex.split(exe)
     else:
         cmd = [sys.executable, "-m", "lmplan.cli"]
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        cmd + [str(a) for a in argv], cwd=cwd, env=env, capture_output=True, timeout=300
+    return subprocess.run(
+        cmd + [str(a) for a in argv], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
+        timeout=300,
     )
-    return proc.returncode
+
+
+def lmplan_cmd(cwd: Path, *argv) -> int:
+    """Run one lmplan command in ``cwd``; its exit code."""
+    return lmplan_run(cwd, *argv).returncode
 
 
 def test_synth_plan_evaluate_run_and_a_missing_file_exits_2(tmp_path):
@@ -80,6 +88,32 @@ def test_cli_written_result_and_finetune_lines_are_compact_json(tmp_path):
         for line in lines:
             assert line == json.dumps(json.loads(line), separators=(",", ":"),
                                       ensure_ascii=False), name
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("threshold, code", [(0, 1), (1, 0)], ids=["gate-trips", "gate-holds"])
+def test_a_closed_stdout_keeps_evaluates_exit_code(tmp_path, unbuffered, threshold, code):
+    # a reader that exits early, as `lmplan evaluate ... | head -1` has
+    assert lmplan_cmd(tmp_path, "synth", "--count", 4, "--out", "s.json") == 0
+    assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", "all.jsonl",
+                      "--mode", "stub_hypothetical") == 0
+    lines = (tmp_path / "all.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "r.jsonl").write_bytes(b"".join(lines[:2]))  # 2 of 4 fail to parse
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = lmplan_run(tmp_path, "evaluate", "--scenarios", "s.json", "--results", "r.jsonl",
+                          "--out-dir", "report", "--fail-threshold", threshold,
+                          stdout=write_end, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "report" / "report.md").exists()
+    assert (tmp_path / "report" / "report.csv").exists()
+    assert b"Broken pipe" not in proc.stderr and b"Exception ignored" not in proc.stderr
 
 
 def test_a_bad_parse_quality_exits_2_before_any_report(tmp_path):
