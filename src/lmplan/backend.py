@@ -68,12 +68,9 @@ class BackendMode(str, enum.Enum):
 
 
 class BackendError(RuntimeError):
-    """Completion could not be obtained; carries the HTTP status, if any. For a
-    reply that is not a completion, the message quotes its first 200 characters."""
-
-    def __init__(self, message: str, status: int | None = None):
-        self.status = status
-        super().__init__(message)
+    """Completion could not be obtained. The message names the HTTP status of a
+    non-200 reply (``endpoint returned 500: ...``) and, for a reply that is
+    not a completion, quotes its first 200 characters."""
 
 
 @dataclass(eq=False)
@@ -199,9 +196,7 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
             continue
         if resp.status_code == 200:
             return _content_of(resp)
-        err = BackendError(
-            f"endpoint returned {resp.status_code}: {resp.text[:200]}", status=resp.status_code
-        )
+        err = BackendError(f"endpoint returned {resp.status_code}: {resp.text[:200]}")
         if resp.status_code == 429 or resp.status_code >= 500:
             if resp.status_code in (429, 503):
                 wait = _retry_after(resp.headers.get("Retry-After"), delay)
@@ -225,11 +220,9 @@ def _content_of(resp) -> str:
         data = resp.json()
         content = data["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError, RecursionError):
-        raise BackendError(
-            f"malformed completion body: {resp.text[:200]}", status=resp.status_code
-        ) from None
+        raise BackendError(f"malformed completion body: {resp.text[:200]}") from None
     if not isinstance(content, str):
-        raise BackendError("completion content is not text", status=resp.status_code)
+        raise BackendError("completion content is not text")
     return content
 
 

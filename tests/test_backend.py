@@ -166,7 +166,7 @@ class TestRemote:
         with MockChatServer(echo_target_responder(scenarios), fail_first=10) as srv:
             with pytest.raises(BackendError) as exc:
                 complete(remote_cfg(srv.url, max_retries=2), build_prompt(scenarios[0]))
-        assert exc.value.status == 500
+        assert str(exc.value).startswith("endpoint returned 500: ")
         assert len(srv.requests) == 3  # initial attempt + 2 retries
 
     def test_client_errors_do_not_retry(self, api_key_env):
@@ -176,7 +176,7 @@ class TestRemote:
         ) as srv:
             with pytest.raises(BackendError) as exc:
                 complete(remote_cfg(srv.url, max_retries=3), build_prompt(scenarios[0]))
-        assert exc.value.status == 404
+        assert str(exc.value).startswith("endpoint returned 404: ")
         assert len(srv.requests) == 1
 
     def test_connection_errors_retry_then_surface(self, api_key_env):
@@ -288,7 +288,6 @@ class TestContentExtraction:
         with pytest.raises(BackendError) as e:
             _content_of(FakeResponse(ValueError("not json"), text="<html>" * 50))
         assert str(e.value) == "malformed completion body: " + ("<html>" * 50)[:200]
-        assert e.value.status == 200
 
     def test_too_deeply_nested_body(self):
         resp = requests.models.Response()
