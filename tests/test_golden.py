@@ -2,19 +2,22 @@
 
 A refactor must leave every output byte unchanged: the prompt template
 fingerprint, the synthesized scenario file, both stub ``plan`` result files,
-the ``evaluate`` reports on each and the ``export-finetune`` dataset. Update
-a hash here only for a change that is meant to alter that output.
+the ``evaluate`` reports on each, the ``export-finetune`` dataset and the
+request bodies remote ``plan`` sends. Update a hash here only for a change
+that is meant to alter that output.
 """
 
 import ast
 import hashlib
+import json
 from collections import Counter
 from itertools import takewhile
 from pathlib import Path
 
 import lmplan
-from lmplan import template_hash
+from lmplan import load_scenarios, template_hash
 from lmplan.cli import main
+from mockserver import MockChatServer, echo_target_responder
 
 TEMPLATE_HASH = "68ef4e5eeb7c"
 SCENARIOS_SHA256 = "7270f0a07aead217c01ea80bf8edd8ebb9bb0b0ef6afe09e4634059abcd35bee"
@@ -33,6 +36,9 @@ REPORT_SHA256 = {
     },
 }
 EXPORT_SHA256 = "5c88b7f5a11dee057d2d3a8b9993e7d31ab7e90e8480be1e1dae0351d4154d98"
+# over the parsed request bodies, so neither thread order nor the transport's
+# JSON spelling moves it
+REQUEST_SHA256 = "6fda879d7ce692f9556350d985e73f109a161cae3a0eda2d04f54ba7a700b83b"
 
 
 def sha256(path: Path) -> str:
@@ -62,6 +68,26 @@ def test_pipeline_outputs_are_byte_identical(tmp_path, capsys):
     train = tmp_path / "train.jsonl"
     assert run("export-finetune", "--scenarios", scen, "--out", train) == 0
     assert sha256(train) == EXPORT_SHA256
+
+
+def test_remote_plan_requests_are_byte_identical(tmp_path, api_key_env):
+    scen, pool = tmp_path / "scenarios.json", tmp_path / "exemplars.json"
+    assert run("synth", "--out", scen, "--count", 12, "--seed", 7) == 0
+    assert run("synth", "--out", pool, "--count", 2, "--seed", 100) == 0
+    answer = echo_target_responder(load_scenarios(scen))
+    bodies = []
+
+    def respond(body):
+        bodies.append(json.dumps(body, sort_keys=True, ensure_ascii=False, separators=(",", ":")))
+        return answer(body)
+
+    with MockChatServer(respond) as srv:
+        assert run("plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl",
+                   "--mode", "remote", "--endpoint", srv.url, "--backoff", 0,
+                   "--exemplars", 2, "--exemplar-scenarios", pool) == 0
+    assert len(bodies) == 12
+    blob = "".join(line + "\n" for line in sorted(bodies))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == REQUEST_SHA256
 
 
 # the sources the AST checks below scan: the package and the shared test helpers
