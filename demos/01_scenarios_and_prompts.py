@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 from lmplan import build_prompt, load_scenarios, save_scenarios, synth_scenario
+from lmplan.prompts import SYSTEM_PROMPT
 
 # (1) Deterministic scenario from a built-in archetype. Same (kind, seed)
 #     always gives the same scene.
@@ -33,6 +34,6 @@ with tempfile.TemporaryDirectory() as d:
 #     so the text is reproducible byte for byte.
 prompt = build_prompt(scenario)
 print("\n--- system ---")
-print(prompt.system_text)
+print(SYSTEM_PROMPT)
 print("\n--- user ---")
 print(prompt.user_text)

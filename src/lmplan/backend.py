@@ -38,7 +38,7 @@ from pathlib import Path
 import requests
 
 from .codec import serialize_trajectory
-from .prompts import Decision, PlannerPrompt
+from .prompts import SYSTEM_PROMPT, Decision, PlannerPrompt
 from .reasoning import (
     FineTuneExample,
     ReasoningTrace,
@@ -56,6 +56,9 @@ MAX_TIMEOUT_S = 86400.0  # one day; the socket layer overflows from about 9.2e9 
 # threads (the second half wait out backoffs), so the bound keeps a typo from
 # asking the OS for thousands of them.
 MAX_IN_FLIGHT = 64
+# a fine-tune record's bytes up to its user text, the same in every record
+_RECORD_HEAD = ('{"messages":[{"role":"system","content":' + encode_basestring(SYSTEM_PROMPT)
+                + '},{"role":"user","content":')
 
 
 class BackendMode(str, enum.Enum):
@@ -103,7 +106,7 @@ class BackendConfig:
 
 def messages_from_prompt(prompt: PlannerPrompt) -> list[dict]:
     """Chat messages: system, then exemplar user/assistant pairs, then user."""
-    messages = [{"role": "system", "content": prompt.system_text}]
+    messages = [{"role": "system", "content": SYSTEM_PROMPT}]
     for user_text, assistant_text in prompt.exemplars:
         messages.append({"role": "user", "content": user_text})
         messages.append({"role": "assistant", "content": assistant_text})
@@ -233,12 +236,11 @@ def finetune_line(example: FineTuneExample) -> str:
     prompt = example.prompt
     if prompt.exemplars:
         raise ValueError("fine-tune records take bare prompts; drop the exemplars")
-    system, user, assistant = prompt.system_text, prompt.user_text, example.target_text
-    for role, content in (("system", system), ("user", user), ("assistant", assistant)):
+    user, assistant = prompt.user_text, example.target_text
+    for role, content in (("user", user), ("assistant", assistant)):
         if not isinstance(content, str):
             raise ValueError(f"{role} message content must be a string")
-    return (f'{{"messages":[{{"role":"system","content":{encode_basestring(system)}}},'
-            f'{{"role":"user","content":{encode_basestring(user)}}},'
+    return (f'{_RECORD_HEAD}{encode_basestring(user)}}},'
             f'{{"role":"assistant","content":{encode_basestring(assistant)}}}]}}')
 
 

@@ -2,8 +2,9 @@
 
 The templates below are frozen assets; ``template_hash()`` fingerprints them
 so exported datasets and evaluation reports can record which prompt version
-produced them. Scene text renders every number through the trajectory codec,
-so each literal in the prompt re-parses to the exact stored value.
+produced them; ``SYSTEM_PROMPT`` is the system text of every request and
+record. Scene text renders every number through the trajectory codec, so
+each literal in the prompt re-parses to the exact stored value.
 The ``Decision`` vocabulary the output format announces is defined here.
 In-context exemplars are packed as the caller selects them: ``pack_exemplars``
 attaches the whole pool it is given, up to ``MAX_EXEMPLARS``.
@@ -85,9 +86,8 @@ NO_HISTORY = "none recorded."
 
 @dataclass(frozen=True)
 class PlannerPrompt:
-    """System context, scene text, and optional in-context exemplar pairs."""
+    """Scene text and optional in-context exemplar pairs."""
 
-    system_text: str
     user_text: str
     exemplars: tuple[tuple[str, str], ...] = field(default=())
 
@@ -164,7 +164,7 @@ def build_user_prompt(s: Scenario) -> str:
 
 
 def build_prompt(s: Scenario) -> PlannerPrompt:
-    return PlannerPrompt(system_text=SYSTEM_PROMPT, user_text=build_user_prompt(s))
+    return PlannerPrompt(build_user_prompt(s))
 
 
 def check_exemplar_count(k: int) -> None:

@@ -29,6 +29,7 @@ from lmplan import (
     synth_scenario,
 )
 from lmplan.backend import MAX_IN_FLIGHT, MAX_TIMEOUT_S, _content_of
+from lmplan.prompts import SYSTEM_PROMPT
 from mockserver import MockChatServer, echo_target_responder
 
 
@@ -60,12 +61,12 @@ class TestConfig:
 
 class TestMessages:
     def test_system_then_exemplars_then_user(self):
-        prompt = PlannerPrompt("sys", "final", (("u1", "a1"), ("u2", "a2")))
+        prompt = PlannerPrompt("final", (("u1", "a1"), ("u2", "a2")))
         msgs = messages_from_prompt(prompt)
         assert [m["role"] for m in msgs] == [
             "system", "user", "assistant", "user", "assistant", "user",
         ]
-        assert msgs[0]["content"] == "sys"
+        assert msgs[0]["content"] == SYSTEM_PROMPT
         assert msgs[1]["content"] == "u1" and msgs[2]["content"] == "a1"
         assert msgs[-1]["content"] == "final"
 
@@ -323,34 +324,34 @@ class TestFineTuneExport:
 
     def test_non_ascii_stays_verbatim(self):
         ex = make_finetune_example(synth_scenario("empty_road", 1))
-        prompt = PlannerPrompt(ex.prompt.system_text + " émis", ex.prompt.user_text, ())
+        prompt = PlannerPrompt(ex.prompt.user_text + " émis", ())
         patched = dataclasses.replace(ex, prompt=prompt)
         assert " émis" in finetune_line(patched)
         assert "\\u" not in finetune_line(patched)
 
     @settings(max_examples=300, deadline=None)
-    @given(system=_ANY_TEXT, user=_ANY_TEXT, target=_ANY_TEXT)
-    def test_line_is_json_dumps_of_the_three_messages(self, system, user, target):
+    @given(user=_ANY_TEXT, target=_ANY_TEXT)
+    def test_line_is_json_dumps_of_the_three_messages(self, user, target):
         # finetune_line reads only the prompt and the target text
-        example = SimpleNamespace(prompt=PlannerPrompt(system, user), target_text=target)
-        messages = [{"role": "system", "content": system}, {"role": "user", "content": user},
-                    {"role": "assistant", "content": target}]
+        example = SimpleNamespace(prompt=PlannerPrompt(user), target_text=target)
+        messages = [{"role": "system", "content": SYSTEM_PROMPT},
+                    {"role": "user", "content": user}, {"role": "assistant", "content": target}]
         want = json.dumps({"messages": messages}, separators=(",", ":"), ensure_ascii=False)
         assert finetune_line(example) == want
 
-    @pytest.mark.parametrize("role", ["system", "user", "assistant"])
+    @pytest.mark.parametrize("role", ["user", "assistant"])
     @pytest.mark.parametrize("content", [None, 5, b"bytes"], ids=["none", "int", "bytes"])
     def test_a_content_that_is_not_a_string_is_refused(self, role, content):
         # load_finetune_jsonl would refuse the line, so none is written
-        texts = {"system": "s", "user": "u", "assistant": "a", role: content}
-        example = SimpleNamespace(prompt=PlannerPrompt(texts["system"], texts["user"]),
+        texts = {"user": "u", "assistant": "a", role: content}
+        example = SimpleNamespace(prompt=PlannerPrompt(texts["user"]),
                                   target_text=texts["assistant"])
         with pytest.raises(ValueError, match=f"^{role} message content must be a string$"):
             finetune_line(example)
 
     def test_exemplars_are_rejected(self):
         ex = make_finetune_example(synth_scenario("empty_road", 1))
-        prompt = PlannerPrompt(ex.prompt.system_text, ex.prompt.user_text, (("u", "a"),))
+        prompt = PlannerPrompt(ex.prompt.user_text, (("u", "a"),))
         with pytest.raises(ValueError, match="exemplars"):
             finetune_line(dataclasses.replace(ex, prompt=prompt))
 

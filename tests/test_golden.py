@@ -150,17 +150,37 @@ def test_no_function_is_memoized():
     assert not found, found
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is decorated as a dataclass or subclasses ``NamedTuple``."""
+    def last_name(node):  # dataclasses.dataclass(...) -> "dataclass"
+        return ast.unparse(node.func if isinstance(node, ast.Call) else node).rsplit(".", 1)[-1]
+
+    return "dataclass" in map(last_name, cls.decorator_list) or "NamedTuple" in map(
+        last_name, cls.bases
+    )
+
+
 def test_no_parameter_always_gets_one_constant():
-    # a parameter that every call fills with the same upper-case constant is
-    # a setting with one value in use: the function should read the constant
-    # itself. Checked for each function name defined once, over the calls
-    # that name it; a bound method's self or cls is not counted
+    # a parameter, or a field of a dataclass or NamedTuple, that every call
+    # or construction fills with the same upper-case constant is a setting
+    # with one value in use: the function or record should read the constant
+    # itself. Checked for each function or record name defined once, over
+    # the calls that name it; a bound method's self or cls is not counted
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in CHECKED_SOURCES]
-    defs = {}
+    defs = {}  # name -> [positional parameter or field names], one list per definition
     for tree in trees:
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.setdefault(fn.name, []).append(fn.args)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                positional = [p.arg for p in node.args.posonlyargs + node.args.args]
+                if positional[:1] in (["self"], ["cls"]):
+                    positional = positional[1:]
+                defs.setdefault(node.name, []).append(positional)
+            elif isinstance(node, ast.ClassDef) and _is_record(node):
+                fields = [
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+                defs.setdefault(node.name, []).append(fields)
     calls, passed = Counter(), {}
     for tree in trees:
         for call in ast.walk(tree):
@@ -168,10 +188,7 @@ def test_no_parameter_always_gets_one_constant():
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
             if not isinstance(call, ast.Call) or len(defs.get(name, ())) != 1:
                 continue
-            a = defs[name][0]
-            positional = [p.arg for p in a.posonlyargs + a.args]
-            if positional[:1] in (["self"], ["cls"]):
-                positional = positional[1:]
+            positional = defs[name][0]
             calls[name] += 1
             args = takewhile(lambda v: not isinstance(v, ast.Starred), call.args)
             for param, v in [*zip(positional, args), *((k.arg, k.value) for k in call.keywords)]:

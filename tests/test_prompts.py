@@ -8,6 +8,7 @@ from lmplan import (
     build_user_prompt,
     extract_pairs,
     make_finetune_example,
+    messages_from_prompt,
     pack_exemplars,
     synth_scenario,
     template_hash,
@@ -38,9 +39,11 @@ class TestSystemPrompt:
         assert "exactly 6 coordinate pairs" in text
         assert "keep_speed" in text and "change_lane_right" in text
 
-    def test_deterministic(self):
+    def test_every_request_opens_with_it(self):
         for s in make_scenarios(4):
-            assert build_prompt(s).system_text == SYSTEM_PROMPT
+            assert messages_from_prompt(build_prompt(s))[0] == {
+                "role": "system", "content": SYSTEM_PROMPT,
+            }
 
 
 class TestUserPrompt:
@@ -127,6 +130,6 @@ def test_build_prompt_bundles_both_parts():
     s = synth_scenario("empty_road", 3)
     p = build_prompt(s)
     assert isinstance(p, PlannerPrompt)
-    assert "waypoints" in p.system_text
+    assert p.user_text == build_user_prompt(s)
     assert "Scene description." in p.user_text
     assert p.exemplars == ()

@@ -18,7 +18,7 @@ from lmplan import (
     rollout_hypothetical,
 )
 from lmplan import reasoning
-from lmplan.prompts import SECTION_CRITICAL, SECTION_DECISION, SECTION_INTERACTION
+from lmplan.prompts import SECTION_CRITICAL, SECTION_DECISION, SECTION_INTERACTION, SYSTEM_PROMPT
 from lmplan.reasoning import (
     final_lateral_offset,
     interaction_summary,
@@ -367,8 +367,8 @@ class TestComposition:
         from lmplan import synth_scenario
 
         ex = make_finetune_example(synth_scenario(kind, 3))
-        assert "Trajectory: [(x1,y1), (x2,y2), ...]" in ex.prompt.system_text
-        assert "2 decimals each" in ex.prompt.system_text
+        assert "Trajectory: [(x1,y1), (x2,y2), ...]" in SYSTEM_PROMPT
+        assert "2 decimals each" in SYSTEM_PROMPT
         pair = r"\(-?\d+\.\d{2},-?\d+\.\d{2}\)"
         for text in (ex.prompt.user_text, ex.target_text):
             groups = re.findall(r"\([^()]*\d[^()]*\)", text)  # any parenthesised numbers
