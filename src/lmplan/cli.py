@@ -82,17 +82,18 @@ def _fail(msg: str) -> int:
 
 
 def _say(text: str) -> None:
-    """Print ``text`` to stdout and flush; a reader that has gone away changes no exit code.
-
-    On ``BrokenPipeError`` fd 1 is pointed at ``os.devnull``, so this and
-    later output, and the flush at exit, go nowhere instead of raising.
-    """
+    """Print ``text`` to stdout and flush; a reader that has gone away changes no exit code."""
     try:
         print(text, flush=True)
     except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _stdout_to_devnull()
+
+
+def _stdout_to_devnull() -> None:
+    """Point fd 1 at ``os.devnull``: buffered and later stdout output go nowhere, not raise."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _load_nonempty(path: str):
@@ -367,7 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:  # after --help, the text may still sit in stdout's buffer
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _stdout_to_devnull()
+        raise
     try:
         return args.func(args)
     except (OSError, ValueError) as e:  # ScenarioSchemaError is a ValueError

@@ -1,10 +1,22 @@
 """CLI contracts checked through separate processes.
 
+- ``synth``, ``plan`` and ``evaluate`` run, and a missing scenario file exits 2.
+- CLI-written scenario files hold one scenario per line in json's compact
+  layout; CLI-written result and fine-tune lines are json's compact layout.
+- With stdout a pipe whose reader has gone, buffered or not, ``evaluate``
+  keeps its exit code (1 or 0) and writes its reports, and ``--help`` and
+  ``plan --help`` exit 0; none puts broken-pipe text on stderr.
+- A bad ``parse_quality`` exits 2 before ``report.csv`` is written.
+- The replayed ground truth scores 0 in every cell.
+- A lone-surrogate scenario id exits 2 and writes nothing.
+- Float literals respelled with the same quantized value plan and score
+  byte-identically.
+
 Each test runs the command line as its own process in ``tmp_path``:
 ``python -m lmplan.cli`` with this checkout's package on ``PYTHONPATH``, or,
 when ``LMPLAN_EXE`` is set, that command (``LMPLAN_EXE=lmplan`` runs the
 installed console script) with the environment left as it is, but for
-``PYTHONUNBUFFERED``, which the closed-stdout test sets both ways.
+``PYTHONUNBUFFERED``, which the closed-stdout tests set both ways.
 """
 
 from __future__ import annotations
@@ -90,30 +102,44 @@ def test_cli_written_result_and_finetune_lines_are_compact_json(tmp_path):
                                       ensure_ascii=False), name
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("threshold, code", [(0, 1), (1, 0)], ids=["gate-trips", "gate-holds"])
-def test_a_closed_stdout_keeps_evaluates_exit_code(tmp_path, unbuffered, threshold, code):
-    # a reader that exits early, as `lmplan evaluate ... | head -1` has
-    assert lmplan_cmd(tmp_path, "synth", "--count", 4, "--out", "s.json") == 0
-    assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", "all.jsonl",
-                      "--mode", "stub_hypothetical") == 0
-    lines = (tmp_path / "all.jsonl").read_bytes().splitlines(keepends=True)
-    (tmp_path / "r.jsonl").write_bytes(b"".join(lines[:2]))  # 2 of 4 fail to parse
+def run_into_closed_stdout(cwd: Path, unbuffered: str, *argv) -> subprocess.CompletedProcess:
+    """Run one lmplan command with stdout a pipe whose reader has gone, as
+    ``lmplan ... | head -1`` leaves it; ``PYTHONUNBUFFERED`` set to ``unbuffered``,
+    or unset when that is empty."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = lmplan_run(tmp_path, "evaluate", "--scenarios", "s.json", "--results", "r.jsonl",
-                          "--out-dir", "report", "--fail-threshold", threshold,
-                          stdout=write_end, env=env)
+        proc = lmplan_run(cwd, *argv, stdout=write_end, env=env)
     finally:
         os.close(write_end)
+    assert b"Broken pipe" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("threshold, code", [(0, 1), (1, 0)], ids=["gate-trips", "gate-holds"])
+def test_a_closed_stdout_keeps_evaluates_exit_code(tmp_path, unbuffered, threshold, code):
+    assert lmplan_cmd(tmp_path, "synth", "--count", 4, "--out", "s.json") == 0
+    assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", "all.jsonl",
+                      "--mode", "stub_hypothetical") == 0
+    lines = (tmp_path / "all.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "r.jsonl").write_bytes(b"".join(lines[:2]))  # 2 of 4 fail to parse
+    proc = run_into_closed_stdout(tmp_path, unbuffered, "evaluate", "--scenarios", "s.json",
+                                  "--results", "r.jsonl", "--out-dir", "report",
+                                  "--fail-threshold", threshold)
     assert proc.returncode == code, proc.stderr
     assert (tmp_path / "report" / "report.md").exists()
     assert (tmp_path / "report" / "report.csv").exists()
-    assert b"Broken pipe" not in proc.stderr and b"Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]], ids=["help", "plan-help"])
+def test_help_into_a_closed_stdout_exits_0(tmp_path, unbuffered, argv):
+    proc = run_into_closed_stdout(tmp_path, unbuffered, *argv)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_bad_parse_quality_exits_2_before_any_report(tmp_path):
