@@ -141,7 +141,7 @@ def _stub_hypothetical(s: Scenario) -> str:
 
 
 def check_remote_config(cfg: BackendConfig) -> str:
-    """Raise ``BackendError`` unless remote mode can send with ``cfg``; return the API key.
+    """Raise ``ValueError`` unless remote mode can send with ``cfg``; return the API key.
 
     The endpoint must be an ``http`` or ``https`` URL with a host (and, if
     it names a port, one in 1..65535) and no query or fragment, since
@@ -152,27 +152,27 @@ def check_remote_config(cfg: BackendConfig) -> str:
     The key's value is never quoted in an error.
     """
     if not cfg.endpoint_url:
-        raise BackendError("remote mode needs endpoint_url")
+        raise ValueError("remote mode needs endpoint_url")
     try:
         parts = urllib.parse.urlsplit(cfg.endpoint_url)
         usable = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
     except ValueError:  # an unclosed "[", or a port that is not a number in range
         usable = False
     if not usable:
-        raise BackendError(
+        raise ValueError(
             f"remote mode needs an http:// or https:// endpoint_url with a host, "
             f"not {cfg.endpoint_url!r}"
         )
     if "?" in cfg.endpoint_url or "#" in cfg.endpoint_url:
-        raise BackendError(
+        raise ValueError(
             f"remote mode needs an endpoint_url without a query or fragment, "
             f"not {cfg.endpoint_url!r}"
         )
     key = os.environ.get(API_KEY_ENV)
     if not key:
-        raise BackendError(f"remote mode needs the {API_KEY_ENV} environment variable")
+        raise ValueError(f"remote mode needs the {API_KEY_ENV} environment variable")
     if not all("\x21" <= c <= "\x7e" for c in key):
-        raise BackendError(f"{API_KEY_ENV} holds a character outside visible ASCII (0x21-0x7E)")
+        raise ValueError(f"{API_KEY_ENV} holds a character outside visible ASCII (0x21-0x7E)")
     return key
 
 

@@ -31,8 +31,10 @@ writes over one of its input files or writes two outputs to one file: an
 output path that names an input or another output is bad input.
 
 Exit codes: 0 success; 1 evaluate's parse-failure rate exceeded the
-threshold; 2 bad input or configuration. A stdout whose reader has gone
-away (``lmplan evaluate ... | head -1``) changes none of them.
+threshold; 2 bad input or configuration. A command returns 0 or 1; bad
+input raises ``OSError`` or ``ValueError``, so ``main`` alone writes the
+error line to stderr and returns 2. A stdout whose reader has gone away
+(``lmplan evaluate ... | head -1``) changes none of them.
 """
 
 from __future__ import annotations
@@ -74,11 +76,6 @@ from .scenario import (
     save_scenarios,
     synth_scenario,
 )
-
-
-def _fail(msg: str) -> int:
-    print(f"lmplan: error: {msg}", file=sys.stderr)
-    return 2
 
 
 def _say(text: str) -> None:
@@ -133,9 +130,9 @@ def cmd_synth(args) -> int:
     kinds = args.kinds.split(",") if args.kinds else list(SYNTH_KINDS)
     for k in kinds:
         if k not in SYNTH_KINDS:
-            return _fail(f"unknown kind {k!r}; choose from {', '.join(SYNTH_KINDS)}")
+            raise ValueError(f"unknown kind {k!r}; choose from {', '.join(SYNTH_KINDS)}")
     if args.count < 1:
-        return _fail("--count must be >= 1")
+        raise ValueError("--count must be >= 1")
     scenarios = [synth_scenario(kinds[i % len(kinds)], args.seed + i) for i in range(args.count)]
     save_scenarios(scenarios, args.out)
     _say(f"wrote {len(scenarios)} scenarios to {args.out}")
@@ -191,10 +188,10 @@ def cmd_plan(args) -> int:
     if args.exemplars:
         check_exemplar_count(args.exemplars)
         if not args.exemplar_scenarios:
-            return _fail("--exemplars needs --exemplar-scenarios")
+            raise ValueError("--exemplars needs --exemplar-scenarios")
         exemplar_scenarios = _load_nonempty(args.exemplar_scenarios)
         if len(exemplar_scenarios) < args.exemplars:
-            return _fail(
+            raise ValueError(
                 f"--exemplars {args.exemplars} needs as many scenarios; "
                 f"{args.exemplar_scenarios} holds {len(exemplar_scenarios)}"
             )
@@ -205,10 +202,7 @@ def cmd_plan(args) -> int:
         [("--scenarios", args.scenarios), ("--exemplar-scenarios", args.exemplar_scenarios)],
     )
     if remote:
-        try:
-            check_remote_config(cfg)
-        except BackendError as e:
-            return _fail(str(e))
+        check_remote_config(cfg)
 
     def plan_one(s):
         prompt = None  # the stubs answer from the scenario and read no prompt
@@ -273,7 +267,7 @@ def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
 
 def cmd_evaluate(args) -> int:
     if not args.fail_threshold >= 0:  # also rejects nan, which would switch the gate off
-        return _fail("--fail-threshold must be a number >= 0")
+        raise ValueError("--fail-threshold must be a number >= 0")
     scenarios = _load_nonempty(args.scenarios)
     records = _read_results(args.results, {s.id for s in scenarios})
     out_dir = Path(args.out_dir)
@@ -379,7 +373,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as e:  # ScenarioSchemaError is a ValueError
-        return _fail(str(e))
+        print(f"lmplan: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -120,8 +120,9 @@ class Scenario:
 # message for each rule it breaks. ``validate_scenario`` joins their lists;
 # the load walk below calls the same functions as it builds each record, to
 # learn whether it may skip ``validate_scenario``. Two checks are only
-# sufficient, kept as fast paths: ``_in_bounds`` for a waypoint's rules
-# (which ``_pairs`` makes inline) and ``_box``'s for a gt box's.
+# sufficient, kept as fast paths for the walk: ``_in_bounds`` for a
+# waypoint's rules (``_pairs`` makes it inline, ``_object_violations`` makes
+# it first for an object's center) and ``_box``'s for a gt box's.
 
 _HORIZON_S = DEFAULT_HORIZON_STEPS * DEFAULT_DT
 
@@ -154,8 +155,7 @@ def _waypoint_violations(w: Waypoint, where: str) -> list[str]:
 def _path_violations(ws, where: str) -> list[str]:
     out = []
     for i, w in enumerate(ws):
-        if not _in_bounds(w):  # the fast path
-            out += _waypoint_violations(w, f"{where}[{i}]")
+        out += _waypoint_violations(w, f"{where}[{i}]")
     return out
 
 
@@ -227,9 +227,7 @@ def _box_violations(b: ObjectBox, where: str) -> list[str]:
     out = []
     if not (_finite(b.length) and b.length > 0 and _finite(b.width) and b.width > 0):
         out.append(f"{where}: positive dimensions")
-    if not _in_bounds(b.center):  # the fast path
-        out += _waypoint_violations(b.center, f"{where} center")
-    return out
+    return out + _waypoint_violations(b.center, f"{where} center")
 
 
 def validate_scenario(s: Scenario) -> list[str]:

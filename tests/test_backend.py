@@ -145,13 +145,13 @@ class TestRemote:
 
     def test_missing_endpoint(self, api_key_env):
         s = make_scenarios(1)[0]
-        with pytest.raises(BackendError, match="endpoint_url"):
+        with pytest.raises(ValueError, match="endpoint_url"):
             complete(remote_cfg(""), build_prompt(s))
 
     def test_missing_api_key(self, monkeypatch):
         monkeypatch.delenv("PLANNER_API_KEY", raising=False)
         s = make_scenarios(1)[0]
-        with pytest.raises(BackendError, match="PLANNER_API_KEY"):
+        with pytest.raises(ValueError, match="PLANNER_API_KEY"):
             complete(remote_cfg("http://127.0.0.1:9"), build_prompt(s))
 
     def test_retries_transient_failures(self, api_key_env):

@@ -4,7 +4,8 @@ A refactor must leave every output byte unchanged: the prompt template
 fingerprint, the synthesized scenario file, both stub ``plan`` result files,
 the ``evaluate`` reports on each, the ``export-finetune`` dataset and the
 request bodies remote ``plan`` sends. Update a hash here only for a change
-that is meant to alter that output.
+that is meant to alter that output. The AST checks after the pins hold the
+package's design rules.
 """
 
 import ast
@@ -249,3 +250,34 @@ def test_no_defaulted_parameter_goes_unpassed():
         and not (i is not None and (name, "*") in passed)
     ]
     assert not found, found
+
+
+def _returns(fn):
+    """The ``return`` statements of ``fn``'s own body, not of functions nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return):
+            yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_commands_return_0_or_1_and_main_alone_reports_bad_input():
+    # exit 2 has one path: a command raises on bad input, and main writes
+    # the "lmplan: error:" line and returns 2
+    cli = Path(lmplan.__file__).parent / "cli.py"
+    found = []
+    for fn in ast.parse(cli.read_text(encoding="utf-8")).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        if not isinstance(fn.body[-1], ast.Return):
+            found.append(f"{fn.name}: falls off its end")
+        found += [
+            f"{fn.name}:{r.lineno}" for r in _returns(fn)
+            if not (isinstance(r.value, ast.Constant) and type(r.value.value) is int
+                    and r.value.value in (0, 1))
+        ]
+    assert not found, found
+    package = Path(lmplan.__file__).parent.rglob("*.py")
+    assert sum(p.read_text(encoding="utf-8").count("lmplan: error:") for p in package) == 1

@@ -4,6 +4,9 @@ import pytest
 
 from helpers import make_scenarios
 from lmplan import (
+    BackendMode,
+    Decision,
+    ParseQuality,
     build_prompt,
     build_user_prompt,
     extract_pairs,
@@ -23,6 +26,12 @@ from lmplan.prompts import (
 )
 
 NUMBER = re.compile(r"-?\d+\.\d\d")
+
+
+@pytest.mark.parametrize("member", [*Decision, *ParseQuality, *BackendMode], ids=lambda m: f"{type(m).__name__}.{m.name}")
+def test_enum_prints_as_its_bare_value(member):
+    # prompts, result lines and CLI messages print a member as its token, not Decision.X
+    assert str(member) == f"{member}" == member.value
 
 
 class TestSystemPrompt:
