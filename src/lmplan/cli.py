@@ -35,11 +35,17 @@ threshold; 2 bad input or configuration. A command returns 0 or 1; bad
 input raises ``OSError`` or ``ValueError``, so ``main`` alone writes the
 error line to stderr and returns 2. A stdout whose reader has gone away
 (``lmplan evaluate ... | head -1``) changes none of them.
+
+``main`` runs each command but a remote ``plan`` with the cyclic garbage
+collector paused (``scenario.collector_paused``): an offline command makes
+no reference cycle per scenario, so reference counting frees its records
+and no collection scans them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -71,6 +77,7 @@ from .reasoning import make_finetune_example
 from .scenario import (
     SYNTH_KINDS,
     ScenarioSchemaError,
+    collector_paused,
     load_scenarios,
     sample_split,
     save_scenarios,
@@ -370,11 +377,14 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             _stdout_to_devnull()
         raise
-    try:
-        return args.func(args)
-    except (OSError, ValueError) as e:  # ScenarioSchemaError is a ValueError
-        print(f"lmplan: error: {e}", file=sys.stderr)
-        return 2
+    # a failed HTTP request leaves its socket in a cycle: a remote plan keeps the collector on
+    remote = args.func is cmd_plan and args.mode == BackendMode.REMOTE
+    with contextlib.nullcontext() if remote else collector_paused():
+        try:
+            return args.func(args)
+        except (OSError, ValueError) as e:  # ScenarioSchemaError is a ValueError
+            print(f"lmplan: error: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ step, aligned with the waypoint times.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import json
@@ -494,13 +495,27 @@ class _LiteralMemo(dict):
         return v
 
 
-# The decoded JSON and the records built from it hold no reference cycles:
-# each object is freed by refcount or outlives the load. Allocating them
-# still triggers cyclic collections, which can free nothing and rescan the
-# growing tree, so the collector is paused while the tree is built. Loads
-# pause it one at a time, so that two threads cannot interleave their
-# check-then-act on the collector's state and leave it off.
-_GC_PAUSE = threading.Lock()
+# The decoded JSON, the records built from it and whatever an offline
+# command derives from them hold no reference cycles, yet allocating them
+# triggers cyclic collections that free nothing and rescan the growing heap.
+# So a load, and in ``cli.main`` each offline command, runs with the
+# collector paused. Pauses take turns under one reentrant lock: two threads
+# cannot interleave their check-then-act and leave it off, and a load inside
+# a paused command neither blocks nor switches it back on early.
+_GC_PAUSE = threading.RLock()
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Run the body with the cyclic collector off; put it back as it was, error or not."""
+    with _GC_PAUSE:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def load_scenarios(path: str | Path) -> list[Scenario]:
@@ -516,21 +531,15 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     raised before a duplicate scenario id, and that before an invariant
     violation.
 
-    The cyclic garbage collector is off during the decode and the walk; it
-    is switched back on afterwards, error or not, unless it was already off.
+    The cyclic garbage collector is off during the decode and the walk
+    (``collector_paused``) and comes back as the caller had it, error or not.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ScenarioSchemaError(f"not UTF-8 text: {e}") from None
-    with _GC_PAUSE:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return _scenarios_from_text(text)  # the decoded tree is freed on return
-        finally:
-            if enabled:
-                gc.enable()
+    with collector_paused():
+        return _scenarios_from_text(text)  # the decoded tree is freed on return
 
 
 def _scenarios_from_text(text: str) -> list[Scenario]:

@@ -1,8 +1,11 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings
@@ -1007,3 +1010,175 @@ def test_parsed_defaults_are_the_config_defaults():
                            "--fallback", "drop"])
     with pytest.raises(ValueError):
         EvalConfig(fallback_policy="drop")
+
+
+@pytest.fixture
+def collector_on():
+    """Start with the collector on; put it back as it was, whatever the test left it in."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def offline_commands(out, scen, count):
+    """argv of each offline command, writing into the new directory ``out``.
+
+    ``synth`` writes ``count`` scenarios; the others read ``scen``, and
+    ``evaluate`` reads the replay plan's results.
+    """
+    out.mkdir()
+    return {
+        "synth": ["synth", "--out", out / "synth.json", "--count", count],
+        "split": ["split", "--scenarios", scen, "--fraction", 0.5, "--out", out / "m.json",
+                  "--scenarios-out", out / "sub.json"],
+        "plan stub_replay_gt": ["plan", "--scenarios", scen, "--out", out / "replay.jsonl",
+                                "--mode", "stub_replay_gt"],
+        "plan stub_hypothetical": ["plan", "--scenarios", scen, "--out", out / "hypo.jsonl",
+                                   "--mode", "stub_hypothetical"],
+        "evaluate": ["evaluate", "--scenarios", scen, "--results", out / "replay.jsonl",
+                     "--out-dir", out / "report"],
+        "export-finetune": ["export-finetune", "--scenarios", scen, "--out", out / "ft.jsonl"],
+    }
+
+
+class TestCollectorPause:
+    """``main`` runs each offline command with the cyclic collector paused."""
+
+    def test_offline_commands_run_with_the_collector_off(self, tmp_path, monkeypatch,
+                                                          collector_on):
+        scen = synth_file(tmp_path, count=4)
+        commands = offline_commands(tmp_path / "out", scen, 4)
+        seen = {}
+        for name, argv in commands.items():
+            monkeypatch.setattr(cli, "_say", lambda _text, name=name: seen.setdefault(
+                name, gc.isenabled()))
+            assert run(*argv) == 0
+            assert gc.isenabled()
+        assert seen == dict.fromkeys(commands, False)
+
+    @pytest.mark.parametrize("outcome", ["exit 0", "exit 1", "exit 2", "exception"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+    def test_the_collector_comes_back_as_the_caller_had_it(self, tmp_path, monkeypatch,
+                                                            collector_on, outcome, enabled):
+        scen = synth_file(tmp_path, count=4)
+        results = tmp_path / "failed.jsonl"
+        results.write_text("".join(PlanRecord(s.id).to_line() for s in load_scenarios(scen)))
+        evaluate = ["evaluate", "--scenarios", scen, "--results", results,
+                    "--out-dir", tmp_path / "report", "--fail-threshold", 0.5]
+        argv = {
+            "exit 0": ["plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl",
+                       "--mode", "stub_replay_gt"],
+            "exit 1": evaluate,
+            "exit 2": ["plan", "--scenarios", tmp_path / "missing.json",
+                       "--out", tmp_path / "r.jsonl", "--mode", "stub_replay_gt"],
+            "exception": evaluate,
+        }[outcome]
+        if outcome == "exception":
+            def boom(*_args):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(cli, "evaluate_dataset", boom)
+        (gc.enable if enabled else gc.disable)()
+        if outcome == "exception":
+            with pytest.raises(RuntimeError, match="boom"):
+                run(*argv)
+        else:
+            assert run(*argv) == int(outcome[-1])
+        assert gc.isenabled() is enabled
+
+    def test_a_load_inside_a_command_keeps_the_pause(self, tmp_path, monkeypatch, collector_on):
+        scen = synth_file(tmp_path, count=4)
+        after_load = []
+        real = cli.load_scenarios
+
+        def spy(path):
+            scenarios = real(path)
+            after_load.append(gc.isenabled())
+            return scenarios
+
+        monkeypatch.setattr(cli, "load_scenarios", spy)
+        codes = []
+        # a lock the command's load cannot take again would hang here, not fail
+        worker = threading.Thread(target=lambda: codes.append(run(
+            "plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl",
+            "--mode", "stub_hypothetical", "--exemplars", 1, "--exemplar-scenarios", scen,
+        )), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "a load inside a paused command deadlocked"
+        assert codes == [0]
+        assert after_load == [False, False]
+        assert gc.isenabled()
+
+    def test_no_collection_starts_inside_a_command(self, tmp_path, monkeypatch, collector_on):
+        # Reference counting frees a command's records before the collector
+        # comes back, so no collection ever scans them.
+        scen = synth_file(tmp_path, count=200)
+        inside = []
+        started = Counter()
+
+        def track(fn):
+            def command(args):
+                inside.append(args.command)
+                try:
+                    return fn(args)
+                finally:
+                    inside.pop()
+            return command
+
+        def on_gc(phase, _info):
+            if phase == "start" and inside:
+                started[inside[-1]] += 1
+
+        for name in ("cmd_plan", "cmd_evaluate", "cmd_export_finetune"):
+            monkeypatch.setattr(cli, name, track(getattr(cli, name)))
+        argv = offline_commands(tmp_path / "out", scen, 200)
+        gc.callbacks.append(on_gc)
+        try:
+            for name in ("plan stub_replay_gt", "evaluate", "export-finetune"):
+                assert run(*argv[name]) == 0
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert started == Counter()
+
+    def test_offline_commands_make_no_cycle_per_scenario(self, tmp_path):
+        # The pause holds every cycle a command makes until the command ends;
+        # argparse's parser is the only cyclic garbage, the same for any file.
+        def unreachable(argv):
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                assert run(*argv) == 0
+                gc.collect()
+                return len(gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+
+        counts = {}
+        for n in (10, 200):
+            scen = synth_file(tmp_path, count=n, name=f"s{n}.json")
+            for name, argv in offline_commands(tmp_path / f"out{n}", scen, n).items():
+                counts.setdefault(name, []).append(unreachable(argv))
+        assert all(small == large for small, large in counts.values()), counts
+
+    def test_a_remote_plan_keeps_the_collector_on(self, tmp_path, monkeypatch, api_key_env,
+                                                  collector_on):
+        # a failed request's socket sits in a reference cycle until a collection
+        scen = synth_file(tmp_path, count=4)
+        scenarios = load_scenarios(scen)
+        seen = []
+        real = cli.complete
+        monkeypatch.setattr(
+            cli, "complete", lambda cfg, prompt, s: seen.append(gc.isenabled()) or real(
+                cfg, prompt, s)
+        )
+        with MockChatServer(echo_target_responder(scenarios), fail_first=1) as srv:
+            code = run(
+                "plan", "--scenarios", scen, "--out", tmp_path / "r.jsonl",
+                "--mode", "remote", "--endpoint", srv.url, "--backoff", 0,
+            )
+        assert code == 0
+        assert len(srv.requests) == 5  # the first attempt failed and was retried
+        assert seen == [True] * 4

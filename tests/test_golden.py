@@ -281,3 +281,24 @@ def test_commands_return_0_or_1_and_main_alone_reports_bad_input():
     assert not found, found
     package = Path(lmplan.__file__).parent.rglob("*.py")
     assert sum(p.read_text(encoding="utf-8").count("lmplan: error:") for p in package) == 1
+
+
+def test_one_helper_owns_the_collector():
+    # the collector is process-wide state: one function pauses it and puts
+    # it back, so no two places can disagree on how it is left
+    found = set()
+
+    def visit(node, module, where):
+        """Add to ``found`` the innermost function around each use of ``gc``."""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        uses_gc = (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "gc")
+        if uses_gc or (isinstance(node, ast.ImportFrom) and node.module == "gc"):
+            found.add(f"{module}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in Path(lmplan.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+    assert found == {"scenario.py:collector_paused"}, sorted(found)
