@@ -2,7 +2,8 @@
 
 A refactor must leave every output byte unchanged: the prompt template
 fingerprint, the synthesized scenario file, both stub ``plan`` result files,
-the ``evaluate`` reports on each, the ``export-finetune`` dataset and the
+the ``evaluate`` reports on each and, with some plans failed, under each
+fallback policy and collision mask, the ``export-finetune`` dataset and the
 request bodies remote ``plan`` sends. Update a hash here only for a change
 that is meant to alter that output. The AST checks after the pins hold the
 package's design rules.
@@ -34,6 +35,28 @@ REPORT_SHA256 = {
     "stub_hypothetical": {
         "report.md": "1df63055b324adda183b1cb6f206181d4a053ea0723458ad748fe4a6f560e56a",
         "report.csv": "3d5659e5bf65802560baee9fcc7675e9cfc3cc11901a12f162dfc85bd0bbd8da",
+    },
+}
+# evaluate's reports, per flag set, on the stub_hypothetical results with
+# every fifth plan failed and one line for an id the scenarios lack. The
+# human paths of this set overlap no box, so the collision mask moves only
+# the config hash
+POLICY_REPORT_SHA256 = {
+    (): {
+        "report.md": "be508b1779e9fffbc855a8eec41dac1100f6ee2ca6a4d9ff5f0a4c5220f832a1",
+        "report.csv": "0439b6a843bb3a2cd666eb4564ecfaf5f711e4897e8f5e6522e781d95e5cf870",
+    },
+    ("--fallback", "exclude"): {
+        "report.md": "c36f9d51ce3a66cf14f3c871bf23408bba6d42885494c32768407e5efdde2b03",
+        "report.csv": "02617015820c54e4d892e5f8da39e1a9f9ee06d40aa8f92b02773180bb4ac4eb",
+    },
+    ("--exclude-gt-collisions",): {
+        "report.md": "b79f5cb7fdac7b474baae88d0d6331ad8981fa1812083830be73e7177354710c",
+        "report.csv": "0439b6a843bb3a2cd666eb4564ecfaf5f711e4897e8f5e6522e781d95e5cf870",
+    },
+    ("--fallback", "exclude", "--exclude-gt-collisions"): {
+        "report.md": "b815431f430137fa777ad1c1d446d580e1f6985f593472ef480d7bb858647161",
+        "report.csv": "02617015820c54e4d892e5f8da39e1a9f9ee06d40aa8f92b02773180bb4ac4eb",
     },
 }
 EXPORT_SHA256 = "5c88b7f5a11dee057d2d3a8b9993e7d31ab7e90e8480be1e1dae0351d4154d98"
@@ -69,6 +92,23 @@ def test_pipeline_outputs_are_byte_identical(tmp_path, capsys):
     train = tmp_path / "train.jsonl"
     assert run("export-finetune", "--scenarios", scen, "--out", train) == 0
     assert sha256(train) == EXPORT_SHA256
+
+
+def test_fallback_and_mask_reports_are_byte_identical(tmp_path, capsys):
+    scen, full = tmp_path / "scenarios.json", tmp_path / "full.jsonl"
+    assert run("synth", "--out", scen, "--count", 40, "--seed", 7) == 0
+    assert run("plan", "--scenarios", scen, "--out", full, "--mode", "stub_hypothetical") == 0
+    rows = [json.loads(line) for line in full.read_text(encoding="utf-8").splitlines()]
+    for row in rows[::5]:  # every archetype, as synth deals them round-robin
+        row.update(parse_quality="failed", trajectory=None)
+    rows.append({"scenario_id": "not-in-the-scenarios", "parse_quality": "clean", "trajectory": None})
+    results = tmp_path / "results.jsonl"
+    results.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    for flags, want in POLICY_REPORT_SHA256.items():
+        out = tmp_path / ("-".join(flags) or "default")
+        assert run("evaluate", "--scenarios", scen, "--results", results, "--out-dir", out,
+                   *flags) == 0
+        assert {name: sha256(out / name) for name in want} == want, flags
 
 
 def test_remote_plan_requests_are_byte_identical(tmp_path, api_key_env):
