@@ -37,6 +37,8 @@ from .metrics import (
     render_csv,
     render_markdown,
     sat_margin,
+    score,
+    summarize,
 )
 from .parsing import ParseQuality, PlanOutput, parse_plan_output
 from .prompts import (

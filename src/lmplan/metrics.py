@@ -16,9 +16,9 @@ for finite coordinates the flags are those of the full test on every pair;
 a trajectory that is not finite is a ``ValueError``.
 
 Plans arrive as ``PlanRecord`` rows, which check their own fields, so
-``evaluate_dataset`` checks only the human trajectory. Aggregation folds
-rows in scenario-id order, so reports are byte-identical under input
-permutation.
+``score`` checks only the human trajectory. It gives one row per scenario
+in id order, and ``summarize`` is the one fold of rows into means, so
+reports are byte-identical under input permutation.
 """
 
 from __future__ import annotations
@@ -305,13 +305,13 @@ def collision_steps(t: Trajectory, gt_boxes: tuple) -> list[bool]:
     return flags
 
 
-def _metrics_for(
-    s: Scenario,
-    traj: Trajectory,
-    quality: ParseQuality,
-    used_fallback: bool,
-    cfg: EvalConfig,
-) -> ScenarioMetrics:
+def _metrics_for(s: Scenario, rec: PlanRecord, cfg: EvalConfig) -> ScenarioMetrics:
+    """Scenario ``s``'s row for its plan ``rec``; a plan with no trajectory is
+    scored on the constant-state rollout and flagged ``used_fallback``."""
+    traj = rec.trajectory
+    used_fallback = traj is None
+    if used_fallback:
+        traj = rollout_hypothetical(s.ego)
     gt = s.human_trajectory
     flags = collision_steps(traj, s.gt_object_boxes)
     if cfg.exclude_gt_collisions and s.gt_object_boxes:
@@ -326,7 +326,7 @@ def _metrics_for(
         col_cum[h] = sum(flags[:k]) / k
     return ScenarioMetrics(
         scenario_id=s.id,
-        parse_quality=quality,
+        parse_quality=rec.parse_quality,
         used_fallback=used_fallback,
         l2_at_step=l2_at,
         l2_cumulative=l2_cum,
@@ -335,19 +335,12 @@ def _metrics_for(
     )
 
 
-def evaluate_dataset(
-    scenarios,
-    records,
-    cfg: EvalConfig = EvalConfig(),
-) -> EvalReport:
-    """Join plans to scenarios by id and aggregate the open-loop metrics.
+def score(scenarios, records, cfg: EvalConfig) -> tuple[ScenarioMetrics, ...]:
+    """One row per scenario, in id order, scored on the record of its id (none: no trajectory).
 
-    A scenario with no record, or a record with no trajectory, is a parse
-    failure; the fallback policy decides whether the constant-state rollout
-    stands in for it or the row is dropped from the aggregates. Two records
-    with one id are a ``ValueError``: which one to score would depend on
-    their order. So are two scenarios with one id, which would weight that
-    scenario twice in every mean, as ``load_scenarios`` refuses them.
+    Two records with one id are a ``ValueError``: which one to score would
+    depend on their order. So are two scenarios with one id, which would
+    weight it twice in every mean; ``load_scenarios`` refuses them too.
     """
     scenarios = sorted(scenarios, key=lambda s: s.id)
     if not scenarios:
@@ -357,46 +350,46 @@ def evaluate_dataset(
         if r.scenario_id in by_id:
             raise ValueError(f"duplicate scenario_id {r.scenario_id!r} in the records")
         by_id[r.scenario_id] = r
-
     rows = []
-    parse_failures = 0
     previous_id = None
     for s in scenarios:  # sorted, so a repeated id is the one just seen
         if s.id == previous_id:
             raise ValueError(f"duplicate scenario id {s.id!r} in the scenarios")
         previous_id = s.id
-        rec = by_id.get(s.id) or PlanRecord(s.id)
-        traj = rec.trajectory
         if len(s.human_trajectory) != DEFAULT_HORIZON_STEPS:
-            raise ValueError(
-                f"scenario {s.id!r}: human_trajectory has {len(s.human_trajectory)} "
-                f"waypoints, expected {DEFAULT_HORIZON_STEPS}"
-            )
-        used_fallback = traj is None
-        if used_fallback:
-            parse_failures += 1
-            if cfg.fallback_policy == "exclude":
-                continue
-            traj = rollout_hypothetical(s.ego)
-        rows.append(_metrics_for(s, traj, rec.parse_quality, used_fallback, cfg))
+            raise ValueError(f"scenario {s.id!r}: human_trajectory has {len(s.human_trajectory)} "
+                             f"waypoints, expected {DEFAULT_HORIZON_STEPS}")
+        rows.append(_metrics_for(s, by_id.get(s.id) or PlanRecord(s.id), cfg))
+    return tuple(rows)
 
+
+def summarize(rows) -> dict:
+    """Each metric cell's mean over ``rows`` (``nan`` for none), per horizon and "avg": one
+    pass over the rows, then each cell's column summed in row order, as a per-cell sum would."""
     n = len(rows)
-    # one pass over the rows; each cell's column is then summed in row order,
-    # as a per-cell sum over the rows would
-    columns = zip(*([getattr(r, key)[h] for key, h in _CELLS] for r in rows))
+    columns = zip(*map(_cells, rows))
     means = [sum(map(float, c)) / n for c in columns] if n else [math.nan] * len(_CELLS)
     summary = {key: {} for key, _, _ in _METRIC_LABELS}
     for (key, h), mean in zip(_CELLS, means):
         summary[key][h] = mean
     for per_h in summary.values():
         per_h["avg"] = sum(per_h[h] for h in HORIZONS_S) / len(HORIZONS_S)
+    return summary
 
+
+def evaluate_dataset(scenarios, records, cfg: EvalConfig = EvalConfig()) -> EvalReport:
+    """``score``, then the fallback policy (``exclude`` drops the rows scored on the fallback),
+    then ``summarize`` of the rows kept; each count is read off the scored or the kept rows."""
+    scored = score(scenarios, records, cfg)
+    rows = scored
+    if cfg.fallback_policy == "exclude":
+        rows = tuple(r for r in scored if not r.used_fallback)
     return EvalReport(
-        rows=tuple(rows),
-        summary=summary,
-        total=len(scenarios),
-        evaluated=n,
-        parse_failures=parse_failures,
+        rows=rows,
+        summary=summarize(rows),
+        total=len(scored),
+        evaluated=len(rows),
+        parse_failures=sum(r.used_fallback for r in scored),
         fallbacks_substituted=sum(r.used_fallback for r in rows),
         template_hash=template_hash(),
         config_hash=cfg.hash(),
@@ -411,6 +404,11 @@ _METRIC_LABELS = (
 )
 # the report's (metric, horizon) cells, in column order
 _CELLS = tuple((key, h) for key, _, _ in _METRIC_LABELS for h in HORIZONS_S)
+
+
+def _cells(row: ScenarioMetrics) -> list:
+    """The row's metric values, in ``_CELLS`` order."""
+    return [getattr(row, key)[h] for key, h in _CELLS]
 
 
 def render_markdown(report: EvalReport) -> str:
@@ -450,9 +448,8 @@ def render_csv(report: EvalReport) -> str:
     out = [",".join(header)]
     row_format = "%s,%s,%d" + ",%.6f" * len(_CELLS)
     for r in report.rows:
-        values = [getattr(r, key)[h] for key, h in _CELLS]
         sid = _csv_field(r.scenario_id)
-        out.append(row_format % (sid, r.parse_quality, r.used_fallback, *values))
+        out.append(row_format % (sid, r.parse_quality, r.used_fallback, *_cells(r)))
     means = (f"{report.summary[key][h]:.6f}" for key, h in _CELLS)
     out.append(",".join(["__mean__", "", "", *means]))
     return "\n".join(out) + "\n"
