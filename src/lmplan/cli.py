@@ -24,7 +24,9 @@ Subcommands:
 - ``evaluate``: join the result lines (``metrics.PlanRecord.from_line``, each
   checked in full) to scenarios by id, compute open-loop metrics, write
   ``report.md`` and ``report.csv``. A repeated result id is an error; ids
-  not in the scenario file are ignored with one warning.
+  not in the scenario file are ignored with one warning. A scenario with no
+  result line is scored as a failed one, with one warning that counts them;
+  ``report.md`` counts them too, from the same rows.
 
 Every command uses the fixed horizon: 6 waypoints, 0.5 s apart. No command
 writes over one of its input files or writes two outputs to one file: an
@@ -287,6 +289,9 @@ def cmd_evaluate(args) -> int:
         exclude_gt_collisions=args.exclude_gt_collisions,
     )
     report = evaluate_dataset(scenarios, records, cfg)
+    if report.unplanned:
+        msg = f"{report.unplanned} scenario(s) have no result line"
+        print(f"lmplan: warning: {args.results}: {msg}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
     md = render_markdown(report)
     (out_dir / "report.md").write_text(md, encoding="utf-8")

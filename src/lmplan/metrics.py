@@ -16,9 +16,10 @@ for finite coordinates the flags are those of the full test on every pair;
 a trajectory that is not finite is a ``ValueError``.
 
 Plans arrive as ``PlanRecord`` rows, which check their own fields, so
-``score`` checks only the human trajectory. It gives one row per scenario
-in id order, and ``summarize`` is the one fold of rows into means, so
-reports are byte-identical under input permutation.
+``score`` checks only the human trajectory; it gives one row per scenario
+in id order. ``evaluate_dataset`` filters those rows once by the fallback
+policy, reads every count off them and folds the kept ones with
+``summarize``, so reports are byte-identical under input permutation.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ class PlanRecord:
 class ScenarioMetrics:
     scenario_id: str
     parse_quality: ParseQuality
+    planned: bool  # the results hold a line for this scenario
     used_fallback: bool
     l2_at_step: dict
     l2_cumulative: dict
@@ -184,6 +186,7 @@ class EvalReport:
     total: int
     evaluated: int
     parse_failures: int
+    unplanned: int  # scenarios with no result line, counted among the parse failures
     fallbacks_substituted: int
     template_hash: str
     config_hash: str
@@ -305,9 +308,12 @@ def collision_steps(t: Trajectory, gt_boxes: tuple) -> list[bool]:
     return flags
 
 
-def _metrics_for(s: Scenario, rec: PlanRecord, cfg: EvalConfig) -> ScenarioMetrics:
-    """Scenario ``s``'s row for its plan ``rec``; a plan with no trajectory is
-    scored on the constant-state rollout and flagged ``used_fallback``."""
+def _metrics_for(s: Scenario, rec: PlanRecord | None, cfg: EvalConfig) -> ScenarioMetrics:
+    """Scenario ``s``'s row for its plan ``rec``, None for no result line; a plan with no
+    trajectory is scored on the constant-state rollout and flagged ``used_fallback``."""
+    planned = rec is not None
+    if not planned:
+        rec = PlanRecord(s.id)
     traj = rec.trajectory
     used_fallback = traj is None
     if used_fallback:
@@ -327,6 +333,7 @@ def _metrics_for(s: Scenario, rec: PlanRecord, cfg: EvalConfig) -> ScenarioMetri
     return ScenarioMetrics(
         scenario_id=s.id,
         parse_quality=rec.parse_quality,
+        planned=planned,
         used_fallback=used_fallback,
         l2_at_step=l2_at,
         l2_cumulative=l2_cum,
@@ -359,7 +366,7 @@ def score(scenarios, records, cfg: EvalConfig) -> tuple[ScenarioMetrics, ...]:
         if len(s.human_trajectory) != DEFAULT_HORIZON_STEPS:
             raise ValueError(f"scenario {s.id!r}: human_trajectory has {len(s.human_trajectory)} "
                              f"waypoints, expected {DEFAULT_HORIZON_STEPS}")
-        rows.append(_metrics_for(s, by_id.get(s.id) or PlanRecord(s.id), cfg))
+        rows.append(_metrics_for(s, by_id.get(s.id), cfg))
     return tuple(rows)
 
 
@@ -390,6 +397,7 @@ def evaluate_dataset(scenarios, records, cfg: EvalConfig = EvalConfig()) -> Eval
         total=len(scored),
         evaluated=len(rows),
         parse_failures=sum(r.used_fallback for r in scored),
+        unplanned=sum(not r.planned for r in scored),
         fallbacks_substituted=sum(r.used_fallback for r in rows),
         template_hash=template_hash(),
         config_hash=cfg.hash(),
@@ -415,11 +423,12 @@ def render_markdown(report: EvalReport) -> str:
     """Summary table, fixed column order, %.2f cells."""
     head = "| Metric | " + " | ".join(f"{h:g}s" for h in HORIZONS_S) + " | Avg |"
     rule = "|---" * (len(HORIZONS_S) + 2) + "|"
+    unplanned = f" ({report.unplanned} with no result line)" if report.unplanned else ""
     lines = [
         "# Open-loop planning report",
         "",
         f"- scenarios: {report.total} (evaluated {report.evaluated}, "
-        f"parse failures {report.parse_failures}, "
+        f"parse failures {report.parse_failures}{unplanned}, "
         f"fallbacks substituted {report.fallbacks_substituted})",
         f"- template hash: {report.template_hash}",
         f"- config hash: {report.config_hash}",

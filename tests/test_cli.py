@@ -465,6 +465,58 @@ class TestEvaluate:
         assert tripped == 1
         assert "exceeds threshold" in capsys.readouterr().err
 
+    def truncated_results(self, tmp_path, keep):
+        """10 scenarios and their stub_hypothetical results cut to the first ``keep`` lines."""
+        scen = synth_file(tmp_path, count=10)
+        results = tmp_path / "results.jsonl"
+        assert run("plan", "--scenarios", scen, "--out", results, "--mode", "stub_hypothetical") == 0
+        results.write_bytes(b"".join(results.read_bytes().splitlines(keepends=True)[:keep]))
+        return scen, results
+
+    def evaluate_warnings_and_counts(self, capsys, tmp_path, scen, results, *extra):
+        """evaluate's exit code, its warning lines, and report.md's count line as printed."""
+        capsys.readouterr()
+        code = run("evaluate", "--scenarios", scen, "--results", results,
+                   "--out-dir", tmp_path / "rep", *extra)
+        captured = capsys.readouterr()
+        md = (tmp_path / "rep" / "report.md").read_text(encoding="utf-8")
+        counts = next(line for line in md.splitlines() if line.startswith("- scenarios:"))
+        assert counts in captured.out.splitlines()
+        return code, [line for line in captured.err.splitlines() if "warning" in line], counts
+
+    @pytest.mark.parametrize("threshold, code", [(1.0, 0), (0.0, 1)], ids=["holds", "trips"])
+    def test_a_truncated_results_file_warns_and_counts_the_missing_lines(
+        self, tmp_path, capsys, threshold, code
+    ):
+        scen, results = self.truncated_results(tmp_path, 4)
+        got = self.evaluate_warnings_and_counts(capsys, tmp_path, scen, results,
+                                                "--fail-threshold", threshold)
+        assert got == (code, [f"lmplan: warning: {results}: 6 scenario(s) have no result line"],
+                       "- scenarios: 10 (evaluated 10, parse failures 6 (6 with no result line), "
+                       "fallbacks substituted 6)")
+
+    def test_an_empty_results_file_has_no_result_line_for_any_scenario(self, tmp_path, capsys):
+        scen, results = self.truncated_results(tmp_path, 0)
+        assert results.read_bytes() == b""
+        got = self.evaluate_warnings_and_counts(capsys, tmp_path, scen, results)
+        assert got == (0, [f"lmplan: warning: {results}: 10 scenario(s) have no result line"],
+                       "- scenarios: 10 (evaluated 10, parse failures 10 (10 with no result line), "
+                       "fallbacks substituted 10)")
+
+    def test_missing_lines_under_exclude_are_counted_and_not_scored(self, tmp_path, capsys):
+        scen, results = self.truncated_results(tmp_path, 4)
+        rows = read_results(results)
+        rows[0].update(parse_quality="failed", trajectory=None)
+        results.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        got = self.evaluate_warnings_and_counts(capsys, tmp_path, scen, results,
+                                                "--fallback", "exclude")
+        assert got == (0, [f"lmplan: warning: {results}: 6 scenario(s) have no result line"],
+                       "- scenarios: 10 (evaluated 3, parse failures 7 (6 with no result line), "
+                       "fallbacks substituted 0)")
+        csv_ids = [line.split(",")[0] for line in
+                   (tmp_path / "rep" / "report.csv").read_text(encoding="utf-8").splitlines()]
+        assert csv_ids == ["scenario_id", *sorted(r["scenario_id"] for r in rows[1:]), "__mean__"]
+
     def test_fallback_substitution_counted(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=4)
         results = tmp_path / "results.jsonl"

@@ -7,6 +7,9 @@
   keeps its exit code (1 or 0) and writes its reports, and ``--help`` and
   ``plan --help`` exit 0; none puts broken-pipe text on stderr.
 - A bad ``parse_quality`` exits 2 before ``report.csv`` is written.
+- A truncated results file makes ``evaluate`` warn how many scenarios have
+  no result line and count them in ``report.md``; the gate alone sets the
+  exit code.
 - The replayed ground truth scores 0 in every cell.
 - A lone-surrogate scenario id exits 2 and writes nothing.
 - Float literals respelled with the same quantized value plan and score
@@ -126,7 +129,7 @@ def test_a_closed_stdout_keeps_evaluates_exit_code(tmp_path, unbuffered, thresho
     assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", "all.jsonl",
                       "--mode", "stub_hypothetical") == 0
     lines = (tmp_path / "all.jsonl").read_bytes().splitlines(keepends=True)
-    (tmp_path / "r.jsonl").write_bytes(b"".join(lines[:2]))  # 2 of 4 fail to parse
+    (tmp_path / "r.jsonl").write_bytes(b"".join(lines[:2]))  # 2 of 4 have no result line
     proc = run_into_closed_stdout(tmp_path, unbuffered, "evaluate", "--scenarios", "s.json",
                                   "--results", "r.jsonl", "--out-dir", "report",
                                   "--fail-threshold", threshold)
@@ -157,7 +160,24 @@ def test_a_bad_parse_quality_exits_2_before_any_report(tmp_path):
     assert not (tmp_path / "report" / "report.csv").exists()
 
 
-def test_replayed_ground_truth_scores_zero_in_every_cell(tmp_path):
+@pytest.mark.parametrize("threshold, code", [(1, 0), (0, 1)], ids=["gate-holds", "gate-trips"])
+def test_a_truncated_results_file_warns_and_counts_the_missing_lines(tmp_path, threshold, code):
+    assert lmplan_cmd(tmp_path, "synth", "--count", 10, "--out", "s.json") == 0
+    assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", "all.jsonl",
+                      "--mode", "stub_hypothetical") == 0
+    lines = (tmp_path / "all.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "r.jsonl").write_bytes(b"".join(lines[:4]))
+    proc = lmplan_run(tmp_path, "evaluate", "--scenarios", "s.json", "--results", "r.jsonl",
+                      "--out-dir", "report", "--fail-threshold", threshold)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.decode().splitlines()[0] == (
+        "lmplan: warning: r.jsonl: 6 scenario(s) have no result line")
+    counts = ("- scenarios: 10 (evaluated 10, parse failures 6 (6 with no result line), "
+              "fallbacks substituted 6)")
+    assert counts in proc.stdout.decode().splitlines()
+    assert counts in (tmp_path / "report" / "report.md").read_text(encoding="utf-8").splitlines()
+
+
     # quantize -> serialize -> parse -> score, as separate processes
     assert lmplan_cmd(tmp_path, "synth", "--count", 40, "--out", "s.json") == 0
     assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", "r.jsonl",

@@ -24,6 +24,8 @@ from lmplan import (
     render_markdown,
     rollout_hypothetical,
     sat_margin,
+    score,
+    summarize,
     synth_scenario,
 )
 from lmplan import metrics
@@ -370,10 +372,11 @@ class TestEvaluateDataset:
         records = [PlanRecord("a", scenarios[0].human_trajectory, "clean")]
         report = evaluate_dataset(scenarios, records)
         assert report.parse_failures == 1
+        assert report.unplanned == 1
         assert report.fallbacks_substituted == 1
         assert report.evaluated == 2
         row_b = next(r for r in report.rows if r.scenario_id == "b")
-        assert row_b.used_fallback
+        assert row_b.used_fallback and not row_b.planned
         # ego at 2 m/s vs human at 2 m/s: the substitute matches exactly
         assert row_b.l2_at_step[3.0] == 0.0
 
@@ -382,6 +385,7 @@ class TestEvaluateDataset:
         records = [PlanRecord("a", scenarios[0].human_trajectory, "clean")]
         report = evaluate_dataset(scenarios, records, EvalConfig(fallback_policy="exclude"))
         assert report.parse_failures == 1
+        assert report.unplanned == 1
         assert report.fallbacks_substituted == 0
         assert report.evaluated == 1
         assert [r.scenario_id for r in report.rows] == ["a"]
@@ -408,6 +412,7 @@ class TestEvaluateDataset:
         records = [PlanRecord("a", None, "failed")]
         report = evaluate_dataset(scenarios, records)
         assert report.parse_failures == 1
+        assert report.unplanned == 0 and report.rows[0].planned
 
     def test_permutation_invariance_byte_identical(self):
         scenarios = make_scenarios(10)
@@ -466,6 +471,52 @@ class TestEvaluateDataset:
     def test_fallback_policy_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(fallback_policy="made_up")
+
+
+def noisy_records(scenarios, seed):
+    """No record for every seventh scenario, no trajectory for every fifth, else a noisy plan."""
+    rng = random.Random(seed)
+    records = []
+    for i, s in enumerate(scenarios):
+        if i % 7 == 3:
+            continue
+        plan = None if i % 5 == 1 else traj(
+            [(x + rng.gauss(0, 0.7), y + rng.gauss(0, 0.7)) for x, y in s.human_trajectory.waypoints])
+        records.append(PlanRecord(s.id, plan, "failed" if plan is None else "clean"))
+    return records
+
+
+class TestScoreAndSummarize:
+    @pytest.mark.parametrize("policy", metrics.FALLBACK_POLICIES)
+    def test_score_gives_every_scenario_a_row_under_either_policy(self, policy):
+        scenarios = make_scenarios(12)
+        records = noisy_records(scenarios, 1)
+        rows = score(reversed(scenarios), records, EvalConfig(fallback_policy=policy))
+        by_id = {r.scenario_id: r for r in records}
+        assert [r.scenario_id for r in rows] == sorted(s.id for s in scenarios)
+        for row in rows:
+            rec = by_id.get(row.scenario_id)
+            assert row.planned == (rec is not None)
+            assert row.used_fallback == (rec is None or rec.trajectory is None)
+
+    @pytest.mark.parametrize("policy", metrics.FALLBACK_POLICIES)
+    def test_an_archetypes_summary_is_its_report_alone_bit_for_bit(self, policy):
+        cfg = EvalConfig(fallback_policy=policy)
+        scenarios = make_scenarios(80)
+        records = noisy_records(scenarios, 2)
+        report = evaluate_dataset(scenarios, records, cfg)
+        assert repr(summarize(report.rows)) == repr(report.summary)
+        for kind in SYNTH_KINDS:
+            group = [s for s in scenarios if s.id.startswith(kind + "-")]
+            rows = [r for r in report.rows if r.scenario_id.startswith(kind + "-")]
+            assert len(group) == 20 and rows
+            alone = evaluate_dataset(group, records, cfg)
+            assert repr(summarize(rows)) == repr(alone.summary), kind
+
+    def test_no_rows_summarize_to_nan(self):
+        summary = summarize(())
+        assert all(math.isnan(v) for per_h in summary.values() for v in per_h.values())
+        assert list(summary["l2_at_step"]) == [1.0, 2.0, 3.0, "avg"]
 
 
 class TestRenderers:
