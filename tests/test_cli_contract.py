@@ -178,6 +178,7 @@ def test_a_truncated_results_file_warns_and_counts_the_missing_lines(tmp_path, t
     assert counts in (tmp_path / "report" / "report.md").read_text(encoding="utf-8").splitlines()
 
 
+def test_replayed_ground_truth_scores_zero_in_every_cell(tmp_path):
     # quantize -> serialize -> parse -> score, as separate processes
     assert lmplan_cmd(tmp_path, "synth", "--count", 40, "--out", "s.json") == 0
     assert lmplan_cmd(tmp_path, "plan", "--scenarios", "s.json", "--out", "r.jsonl",
