@@ -503,6 +503,38 @@ class TestEvaluate:
                        "- scenarios: 10 (evaluated 10, parse failures 10 (10 with no result line), "
                        "fallbacks substituted 10)")
 
+    @staticmethod
+    def foreign_lines(n):
+        """``n`` result lines whose ids name no synthesized scenario."""
+        return b"".join(PlanRecord(f"foreign-{i}").to_line().encode() for i in range(n))
+
+    @staticmethod
+    def unknown_ids_warning(results, n):
+        return (f"lmplan: warning: {results}: ignored {n} result line(s) whose "
+                "scenario_id is not in the scenario file")
+
+    @pytest.mark.parametrize("threshold, code", [(1.0, 0), (0.0, 1)], ids=["holds", "trips"])
+    def test_unknown_ids_and_missing_lines_each_warn_once_in_that_order(
+        self, tmp_path, capsys, threshold, code
+    ):
+        scen, results = self.truncated_results(tmp_path, 8)
+        results.write_bytes(self.foreign_lines(2) + results.read_bytes())
+        got = self.evaluate_warnings_and_counts(capsys, tmp_path, scen, results,
+                                                "--fail-threshold", threshold)
+        assert got == (code, [self.unknown_ids_warning(results, 2),
+                              f"lmplan: warning: {results}: 2 scenario(s) have no result line"],
+                       "- scenarios: 10 (evaluated 10, parse failures 2 (2 with no result line), "
+                       "fallbacks substituted 2)")
+
+    def test_a_file_of_unknown_ids_leaves_every_scenario_without_a_line(self, tmp_path, capsys):
+        scen, results = self.truncated_results(tmp_path, 0)
+        results.write_bytes(self.foreign_lines(3))
+        got = self.evaluate_warnings_and_counts(capsys, tmp_path, scen, results)
+        assert got == (0, [self.unknown_ids_warning(results, 3),
+                           f"lmplan: warning: {results}: 10 scenario(s) have no result line"],
+                       "- scenarios: 10 (evaluated 10, parse failures 10 (10 with no result line), "
+                       "fallbacks substituted 10)")
+
     def test_missing_lines_under_exclude_are_counted_and_not_scored(self, tmp_path, capsys):
         scen, results = self.truncated_results(tmp_path, 4)
         rows = read_results(results)
