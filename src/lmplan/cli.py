@@ -247,11 +247,10 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
-    """Records of the known scenario ids; each line is checked, a repeated id is an error."""
+def _read_results(path: str) -> list[PlanRecord]:
+    """Every record, in line order; each line is checked, a repeated id is an error."""
     records = []
     first_line: dict[str, int] = {}
-    unknown = 0
     # split as text mode would (\n, \r, \r\n), so a line that is not UTF-8 has its number
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
@@ -264,13 +263,7 @@ def _read_results(path: str, known_ids: set[str]) -> list[PlanRecord]:
         except (ValueError, OverflowError, RecursionError) as e:
             raise ValueError(f"{path}:{lineno}: bad result line: {e}") from None
         first_line[sid] = lineno
-        if sid in known_ids:
-            records.append(rec)
-        else:
-            unknown += 1
-    if unknown:
-        msg = f"ignored {unknown} result line(s) whose scenario_id is not in the scenario file"
-        print(f"lmplan: warning: {path}: {msg}", file=sys.stderr)
+        records.append(rec)
     return records
 
 
@@ -278,7 +271,7 @@ def cmd_evaluate(args) -> int:
     if not args.fail_threshold >= 0:  # also rejects nan, which would switch the gate off
         raise ValueError("--fail-threshold must be a number >= 0")
     scenarios = _load_nonempty(args.scenarios)
-    records = _read_results(args.results, {s.id for s in scenarios})
+    records = _read_results(args.results)
     out_dir = Path(args.out_dir)
     _check_outputs(
         [(f"--out-dir's {name}", str(out_dir / name)) for name in ("report.md", "report.csv")],
@@ -289,9 +282,12 @@ def cmd_evaluate(args) -> int:
         exclude_gt_collisions=args.exclude_gt_collisions,
     )
     report = evaluate_dataset(scenarios, records, cfg)
-    if report.unplanned:
-        msg = f"{report.unplanned} scenario(s) have no result line"
-        print(f"lmplan: warning: {args.results}: {msg}", file=sys.stderr)
+    for count, msg in (
+        (report.unmatched, "ignored {} result line(s) whose scenario_id is not in the scenario file"),
+        (report.unplanned, "{} scenario(s) have no result line"),
+    ):
+        if count:
+            print(f"lmplan: warning: {args.results}: {msg.format(count)}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
     md = render_markdown(report)
     (out_dir / "report.md").write_text(md, encoding="utf-8")

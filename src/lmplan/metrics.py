@@ -187,6 +187,7 @@ class EvalReport:
     evaluated: int
     parse_failures: int
     unplanned: int  # scenarios with no result line, counted among the parse failures
+    unmatched: int  # records whose id names no scenario, which the report leaves out
     fallbacks_substituted: int
     template_hash: str
     config_hash: str
@@ -387,6 +388,7 @@ def summarize(rows) -> dict:
 def evaluate_dataset(scenarios, records, cfg: EvalConfig = EvalConfig()) -> EvalReport:
     """``score``, then the fallback policy (``exclude`` drops the rows scored on the fallback),
     then ``summarize`` of the rows kept; each count is read off the scored or the kept rows."""
+    records = tuple(records)
     scored = score(scenarios, records, cfg)
     rows = scored
     if cfg.fallback_policy == "exclude":
@@ -398,6 +400,7 @@ def evaluate_dataset(scenarios, records, cfg: EvalConfig = EvalConfig()) -> Eval
         evaluated=len(rows),
         parse_failures=sum(r.used_fallback for r in scored),
         unplanned=sum(not r.planned for r in scored),
+        unmatched=len(records) - sum(r.planned for r in scored),
         fallbacks_substituted=sum(r.used_fallback for r in rows),
         template_hash=template_hash(),
         config_hash=cfg.hash(),

@@ -380,6 +380,16 @@ class TestEvaluateDataset:
         # ego at 2 m/s vs human at 2 m/s: the substitute matches exactly
         assert row_b.l2_at_step[3.0] == 0.0
 
+    def test_records_with_no_scenario_are_counted_and_change_no_row(self):
+        scenarios = [scenario_for_eval("a"), scenario_for_eval("b")]
+        planned = [PlanRecord("a", scenarios[0].human_trajectory, "clean")]
+        foreign = [PlanRecord("x"), PlanRecord("y", GT_STRAIGHT, "clean")]
+        alone = evaluate_dataset(scenarios, planned)
+        report = evaluate_dataset(scenarios, iter(foreign + planned))  # any iterable of records
+        assert (alone.unmatched, report.unmatched, report.unplanned) == (0, 2, 1)
+        assert repr(report.rows) == repr(alone.rows)
+        assert render_markdown(report) == render_markdown(alone)
+
     def test_exclude_policy_drops_failed_rows(self):
         scenarios = [scenario_for_eval("a"), scenario_for_eval("b")]
         records = [PlanRecord("a", scenarios[0].human_trajectory, "clean")]
