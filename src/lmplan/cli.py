@@ -112,11 +112,15 @@ def _load_nonempty(path: str):
     return scenarios
 
 
-def _check_outputs(outputs, inputs) -> None:
-    """Raise ``ValueError`` when an output names an existing input or an earlier output.
+def _check_outputs(outputs, inputs, *, creates_dirs=False) -> None:
+    """Raise ``ValueError`` when an output names an existing input or an earlier output,
+    is an existing directory, or has no directory to be written in.
 
-    Both are ``(flag, path)`` pairs, an empty path meaning not given. Called
-    before anything is opened for writing, so the input stays as it was.
+    Both are ``(flag, path)`` pairs, an empty path meaning not given. An
+    output's directory must exist, unless ``creates_dirs`` (the command makes
+    it): then the nearest existing one up its path must be a directory. Called
+    before anything is opened for writing, so a refused command writes no
+    output and the input stays as it was.
     """
     named = [(flag, p) for flag, p in inputs if p and os.path.exists(p)]
     for out_flag, out in outputs:
@@ -125,6 +129,13 @@ def _check_outputs(outputs, inputs) -> None:
         for flag, p in named:
             if _same_file(out, p):
                 raise ValueError(f"{out_flag} {out} is the {flag} file; it would be overwritten")
+        if os.path.isdir(out):
+            raise ValueError(f"{out_flag} {out} is a directory")
+        parent = os.path.dirname(out) or "."
+        while creates_dirs and not os.path.exists(parent):
+            parent = os.path.dirname(parent) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"{out_flag} {out}: {parent} is not a directory")
         named.append((out_flag, out))
 
 
@@ -276,6 +287,7 @@ def cmd_evaluate(args) -> int:
     _check_outputs(
         [(f"--out-dir's {name}", str(out_dir / name)) for name in ("report.md", "report.csv")],
         [("--scenarios", args.scenarios), ("--results", args.results)],
+        creates_dirs=True,
     )
     cfg = EvalConfig(
         fallback_policy=args.fallback,

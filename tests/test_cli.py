@@ -741,6 +741,49 @@ class TestErrors:
         if unwritten:
             assert not (tmp_path / unwritten.format(**paths)).exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("argv, blocking_dir, flag, first", [
+        (["split", "--scenarios", "{s}", "--fraction", "0.5", "--out", "{out}/m.json",
+          "--scenarios-out", "{out}/nodir/x.json"], None, "--scenarios-out", "m.json"),
+        (["export-finetune", "--scenarios", "{s}", "--out", "{out}/e.jsonl"],
+         "e.jsonl.meta.json", "--out's sidecar", "e.jsonl"),
+        (["evaluate", "--scenarios", "{s}", "--results", "{results}", "--out-dir", "{out}/rep"],
+         "rep/report.csv", "--out-dir's report.csv", "rep/report.md"),
+    ], ids=["split-no-directory", "export-finetune-sidecar-is-a-directory",
+            "evaluate-csv-is-a-directory"])
+    def test_an_output_that_cannot_be_written_is_refused_before_any_is_opened(
+        self, tmp_path, capsys, argv, blocking_dir, flag, first, existing
+    ):
+        scen = synth_file(tmp_path, count=3)
+        results = tmp_path / "results.jsonl"
+        results.write_text("")
+        out = tmp_path / "out"
+        out.mkdir()
+        if blocking_dir:
+            (out / blocking_dir).mkdir(parents=True)
+        if existing:
+            (out / first).write_bytes(b"old bytes\n")
+        capsys.readouterr()
+        assert run(*[a.format(s=scen, results=results, out=out) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"lmplan: error: {flag} ")
+        if existing:
+            assert (out / first).read_bytes() == b"old bytes\n"
+        else:
+            assert not (out / first).exists()
+
+    def test_an_out_dir_that_is_a_file_is_refused_by_flag(self, tmp_path, capsys):
+        scen = synth_file(tmp_path, count=3)
+        results = tmp_path / "results.jsonl"
+        results.write_text("")
+        rep = tmp_path / "rep"
+        rep.write_bytes(b"old bytes\n")
+        capsys.readouterr()
+        assert run("evaluate", "--scenarios", scen, "--results", results,
+                   "--out-dir", rep) == 2
+        assert capsys.readouterr().err == (
+            f"lmplan: error: --out-dir's report.md {rep}/report.md: {rep} is not a directory\n")
+        assert rep.read_bytes() == b"old bytes\n"
+
     @pytest.mark.parametrize("threshold", ["nan", "-0.1"])
     def test_fail_threshold_that_cannot_gate(self, tmp_path, capsys, threshold):
         scen = synth_file(tmp_path, count=4)

@@ -12,6 +12,8 @@
   exit code.
 - The replayed ground truth scores 0 in every cell.
 - A lone-surrogate scenario id exits 2 and writes nothing.
+- A ``split`` whose ``--scenarios-out`` directory does not exist exits 2,
+  names that flag and writes no manifest, or leaves an existing one as it was.
 - Float literals respelled with the same quantized value plan and score
   byte-identically.
 
@@ -200,6 +202,22 @@ def test_a_lone_surrogate_scenario_id_exits_2_and_writes_nothing(tmp_path):
     assert lmplan_cmd(tmp_path, "plan", "--scenarios", "bad.json", "--out", "bad.jsonl",
                       "--mode", "stub_hypothetical") == 2
     assert not (tmp_path / "bad.jsonl").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_split_with_no_scenarios_out_directory_writes_no_manifest(tmp_path, existing):
+    assert lmplan_cmd(tmp_path, "synth", "--count", 4, "--out", "s.json") == 0
+    manifest = tmp_path / "m.json"
+    if existing:
+        manifest.write_bytes(b"old bytes\n")
+    proc = lmplan_run(tmp_path, "split", "--scenarios", "s.json", "--fraction", 0.5,
+                      "--out", "m.json", "--scenarios-out", "nodir/x.json")
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("lmplan: error: --scenarios-out nodir/x.json: ")
+    if existing:
+        assert manifest.read_bytes() == b"old bytes\n"
+    else:
+        assert not manifest.exists()
 
 
 def _respell(text: str) -> str:
