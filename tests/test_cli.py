@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from lmplan import (
     BackendConfig,
     EvalConfig,
+    ObjectBox,
     ParseQuality,
     PlanRecord,
     build_prompt,
@@ -22,6 +23,7 @@ from lmplan import (
     make_finetune_example,
     messages_from_prompt,
     save_scenarios,
+    synth_scenario,
     template_hash,
 )
 from lmplan import cli, reasoning
@@ -548,6 +550,34 @@ class TestEvaluate:
         csv_ids = [line.split(",")[0] for line in
                    (tmp_path / "rep" / "report.csv").read_text(encoding="utf-8").splitlines()]
         assert csv_ids == ["scenario_id", *sorted(r["scenario_id"] for r in rows[1:]), "__mean__"]
+
+    def test_exclude_gt_collisions_masks_a_box_on_the_human_path(self, tmp_path):
+        # a 2 m x 1 m box on every human waypoint: the replayed plan hits one at every step
+        s = synth_scenario("empty_road", 3)
+        boxes = tuple((ObjectBox(w, 1.57, 2.0, 1.0),) for w in s.human_trajectory.waypoints)
+        scen = tmp_path / "scenarios.json"
+        save_scenarios([dataclasses.replace(s, gt_object_boxes=boxes)], scen)
+        results = tmp_path / "results.jsonl"
+        assert run("plan", "--scenarios", scen, "--out", results, "--mode", "stub_replay_gt") == 0
+        collision_rows, csv_rows = {}, {}
+        for name, flags in (("strict", []), ("masked", ["--exclude-gt-collisions"])):
+            assert run("evaluate", "--scenarios", scen, "--results", results,
+                       "--out-dir", tmp_path / name, *flags) == 0
+            md = (tmp_path / name / "report.md").read_text(encoding="utf-8")
+            collision_rows[name] = [line for line in md.splitlines() if "Collision" in line]
+            with open(tmp_path / name / "report.csv", encoding="utf-8", newline="") as f:
+                csv_rows[name] = list(csv.DictReader(f))
+        for name, cell in (("strict", "100.00"), ("masked", "0.00")):
+            assert collision_rows[name] == [
+                f"| Collision at step (%) | {cell} | {cell} | {cell} | {cell} |",
+                f"| Collision cumulative (%) | {cell} | {cell} | {cell} | {cell} |",
+            ]
+        for name, value in (("strict", "1.000000"), ("masked", "0.000000")):
+            rows = csv_rows[name]
+            assert [r["scenario_id"] for r in rows] == [s.id, "__mean__"]
+            assert {v for r in rows for k, v in r.items() if k.startswith("collision_")} == {value}
+        l2 = [[v for k, v in r.items() if k.startswith("l2_")] for r in csv_rows["strict"]]
+        assert l2 == [[v for k, v in r.items() if k.startswith("l2_")] for r in csv_rows["masked"]]
 
     def test_fallback_substitution_counted(self, tmp_path, capsys):
         scen = synth_file(tmp_path, count=4)
