@@ -21,16 +21,20 @@ Subcommands:
   query or fragment, no API key, or a ``PLANNER_API_KEY`` holding a
   character outside 0x21-0x7E exits 2 before ``--out`` is opened. Lines
   are written in scenario order as they finish.
-- ``evaluate``: join the result lines (``metrics.PlanRecord.from_line``, each
-  checked in full) to scenarios by id, compute open-loop metrics, write
-  ``report.md`` and ``report.csv``. A repeated result id is an error; ids
-  not in the scenario file are ignored with one warning. A scenario with no
-  result line is scored as a failed one, with one warning that counts them;
-  ``report.md`` counts them too, from the same rows.
+- ``evaluate``: read every result line (``metrics.PlanRecord.from_line``,
+  each checked in full; a repeated id is an error), join them to scenarios
+  by id in ``evaluate_dataset``, write ``report.md`` and ``report.csv``.
+  Both warnings' counts come off that join: the lines whose id names no
+  scenario, which are ignored, and the scenarios with no line, which are
+  scored as failed ones and counted in ``report.md`` too.
 
 Every command uses the fixed horizon: 6 waypoints, 0.5 s apart. No command
 writes over one of its input files or writes two outputs to one file: an
-output path that names an input or another output is bad input.
+output path that names an input or another output is bad input. Nor does a
+refused command leave part of its outputs: an output that is an existing
+directory, or whose directory does not exist (``evaluate`` makes
+``--out-dir``), is bad input too, and all of these are refused before any
+output is opened.
 
 Exit codes: 0 success; 1 evaluate's parse-failure rate exceeded the
 threshold; 2 bad input or configuration. A command returns 0 or 1; bad

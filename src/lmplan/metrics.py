@@ -18,8 +18,9 @@ a trajectory that is not finite is a ``ValueError``.
 Plans arrive as ``PlanRecord`` rows, which check their own fields, so
 ``score`` checks only the human trajectory; it gives one row per scenario
 in id order. ``evaluate_dataset`` filters those rows once by the fallback
-policy, reads every count off them and folds the kept ones with
-``summarize``, so reports are byte-identical under input permutation.
+policy, reads every count off them (``unmatched`` counts the records no row
+has) and folds the kept ones with ``summarize``, so reports are
+byte-identical under input permutation.
 """
 
 from __future__ import annotations
