@@ -37,9 +37,9 @@ _MIN_SEGMENT = 0.01
 _EPS = 1e-9
 
 # Thresholds for criticality and decision classification. Ratios compare the
-# human path length against the hypothetical rollout length over the same
-# horizon: below STOP_RATIO the human all but halts; below DECEL_RATIO they
-# slow down; above ACCEL_RATIO they speed up. Turns are net heading changes
+# classified path length against the hypothetical rollout length over the same
+# horizon: below STOP_RATIO the path all but halts; below DECEL_RATIO it
+# slows down; above ACCEL_RATIO it speeds up. Turns are net heading changes
 # beyond TURN_ANGLE_DEG; lane changes are lateral offsets beyond
 # LANE_OFFSET_M without a turn.
 LATERAL_THRESHOLD = 3.0  # meters
@@ -149,18 +149,14 @@ def _relation(obj, prediction) -> str:
     return "ahead in lane"
 
 
-def find_critical_objects(
-    s: Scenario, hypo: Trajectory | None = None
-) -> tuple[CriticalObject, ...]:
+def find_critical_objects(s: Scenario, hypo: Trajectory) -> tuple[CriticalObject, ...]:
     """Objects whose expected position passes within the lateral threshold.
 
-    Each object is tracked against the hypothetical rollout step by step,
-    using its predicted future when available and its current position
+    Each object is tracked against the hypothetical rollout ``hypo`` step by
+    step, using its predicted future when available and its current position
     otherwise. Results are ordered by urgency: earliest conflict step first,
     then smallest minimum distance.
     """
-    if hypo is None:
-        hypo = rollout_hypothetical(s.ego)
     ego_path = hypo.waypoints
     by_id = {p.object_id: p for p in s.predictions}
     found = []
@@ -193,32 +189,29 @@ def find_critical_objects(
     return tuple(found)
 
 
-def classify_decision(s: Scenario, hypo: Trajectory | None = None) -> Decision:
-    """Name the maneuver the human trajectory encodes.
+def classify_decision(trajectory: Trajectory, hypo: Trajectory) -> Decision:
+    """Name the maneuver ``trajectory`` encodes against the rollout ``hypo``.
 
     Precedence: stop, then turns, then lane changes, then speed changes.
     A stopped ego (empty hypothetical) cannot classify by length ratio, so
-    it reads as accelerate when the human pulls away and keep_speed when
-    both stand still.
+    it reads as accelerate when the trajectory pulls away and keep_speed
+    when both stand still.
     """
-    if hypo is None:
-        hypo = rollout_hypothetical(s.ego)
-    human = s.human_trajectory
-    l_human = path_length(human)
+    length = path_length(trajectory)
     l_hypo = path_length(hypo)
-    ratio = l_human / l_hypo if l_hypo > _EPS else None
+    ratio = length / l_hypo if l_hypo > _EPS else None
 
     if ratio is not None and ratio < STOP_RATIO:
         return Decision.STOP
-    heading = net_heading_change_deg(human)
-    if abs(heading) > TURN_ANGLE_DEG and l_human > _EPS:
+    heading = net_heading_change_deg(trajectory)
+    if abs(heading) > TURN_ANGLE_DEG and length > _EPS:
         return Decision.TURN_LEFT if heading > 0 else Decision.TURN_RIGHT
-    offset = final_lateral_offset(human)
+    offset = final_lateral_offset(trajectory)
     if abs(offset) > LANE_OFFSET_M:
         # +x is rightward in the ego frame
         return Decision.CHANGE_LANE_LEFT if offset < 0 else Decision.CHANGE_LANE_RIGHT
     if ratio is None:
-        return Decision.ACCELERATE if l_human > 0.5 else Decision.KEEP_SPEED
+        return Decision.ACCELERATE if length > 0.5 else Decision.KEEP_SPEED
     if ratio < DECEL_RATIO:
         return Decision.DECELERATE
     if ratio > ACCEL_RATIO:
@@ -256,7 +249,8 @@ def interaction_summary(critical: tuple[CriticalObject, ...]) -> str:
 def compose_reasoning(s: Scenario) -> ReasoningTrace:
     """Derive the full trace: critical objects, interactions, and decision."""
     hypo = rollout_hypothetical(s.ego)
-    return ReasoningTrace(find_critical_objects(s, hypo), classify_decision(s, hypo))
+    decision = classify_decision(s.human_trajectory, hypo)
+    return ReasoningTrace(find_critical_objects(s, hypo), decision)
 
 
 def render_reasoning(trace: ReasoningTrace) -> str:

@@ -44,6 +44,15 @@ def bare_scenario(human_pts, v0=6.0, a=0.0, w=0.0, objects=(), predictions=()):
     )
 
 
+def critical_objects(s):
+    return find_critical_objects(s, rollout_hypothetical(s.ego))
+
+
+def decide(s):
+    """The decision the human trajectory encodes, as the supervision states it."""
+    return classify_decision(s.human_trajectory, rollout_hypothetical(s.ego))
+
+
 class TestRollout:
     def test_constant_speed_straight(self):
         r = rollout_hypothetical(EgoState(6.0, 0.0, 0.0))
@@ -196,7 +205,7 @@ class TestCriticalObjects:
     def test_object_without_prediction_uses_current_position(self):
         obj = DetectedObject("b1", "barrier", Waypoint(0.0, 9.0), 0.0, 2.0, 0.8)
         s = bare_scenario([(0, 3 * i) for i in range(1, 7)], v0=6.0, objects=[obj])
-        crit = find_critical_objects(s)
+        crit = critical_objects(s)
         assert [c.object_id for c in crit] == ["b1"]
         assert crit[0].min_distance == 0.0  # rollout passes straight through it
         # step 2 sits exactly 3.0 m away, excluded by the strict threshold;
@@ -206,7 +215,7 @@ class TestCriticalObjects:
     def test_far_object_not_critical(self):
         obj = DetectedObject("far", "car", Waypoint(30.0, 100.0), 0.0, 4.0, 1.8)
         s = bare_scenario([(0, 3 * i) for i in range(1, 7)], objects=[obj])
-        assert find_critical_objects(s) == ()
+        assert critical_objects(s) == ()
 
     def test_sorted_by_urgency(self):
         late_but_close_obj, late_pred = moving_object("late", (0.0, 30.0), 0.0, -6.0)
@@ -216,7 +225,7 @@ class TestCriticalObjects:
             objects=[late_but_close_obj, early_obj],
             predictions=[late_pred],
         )
-        crit = find_critical_objects(s)
+        crit = critical_objects(s)
         ids = [c.object_id for c in crit]
         assert ids == sorted(
             ids,
@@ -232,7 +241,7 @@ class TestRelations:
         s = bare_scenario(
             [(0, 3 * i) for i in range(1, 7)], objects=[obj], predictions=predictions
         )
-        crit = find_critical_objects(s)
+        crit = critical_objects(s)
         assert crit, "fixture must be critical"
         return crit[0].relation
 
@@ -260,62 +269,62 @@ class TestRelations:
 class TestDecisions:
     def test_keep_speed(self):
         s = bare_scenario([(0, 3 * i) for i in range(1, 7)], v0=6.0)
-        assert classify_decision(s) is Decision.KEEP_SPEED
+        assert decide(s) is Decision.KEEP_SPEED
 
     def test_decelerate(self):
         s = bare_scenario([(0, 1.5 * i) for i in range(1, 7)], v0=6.0)
-        assert classify_decision(s) is Decision.DECELERATE
+        assert decide(s) is Decision.DECELERATE
 
     def test_accelerate(self):
         s = bare_scenario([(0, 4.0 * i) for i in range(1, 7)], v0=6.0)
-        assert classify_decision(s) is Decision.ACCELERATE
+        assert decide(s) is Decision.ACCELERATE
 
     def test_stop(self):
         s = bare_scenario(
             [(0, 0.1), (0, 0.15), (0, 0.15), (0, 0.15), (0, 0.15), (0, 0.15)], v0=6.0
         )
-        assert classify_decision(s) is Decision.STOP
+        assert decide(s) is Decision.STOP
 
     def test_turn_left_and_right(self):
         left = [(0, 3), (-1.5, 5.6), (-3.0, 8.2), (-4.5, 10.8), (-6.0, 13.4), (-7.5, 16.0)]
         s = bare_scenario(left, v0=6.0)
-        assert classify_decision(s) is Decision.TURN_LEFT
+        assert decide(s) is Decision.TURN_LEFT
         right = [(x * -1, y) for x, y in left]
-        assert classify_decision(bare_scenario(right, v0=6.0)) is Decision.TURN_RIGHT
+        assert decide(bare_scenario(right, v0=6.0)) is Decision.TURN_RIGHT
 
     def test_change_lane_left_and_right(self):
         xs = [-0.33, -1.0, -1.67, -2.0, -2.0, -2.0]
         pts = [(x, 3.0 * (i + 1)) for i, x in enumerate(xs)]
-        assert classify_decision(bare_scenario(pts, v0=6.0)) is Decision.CHANGE_LANE_LEFT
+        assert decide(bare_scenario(pts, v0=6.0)) is Decision.CHANGE_LANE_LEFT
         mirrored = [(-x, y) for x, y in pts]
-        assert classify_decision(bare_scenario(mirrored, v0=6.0)) is Decision.CHANGE_LANE_RIGHT
+        assert decide(bare_scenario(mirrored, v0=6.0)) is Decision.CHANGE_LANE_RIGHT
 
     def test_stop_outranks_turning(self):
         wiggle = [(0, 0.05), (-0.05, 0.1), (-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1)]
-        assert classify_decision(bare_scenario(wiggle, v0=6.0)) is Decision.STOP
+        assert decide(bare_scenario(wiggle, v0=6.0)) is Decision.STOP
 
     def test_turn_outranks_lane_change(self):
         # ends far off-axis AND with a large heading change: reads as a turn
         left = [(0, 3), (-1.5, 5.6), (-3.0, 8.2), (-4.5, 10.8), (-6.0, 13.4), (-7.5, 16.0)]
-        assert classify_decision(bare_scenario(left, v0=6.0)) is Decision.TURN_LEFT
+        assert decide(bare_scenario(left, v0=6.0)) is Decision.TURN_LEFT
 
     def test_ratio_thresholds_respect_margins(self):
         slow = bare_scenario([(0, 2.52 * i) for i in range(1, 7)], v0=6.0)
-        assert classify_decision(slow) is Decision.DECELERATE  # ratio 0.84
+        assert decide(slow) is Decision.DECELERATE  # ratio 0.84
         nearly = bare_scenario([(0, 2.58 * i) for i in range(1, 7)], v0=6.0)
-        assert classify_decision(nearly) is Decision.KEEP_SPEED  # ratio 0.86
+        assert decide(nearly) is Decision.KEEP_SPEED  # ratio 0.86
 
     def test_stationary_ego(self):
         moving = bare_scenario([(0, 2.0 * i) for i in range(1, 7)], v0=0.0)
-        assert classify_decision(moving) is Decision.ACCELERATE
+        assert decide(moving) is Decision.ACCELERATE
         still = bare_scenario([(0, 0)] * 6, v0=0.0)
-        assert classify_decision(still) is Decision.KEEP_SPEED
+        assert decide(still) is Decision.KEEP_SPEED
 
     def test_custom_config_thresholds(self, monkeypatch):
         s = bare_scenario([(0, 1.5 * i) for i in range(1, 7)], v0=6.0)
-        assert classify_decision(s) is Decision.DECELERATE  # ratio ~0.5
+        assert decide(s) is Decision.DECELERATE  # ratio ~0.5
         monkeypatch.setattr(reasoning, "DECEL_RATIO", 0.4)
-        assert classify_decision(s) is Decision.KEEP_SPEED
+        assert decide(s) is Decision.KEEP_SPEED
 
 
 class TestComposition:
