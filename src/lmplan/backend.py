@@ -3,8 +3,10 @@
 Three interchangeable ways to get plan text for a scenario:
 
 - ``remote``: POST to an OpenAI-style ``/chat/completions`` endpoint with
-  bearer auth from the ``PLANNER_API_KEY`` environment variable, retrying
-  transient failures with exponential backoff (or the ``Retry-After``
+  bearer auth from the ``PLANNER_API_KEY`` environment variable (sent as
+  ``requests``' ``auth=``, so neither a netrc entry for the host nor URL
+  user info replaces it, and an endpoint with user info is refused),
+  retrying transient failures with exponential backoff (or the ``Retry-After``
   seconds of a 429 or 503, capped). ``max_in_flight`` (at most
   ``MAX_IN_FLIGHT``) bounds the requests on the wire per config instance;
   a call waiting out a backoff holds no slot.
@@ -28,6 +30,7 @@ import enum
 import json
 import math
 import os
+import re
 import threading
 import time
 import urllib.parse
@@ -56,6 +59,9 @@ MAX_TIMEOUT_S = 86400.0  # one day; the socket layer overflows from about 9.2e9 
 # threads (the second half wait out backoffs), so the bound keeps a typo from
 # asking the OS for thousands of them.
 MAX_IN_FLIGHT = 64
+# the user info of an endpoint: an "@" in the text after its first "//" that
+# comes before any "/", "?" or "#"
+_USERINFO = re.compile(r"[^/?#]*//[^/?#]*@")
 # a fine-tune record's bytes up to its user text, the same in every record
 _RECORD_HEAD = ('{"messages":[{"role":"system","content":' + encode_basestring(SYSTEM_PROMPT)
                 + '},{"role":"user","content":')
@@ -144,15 +150,21 @@ def check_remote_config(cfg: BackendConfig) -> str:
     """Raise ``ValueError`` unless remote mode can send with ``cfg``; return the API key.
 
     The endpoint must be an ``http`` or ``https`` URL with a host (and, if
-    it names a port, one in 1..65535) and no query or fragment, since
-    ``/chat/completions`` is appended to it. The ``PLANNER_API_KEY``
-    environment variable must be set, to visible ASCII only (0x21-0x7E), the
-    characters a bearer token header can carry. No retry can mend any of
-    these, so a caller can reject them before it sends or writes anything.
-    The key's value is never quoted in an error.
+    it names a port, one in 1..65535), no user info and no query or
+    fragment, since ``/chat/completions`` is appended to it. The
+    ``PLANNER_API_KEY`` environment variable must be set, to visible ASCII
+    only (0x21-0x7E), the characters a bearer token header can carry. No
+    retry can mend any of these, so a caller can reject them before it
+    sends or writes anything. Neither the key's value nor an endpoint's user
+    info is ever quoted in an error: user info is refused first, unquoted.
     """
     if not cfg.endpoint_url:
         raise ValueError("remote mode needs endpoint_url")
+    if _USERINFO.match(cfg.endpoint_url):
+        raise ValueError(
+            "remote mode needs an endpoint_url without user info; "
+            f"the key is read from {API_KEY_ENV}"
+        )
     try:
         parts = urllib.parse.urlsplit(cfg.endpoint_url)
         usable = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
@@ -184,7 +196,11 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
         "temperature": cfg.temperature,
         "messages": messages_from_prompt(prompt),
     }
-    headers = {"Authorization": f"Bearer {key}"}
+
+    def bearer(request):
+        # as auth=, it keeps requests from reading netrc or URL user info
+        request.headers["Authorization"] = f"Bearer {key}"
+        return request
 
     delay = wait = min(cfg.retry_backoff_s, _BACKOFF_CAP)
     for attempt in range(cfg.max_retries + 1):
@@ -193,7 +209,7 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
             delay = wait = min(delay * 2, _BACKOFF_CAP)
         try:
             with cfg._gate:
-                resp = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
+                resp = requests.post(url, json=payload, auth=bearer, timeout=cfg.timeout_s)
         except requests.RequestException as e:
             err = BackendError(f"request failed: {e}")
             continue

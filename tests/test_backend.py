@@ -136,6 +136,18 @@ class TestRemote:
         assert req["temperature"] == 0.2
         assert req["messages"] == messages_from_prompt(prompt)
 
+    def test_a_netrc_entry_for_the_host_does_not_replace_the_key(
+        self, tmp_path, monkeypatch, api_key_env
+    ):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login bob password netrcpw\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        scenarios = make_scenarios(1)
+        with MockChatServer(echo_target_responder(scenarios)) as srv:
+            complete(remote_cfg(srv.url), build_prompt(scenarios[0]))
+        assert srv.auth_headers == ["Bearer test-key-1"]
+
     def test_trailing_slash_endpoint(self, api_key_env):
         scenarios = make_scenarios(1)
         with MockChatServer(echo_target_responder(scenarios)) as srv:
