@@ -3,7 +3,7 @@
 Subcommands:
 
 - ``synth``: generate a deterministic scenario file from the built-in
-  archetypes.
+  archetypes; ``--out`` is checked before any scenario is made.
 - ``split``: seeded fractional subset; writes a manifest of chosen ids and
   optionally the subset scenario file. Smaller fractions at the same seed
   are prefixes of larger ones.
@@ -17,8 +17,8 @@ Subcommands:
   answer from the scenario. In remote mode ``--max-in-flight`` (at most
   ``MAX_IN_FLIGHT``) bounds the requests on the wire; a scenario waiting
   out a retry backoff (or a 429/503 ``Retry-After``) holds no slot. An
-  endpoint that is not an http(s) URL with a host, an endpoint with a
-  query or fragment, no API key, or a ``PLANNER_API_KEY`` holding a
+  endpoint that is not an http(s) URL with a host, an endpoint with user
+  info, a query or a fragment, no API key, or a ``PLANNER_API_KEY`` holding a
   character outside 0x21-0x7E exits 2 before ``--out`` is opened. Lines
   are written in scenario order as they finish.
 - ``evaluate``: read every result line (``metrics.PlanRecord.from_line``,
@@ -157,6 +157,7 @@ def cmd_synth(args) -> int:
             raise ValueError(f"unknown kind {k!r}; choose from {', '.join(SYNTH_KINDS)}")
     if args.count < 1:
         raise ValueError("--count must be >= 1")
+    _check_outputs([("--out", args.out)], [])
     scenarios = [synth_scenario(kinds[i % len(kinds)], args.seed + i) for i in range(args.count)]
     save_scenarios(scenarios, args.out)
     _say(f"wrote {len(scenarios)} scenarios to {args.out}")
