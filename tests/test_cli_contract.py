@@ -14,6 +14,10 @@
 - A lone-surrogate scenario id exits 2 and writes nothing.
 - A ``split`` whose ``--scenarios-out`` directory does not exist exits 2,
   names that flag and writes no manifest, or leaves an existing one as it was.
+- A ``synth`` whose ``--out`` directory does not exist exits 2, names
+  ``--out`` and writes nothing.
+- A remote ``plan`` sends ``Bearer $PLANNER_API_KEY`` even when the netrc
+  file names the endpoint's host.
 - Float literals respelled with the same quantized value plan and score
   byte-identically.
 
@@ -39,6 +43,7 @@ from pathlib import Path
 import pytest
 
 import lmplan
+from mockserver import MockChatServer, echo_target_responder
 
 _PACKAGE_ROOT = str(Path(lmplan.__file__).resolve().parent.parent)
 
@@ -218,6 +223,27 @@ def test_a_split_with_no_scenarios_out_directory_writes_no_manifest(tmp_path, ex
         assert manifest.read_bytes() == b"old bytes\n"
     else:
         assert not manifest.exists()
+
+
+def test_a_synth_with_no_out_directory_writes_nothing(tmp_path):
+    proc = lmplan_run(tmp_path, "synth", "--count", 4, "--out", "nodir/x.json")
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("lmplan: error: --out nodir/x.json: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_remote_plan_sends_the_key_when_netrc_names_the_host(tmp_path):
+    assert lmplan_cmd(tmp_path, "synth", "--count", 4, "--out", "s.json") == 0
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login bob password netrcpw\n")
+    netrc.chmod(0o600)
+    env = dict(os.environ, NETRC=str(netrc), PLANNER_API_KEY="contract-key")
+    scenarios = lmplan.load_scenarios(tmp_path / "s.json")
+    with MockChatServer(echo_target_responder(scenarios)) as srv:
+        proc = lmplan_run(tmp_path, "plan", "--scenarios", "s.json", "--out", "r.jsonl",
+                          "--mode", "remote", "--endpoint", srv.url, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert srv.auth_headers == ["Bearer contract-key"] * 4
 
 
 def _respell(text: str) -> str:
