@@ -7,12 +7,16 @@ import pytest
 
 from helpers import integrate_rollout, traj
 from lmplan import (
+    BackendConfig,
+    BackendMode,
     Decision,
     Scenario,
     classify_decision,
+    complete,
     compose_reasoning,
     find_critical_objects,
     make_finetune_example,
+    parse_plan_output,
     quantize,
     render_reasoning,
     rollout_hypothetical,
@@ -325,6 +329,28 @@ class TestDecisions:
         assert decide(s) is Decision.DECELERATE  # ratio ~0.5
         monkeypatch.setattr(reasoning, "DECEL_RATIO", 0.4)
         assert decide(s) is Decision.KEEP_SPEED
+
+
+class TestStubSelfConsistency:
+    """A stub plan's stated decision against the one its own trajectory implies."""
+
+    @pytest.mark.parametrize("mode, consistent, agreeing", [
+        (BackendMode.STUB_REPLAY_GT, 400, 400),
+        (BackendMode.STUB_HYPOTHETICAL, 400, 100),
+    ])
+    def test_each_stub_states_what_its_own_trajectory_implies(self, mode, consistent, agreeing):
+        # the hypothetical stub always states keep_speed and plans the rollout
+        # itself, so it is self-consistent while it agrees with the reference
+        # only on the round-robin quarter whose human keeps speed
+        cfg = BackendConfig(mode=mode)
+        rows = []
+        for i in range(400):
+            s = synth_scenario(SYNTH_KINDS[i % 4], i)
+            out = parse_plan_output(complete(cfg, None, s))
+            implied = classify_decision(out.trajectory, rollout_hypothetical(s.ego))
+            rows.append((out.decision, implied, decide(s)))
+        assert sum(stated is implied for stated, implied, _ in rows) == consistent
+        assert sum(stated is reference for stated, _, reference in rows) == agreeing
 
 
 class TestComposition:
