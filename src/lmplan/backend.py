@@ -5,11 +5,13 @@ Three interchangeable ways to get plan text for a scenario:
 - ``remote``: POST to an OpenAI-style ``/chat/completions`` endpoint with
   bearer auth from the ``PLANNER_API_KEY`` environment variable (sent as
   ``requests``' ``auth=``, so neither a netrc entry for the host nor URL
-  user info replaces it, and an endpoint with user info is refused),
-  retrying transient failures with exponential backoff (or the ``Retry-After``
-  seconds of a 429 or 503, capped). ``max_in_flight`` (at most
-  ``MAX_IN_FLIGHT``) bounds the requests on the wire per config instance;
-  a call waiting out a backoff holds no slot.
+  user info replaces it, and an endpoint with user info is refused). A
+  redirect is not followed, since ``requests`` would put a netrc entry on
+  the redirected request: a 3xx reply is an error that is not retried, as
+  a 4xx is. It retries transient failures with exponential backoff (or
+  the ``Retry-After`` seconds of a 429 or 503, capped). ``max_in_flight``
+  (at most ``MAX_IN_FLIGHT``) bounds the requests on the wire per config
+  instance; a call waiting out a backoff holds no slot.
 - ``stub_replay_gt``: offline oracle that answers with the exact
   supervision target for the scenario (upper bound; exercises the full
   text path with zero error).
@@ -209,7 +211,10 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
             delay = wait = min(delay * 2, _BACKOFF_CAP)
         try:
             with cfg._gate:
-                resp = requests.post(url, json=payload, auth=bearer, timeout=cfg.timeout_s)
+                # a followed redirect would send a netrc entry in place of the key
+                resp = requests.post(
+                    url, json=payload, auth=bearer, timeout=cfg.timeout_s, allow_redirects=False
+                )
         except requests.RequestException as e:
             err = BackendError(f"request failed: {e}")
             continue
@@ -220,7 +225,7 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
             if resp.status_code in (429, 503):
                 wait = _retry_after(resp.headers.get("Retry-After"), delay)
             continue
-        raise err  # other 4xx will not improve on retry
+        raise err  # a 3xx or another 4xx will not improve on retry
     raise err  # the last attempt's error: every pass of the loop sets it
 
 

@@ -571,10 +571,17 @@ def _scenarios_from_text(text: str) -> list[Scenario]:
     return out
 
 
-# The writer leaves every leaf to ``json``: each scenario is one line,
-# ``json.dumps`` of its ``_entry`` in json's compact layout. A waypoint and
-# any other tuple pass through as they are, since json writes a tuple as an
-# array.
+# The writer leaves every leaf to ``json``: each scenario is one line, its
+# ``_entry`` in json's compact layout. A waypoint and any other tuple pass
+# through as they are, since json writes a tuple as an array. ``_entry``
+# builds a fresh tree over immutable records, so the one encoder skips
+# json's cycle check, which would add and drop a marker for each of an
+# entry's ~70 containers; a cyclic leaf put into a record still raises
+# (``RecursionError``), before the file is opened.
+_encode_entry = json.JSONEncoder(
+    separators=(",", ":"), ensure_ascii=False, check_circular=False
+).encode
+
 
 def _entry(s: Scenario) -> dict:
     """One entry of the top-level list, in the schema's key order."""
@@ -600,8 +607,9 @@ def save_scenarios(scenarios: list[Scenario], path: str | Path) -> None:
 
     One scenario per line: the bytes are ``{"scenarios":[``, a newline, the
     entries joined by a comma and a newline, then a newline, ``]}`` and one
-    newline, in UTF-8. Each entry is ``json.dumps(entry, separators=(",",
-    ":"), ensure_ascii=False)``, holding ``id``, ``ego``
+    newline, in UTF-8. Each entry has the bytes of ``json.dumps(entry,
+    separators=(",", ":"), ensure_ascii=False)``, written by one encoder
+    built at import without json's cycle check, and holds ``id``, ``ego``
     (``velocity``, ``acceleration``, ``heading_rate``, ``history``),
     ``objects`` (``id``, ``class``, ``center``, ``heading``, ``length``,
     ``width``), ``predictions`` (``object_id``, ``future``),
@@ -609,9 +617,10 @@ def save_scenarios(scenarios: list[Scenario], path: str | Path) -> None:
     ``center``, ``heading``, ``length``, ``width``), each point an
     ``[x, y]`` list. The whole text is encoded before the file is opened,
     so a leaf that cannot be written raises and leaves an existing file as
-    it was. ``load_scenarios`` reads any JSON layout.
+    it was; a leaf that holds itself raises ``RecursionError`` there.
+    ``load_scenarios`` reads any JSON layout.
     """
-    entries = [json.dumps(_entry(s), separators=(",", ":"), ensure_ascii=False) for s in scenarios]
+    entries = [_encode_entry(_entry(s)) for s in scenarios]
     data = ('{"scenarios":[\n' + ",\n".join(entries) + "\n]}\n").encode("utf-8")
     Path(path).write_bytes(data)
 
@@ -640,6 +649,14 @@ def sample_split(scenarios: list[Scenario], fraction: float, seed: int) -> list[
 
 
 # --- synthetic fixtures ---------------------------------------------------
+#
+# Every record is built with ``tuple.__new__`` (``_waypoint``,
+# ``_object_box``), as the loader builds them, and the two object headings
+# are rounded once.
+
+_HEADING_ALONG = quantize(math.pi / 2)  # facing +y, along the lane
+_HEADING_ACROSS = quantize(-math.pi)  # facing -x, across the lane
+
 
 def _speed_profile_trajectory(speeds, lateral=None) -> Trajectory:
     """Integrate per-interval speeds into waypoints; optional lateral offsets."""
@@ -649,12 +666,12 @@ def _speed_profile_trajectory(speeds, lateral=None) -> Trajectory:
         s += v * DEFAULT_DT
         ys.append(s)
     xs = list(lateral) if lateral is not None else [0.0] * len(ys)
-    return Trajectory(tuple(Waypoint(quantize(x), quantize(y)) for x, y in zip(xs, ys)))
+    return Trajectory(tuple(_waypoint((quantize(x), quantize(y))) for x, y in zip(xs, ys)))
 
 
 def _history(v0: float) -> tuple[Waypoint, ...]:
     # four steps of constant-speed straight history, most recent last
-    return tuple(Waypoint(0.0, quantize(-v0 * DEFAULT_DT * k)) for k in range(4, 0, -1))
+    return tuple(_waypoint((0.0, quantize(-v0 * DEFAULT_DT * k))) for k in range(4, 0, -1))
 
 
 def synth_scenario(kind: str, seed: int) -> Scenario:
@@ -689,10 +706,10 @@ def synth_scenario(kind: str, seed: int) -> Scenario:
         # brake to the lead's speed within 1 s, then follow
         speeds = [max(v_lead, v0 - (v0 - v_lead) * (t - DEFAULT_DT / 2)) for t in times]
         human = _speed_profile_trajectory(speeds)
-        lead_pos = [Waypoint(x_lead, quantize(y0 + v_lead * t)) for t in times]
-        obj = DetectedObject("o1", "car", Waypoint(x_lead, y0), quantize(math.pi / 2), 4.6, 1.9)
+        lead_pos = [_waypoint((x_lead, quantize(y0 + v_lead * t))) for t in times]
+        obj = DetectedObject("o1", "car", _waypoint((x_lead, y0)), _HEADING_ALONG, 4.6, 1.9)
         pred = PredictedMotion("o1", tuple(lead_pos))
-        boxes = tuple((ObjectBox(p, quantize(math.pi / 2), 4.6, 1.9),) for p in lead_pos)
+        boxes = tuple((_object_box((p, _HEADING_ALONG, 4.6, 1.9)),) for p in lead_pos)
         return Scenario(sid, ego, (obj,), (pred,), human, boxes)
 
     if kind == "crossing_pedestrian":
@@ -703,12 +720,12 @@ def synth_scenario(kind: str, seed: int) -> Scenario:
         ego = EgoState(v0, 0.0, 0.0, _history(v0))
         speeds = [max(0.0, v0 - brake * (t - DEFAULT_DT / 2)) for t in times]
         human = _speed_profile_trajectory(speeds)
-        ped_pos = [Waypoint(quantize(x_ped + vx_ped * t), y_ped) for t in times]
+        ped_pos = [_waypoint((quantize(x_ped + vx_ped * t), y_ped)) for t in times]
         obj = DetectedObject(
-            "p1", "pedestrian", Waypoint(quantize(x_ped), y_ped), quantize(-math.pi), 0.6, 0.6
+            "p1", "pedestrian", _waypoint((quantize(x_ped), y_ped)), _HEADING_ACROSS, 0.6, 0.6
         )
         pred = PredictedMotion("p1", tuple(ped_pos))
-        boxes = tuple((ObjectBox(p, quantize(-math.pi), 0.6, 0.6),) for p in ped_pos)
+        boxes = tuple((_object_box((p, _HEADING_ACROSS, 0.6, 0.6)),) for p in ped_pos)
         return Scenario(sid, ego, (obj,), (pred,), human, boxes)
 
     # stationary_obstacle
@@ -723,8 +740,7 @@ def synth_scenario(kind: str, seed: int) -> Scenario:
         u = min(1.0, t / shift_end)
         lateral.append(offset * (3 * u * u - 2 * u * u * u))
     human = _speed_profile_trajectory([v0] * H, lateral)
-    obj = DetectedObject("b1", "barrier", Waypoint(x_obs, y_obs), quantize(math.pi / 2), 2.0, 0.8)
-    boxes = tuple(
-        (ObjectBox(Waypoint(x_obs, y_obs), quantize(math.pi / 2), 2.0, 0.8),) for _ in range(H)
-    )
+    center = _waypoint((x_obs, y_obs))
+    obj = DetectedObject("b1", "barrier", center, _HEADING_ALONG, 2.0, 0.8)
+    boxes = tuple((_object_box((center, _HEADING_ALONG, 2.0, 0.8)),) for _ in range(H))
     return Scenario(sid, ego, (obj,), (), human, boxes)

@@ -7,6 +7,8 @@ Serves an OpenAI-style POST /chat/completions. Knobs:
   requests before behaving.
 - ``retry_after``: if set, the ``Retry-After`` header value sent with
   those injected failures.
+- ``location``: if set, the ``Location`` header value sent with those
+  injected failures (a redirect, with a 3xx ``fail_status``).
 - ``corrupt_every``: of the distinct request bodies seen, garble the
   completion for every k-th one (deterministic per body, so a retry of the
   same request stays garbled and fallback counts are exact).
@@ -35,11 +37,12 @@ def garble(text: str) -> str:
 class MockChatServer:
     def __init__(self, responder, fail_first: int = 0, corrupt_every: int = 0,
                  latency_s: float = 0.0, fail_status: int = 500,
-                 retry_after: str | None = None):
+                 retry_after: str | None = None, location: str | None = None):
         self.responder = responder
         self.latency_s = latency_s
         self.fail_status = fail_status
         self.retry_after = retry_after
+        self.location = location
         self.requests: list[dict] = []
         self.auth_headers: list[str | None] = []
         self.paths: list[str] = []
@@ -101,7 +104,8 @@ class MockChatServer:
                         time.sleep(server.latency_s)
                     if fail:
                         self._send(
-                            server.fail_status, {"error": "injected failure"}, server.retry_after
+                            server.fail_status, {"error": "injected failure"},
+                            server.retry_after, server.location,
                         )
                         return
                     content = server.responder(payload)
@@ -115,11 +119,14 @@ class MockChatServer:
                     with server._lock:
                         server._in_flight -= 1
 
-            def _send(self, status: int, obj: dict, retry_after: str | None = None):
+            def _send(self, status: int, obj: dict, retry_after: str | None = None,
+                      location: str | None = None):
                 data = json.dumps(obj).encode("utf-8")
                 self.send_response(status)
                 if retry_after is not None:
                     self.send_header("Retry-After", retry_after)
+                if location is not None:
+                    self.send_header("Location", location)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()

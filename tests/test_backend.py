@@ -148,6 +148,26 @@ class TestRemote:
             complete(remote_cfg(srv.url), build_prompt(scenarios[0]))
         assert srv.auth_headers == ["Bearer test-key-1"]
 
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_a_redirect_is_refused_so_a_netrc_entry_is_never_sent(
+        self, tmp_path, monkeypatch, api_key_env, status
+    ):
+        # a followed redirect would carry netrc's Basic bob:netrcpw, not the key
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login bob password netrcpw\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        scenarios = make_scenarios(1)
+        with MockChatServer(
+            echo_target_responder(scenarios), fail_first=1, fail_status=status,
+            location="/v2/chat/completions",
+        ) as srv:
+            with pytest.raises(BackendError) as exc:
+                complete(remote_cfg(srv.url, max_retries=3), build_prompt(scenarios[0]))
+        assert str(exc.value).startswith(f"endpoint returned {status}: ")
+        assert srv.paths == ["/chat/completions"]
+        assert srv.auth_headers == ["Bearer test-key-1"]
+
     def test_trailing_slash_endpoint(self, api_key_env):
         scenarios = make_scenarios(1)
         with MockChatServer(echo_target_responder(scenarios)) as srv:

@@ -24,7 +24,7 @@ from lmplan import (
 from lmplan import scenario as scenario_module
 from lmplan.metrics import collision_steps
 from lmplan.reasoning import rollout_hypothetical
-from lmplan.scenario import SYNTH_KINDS, EgoState
+from lmplan.scenario import SYNTH_KINDS, EgoState, ObjectBox
 
 
 def write_file(tmp_path, payload, name="sc.json"):
@@ -559,6 +559,21 @@ class TestSynth:
             assert s.ego.velocity == quantize(s.ego.velocity)
             for o in s.objects:
                 assert o.heading == quantize(o.heading)
+
+    def test_every_point_is_a_waypoint_and_every_box_an_object_box(self, tmp_path):
+        # neither the saved bytes nor == tell a plain (x, y) tuple from a Waypoint
+        scenarios = [synth_scenario(kind, seed) for kind in SYNTH_KINDS for seed in range(50)]
+        path = tmp_path / "s.json"
+        save_scenarios(scenarios, path)
+        loaded = load_scenarios(path)
+        assert loaded == scenarios
+        for s in scenarios + loaded:
+            boxes = [b for step in s.gt_object_boxes for b in step]
+            points = [*s.ego.history, *s.human_trajectory.waypoints]
+            points += [o.center for o in s.objects] + [b.center for b in boxes]
+            points += [w for p in s.predictions for w in p.future]
+            assert all(type(w) is Waypoint for w in points), s.id
+            assert all(type(b) is ObjectBox for b in boxes), s.id
 
 
 class TestSavedSchema:

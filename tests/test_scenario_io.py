@@ -101,14 +101,22 @@ def test_scenario_writer_matches_json_one_compact_scenario_per_line(tmp_path_fac
     assert path.read_bytes() == one_scenario_per_line(scenarios)
 
 
+def _list_holding_itself() -> list:
+    leaf = []
+    leaf.append(leaf)
+    return leaf
+
+
 @pytest.mark.parametrize(
     "field, leaf, error",
     [
         ("velocity", object(), TypeError),
         ("id", "\ud800", UnicodeEncodeError),  # a lone surrogate has no UTF-8 bytes
         ("class", "car \udfff", UnicodeEncodeError),
+        # the writer's encoder has no cycle check; its depth limit stops the walk
+        ("velocity", _list_holding_itself(), RecursionError),
     ],
-    ids=["object", "surrogate-id", "surrogate-class"],
+    ids=["object", "surrogate-id", "surrogate-class", "cyclic"],
 )
 def test_unwritable_leaf_raises_and_keeps_the_file(tmp_path, field, leaf, error):
     path = tmp_path / "s.json"
