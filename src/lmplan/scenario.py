@@ -531,7 +531,10 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     raised before a duplicate scenario id, and that before an invariant
     violation.
 
-    The cyclic garbage collector is off during the decode and the walk
+    A load holds about one decoded tree at a time: the file's text is
+    dropped once it is decoded, and each entry of the tree once its
+    records are built, so the records reuse the tree's memory. The cyclic
+    garbage collector is off during the decode and the walk
     (``collector_paused``) and comes back as the caller had it, error or not.
     """
     try:
@@ -539,10 +542,13 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     except UnicodeDecodeError as e:
         raise ScenarioSchemaError(f"not UTF-8 text: {e}") from None
     with collector_paused():
-        return _scenarios_from_text(text)  # the decoded tree is freed on return
+        entries = _decoded_entries(text)
+        del text  # the walk needs only the tree
+        return _scenarios_from_entries(entries)
 
 
-def _scenarios_from_text(text: str) -> list[Scenario]:
+def _decoded_entries(text: str) -> list:
+    """The decoded top-level ``scenarios`` list."""
     try:
         doc = json.loads(text, parse_float=_LiteralMemo().__getitem__)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -553,13 +559,20 @@ def _scenarios_from_text(text: str) -> list[Scenario]:
         ) from None
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise ScenarioSchemaError('top level must be {"scenarios": [...]}')
+    return doc["scenarios"]
 
+
+def _scenarios_from_entries(entries: list) -> list[Scenario]:
+    """The scenarios, in file order; empties ``entries``, freeing each entry once built."""
+    entries.reverse()  # popped from the end, so in file order
     out = []
     seen = set()
-    for raw in doc["scenarios"]:
+    while entries:
+        raw = entries.pop()
         if not isinstance(raw, dict):
             raise ScenarioSchemaError("each scenario must be an object")
         s, valid = _scenario_from_dict(raw)
+        del raw
         if s.id in seen:
             raise ScenarioSchemaError("duplicate scenario id", s.id, "id")
         seen.add(s.id)
@@ -577,7 +590,9 @@ def _scenarios_from_text(text: str) -> list[Scenario]:
 # builds a fresh tree over immutable records, so the one encoder skips
 # json's cycle check, which would add and drop a marker for each of an
 # entry's ~70 containers; a cyclic leaf put into a record still raises
-# (``RecursionError``), before the file is opened.
+# (``RecursionError``), before the file is opened. A save holds one encoded
+# copy of the file: each entry's text is encoded to UTF-8 and dropped, and
+# the file is written from those pieces, never joined.
 _encode_entry = json.JSONEncoder(
     separators=(",", ":"), ensure_ascii=False, check_circular=False
 ).encode
@@ -615,14 +630,20 @@ def save_scenarios(scenarios: list[Scenario], path: str | Path) -> None:
     ``width``), ``predictions`` (``object_id``, ``future``),
     ``human_trajectory`` and ``gt_object_boxes`` (per step, boxes of
     ``center``, ``heading``, ``length``, ``width``), each point an
-    ``[x, y]`` list. The whole text is encoded before the file is opened,
-    so a leaf that cannot be written raises and leaves an existing file as
-    it was; a leaf that holds itself raises ``RecursionError`` there.
-    ``load_scenarios`` reads any JSON layout.
+    ``[x, y]`` list. Every entry is encoded before the file is opened, so
+    a leaf that cannot be written raises and leaves an existing file as it
+    was; a leaf that holds itself raises ``RecursionError`` there. A save
+    holds one encoded copy of the file: the UTF-8 bytes of each entry, which
+    are written in turn with their separators. ``load_scenarios`` reads any
+    JSON layout.
     """
-    entries = [_encode_entry(_entry(s)) for s in scenarios]
-    data = ('{"scenarios":[\n' + ",\n".join(entries) + "\n]}\n").encode("utf-8")
-    Path(path).write_bytes(data)
+    pieces = []
+    for s in scenarios:
+        pieces += (b",\n", _encode_entry(_entry(s)).encode("utf-8"))
+    pieces[:1] = (b'{"scenarios":[\n',)  # the header takes the first separator's place
+    pieces.append(b"\n]}\n")
+    with Path(path).open("wb") as f:
+        f.writelines(pieces)
 
 
 # --- dataset splits -------------------------------------------------------

@@ -16,6 +16,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -912,3 +913,97 @@ def test_non_ascii_strings_load(tmp_path):
     path = tmp_path / "s.json"
     save_scenarios([s], path)
     assert load_scenarios(path) == [s]
+
+
+# --- one copy in memory ---------------------------------------------------
+#
+# A load frees the file's text once it is decoded and each entry once its
+# records are built; a save holds the entries' UTF-8 bytes and no joined text.
+# ``tracemalloc`` counts the bytes Python allocates, so the bounds hold on
+# any host.
+
+
+@pytest.fixture
+def traced():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+def _traced_growth(call) -> tuple[object, int, int]:
+    """``call()``, and the traced memory it left behind and its peak, past the start."""
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    result = call()
+    current, peak = tracemalloc.get_traced_memory()
+    return result, current - start, peak - start
+
+
+def test_a_load_holds_no_more_than_one_decoded_tree_besides_its_records(tmp_path, traced):
+    path = tmp_path / "s.json"
+    save_scenarios(make_scenarios(2000), path)
+    text = path.read_text(encoding="utf-8")
+    # the tree as the loader decodes it, one float object per distinct literal
+    memo = scenario_module._LiteralMemo()
+    tree, tree_size, _ = _traced_growth(lambda: json.loads(text, parse_float=memo.__getitem__))
+    del memo, tree, text
+    scenarios, records, peak = _traced_growth(lambda: load_scenarios(path))
+    assert len(scenarios) == 2000
+    # The peak is the decode's text and tree, and the records take the place
+    # of the entries they were built from: what the load holds past them is a
+    # little over half a tree. A walk that kept the tree would hold about one, and
+    # the text, the tree and the records at once more than one.
+    assert peak - records < 0.8 * tree_size, (peak - records, tree_size)
+
+
+def test_a_save_holds_one_encoded_copy_of_the_file(tmp_path, traced):
+    scenarios = make_scenarios(2000)
+    path = tmp_path / "s.json"
+    _, _, peak = _traced_growth(lambda: save_scenarios(scenarios, path))
+    # the entries' text, their join and its bytes at once would be about three
+    assert peak < 1.5 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+def _bad_velocity(d):
+    d["ego"]["velocity"] = "fast"
+
+
+def _negative_velocity(d):
+    d["ego"]["velocity"] = -1.0
+
+
+ERROR_PATH_CASES = {
+    # the bad entry's mutation, and the message its scenario id goes into
+    "schema error": (_bad_velocity, "field 'ego.velocity': expected a number, got str"),
+    "duplicate id": (None, "field 'id': duplicate scenario id"),
+    "invariant": (_negative_velocity, "ego velocity >= 0"),
+    "schema error before duplicate id": (
+        _bad_velocity, "field 'ego.velocity': expected a number, got str"),
+    "duplicate id before invariant": (_negative_velocity, "field 'id': duplicate scenario id"),
+}
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("case", ERROR_PATH_CASES)
+def test_an_error_after_freed_entries_is_the_one_the_walk_raised(tmp_path, case, position):
+    """The bad entry of a 50-entry file raises its message wherever it stands.
+
+    A duplicate repeats entry 0's id, so at the earliest it is entry 1.
+    """
+    scenarios = make_scenarios(50)
+    docs = [scenario_to_dict(s) for s in scenarios]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"scenarios": docs}), encoding="utf-8")
+    assert load_scenarios(path) == scenarios
+
+    mutate, message = ERROR_PATH_CASES[case]
+    duplicate = "duplicate id" in case
+    at = {"first": 1 if duplicate else 0, "middle": 25, "last": 49}[position]
+    if mutate:
+        mutate(docs[at])
+    if duplicate:
+        docs[at]["id"] = docs[0]["id"]
+    path.write_text(json.dumps({"scenarios": docs}), encoding="utf-8")
+    with pytest.raises(ScenarioSchemaError) as e:
+        load_scenarios(path)
+    assert str(e.value) == f"scenario {docs[at]['id']!r}: {message}"
