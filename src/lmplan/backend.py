@@ -3,15 +3,13 @@
 Three interchangeable ways to get plan text for a scenario:
 
 - ``remote``: POST to an OpenAI-style ``/chat/completions`` endpoint with
-  bearer auth from the ``PLANNER_API_KEY`` environment variable (sent as
-  ``requests``' ``auth=``, so neither a netrc entry for the host nor URL
-  user info replaces it, and an endpoint with user info is refused). A
-  redirect is not followed, since ``requests`` would put a netrc entry on
-  the redirected request: a 3xx reply is an error that is not retried, as
-  a 4xx is. It retries transient failures with exponential backoff (or
-  the ``Retry-After`` seconds of a 429 or 503, capped). ``max_in_flight``
-  (at most ``MAX_IN_FLIGHT``) bounds the requests on the wire per config
-  instance; a call waiting out a backoff holds no slot.
+  bearer auth from the ``PLANNER_API_KEY`` environment variable (an
+  endpoint with user info is refused). ``_send`` alone speaks HTTP; a 3xx
+  reply is an error that is not retried, as a 4xx is. It retries transient
+  failures with exponential backoff (or the ``Retry-After`` seconds of a
+  429 or 503, capped). ``max_in_flight`` (at most ``MAX_IN_FLIGHT``) bounds
+  the requests on the wire per config instance; a call waiting out a
+  backoff holds no slot.
 - ``stub_replay_gt``: offline oracle that answers with the exact
   supervision target for the scenario (upper bound; exercises the full
   text path with zero error).
@@ -198,12 +196,6 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
         "temperature": cfg.temperature,
         "messages": messages_from_prompt(prompt),
     }
-
-    def bearer(request):
-        # as auth=, it keeps requests from reading netrc or URL user info
-        request.headers["Authorization"] = f"Bearer {key}"
-        return request
-
     delay = wait = min(cfg.retry_backoff_s, _BACKOFF_CAP)
     for attempt in range(cfg.max_retries + 1):
         if attempt:
@@ -211,22 +203,39 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
             delay = wait = min(delay * 2, _BACKOFF_CAP)
         try:
             with cfg._gate:
-                # a followed redirect would send a netrc entry in place of the key
-                resp = requests.post(
-                    url, json=payload, auth=bearer, timeout=cfg.timeout_s, allow_redirects=False
-                )
-        except requests.RequestException as e:
-            err = BackendError(f"request failed: {e}")
+                status, retry_after, text = _send(url, payload, key, cfg.timeout_s)
+        except BackendError as e:
+            error = str(e)
             continue
-        if resp.status_code == 200:
-            return _content_of(resp)
-        err = BackendError(f"endpoint returned {resp.status_code}: {resp.text[:200]}")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            if resp.status_code in (429, 503):
-                wait = _retry_after(resp.headers.get("Retry-After"), delay)
-            continue
-        raise err  # a 3xx or another 4xx will not improve on retry
-    raise err  # the last attempt's error: every pass of the loop sets it
+        if status == 200:
+            return _content_of(text)
+        error = f"endpoint returned {status}: {text[:200]}"
+        if status != 429 and status < 500:
+            break  # a 3xx or another 4xx will not improve on retry
+        if status in (429, 503):
+            wait = _retry_after(retry_after, delay)
+    raise BackendError(error)  # the last attempt's error: every pass of the loop sets it
+
+
+def _send(url: str, payload: dict, key: str, timeout: float) -> tuple[int, str | None, str]:
+    """POST ``payload`` as JSON: the reply's status, ``Retry-After`` header and body text.
+
+    The one code that speaks HTTP. The key goes in as ``requests``' ``auth=``,
+    so neither a netrc entry for the host nor URL user info replaces it. A
+    redirect is not followed, since ``requests`` would put a netrc entry on
+    the redirected request. A request that fails on the way is a
+    ``BackendError`` that holds no ``requests`` object.
+    """
+    def bearer(request):
+        request.headers["Authorization"] = f"Bearer {key}"
+        return request
+
+    try:
+        resp = requests.post(url, json=payload, auth=bearer, timeout=timeout, allow_redirects=False)
+        return resp.status_code, resp.headers.get("Retry-After"), resp.text
+    except requests.RequestException as e:
+        failure = f"request failed: {e}"
+    raise BackendError(failure)  # outside the except, so it chains no requests exception
 
 
 def _retry_after(value: str | None, default: float) -> float:
@@ -239,12 +248,11 @@ def _retry_after(value: str | None, default: float) -> float:
     return min(seconds, _BACKOFF_CAP) if 0 <= seconds < math.inf else default
 
 
-def _content_of(resp) -> str:
+def _content_of(text: str) -> str:
     try:
-        data = resp.json()
-        content = data["choices"][0]["message"]["content"]
+        content = json.loads(text)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError, RecursionError):
-        raise BackendError(f"malformed completion body: {resp.text[:200]}") from None
+        raise BackendError(f"malformed completion body: {text[:200]}") from None
     if not isinstance(content, str):
         raise BackendError("completion content is not text")
     return content

@@ -4,7 +4,6 @@ import threading
 from types import SimpleNamespace
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -285,48 +284,34 @@ class TestRemote:
             assert srv.max_in_flight_seen >= 3
 
 
-class FakeResponse:
-    def __init__(self, payload, status_code=200, text="body"):
-        self._payload = payload
-        self.status_code = status_code
-        self.text = text
-
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
-
-
 class TestContentExtraction:
     def test_happy_path(self):
-        resp = FakeResponse({"choices": [{"message": {"content": "hi", "role": "assistant"}}]})
-        assert _content_of(resp) == "hi"
+        body = json.dumps({"choices": [{"message": {"content": "hi", "role": "assistant"}}]})
+        assert _content_of(body) == "hi"
 
     @pytest.mark.parametrize(
-        "payload",
+        "body",
         [
-            {},
-            {"choices": []},
-            {"choices": [{"message": {}}]},
-            {"choices": [{"message": {"content": 7}}]},
-            ValueError("not json"),
-            None,
+            "{}",
+            '{"choices": []}',
+            '{"choices": [{"message": {}}]}',
+            '{"choices": [{"message": {"content": 7}}]}',
+            "not json",
+            "null",
         ],
     )
-    def test_malformed_bodies(self, payload):
+    def test_malformed_bodies(self, body):
         with pytest.raises(BackendError):
-            _content_of(FakeResponse(payload))
+            _content_of(body)
 
     def test_malformed_body_message_holds_an_excerpt(self):
         with pytest.raises(BackendError) as e:
-            _content_of(FakeResponse(ValueError("not json"), text="<html>" * 50))
+            _content_of("<html>" * 50)
         assert str(e.value) == "malformed completion body: " + ("<html>" * 50)[:200]
 
     def test_too_deeply_nested_body(self):
-        resp = requests.models.Response()
-        resp.status_code, resp.encoding, resp._content = 200, "utf-8", b"[" * 200_000
         with pytest.raises(BackendError, match="malformed completion body"):
-            _content_of(resp)
+            _content_of("[" * 200_000)
 
 
 class _Label(str):
