@@ -26,6 +26,7 @@ through json's own string encoder, so the bytes are ``json.dumps``'s.
 
 from __future__ import annotations
 
+import collections
 import enum
 import json
 import math
@@ -79,7 +80,56 @@ class BackendMode(str, enum.Enum):
 class BackendError(RuntimeError):
     """Completion could not be obtained. The message names the HTTP status of a
     non-200 reply (``endpoint returned 500: ...``) and, for a reply that is
-    not a completion, quotes its first 200 characters."""
+    not a completion, quotes its first 200 characters. Quoted text, the
+    reply's or a failed request's, keeps only printable characters (see
+    ``_printable``), so the message can go to a terminal as it is."""
+
+
+def _printable(text: str) -> str:
+    """``text`` with each character that is not printable written as its ``repr`` escape."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
+class _FirstComeGate:
+    """A bounded semaphore that serves its waiters in arrival order.
+
+    ``release`` hands the slot straight to the oldest waiter, so a thread
+    that releases and at once asks again queues behind it instead of taking
+    the slot first, as it could from a ``threading`` semaphore; a scenario
+    waiting at the gate is never starved.
+    """
+
+    def __init__(self, slots: int):
+        self._lock = threading.Lock()
+        self._slots = self._free = slots
+        self._waiters = collections.deque()  # one held lock per queued thread
+
+    def acquire(self, blocking: bool = True) -> bool:
+        with self._lock:
+            if self._free:  # a free slot means no thread is queued
+                self._free -= 1
+                return True
+            if not blocking:
+                return False
+            waiter = threading.Lock()
+            waiter.acquire()
+            self._waiters.append(waiter)
+        waiter.acquire()  # until a release hands this thread its slot
+        return True
+
+    __enter__ = acquire
+
+    def release(self) -> None:
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().release()
+            elif self._free < self._slots:
+                self._free += 1
+            else:
+                raise ValueError("gate released more often than acquired")
+
+    def __exit__(self, *exc) -> None:
+        self.release()
 
 
 @dataclass(eq=False)
@@ -107,7 +157,7 @@ class BackendConfig:
             raise ValueError("temperature must be finite")
         # the one bound on remote requests on the wire through this config;
         # held for a single POST, never through a backoff
-        self._gate = threading.BoundedSemaphore(self.max_in_flight)
+        self._gate = _FirstComeGate(self.max_in_flight)
 
 
 def messages_from_prompt(prompt: PlannerPrompt) -> list[dict]:
@@ -209,7 +259,7 @@ def _complete_remote(cfg: BackendConfig, prompt: PlannerPrompt) -> str:
             continue
         if status == 200:
             return _content_of(text)
-        error = f"endpoint returned {status}: {text[:200]}"
+        error = f"endpoint returned {status}: {_printable(text[:200])}"
         if status != 429 and status < 500:
             break  # a 3xx or another 4xx will not improve on retry
         if status in (429, 503):
@@ -234,7 +284,7 @@ def _send(url: str, payload: dict, key: str, timeout: float) -> tuple[int, str |
         resp = requests.post(url, json=payload, auth=bearer, timeout=timeout, allow_redirects=False)
         return resp.status_code, resp.headers.get("Retry-After"), resp.text
     except requests.RequestException as e:
-        failure = f"request failed: {e}"
+        failure = f"request failed: {_printable(str(e))}"
     raise BackendError(failure)  # outside the except, so it chains no requests exception
 
 
@@ -252,7 +302,7 @@ def _content_of(text: str) -> str:
     try:
         content = json.loads(text)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError, RecursionError):
-        raise BackendError(f"malformed completion body: {text[:200]}") from None
+        raise BackendError(f"malformed completion body: {_printable(text[:200])}") from None
     if not isinstance(content, str):
         raise BackendError("completion content is not text")
     return content

@@ -238,7 +238,7 @@ def cmd_plan(args) -> int:
         try:
             raw = complete(cfg, prompt, s)
         except BackendError as e:
-            print(f"lmplan: warning: {s.id}: {e}", file=sys.stderr)
+            print(f"lmplan: warning: {s.id!r}: {e}", file=sys.stderr)
             return PlanRecord(s.id)
         out = parse_plan_output(raw)
         return PlanRecord(s.id, out.trajectory, out.quality, raw)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import threading
@@ -56,6 +57,48 @@ class TestConfig:
         for too_many in (MAX_IN_FLIGHT + 1, 5000):
             with pytest.raises(ValueError, match=f"1..{MAX_IN_FLIGHT}"):
                 BackendConfig(mode="remote", max_in_flight=too_many)
+
+
+class TestGate:
+    def test_a_release_hands_the_slot_to_the_oldest_waiter(self):
+        gate = BackendConfig(max_in_flight=1)._gate
+        queued, served, checked = threading.Event(), threading.Event(), threading.Event()
+
+        class Queue(collections.deque):
+            def append(self, waiter):
+                super().append(waiter)
+                queued.set()
+
+        gate._waiters = Queue()
+
+        def wait_for_the_slot():
+            with gate:
+                served.set()
+                checked.wait(timeout=10)
+
+        assert gate.acquire()
+        waiter = threading.Thread(target=wait_for_the_slot, daemon=True)
+        waiter.start()
+        try:
+            assert queued.wait(timeout=10)
+            gate.release()
+            barged = gate.acquire(blocking=False)  # the releasing thread asks again at once
+        finally:
+            checked.set()
+        waiter.join(timeout=10)
+        assert not barged
+        assert served.is_set() and not waiter.is_alive()
+        assert gate.acquire(blocking=False)  # the waiter gave the slot back
+        gate.release()
+
+    def test_a_release_with_no_slot_taken_is_refused(self):
+        gate = BackendConfig(max_in_flight=2)._gate
+        with gate:
+            assert gate.acquire(blocking=False)
+            assert not gate.acquire(blocking=False)
+            gate.release()
+        with pytest.raises(ValueError):
+            gate.release()
 
 
 class TestMessages:
@@ -282,6 +325,20 @@ class TestRemote:
             for t in threads:
                 t.join()
             assert srv.max_in_flight_seen >= 3
+
+
+class TestUntrustedText:
+    @pytest.mark.parametrize("status", [500, 200])
+    def test_reply_text_is_quoted_with_its_control_characters_escaped(
+        self, monkeypatch, api_key_env, status
+    ):
+        body = "\x1b[2J\x1b]0;owned\x07 \u2028\ud800 é"
+        monkeypatch.setattr("lmplan.backend._send", lambda *args: (status, None, body))
+        prompt = build_prompt(synth_scenario("empty_road", 0))
+        with pytest.raises(BackendError) as exc:
+            complete(remote_cfg("http://127.0.0.1:9", max_retries=0), prompt)
+        assert str(exc.value).isprintable()
+        assert str(exc.value).endswith(": \\x1b[2J\\x1b]0;owned\\x07 \\u2028\\ud800 é")
 
 
 class TestContentExtraction:

@@ -394,6 +394,41 @@ class TestPlanRemote:
         assert sorted(request_order(srv, scenarios)[:4]) == [0, 1, 2, 3]
         assert outputs[3].read_bytes() == outputs[0].read_bytes()
 
+    def test_the_head_scenario_is_never_starved(self, tmp_path, api_key_env):
+        # With no fault the gate serves scenarios in the order their threads
+        # reach it, so few answered scenarios wait unwritten behind the head.
+        scen = synth_file(tmp_path, count=60)
+        out = tmp_path / "results.jsonl"
+        echo = echo_target_responder(load_scenarios(scen))
+        unwritten = []
+
+        def respond(payload):
+            unwritten.append(len(srv.requests) - out.read_bytes().count(b"\n"))
+            return echo(payload)
+
+        with MockChatServer(respond, latency_s=0.02) as srv:
+            code = run(
+                "plan", "--scenarios", scen, "--out", out, "--mode", "remote",
+                "--endpoint", srv.url, "--max-in-flight", 2, "--backoff", 0,
+            )
+        assert code == 0
+        assert len(unwritten) == 60
+        assert max(unwritten) <= 2 * 2, unwritten
+
+    def test_an_escape_bearing_id_reaches_stderr_escaped(self, tmp_path, api_key_env, capsys):
+        scen = tmp_path / "scenarios.json"
+        sid = "\x1b]0;owned\x07\x1b[2J"
+        save_scenarios([dataclasses.replace(synth_scenario("empty_road", 0), id=sid)], scen)
+        code = run(
+            "plan", "--scenarios", scen, "--out", tmp_path / "results.jsonl",
+            "--mode", "remote", "--endpoint", "http://127.0.0.1:1", "--backoff", 0,
+            "--max-retries", 0, "--timeout", 2,
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"lmplan: warning: {sid!r}: request failed: ")
+        assert err.replace("\n", "").isprintable()
+
     def test_unreachable_endpoint_yields_failed_rows_not_a_crash(
         self, tmp_path, api_key_env, capsys
     ):

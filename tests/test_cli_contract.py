@@ -18,6 +18,9 @@
   ``--out`` and writes nothing.
 - A remote ``plan`` sends ``Bearer $PLANNER_API_KEY`` even when the netrc
   file names the endpoint's host.
+- A remote ``plan`` that fails for a scenario whose id holds escape and
+  other control characters warns with the id escaped: stderr holds no
+  control character but line ends.
 - Float literals respelled with the same quantized value plan and score
   byte-identically.
 
@@ -31,6 +34,7 @@ installed console script) with the environment left as it is, but for
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -244,6 +248,19 @@ def test_a_remote_plan_sends_the_key_when_netrc_names_the_host(tmp_path):
                           "--mode", "remote", "--endpoint", srv.url, env=env)
     assert proc.returncode == 0, proc.stderr
     assert srv.auth_headers == ["Bearer contract-key"] * 4
+
+
+def test_a_warning_writes_an_escape_bearing_id_escaped(tmp_path):
+    sid = "\x1b]0;owned\x07\x1b[2J"
+    lmplan.save_scenarios([dataclasses.replace(lmplan.synth_scenario("empty_road", 0), id=sid)],
+                          tmp_path / "s.json")
+    env = dict(os.environ, PLANNER_API_KEY="contract-key")
+    proc = lmplan_run(tmp_path, "plan", "--scenarios", "s.json", "--out", "r.jsonl",
+                      "--mode", "remote", "--endpoint", "http://127.0.0.1:1", "--backoff", 0,
+                      "--max-retries", 0, "--timeout", 2, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith(b"lmplan: warning: '\\x1b]0;owned\\x07\\x1b[2J': ")
+    assert not re.search(rb"[\x00-\x09\x0b-\x1f\x7f]", proc.stderr), proc.stderr
 
 
 def _respell(text: str) -> str:
