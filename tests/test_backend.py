@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -90,6 +91,34 @@ class TestGate:
         assert served.is_set() and not waiter.is_alive()
         assert gate.acquire(blocking=False)  # the waiter gave the slot back
         gate.release()
+
+    def test_many_threads_never_hold_more_slots_than_the_gate_has(self):
+        gate = BackendConfig(max_in_flight=2)._gate
+        lock, holders, peak = threading.Lock(), [0], [0]
+
+        def work():
+            for _ in range(300):
+                with gate:
+                    with lock:
+                        holders[0] += 1
+                        peak[0] = max(peak[0], holders[0])
+                    with lock:
+                        holders[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, daemon=True) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert peak[0] == 2
+        assert gate.acquire(blocking=False) and gate.acquire(blocking=False)
+        assert not gate.acquire(blocking=False)  # every slot came back
 
     def test_a_release_with_no_slot_taken_is_refused(self):
         gate = BackendConfig(max_in_flight=2)._gate
