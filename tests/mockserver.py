@@ -99,25 +99,29 @@ class MockChatServer:
                     if fail:
                         server._fail_remaining -= 1
                     corrupt = server._should_corrupt(body)
+                # a request counts as in flight until its reply starts to go
+                # out: the client cannot have the reply, and so cannot free its
+                # slot for the next request, before then
                 try:
                     if server.latency_s:
                         time.sleep(server.latency_s)
-                    if fail:
-                        self._send(
-                            server.fail_status, {"error": "injected failure"},
-                            server.retry_after, server.location,
-                        )
-                        return
-                    content = server.responder(payload)
-                    if corrupt:
-                        content = garble(content)
-                    self._send(
-                        200,
-                        {"choices": [{"message": {"role": "assistant", "content": content}}]},
-                    )
+                    if not fail:
+                        content = server.responder(payload)
+                        if corrupt:
+                            content = garble(content)
                 finally:
                     with server._lock:
                         server._in_flight -= 1
+                if fail:
+                    self._send(
+                        server.fail_status, {"error": "injected failure"},
+                        server.retry_after, server.location,
+                    )
+                    return
+                self._send(
+                    200,
+                    {"choices": [{"message": {"role": "assistant", "content": content}}]},
+                )
 
             def _send(self, status: int, obj: dict, retry_after: str | None = None,
                       location: str | None = None):

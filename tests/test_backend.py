@@ -95,6 +95,7 @@ class TestGate:
     def test_many_threads_never_hold_more_slots_than_the_gate_has(self):
         gate = BackendConfig(max_in_flight=2)._gate
         lock, holders, peak = threading.Lock(), [0], [0]
+        both = threading.Event()  # set once two threads hold a slot together
 
         def work():
             for _ in range(300):
@@ -102,6 +103,9 @@ class TestGate:
                     with lock:
                         holders[0] += 1
                         peak[0] = max(peak[0], holders[0])
+                        if holders[0] == 2:
+                            both.set()
+                    both.wait(timeout=10)  # the first holder waits for a second one
                     with lock:
                         holders[0] -= 1
 
