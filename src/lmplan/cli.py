@@ -276,7 +276,7 @@ def _read_results(path: str) -> list[PlanRecord]:
             sid = rec.scenario_id
             if sid in first_line:
                 raise ValueError(f"duplicate scenario_id {sid!r} (first on line {first_line[sid]})")
-        except (ValueError, OverflowError, RecursionError) as e:
+        except (ValueError, RecursionError) as e:
             raise ValueError(f"{path}:{lineno}: bad result line: {e}") from None
         first_line[sid] = lineno
         records.append(rec)

@@ -36,8 +36,7 @@ from .codec import _waypoint
 from .parsing import ParseQuality
 from .prompts import template_hash
 from .reasoning import rollout_hypothetical, segment_directions
-from .scenario import (DEFAULT_DT, DEFAULT_HORIZON_STEPS, ObjectBox, Scenario, Trajectory,
-                       Waypoint, is_number)
+from .scenario import DEFAULT_DT, DEFAULT_HORIZON_STEPS, ObjectBox, Scenario, Trajectory, Waypoint
 
 # The paper's protocol: L2 and collision at 1 s, 2 s and 3 s, for the
 # nuScenes ego footprint (meters), starting out facing +y.
@@ -79,6 +78,8 @@ class EvalConfig:
 
 
 _QUALITIES = {q.value: q for q in ParseQuality}
+# reads every JSON number as a float, as ``to_line`` writes each coordinate
+_LINE_DECODER = json.JSONDecoder(parse_int=float)
 
 
 def _float_pairs(items, pair_type: type) -> bool:
@@ -105,12 +106,13 @@ class PlanRecord:
     member), so ``to_line`` writes only lines that ``from_line`` reads back
     equal. A field the line leaves out reads as its default, ``cls.<field>``.
 
-    ``from_line`` tests a line's trajectory with ``_float_pairs``, the loop
-    the record uses on its own; a line with an int coordinate takes the
-    general check instead. ``to_line`` fills the line's fixed layout with
-    json's leaves: ``encode_basestring`` for each string and
-    ``float.__repr__`` for each coordinate, so its bytes are those of
-    ``json.dumps(row, separators=(",", ":"), ensure_ascii=False)``."""
+    ``from_line`` has json read every number as a float, an int literal too
+    (one no double holds reads as ``inf``, which the record refuses), and
+    tests the trajectory with ``_float_pairs``, the record's own loop.
+    ``to_line`` fills the line's fixed layout with json's leaves,
+    ``encode_basestring`` for each string and ``float.__repr__`` for each
+    coordinate, so its bytes are ``json.dumps(row, separators=(",", ":"),
+    ensure_ascii=False)``'s."""
 
     scenario_id: str
     trajectory: Trajectory | None = None
@@ -149,20 +151,17 @@ class PlanRecord:
 
     @classmethod
     def from_line(cls, line: bytes) -> PlanRecord:
-        """The record a line holds: checks the JSON, the record its fields. A bad
-        line raises ``ValueError`` (or ``OverflowError``, ``RecursionError``)."""
-        obj = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
+        """The record a line holds; a bad line raises ``ValueError`` (or ``RecursionError``)."""
+        text = line.decode("utf-8")  # UnicodeDecodeError is a ValueError
+        if text.startswith("\ufeff"):  # json.loads' own check, which the decoder leaves out
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _LINE_DECODER.decode(text)
         if not isinstance(obj, dict) or "scenario_id" not in obj:
             raise ValueError("expected a JSON object with a scenario_id")
         traj = obj.get("trajectory", cls.trajectory)
         if traj is not None:
-            if not (type(traj) is list and _float_pairs(traj, list)):  # float pairs: the fast path
-                if not isinstance(traj, list) or not all(
-                    isinstance(p, list) and len(p) == 2 and all(is_number(v) for v in p)
-                    for p in traj
-                ):
-                    raise ValueError("trajectory must be a list of [x, y] number pairs")
-                traj = [(float(x), float(y)) for x, y in traj]
+            if not (type(traj) is list and _float_pairs(traj, list)):
+                raise ValueError("trajectory must be a list of [x, y] number pairs")
             traj = Trajectory(tuple(map(_waypoint, traj)))
         return cls(obj["scenario_id"], traj, obj.get("parse_quality", cls.parse_quality),
                    obj.get("raw_text", cls.raw_text))

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import io
 import json
+import re
 import threading
 from collections import Counter
 
@@ -664,6 +665,29 @@ class TestEvaluate:
         assert [(r[1], r[2]) for r in csv_rows] == [("failed", "0")] * 2
 
 
+    def test_int_coordinates_score_as_the_floats_they_spell(self, tmp_path):
+        # the same whole-number plans written as int literals (-0 among them),
+        # as float literals and with the zero unsigned give byte-identical reports
+        scen = synth_file(tmp_path, count=8)
+        results = tmp_path / "results.jsonl"
+        assert run("plan", "--scenarios", scen, "--out", results, "--mode", "stub_hypothetical") == 0
+        rows = read_results(results)
+        for r in rows:
+            r["trajectory"] = [[round(x), round(y)] for x, y in r["trajectory"]]
+        ints = "".join(json.dumps(r) + "\n" for r in rows).replace("[0,", "[-0,")
+        assert "[-0," in ints
+        spellings = {"ints": ints, "floats": re.sub(r"(?<![\w.])(-?\d+)(?=[],])", r"\1.0", ints)}
+        spellings["unsigned"] = spellings["floats"].replace("-0.0", "0.0")
+        assert "[-0.0," in spellings["floats"] and "-0.0" not in spellings["unsigned"]
+        reports = {}
+        for name, text in spellings.items():
+            (tmp_path / f"{name}.jsonl").write_text(text, encoding="utf-8")
+            assert run("evaluate", "--scenarios", scen, "--results", tmp_path / f"{name}.jsonl",
+                       "--out-dir", tmp_path / name) == 0
+            reports[name] = [(tmp_path / name / f).read_bytes() for f in ("report.md", "report.csv")]
+        assert reports["ints"] == reports["floats"] == reports["unsigned"]
+
+
 class TestErrors:
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert run("plan", "--scenarios", tmp_path / "nope.json",
@@ -1069,6 +1093,32 @@ class TestErrors:
         assert err.startswith(f"lmplan: error: {bad}:1: bad result line:")
         assert message in err
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_an_int_literal_no_double_holds_is_not_finite(self, tmp_path, capsys, digits):
+        # json reads every number as a float: 10**401 - 1 reads as inf, and a
+        # literal past int's 4300-digit limit is read the same way
+        scen = synth_file(tmp_path, count=2)
+        sid = load_scenarios(scen)[0].id
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f'{{"scenario_id": "{sid}", "trajectory": [[{"9" * digits}, 1.0]'
+                       + ", [0.0, 1.0]" * 5 + "]}\n")
+        assert run("evaluate", "--scenarios", scen, "--results", bad,
+                   "--out-dir", tmp_path / "rep") == 2
+        assert capsys.readouterr().err == (
+            f"lmplan: error: {bad}:1: bad result line: trajectory coordinates must be finite\n")
+        assert not (tmp_path / "rep").exists()
+
+    def test_a_results_file_that_starts_with_a_byte_order_mark_is_refused(self, tmp_path, capsys):
+        scen = synth_file(tmp_path, count=2)
+        results = tmp_path / "results.jsonl"
+        assert run("plan", "--scenarios", scen, "--out", results) == 0
+        results.write_bytes(b"\xef\xbb\xbf" + results.read_bytes())
+        capsys.readouterr()
+        assert run("evaluate", "--scenarios", scen, "--results", results,
+                   "--out-dir", tmp_path / "rep") == 2
+        assert capsys.readouterr().err.startswith(
+            f"lmplan: error: {results}:1: bad result line: Unexpected UTF-8 BOM")
 
     @pytest.mark.parametrize("value", [5, None], ids=["int", "null"])
     @pytest.mark.parametrize("key", ["objects", "predictions", "gt_object_boxes"])

@@ -653,6 +653,20 @@ def test_int_pairs_in_a_line_read_as_floats(points):
     assert {type(v) for w in record.trajectory.waypoints for v in w} == {float}
 
 
+def test_an_int_literal_minus_zero_reads_as_the_float_literal_does():
+    lines = [b'{"scenario_id":"a","trajectory":[[%s,1]' % zero + b",[0,1]" * 5 + b"]}"
+             for zero in (b"-0", b"-0.0")]
+    a, b = map(PlanRecord.from_line, lines)
+    assert repr(a) == repr(b) and math.copysign(1.0, a.trajectory.waypoints[0].x) == -1.0
+
+
+@pytest.mark.parametrize("value", ["-0", "1e999", "9" * 401, "9" * 5001])
+def test_an_unknown_field_is_ignored_whatever_number_it_holds(value):
+    # json reads every number as a float, so no literal, however long, is refused
+    line = f'{{"scenario_id":"a","extra":{value}}}'.encode()
+    assert PlanRecord.from_line(line) == PlanRecord("a")
+
+
 @pytest.mark.parametrize(
     "points",
     [
