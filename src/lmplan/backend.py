@@ -9,7 +9,7 @@ Three interchangeable ways to get plan text for a scenario:
   failures with exponential backoff (or the ``Retry-After`` seconds of a
   429 or 503, capped). ``max_in_flight`` (at most ``MAX_IN_FLIGHT``) bounds
   the requests on the wire per config instance; a call waiting out a
-  backoff holds no slot.
+  backoff holds no slot. A reply body over 1 MiB is a failed request.
 - ``stub_replay_gt``: offline oracle that answers with the exact
   supervision target for the scenario (upper bound; exercises the full
   text path with zero error).
@@ -60,6 +60,7 @@ MAX_TIMEOUT_S = 86400.0  # one day; the socket layer overflows from about 9.2e9 
 # threads (the second half wait out backoffs), so the bound keeps a typo from
 # asking the OS for thousands of them.
 MAX_IN_FLIGHT = 64
+MAX_REPLY_BYTES = 1 << 20  # the longest reply body read; a longer one is a failed request
 # the user info of an endpoint: an "@" in the text after its first "//" that
 # comes before any "/", "?" or "#"
 _USERINFO = re.compile(r"[^/?#]*//[^/?#]*@")
@@ -273,16 +274,27 @@ def _send(url: str, payload: dict, key: str, timeout: float) -> tuple[int, str |
     The one code that speaks HTTP. The key goes in as ``requests``' ``auth=``,
     so neither a netrc entry for the host nor URL user info replaces it. A
     redirect is not followed, since ``requests`` would put a netrc entry on
-    the redirected request. A request that fails on the way is a
-    ``BackendError`` that holds no ``requests`` object.
+    the redirected request. A request that fails on the way, or whose body
+    is over ``MAX_REPLY_BYTES``, is a ``BackendError`` that holds no
+    ``requests`` object.
     """
     def bearer(request):
         request.headers["Authorization"] = f"Bearer {key}"
         return request
 
     try:
-        resp = requests.post(url, json=payload, auth=bearer, timeout=timeout, allow_redirects=False)
-        return resp.status_code, resp.headers.get("Retry-After"), resp.text
+        with requests.post(url, json=payload, auth=bearer, timeout=timeout,
+                           allow_redirects=False, stream=True) as resp:
+            body = bytearray()
+            for chunk in resp.iter_content(1 << 14):
+                body += chunk
+                if len(body) > MAX_REPLY_BYTES:
+                    raise BackendError(f"reply body over {MAX_REPLY_BYTES} bytes")
+            try:  # the declared charset, as resp.text decodes; UTF-8 if none
+                text = str(body, resp.encoding or "utf-8", "replace")
+            except (LookupError, ValueError):  # a charset Python does not know or cannot use
+                text = str(body, "utf-8", "replace")
+            return resp.status_code, resp.headers.get("Retry-After"), text
     except requests.RequestException as e:
         failure = f"request failed: {_printable(str(e))}"
     raise BackendError(failure)  # outside the except, so it chains no requests exception

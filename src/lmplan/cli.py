@@ -238,7 +238,9 @@ def cmd_plan(args) -> int:
         try:
             raw = complete(cfg, prompt, s)
         except BackendError as e:
-            print(f"lmplan: warning: {s.id!r}: {e}", file=sys.stderr)
+            # one write per line: print's second write, the newline, lets
+            # another thread's warning in between
+            sys.stderr.write(f"lmplan: warning: {s.id!r}: {e}\n")
             return PlanRecord(s.id)
         out = parse_plan_output(raw)
         return PlanRecord(s.id, out.trajectory, out.quality, raw)

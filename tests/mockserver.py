@@ -13,6 +13,9 @@ Serves an OpenAI-style POST /chat/completions. Knobs:
   completion for every k-th one (deterministic per body, so a retry of the
   same request stays garbled and fallback counts are exact).
 - ``latency_s``: sleep inside each request, to force overlap.
+- ``raw_reply``: if set, a ``(content_type, body)`` pair sent as every 200
+  reply in place of a completion (``content_type`` None sends no
+  ``Content-Type`` header).
 
 Tracks every request payload, auth header, URL path, and the maximum number
 of requests that were in flight at once.
@@ -37,8 +40,10 @@ def garble(text: str) -> str:
 class MockChatServer:
     def __init__(self, responder, fail_first: int = 0, corrupt_every: int = 0,
                  latency_s: float = 0.0, fail_status: int = 500,
-                 retry_after: str | None = None, location: str | None = None):
+                 retry_after: str | None = None, location: str | None = None,
+                 raw_reply: tuple[str | None, bytes] | None = None):
         self.responder = responder
+        self.raw_reply = raw_reply
         self.latency_s = latency_s
         self.fail_status = fail_status
         self.retry_after = retry_after
@@ -105,7 +110,7 @@ class MockChatServer:
                 try:
                     if server.latency_s:
                         time.sleep(server.latency_s)
-                    if not fail:
+                    if not (fail or server.raw_reply):
                         content = server.responder(payload)
                         if corrupt:
                             content = garble(content)
@@ -118,6 +123,9 @@ class MockChatServer:
                         server.retry_after, server.location,
                     )
                     return
+                if server.raw_reply:
+                    self._send_bytes(200, *server.raw_reply)
+                    return
                 self._send(
                     200,
                     {"choices": [{"message": {"role": "assistant", "content": content}}]},
@@ -125,13 +133,18 @@ class MockChatServer:
 
             def _send(self, status: int, obj: dict, retry_after: str | None = None,
                       location: str | None = None):
-                data = json.dumps(obj).encode("utf-8")
+                self._send_bytes(status, "application/json", json.dumps(obj).encode("utf-8"),
+                                 retry_after, location)
+
+            def _send_bytes(self, status: int, content_type: str | None, data: bytes,
+                            retry_after: str | None = None, location: str | None = None):
                 self.send_response(status)
                 if retry_after is not None:
                     self.send_header("Retry-After", retry_after)
                 if location is not None:
                     self.send_header("Location", location)
-                self.send_header("Content-Type", "application/json")
+                if content_type is not None:
+                    self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)

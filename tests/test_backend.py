@@ -29,7 +29,7 @@ from lmplan import (
     serialize_trajectory,
     synth_scenario,
 )
-from lmplan.backend import MAX_IN_FLIGHT, MAX_TIMEOUT_S, _content_of
+from lmplan.backend import MAX_IN_FLIGHT, MAX_REPLY_BYTES, MAX_TIMEOUT_S, _content_of
 from lmplan.prompts import SYSTEM_PROMPT
 from mockserver import MockChatServer, echo_target_responder
 
@@ -358,6 +358,49 @@ class TestRemote:
             for t in threads:
                 t.join()
             assert srv.max_in_flight_seen >= 3
+
+
+def completion_body(content: str, encoding: str = "utf-8", size: int = 0) -> bytes:
+    """A completion reply holding ``content``, encoded, padded with spaces to ``size`` bytes."""
+    body = json.dumps({"choices": [{"message": {"content": content}}]}, ensure_ascii=False)
+    data = body.encode(encoding)
+    return data + b" " * (size - len(data))
+
+
+class TestReplyBody:
+    def test_a_body_of_the_bound_is_read(self, api_key_env):
+        reply = ("application/json", completion_body("ok", size=MAX_REPLY_BYTES))
+        with MockChatServer(None, raw_reply=reply) as srv:
+            assert complete(remote_cfg(srv.url), build_prompt(make_scenarios(1)[0])) == "ok"
+
+    def test_a_longer_body_is_a_failed_request_retried_as_any(self, api_key_env):
+        reply = ("application/json", completion_body("ok", size=MAX_REPLY_BYTES + 1))
+        with MockChatServer(None, raw_reply=reply) as srv:
+            with pytest.raises(BackendError) as exc:
+                complete(remote_cfg(srv.url, max_retries=1), build_prompt(make_scenarios(1)[0]))
+        assert str(exc.value) == "reply body over 1048576 bytes"
+        assert exc.value.__context__ is None and exc.value.__cause__ is None
+        assert len(srv.requests) == 2
+
+    @pytest.mark.parametrize("content_type, encoding", [
+        ("application/json; charset=latin-1", "latin-1"),
+        ("application/json; charset=utf-16", "utf-16"),
+        ("text/plain", "latin-1"),  # requests reads text/* with no charset as ISO-8859-1
+        (None, "utf-8"),
+        ("application/json; charset=no-such-charset", "utf-8"),
+        ("application/json; charset=undefined", "utf-8"),  # known, but decodes nothing
+    ], ids=["latin1", "utf16", "text_plain", "no_header", "unknown", "undefined"])
+    def test_the_body_decodes_in_its_declared_charset_else_utf8(
+        self, api_key_env, content_type, encoding
+    ):
+        reply = (content_type, completion_body("café ÿ", encoding))
+        with MockChatServer(None, raw_reply=reply) as srv:
+            assert complete(remote_cfg(srv.url), build_prompt(make_scenarios(1)[0])) == "café ÿ"
+
+    def test_bad_bytes_are_replaced(self, api_key_env):
+        reply = (None, b'{"choices": [{"message": {"content": "caf\xff"}}]}')
+        with MockChatServer(None, raw_reply=reply) as srv:
+            assert complete(remote_cfg(srv.url), build_prompt(make_scenarios(1)[0])) == "caf\ufffd"
 
 
 class TestUntrustedText:

@@ -446,6 +446,45 @@ class TestPlanRemote:
         assert "warning" in capsys.readouterr().err
 
 
+    def test_each_warning_is_one_whole_line_in_one_write(self, tmp_path, api_key_env,
+                                                          monkeypatch):
+        # two writes per line let another thread's warning land between them
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        writes = []
+        monkeypatch.setattr("sys.stderr", Recorder())
+        scen = synth_file(tmp_path, count=8)
+        code = run(
+            "plan", "--scenarios", scen, "--out", tmp_path / "results.jsonl",
+            "--mode", "remote", "--endpoint", "http://127.0.0.1:1", "--backoff", 0,
+            "--max-retries", 0, "--timeout", 2, "--max-in-flight", 4,
+        )
+        assert code == 0
+        warnings = [w for w in writes if "lmplan: warning:" in w]
+        assert len(warnings) == 8
+        for w in warnings:
+            assert w.startswith("lmplan: warning: ") and w.count("\n") == 1 \
+                and w.endswith("\n"), w
+
+    def test_a_reply_over_the_body_bound_is_a_failed_row(self, tmp_path, api_key_env, capsys):
+        scen = synth_file(tmp_path, count=2)
+        out = tmp_path / "results.jsonl"
+        with MockChatServer(lambda payload: "x" * (2 << 20)) as srv:
+            code = run(
+                "plan", "--scenarios", scen, "--out", out, "--mode", "remote",
+                "--endpoint", srv.url, "--backoff", 0, "--max-retries", 1,
+            )
+        assert code == 0
+        assert [r["parse_quality"] for r in read_results(out)] == ["failed"] * 2
+        assert len(srv.requests) == 4  # each scenario's request is retried once
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.endswith(": reply body over 1048576 bytes") for line in err), err
+
+
 class TestEvaluate:
     def plan_and_evaluate(self, tmp_path, capsys, *extra):
         scen = synth_file(tmp_path, count=8)
@@ -1094,7 +1133,7 @@ class TestErrors:
         assert message in err
         assert not (tmp_path / "rep").exists()
 
-    @pytest.mark.parametrize("digits", [401, 5001])
+    @pytest.mark.parametrize("digits", [401, 5001], ids=["401_digits", "5001_digits"])
     def test_an_int_literal_no_double_holds_is_not_finite(self, tmp_path, capsys, digits):
         # json reads every number as a float: 10**401 - 1 reads as inf, and a
         # literal past int's 4300-digit limit is read the same way

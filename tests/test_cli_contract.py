@@ -21,6 +21,9 @@
 - A remote ``plan`` that fails for a scenario whose id holds escape and
   other control characters warns with the id escaped: stderr holds no
   control character but line ends.
+- A remote ``plan`` of 200 scenarios against a refused port, four requests
+  in flight, writes each warning as a whole stderr line: every line holds
+  exactly one ``lmplan: warning:``.
 - Float literals respelled with the same quantized value plan and score
   byte-identically.
 
@@ -261,6 +264,20 @@ def test_a_warning_writes_an_escape_bearing_id_escaped(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.startswith(b"lmplan: warning: '\\x1b]0;owned\\x07\\x1b[2J': ")
     assert not re.search(rb"[\x00-\x09\x0b-\x1f\x7f]", proc.stderr), proc.stderr
+
+
+def test_concurrent_warnings_reach_stderr_as_whole_lines(tmp_path):
+    # the threads' warnings share one pipe: a line written in two parts can
+    # take another thread's warning between them
+    assert lmplan_cmd(tmp_path, "synth", "--count", 200, "--out", "s.json") == 0
+    env = dict(os.environ, PLANNER_API_KEY="contract-key")
+    proc = lmplan_run(tmp_path, "plan", "--scenarios", "s.json", "--out", "r.jsonl",
+                      "--mode", "remote", "--endpoint", "http://127.0.0.1:1", "--backoff", 0,
+                      "--max-retries", 0, "--timeout", 2, "--max-in-flight", 4, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 200
+    assert [line.count("lmplan: warning:") for line in lines] == [1] * 200, proc.stderr
 
 
 def _respell(text: str) -> str:

@@ -12,6 +12,7 @@ package's design rules.
 import ast
 import hashlib
 import json
+import sys
 from collections import Counter
 from itertools import takewhile
 from pathlib import Path
@@ -342,3 +343,32 @@ def test_one_helper_owns_the_collector():
     for path in Path(lmplan.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
     assert found == {"scenario.py:collector_paused"}, sorted(found)
+
+
+def test_the_package_imports_only_the_stdlib_itself_and_requests_in_send():
+    # the transport seam: requests is the one third-party import, and only
+    # backend._send names it, so swapping the transport rewrites one body
+    found = []
+    for path in sorted(Path(lmplan.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {m}" for m in modules
+                if m.partition(".")[0] not in sys.stdlib_module_names | {"lmplan"}
+                and (m, path.name) != ("requests", "backend.py")
+            ]
+        inside_send = {
+            id(node) for fn in tree.body if path.name == "backend.py"
+            and isinstance(fn, ast.FunctionDef) and fn.name == "_send" for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno} names requests" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "requests" and id(node) not in inside_send
+        ]
+    assert not found, found

@@ -660,7 +660,8 @@ def test_an_int_literal_minus_zero_reads_as_the_float_literal_does():
     assert repr(a) == repr(b) and math.copysign(1.0, a.trajectory.waypoints[0].x) == -1.0
 
 
-@pytest.mark.parametrize("value", ["-0", "1e999", "9" * 401, "9" * 5001])
+@pytest.mark.parametrize("value", ["-0", "1e999", "9" * 401, "9" * 5001],
+                         ids=["minus_zero", "1e999", "401_digits", "5001_digits"])
 def test_an_unknown_field_is_ignored_whatever_number_it_holds(value):
     # json reads every number as a float, so no literal, however long, is refused
     line = f'{{"scenario_id":"a","extra":{value}}}'.encode()
