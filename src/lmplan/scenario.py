@@ -38,6 +38,7 @@ import gc
 import json
 import math
 import random
+import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,6 +270,10 @@ def validate_scenario(s: Scenario) -> list[str]:
 # the general path, which raises the schema errors, so the messages and
 # their order do not depend on it; a pair that misses leaves its scenario
 # to ``validate_scenario``.
+#
+# A ``{"scenarios": [...]}`` text is decoded one entry at a time
+# (``_streamed_scenarios``); any other text, and any error, goes to the
+# whole-file decode (``_decoded_entries``), which writes every message.
 
 def is_number(v) -> bool:
     """A JSON number: an int or a float (or a subclass), and not a bool."""
@@ -527,30 +532,79 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     (the error names the offending scenario id and field). The schema walk
     calls the per-record rule functions that ``validate_scenario`` joins;
     ``validate_scenario`` runs only for a scenario the walk could not clear,
-    and writes the violation message. A schema error in a scenario is
+    and writes the violation message. Malformed JSON anywhere in the file
+    is raised before any schema error; a schema error in a scenario is
     raised before a duplicate scenario id, and that before an invariant
     violation.
 
-    A load holds about one decoded tree at a time: the file's text is
-    dropped once it is decoded, and each entry of the tree once its
-    records are built, so the records reuse the tree's memory. The cyclic
-    garbage collector is off during the decode and the walk
-    (``collector_paused``) and comes back as the caller had it, error or not.
+    A file of the one key ``scenarios`` (any JSON layout, the key spelled
+    without escapes) is decoded one entry at a time, so a load holds the
+    text, the records and one entry's tree. Any other file, and any file
+    with an error, is decoded whole and walked again, and that walk
+    writes the error. The cyclic garbage collector is off during the
+    decode and the walk (``collector_paused``) and comes back as the
+    caller had it, error or not.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ScenarioSchemaError(f"not UTF-8 text: {e}") from None
     with collector_paused():
-        entries = _decoded_entries(text)
+        memo = _LiteralMemo()  # both walks share it, so no literal is decoded twice
+        scenarios = _streamed_scenarios(text, memo)
+        if scenarios is not None:
+            return scenarios
+        entries = _decoded_entries(text, memo)
         del text  # the walk needs only the tree
         return _scenarios_from_entries(entries)
 
 
-def _decoded_entries(text: str) -> list:
+# JSON's whitespace: ``str.isspace`` and ``str.strip`` take more than json does
+_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"scenarios"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
+_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")
+_END = re.compile(r"[ \t\n\r]*\][ \t\n\r]*\}[ \t\n\r]*\Z")
+
+
+def _streamed_scenarios(text: str, memo: _LiteralMemo) -> list[Scenario] | None:
+    """The scenarios of a ``{"scenarios": [...]}`` text, decoded one entry at a time.
+
+    None for any other text, and at the first JSON error, entry that is not
+    an object, schema error, duplicate id or violation, so that the
+    whole-file walk writes the message that its decode and its order give.
+    """
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    decode = json.JSONDecoder(parse_float=memo.__getitem__).raw_decode
+    i = head.end()
+    out = []
+    seen = set()
+    if _END.match(text, i):  # no entries
+        return out
+    try:
+        while True:
+            raw, i = decode(text, i)
+            if type(raw) is not dict:
+                return None
+            s, valid = _scenario_from_dict(raw)
+            del raw  # before the next entry is decoded
+            if s.id in seen or not valid and validate_scenario(s):
+                return None
+            seen.add(s.id)
+            out.append(s)
+            comma = _COMMA.match(text, i)
+            if comma is None:
+                break
+            i = comma.end()
+    except (ValueError, RecursionError):  # ScenarioSchemaError and JSONDecodeError included
+        return None
+    return out if _END.match(text, i) else None
+
+
+def _decoded_entries(text: str, memo: _LiteralMemo) -> list:
     """The decoded top-level ``scenarios`` list."""
     try:
-        doc = json.loads(text, parse_float=_LiteralMemo().__getitem__)
+        doc = json.loads(text, parse_float=memo.__getitem__)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ScenarioSchemaError(f"malformed JSON: {e}") from None
     except ValueError:  # json's int() refuses a literal past sys.get_int_max_str_digits()

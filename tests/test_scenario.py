@@ -254,6 +254,28 @@ def test_a_load_decodes_each_distinct_float_literal_once(tmp_path, monkeypatch):
     assert sorted(calls) == sorted(distinct)
 
 
+def test_a_load_that_falls_back_to_the_whole_file_decodes_no_literal_twice(tmp_path, monkeypatch):
+    # the last entry's schema error sends the load from the entry-by-entry
+    # walk, which has decoded every entry, to the whole-file one: both share the memo
+    docs = [scenario_to_dict(s) for s in make_scenarios(3)]
+    docs[-1]["ego"]["velocity"] = "fast"
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"scenarios": docs}), encoding="utf-8")
+    literals = []
+    json.loads(path.read_text(encoding="utf-8"), parse_float=literals.append)
+    calls = []
+    real = scenario_module.quantize_literal
+
+    def spy(literal):
+        calls.append(literal)
+        return real(literal)
+
+    monkeypatch.setattr(scenario_module, "quantize_literal", spy)
+    with pytest.raises(ScenarioSchemaError, match="'ego.velocity': expected a number, got str"):
+        load_scenarios(path)
+    assert sorted(calls) == sorted(set(literals))
+
+
 DEPTH = 200_000
 
 COLLECTOR_CASES = {

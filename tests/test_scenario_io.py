@@ -654,6 +654,78 @@ def test_reader_matches_the_old_walk_on_whole_file_cases(tmp_path):
     _check_file(path, non_string_id=("id",))
 
 
+# --- reader: the streamed walk and the whole-file walk --------------------
+#
+# A ``{"scenarios": [...]}`` file in any JSON layout is decoded one entry at
+# a time; every other file, and every file with an error, is decoded whole.
+# Either way the outcome is the oracle's.
+
+TWIN_DOCS = [scenario_to_dict(s) for s in make_scenarios(4)]
+INT_COORDINATE = re.compile(r"(?<=[\[,])(-?\d+)\.0(?=[,\]])")  # 4.0 in a pair, as 4
+
+
+def _dumps(**layout) -> str:
+    return json.dumps({"scenarios": TWIN_DOCS}, **layout)
+
+
+def _schema_error_then_json_error() -> str:
+    """Entry 0's velocity is a string; the last entry lacks a comma between two keys."""
+    docs = json.loads(json.dumps(TWIN_DOCS))
+    docs[0]["ego"]["velocity"] = "fast"
+    text = json.dumps({"scenarios": docs})
+    at = text.rindex(', "gt_object_boxes"')
+    return text[:at] + text[at + 1:]
+
+
+TWIN_CASES = {
+    # the file's text (None: ``save_scenarios``'), and whether the streamed walk takes it
+    "writer layout": (None, True),
+    "json.dumps default layout": (_dumps(), True),
+    "json.dumps indent=2 layout": (_dumps(indent=2), True),
+    "CRLF line ends": (_dumps(indent=2).replace("\n", "\r\n"), True),
+    "leading and trailing whitespace": (" \t\r\n" + _dumps() + "\r\n\t ", True),
+    "a form feed before the object": ("\f" + _dumps(), False),  # str.isspace takes it
+    "an extra key before scenarios": ('{"version": 1, ' + _dumps()[1:], False),
+    "an extra key after scenarios": (_dumps()[:-1] + ', "version": 1}', False),
+    "scenarios twice": (
+        '{"scenarios": [' + json.dumps(TWIN_DOCS[0]) + "], " + _dumps()[1:], False),
+    "an escaped key": (_dumps().replace('"scenarios"', '"sc\\u0065narios"', 1), False),
+    "an empty list": ('{ "scenarios" : [ ] }', True),
+    "a trailing comma": (_dumps()[:-2] + ",]}", False),
+    "a missing ]": (_dumps()[:-2] + "}", False),
+    "data after the }": (_dumps() + " {}", False),
+    "a byte order mark": ("\ufeff" + _dumps(), False),
+    "int coordinates that validate": (INT_COORDINATE.sub(r"\1", _dumps()), True),
+    "an entry that is not an object": (_dumps()[:-2] + ", 7]}", False),
+    "a schema error, then a JSON error": (_schema_error_then_json_error(), False),
+}
+
+
+@pytest.mark.parametrize("case", TWIN_CASES)
+def test_the_streamed_walk_matches_the_old_walk(tmp_path, monkeypatch, case):
+    text, streamed = TWIN_CASES[case]
+    path = tmp_path / "s.json"
+    if text is None:
+        save_scenarios(make_scenarios(4), path)
+    else:
+        path.write_bytes(text.encode("utf-8"))
+    whole_file = []
+    decoded_entries = scenario_module._decoded_entries
+
+    def spy(*args):
+        whole_file.append(args)
+        return decoded_entries(*args)
+
+    monkeypatch.setattr(scenario_module, "_decoded_entries", spy)
+    outcome = _outcome(load_scenarios, path)
+    assert outcome == _outcome(old_load, path)
+    assert len(whole_file) == (0 if streamed else 1)
+    if case == "int coordinates that validate":
+        assert text.count(".") < _dumps().count(".") and outcome[0] == "ok"
+    if case == "a schema error, then a JSON error":
+        assert outcome[1].startswith("malformed JSON: Expecting ',' delimiter"), outcome
+
+
 # --- reader: one literal text, many scenarios -----------------------------
 #
 # The reader decodes each distinct literal text once per load and reuses the
@@ -917,8 +989,8 @@ def test_non_ascii_strings_load(tmp_path):
 
 # --- one copy in memory ---------------------------------------------------
 #
-# A load frees the file's text once it is decoded and each entry once its
-# records are built; a save holds the entries' UTF-8 bytes and no joined text.
+# A load holds the file's text and one entry's tree at a time besides its
+# records; a save holds the entries' UTF-8 bytes and no joined text.
 # ``tracemalloc`` counts the bytes Python allocates, so the bounds hold on
 # any host.
 
@@ -954,6 +1026,27 @@ def test_a_load_holds_no_more_than_one_decoded_tree_besides_its_records(tmp_path
     # little over half a tree. A walk that kept the tree would hold about one, and
     # the text, the tree and the records at once more than one.
     assert peak - records < 0.8 * tree_size, (peak - records, tree_size)
+
+
+@pytest.mark.parametrize("coordinates", ["floats", "ints"])
+def test_a_load_holds_one_entrys_tree_besides_the_text_and_its_records(
+    tmp_path, traced, coordinates
+):
+    path = tmp_path / "s.json"
+    save_scenarios(make_scenarios(2000), path)
+    text = path.read_text(encoding="utf-8")
+    if coordinates == "ints":  # validated in place, so still one entry at a time
+        text, n = INT_COORDINATE.subn(r"\1", text)
+        assert n > 10_000
+        path.write_text(text, encoding="utf-8")
+    memo = scenario_module._LiteralMemo()
+    tree, tree_size, _ = _traced_growth(lambda: json.loads(text, parse_float=memo.__getitem__))
+    del memo, tree, text
+    scenarios, records, peak = _traced_growth(lambda: load_scenarios(path))
+    assert len(scenarios) == 2000
+    # past its records, the load holds the text (about a sixth of a tree) and
+    # one entry's tree; a whole-file decode holds over half a tree
+    assert peak - records < 0.3 * tree_size, (peak - records, tree_size)
 
 
 def test_a_save_holds_one_encoded_copy_of_the_file(tmp_path, traced):
