@@ -40,7 +40,10 @@ Exit codes: 0 success; 1 evaluate's parse-failure rate exceeded the
 threshold; 2 bad input or configuration. A command returns 0 or 1; bad
 input raises ``OSError`` or ``ValueError``, so ``main`` alone writes the
 error line to stderr and returns 2. A stdout whose reader has gone away
-(``lmplan evaluate ... | head -1``) changes none of them.
+(``lmplan evaluate ... | head -1``) changes none of them, nor does a
+stdout that cannot encode a path it is told (a path that is not UTF-8 on
+a strict UTF-8 stream): the success message writes such a character as
+its backslash escape, as stderr does.
 
 ``main`` runs each command but a remote ``plan`` with the cyclic garbage
 collector paused (``scenario.collector_paused``): an offline command makes
@@ -92,9 +95,17 @@ from .scenario import (
 
 
 def _say(text: str) -> None:
-    """Print ``text`` to stdout and flush; a reader that has gone away changes no exit code."""
+    """Print ``text`` to stdout and flush; a reader that has gone away changes no exit code.
+
+    A character a strict stream cannot encode (a path that is not UTF-8, as
+    ``\\udcff``) is written with its backslash escape, as stderr writes it.
+    """
     try:
-        print(text, flush=True)
+        try:
+            print(text, flush=True)
+        except UnicodeEncodeError:  # raised before any of ``text`` is written
+            encoding = sys.stdout.encoding
+            print(text.encode(encoding, "backslashreplace").decode(encoding), flush=True)
     except BrokenPipeError:
         _stdout_to_devnull()
 

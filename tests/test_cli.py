@@ -4,7 +4,9 @@ import dataclasses
 import gc
 import io
 import json
+import os
 import re
+import sys
 import threading
 from collections import Counter
 
@@ -1312,6 +1314,47 @@ def test_parsed_defaults_are_the_config_defaults():
                            "--fallback", "drop"])
     with pytest.raises(ValueError):
         EvalConfig(fallback_policy="drop")
+
+
+UNDECODABLE = os.fsdecode(b"\xff")  # a file name byte that is not UTF-8, as "\udcff"
+
+
+@pytest.mark.parametrize("command, code", [
+    ("synth", 0), ("split", 0), ("plan", 0), ("export-finetune", 0), ("evaluate", 0),
+    ("evaluate gate", 1),
+])
+def test_a_path_a_strict_stdout_cannot_encode_changes_no_exit_code(
+    tmp_path, monkeypatch, command, code
+):
+    out = tmp_path / f"{UNDECODABLE}.out"
+    try:
+        out.touch()
+        out.unlink()
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    scen = synth_file(tmp_path, count=3)
+    results = tmp_path / "r.jsonl"
+    if command == "evaluate gate":
+        results.write_text("".join(PlanRecord(s.id).to_line() for s in load_scenarios(scen)))
+    else:
+        assert run("plan", "--scenarios", scen, "--out", results) == 0
+    argv, written = {
+        "synth": (["--out", out], [out]),
+        "split": (["--scenarios", scen, "--fraction", 0.5, "--out", out], [out]),
+        "plan": (["--scenarios", scen, "--out", out], [out]),
+        "export-finetune": (["--scenarios", scen, "--out", out],
+                            [out, tmp_path / f"{out.name}.meta.json"]),
+        "evaluate": (["--scenarios", scen, "--results", results, "--out-dir", out],
+                     [out / "report.md", out / "report.csv"]),
+    }[command.split()[0]]
+    gate = ["--fail-threshold", 0.5] if command == "evaluate gate" else []
+    # stdout as PYTHONIOENCODING=utf-8 makes it: a path that is not UTF-8 raises on it
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(command.split()[0], *argv, *gate) == code
+    assert all(p.is_file() for p in written)
+    stdout.flush()
+    assert "\\udcff" in stdout.buffer.getvalue().decode("utf-8")
 
 
 @pytest.fixture

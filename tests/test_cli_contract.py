@@ -16,6 +16,9 @@
   names that flag and writes no manifest, or leaves an existing one as it was.
 - A ``synth`` whose ``--out`` directory does not exist exits 2, names
   ``--out`` and writes nothing.
+- A ``synth`` whose ``--out`` name is not UTF-8, with stdout a strict UTF-8
+  stream (``PYTHONIOENCODING=utf-8``), exits 0, writes the file and prints
+  the name with its backslash escape (``\\udcff``).
 - A remote ``plan`` sends ``Bearer $PLANNER_API_KEY`` even when the netrc
   file names the endpoint's host.
 - A remote ``plan`` that fails for a scenario whose id holds escape and
@@ -237,6 +240,20 @@ def test_a_synth_with_no_out_directory_writes_nothing(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.decode().startswith("lmplan: error: --out nodir/x.json: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_synth_out_a_strict_stdout_cannot_encode_is_written_and_exits_0(tmp_path):
+    name = os.fsdecode(b"\xff.json")  # "\udcff.json"
+    try:
+        (tmp_path / name).touch()
+        (tmp_path / name).unlink()
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    proc = lmplan_run(tmp_path, "synth", "--count", 2, "--out", name,
+                      env=dict(os.environ, PYTHONIOENCODING="utf-8"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / name).is_file()
+    assert b"\\udcff.json" in proc.stdout, proc.stdout
 
 
 def test_a_remote_plan_sends_the_key_when_netrc_names_the_host(tmp_path):
